@@ -45,7 +45,6 @@ from .degree_tables import (
 from .feasibility import (
     FeasibilityReport,
     check_feasible,
-    check_feasible_low_privacy,
     feasibility_rows,
     longest_run,
     min_feasible_t,

@@ -41,9 +41,12 @@ def _add_family_arguments(parser: argparse.ArgumentParser):
 
 
 def _need(args, *names):
+    """Values of the named flags; a missing one is a usage error (exit 2)."""
     missing = [n for n in names if getattr(args, n if n != "l" else "ell") is None]
     if missing:
-        raise SystemExit(f"error: {args.family} requires {' '.join('-' + n for n in missing)}")
+        print(f"error: {args.family} requires {' '.join('-' + n for n in missing)}",
+              file=sys.stderr)
+        raise SystemExit(2)
     return [getattr(args, n if n != "l" else "ell") for n in names]
 
 
@@ -69,12 +72,6 @@ _BUILDERS = {
 }
 
 
-def _feasibility_report(plan):
-    if plan.family in ("lp_equal", "lp_general"):
-        return fs.check_feasible_low_privacy(plan)
-    return fs.check_feasible(plan)
-
-
 def _cmd_construct(args) -> int:
     plan = _BUILDERS[args.family](args)
     table = dt.outer_sum(plan)
@@ -93,7 +90,7 @@ def _cmd_construct(args) -> int:
     print("interference:", " ".join(map(str, sorted(table.interference))))
     decodable = dt.check_decodable(plan)
     print(f"decodable: {'yes' if decodable.ok else 'no (' + decodable.reason + ')'}")
-    feas = _feasibility_report(plan)
+    feas = fs.check_feasible(plan)
     print(f"quantum feasible: {'yes' if feas.feasible else 'no'} "
           f"(run {len(feas.run)}, need {feas.threshold})")
     if args.export:
@@ -149,15 +146,15 @@ def args_out(args):
 
 
 _SWEEP_AXES = {
-    # family -> (swept parameter, plan factory taking (value, args))
-    "qf-square": ("n", lambda v, a: dt.build_qf_square(v)),
-    "qf-power": ("n", lambda v, a: dt.build_qf_power(v, a.k, a.m)),
-    "qf-additive": ("r", lambda v, a: dt.build_qf_additive(a.n, a.k, v)),
-    "qf-klt": ("K", lambda v, a: dt.build_qf_klt(v, a.T)),
-    "qf-kt": ("k", lambda v, a: dt.build_qf_kt(a.n, v, a.ell)),
-    "qf-kt-shift": ("r", lambda v, a: dt.build_qf_kt_shift(a.n, a.ell, v)),
-    "low-privacy": ("L", lambda v, a: dt.build_low_privacy(a.K if a.K else v, v, a.T)),
-    "cat": ("K", lambda v, a: dt.build_cat(v, a.L, a.T)),
+    # family -> (swept parameter, required fixed flags, plan factory taking (value, args))
+    "qf-square": ("n", (), lambda v, a: dt.build_qf_square(v)),
+    "qf-power": ("n", ("k", "m"), lambda v, a: dt.build_qf_power(v, a.k, a.m)),
+    "qf-additive": ("r", ("n", "k"), lambda v, a: dt.build_qf_additive(a.n, a.k, v)),
+    "qf-klt": ("K", ("T",), lambda v, a: dt.build_qf_klt(v, a.T)),
+    "qf-kt": ("k", ("n", "l"), lambda v, a: dt.build_qf_kt(a.n, v, a.ell)),
+    "qf-kt-shift": ("r", ("n", "l"), lambda v, a: dt.build_qf_kt_shift(a.n, a.ell, v)),
+    "low-privacy": ("L", ("T",), lambda v, a: dt.build_low_privacy(a.K if a.K else v, v, a.T)),
+    "cat": ("K", ("L", "T"), lambda v, a: dt.build_cat(v, a.L, a.T)),
 }
 
 
@@ -168,7 +165,8 @@ def _classical_baseline(plan) -> "dt.ExponentPlan":
 
 
 def _cmd_sweep(args) -> int:
-    axis, factory = _SWEEP_AXES[args.family]
+    _, required, factory = _SWEEP_AXES[args.family]
+    _need(args, *required)
     rows = []
     for value in _parse_range(args.range):
         plan = factory(value, args)

@@ -22,6 +22,7 @@ Families:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -110,14 +111,6 @@ class ExponentPlan:
         keep = set(self.info_beta)
         return tuple(e for i, e in enumerate(self.beta) if i not in keep)
 
-    @property
-    def info_alpha_exponents(self) -> tuple[int, ...]:
-        return tuple(self.alpha[i] for i in self.info_alpha)
-
-    @property
-    def info_beta_exponents(self) -> tuple[int, ...]:
-        return tuple(self.beta[i] for i in self.info_beta)
-
     def param(self, name: str) -> int:
         for key, val in self.params:
             if key == name:
@@ -127,12 +120,21 @@ class ExponentPlan:
 
 @dataclass(frozen=True)
 class DegreeTable:
-    """Outer-sum table of a plan with its information/interference split."""
+    """Outer-sum table of a plan with its information/interference split.
+
+    ``info`` lists the information sums in row-major (k, l) order: the
+    sum carrying block product A_k B_l sits at position k * L + l.
+    """
 
     table: tuple[tuple[int, ...], ...]
-    info_sums: frozenset[int]
+    info: tuple[int, ...]
     interference: frozenset[int]
     n_servers: int
+
+    @property
+    def info_sums(self) -> frozenset[int]:
+        """The information sums as a set, for membership tests."""
+        return frozenset(self.info)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -140,7 +142,7 @@ class DegreeTable:
 
         This fixed total order is the indexing every other module uses.
         """
-        return tuple(sorted(self.info_sums | self.interference))
+        return tuple(sorted(self.interference.union(self.info)))
 
 
 @dataclass(frozen=True)
@@ -374,19 +376,6 @@ _LP_HAND_CASES = {
 }
 
 
-def _run_length(values) -> int:
-    present = set(values)
-    best = 0
-    for v in present:
-        if v - 1 in present:
-            continue
-        end = v
-        while end + 1 in present:
-            end += 1
-        best = max(best, end - v + 1)
-    return best
-
-
 def build_low_privacy(K: int, L: int, T: int) -> ExponentPlan:
     """Low-privacy family: alpha carries K noise terms (more than T).
 
@@ -416,12 +405,8 @@ def build_low_privacy(K: int, L: int, T: int) -> ExponentPlan:
     plan = _plan(family, K, L, T, alpha, beta,
                  range(K, 2 * K), range(T, T + L),
                  params=[("m", m), ("delta", delta)])
-    everything = {a + b for a in plan.alpha for b in plan.beta}
-    info = {plan.alpha[i] + plan.beta[j]
-            for i in plan.info_alpha for j in plan.info_beta}
-    ok = (check_decodable(plan).ok
-          and 2 * _run_length(everything - info) >= len(everything))
-    if not ok:
+    from .feasibility import check_feasible  # feasibility imports this module
+    if not (check_decodable(plan).ok and check_feasible(plan).feasible):
         raise SideConditionViolatedError(
             f"layout fails verification for (K, L, T) = ({K}, {L}, {T}) with "
             f"m={m}, delta={delta}; the sufficient condition "
@@ -439,11 +424,10 @@ def outer_sum(plan: ExponentPlan) -> DegreeTable:
     q = plan.modulus_q
     red = (lambda v: v % q) if q else (lambda v: v)
     rows = tuple(tuple(red(a + b) for b in plan.beta) for a in plan.alpha)
-    info = frozenset(red(plan.alpha[i] + plan.beta[j])
-                     for i in plan.info_alpha for j in plan.info_beta)
+    info = tuple(rows[i][j] for i in plan.info_alpha for j in plan.info_beta)
     everything = frozenset(v for row in rows for v in row)
-    return DegreeTable(table=rows, info_sums=info,
-                       interference=everything - info,
+    return DegreeTable(table=rows, info=info,
+                       interference=everything.difference(info),
                        n_servers=len(everything))
 
 
@@ -459,16 +443,11 @@ def check_decodable(plan: ExponentPlan) -> DecodabilityReport:
     noise_b = plan.noise_beta
     if len(set(noise_b)) != len(noise_b):
         return DecodabilityReport(False, "duplicate noise exponent in beta")
-    q = plan.modulus_q
-    red = (lambda v: v % q) if q else (lambda v: v)
-    counts: dict[int, int] = {}
-    for a in plan.alpha:
-        for b in plan.beta:
-            v = red(a + b)
-            counts[v] = counts.get(v, 0) + 1
+    rows = outer_sum(plan).table
+    counts = Counter(v for row in rows for v in row)
     for i in plan.info_alpha:
         for j in plan.info_beta:
-            v = red(plan.alpha[i] + plan.beta[j])
+            v = rows[i][j]
             if counts[v] != 1:
                 return DecodabilityReport(
                     False, f"information sum {v} collides with another table entry",

@@ -26,7 +26,6 @@ __all__ = [
     "FeasibilityReport",
     "longest_run",
     "check_feasible",
-    "check_feasible_low_privacy",
     "min_feasible_t",
     "t_hat_estimate",
     "feasibility_rows",
@@ -66,26 +65,6 @@ def check_feasible(plan: ExponentPlan, n_star: int | None = None) -> Feasibility
         n_star = table.n_servers
     run = longest_run(table.interference)
     threshold = -(-n_star // 2)
-    return FeasibilityReport(len(run) >= threshold, tuple(run), threshold)
-
-
-def check_feasible_low_privacy(plan: ExponentPlan) -> FeasibilityReport:
-    """Feasibility variant for low-privacy plans.
-
-    The run is taken over the degree table minus the block of
-    information-by-information sums (identical to the interference set
-    once the plan is decodable, but computed per the low-privacy
-    construction's own bookkeeping).
-    """
-    if plan.family not in ("lp_equal", "lp_general"):
-        raise ParamOutOfRangeError(f"expected a low-privacy plan, got {plan.family!r}")
-    q = plan.modulus_q
-    red = (lambda v: v % q) if q else (lambda v: v)
-    everything = {red(a + b) for a in plan.alpha for b in plan.beta}
-    info_block = {red(plan.alpha[i] + plan.beta[j])
-                  for i in plan.info_alpha for j in plan.info_beta}
-    run = longest_run(everything - info_block)
-    threshold = -(-len(everything) // 2)
     return FeasibilityReport(len(run) >= threshold, tuple(run), threshold)
 
 

@@ -18,6 +18,7 @@ audit) before use, resampling as needed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .degree_tables import ExponentPlan, check_decodable, outer_sum, plan_record
-from .feasibility import check_feasible, check_feasible_low_privacy, longest_run
+from .feasibility import check_feasible, longest_run
 from .gf import FieldContext, SingularMatrixError, element_of_order, is_prime, next_prime
 from .grs import EvalFrame, ShapeMismatchError, shifted_dual_multipliers
 from .nsumbox import TransferMatrix, apply_box, build_transfer
@@ -46,6 +47,8 @@ __all__ = [
     "decode_classical",
     "decode_quantum",
     "privacy_audit",
+    "quantum_transfer",
+    "rate_ratio",
     "rate_report",
     "run_protocol",
     "transcript_dump",
@@ -76,6 +79,8 @@ class ProtocolConfig:
     must divide into K bands and cols_b into L bands.  ``prime`` is a
     floor for the field modulus (the default picks the smallest usable
     prime).  Quantum mode requires the plan's feasibility check to pass.
+    ``seed`` must be non-negative and ``audit_cap`` at least 1, so that
+    the privacy audit always checks some subsets.
     """
 
     plan: ExponentPlan
@@ -89,6 +94,15 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.mode not in ("classical", "quantum"):
             raise ValueError(f"mode must be classical or quantum, got {self.mode!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_audit_cap(self.audit_cap)
+        if self.dims is not None and not (
+                len(self.dims) == 3
+                and all(isinstance(d, numbers.Integral) and d > 0 for d in self.dims)):
+            raise ShapeMismatchError(
+                f"dims must be three positive integers (rows_a, inner, cols_b), "
+                f"got {self.dims!r}")
         self.block_dims  # validates divisibility eagerly
 
     @property
@@ -162,12 +176,6 @@ def default_field(plan: ExponentPlan, floor: int | None = None) -> FieldContext:
     return FieldContext(next_prime(lo))
 
 
-def _exponent_index(plan: ExponentPlan):
-    table = outer_sum(plan)
-    exps = table.exponents
-    return table, exps
-
-
 def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
                  rng: np.random.Generator) -> tuple[EvalFrame, AuditReport]:
     """Draw evaluation points until the frame is fully admissible.
@@ -178,7 +186,8 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
     attaches the shifted-dual multipliers at the interference run start.
     """
     plan = cfg.plan
-    table, exps = _exponent_index(plan)
+    table = outer_sum(plan)
+    exps = table.exponents
     n = table.n_servers
     shift = 0
     if cfg.mode == "quantum":
@@ -230,7 +239,7 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
 # encoding, server work, decoding
 # ---------------------------------------------------------------------------
 
-def _coeff_stack(plan, vec_exponents, info_idx, blocks, noise):
+def _coeff_stack(vec_exponents, info_idx, blocks, noise):
     """Coefficient per exponent position: data block or noise block."""
     coeffs = []
     data = iter(blocks)
@@ -241,11 +250,6 @@ def _coeff_stack(plan, vec_exponents, info_idx, blocks, noise):
     return np.stack(coeffs)
 
 
-def _power_matrix(ctx, points, exponents):
-    return np.array([[pow(int(x), int(e), ctx.p) for e in exponents] for x in points],
-                    dtype=np.int64)
-
-
 def encode_shares(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
                   a_blocks, b_blocks, noise_f, noise_g):
     """Per-server share pair (f_n, g_n) for one instance.
@@ -254,10 +258,10 @@ def encode_shares(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
     exponents; g_n likewise over beta.  Shapes: a_blocks are K arrays
     (ra, inner), b_blocks are L arrays (inner, cb), noise blocks match.
     """
-    ca = _coeff_stack(plan, plan.alpha, plan.info_alpha, a_blocks, noise_f)
-    cb = _coeff_stack(plan, plan.beta, plan.info_beta, b_blocks, noise_g)
-    pa = _power_matrix(ctx, frame.points, plan.alpha)
-    pb = _power_matrix(ctx, frame.points, plan.beta)
+    ca = _coeff_stack(plan.alpha, plan.info_alpha, a_blocks, noise_f)
+    cb = _coeff_stack(plan.beta, plan.info_beta, b_blocks, noise_g)
+    pa = ctx.vandermonde(frame.points, plan.alpha)
+    pb = ctx.vandermonde(frame.points, plan.beta)
     n = len(frame.points)
     f = ctx.matmul(pa, ca.reshape(ca.shape[0], -1)).reshape((n,) + ca.shape[1:])
     g = ctx.matmul(pb, cb.reshape(cb.shape[0], -1)).reshape((n,) + cb.shape[1:])
@@ -281,27 +285,19 @@ def _solve_generator(ctx, frame, exps, responses):
         raise SingularGeneratorError("generator singular at decode time") from exc
 
 
-def _assemble(plan, ctx, coeff_rows, exps_order, block_shape):
-    """Pick the information coefficients out and lay them as the K x L grid."""
-    where = {e: i for i, e in enumerate(exps_order)}
-    q = plan.modulus_q
-    red = (lambda v: v % q) if q else (lambda v: v)
-    grid = []
-    for i in plan.info_alpha:
-        row = []
-        for j in plan.info_beta:
-            e = red(plan.alpha[i] + plan.beta[j])
-            row.append(coeff_rows[where[e]].reshape(block_shape))
-        grid.append(row)
-    return np.block(grid)
+def _assemble(plan, info_rows, block_shape):
+    """Lay K*L coefficient rows, given in row-major (k, l) order, as the K x L grid."""
+    return np.block([[info_rows[k * plan.L + l].reshape(block_shape) for l in range(plan.L)]
+                     for k in range(plan.K)])
 
 
 def decode_classical(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
                      responses, block_shape) -> np.ndarray:
     """Solve the generator system and assemble the product from info sums."""
-    _, exps = _exponent_index(plan)
+    table = outer_sum(plan)
+    exps = table.exponents
     coeffs = _solve_generator(ctx, frame, exps, responses)
-    return _assemble(plan, ctx, coeffs, exps, block_shape)
+    return _assemble(plan, coeffs[[exps.index(e) for e in table.info]], block_shape)
 
 
 def quantum_layout(plan: ExponentPlan):
@@ -311,17 +307,12 @@ def quantum_layout(plan: ExponentPlan):
     interference run is shorter than half the server count.
     """
     table = outer_sum(plan)
-    n = table.n_servers
-    run = longest_run(table.interference)
-    if len(run) < -(-n // 2):
+    feas = check_feasible(plan)
+    if not feas.feasible:
         raise NotFeasibleError(
-            f"interference run {len(run)} < ceil({n}/2); plan not quantum-extendable")
-    q = plan.modulus_q
-    red = (lambda v: v % q) if q else (lambda v: v)
-    info = [red(plan.alpha[i] + plan.beta[j])
-            for i in plan.info_alpha for j in plan.info_beta]
-    rest = sorted(table.interference - set(run))
-    return run, info, rest
+            f"interference run {len(feas.run)} < ceil({table.n_servers}/2); "
+            "plan not quantum-extendable")
+    return feas.run, table.info, sorted(table.interference.difference(feas.run))
 
 
 def quantum_transfer(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame) -> TransferMatrix:
@@ -330,8 +321,7 @@ def quantum_transfer(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame) ->
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
     run, info, rest = quantum_layout(plan)
     n = len(frame.points)
-    cols = list(run) + info + rest
-    qmat = _power_matrix(ctx, frame.points, cols)
+    qmat = ctx.vandermonde(frame.points, [*run, *info, *rest])
     u = ctx.asarray(frame.u)[:, None]
     v = ctx.asarray(frame.v)[:, None]
     fl, ce = n // 2, -(-n // 2)
@@ -353,7 +343,7 @@ def decode_quantum(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
     """
     if tm is None:
         tm = quantum_transfer(plan, ctx, frame)
-    run, info, rest = quantum_layout(plan)
+    run, _, _ = quantum_layout(plan)
     n = len(frame.points)
     fl, ce = n // 2, -(-n // 2)
     r1 = ctx.asarray(responses_pair[0]).reshape(n, -1)
@@ -363,28 +353,19 @@ def decode_quantum(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
     x = np.vstack([u * r1 % ctx.p, v * r2 % ctx.p])
     y = apply_box(tm, x)
     kl = plan.K * plan.L
-    info_order = list(info)
     first = y[len(run) - fl:len(run) - fl + kl]
     second = y[len(run):len(run) + kl]
-    out = []
-    for rows in (first, second):
-        where = {e: i for i, e in enumerate(info_order)}
-        q = plan.modulus_q
-        red = (lambda val: val % q) if q else (lambda val: val)
-        grid = []
-        for i in plan.info_alpha:
-            row = []
-            for j in plan.info_beta:
-                e = red(plan.alpha[i] + plan.beta[j])
-                row.append(rows[where[e]].reshape(block_shape))
-            grid.append(row)
-        out.append(np.block(grid))
-    return out[0], out[1]
+    return _assemble(plan, first, block_shape), _assemble(plan, second, block_shape)
 
 
 # ---------------------------------------------------------------------------
 # privacy, rates, orchestration
 # ---------------------------------------------------------------------------
+
+def _check_audit_cap(cap) -> None:
+    if not (isinstance(cap, numbers.Integral) and cap >= 1):
+        raise ValueError(f"audit_cap must be an integer >= 1, got {cap!r}")
+
 
 def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
                   cap: int = 10_000, rng: np.random.Generator | None = None) -> AuditReport:
@@ -394,12 +375,16 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     a seeded sample of cap subsets) the noise-exponent power matrix must
     have full row rank, separately for the alpha and beta sides.
     """
+    _check_audit_cap(cap)
     t = plan.T
     n = len(points)
     if t == 0:
         return AuditReport(ok=True, checked=0, exhaustive=True)
-    sides = [exps for exps in (plan.noise_alpha, plan.noise_beta) if exps]
-    powers = [_power_matrix(ctx, points, exps) for exps in sides]
+    # Plain powers rather than FieldContext.vandermonde: a repeated or zero
+    # point must show up as a failing subset, not raise before the audit.
+    powers = [np.array([[pow(int(x), e, ctx.p) for e in exps] for x in points],
+                       dtype=np.int64)
+              for exps in (plan.noise_alpha, plan.noise_beta) if exps]
     total = math.comb(n, t)
     exhaustive = total <= cap
     if exhaustive:
@@ -444,8 +429,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     if not report.ok:
         raise ValueError(f"plan is not decodable: {report.reason}")
     if cfg.mode == "quantum":
-        feas = (check_feasible_low_privacy(plan)
-                if plan.family in ("lp_equal", "lp_general") else check_feasible(plan))
+        feas = check_feasible(plan)
         if not feas.feasible:
             raise NotFeasibleError(
                 f"interference run {len(feas.run)} < {feas.threshold} for {plan.family}"

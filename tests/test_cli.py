@@ -124,6 +124,24 @@ def test_sweep_low_privacy_gain_bounded(capsys):
     assert ratios[-1] < ratios[0]  # gain shrinks as L grows
 
 
+@pytest.mark.parametrize("family, flags", [
+    ("qf-power", "-k -m"),
+    ("qf-additive", "-n -k"),
+    ("qf-klt", "-T"),
+    ("qf-kt", "-n -l"),
+    ("qf-kt-shift", "-n -l"),
+    ("low-privacy", "-T"),
+    ("cat", "-L -T"),
+])
+def test_sweep_missing_flags_is_a_usage_error(capsys, family, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", family, "--range", "2:3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {family} requires {flags}\n"
+    assert captured.out == ""
+
+
 def test_sweep_deterministic(capsys):
     _, one, _ = invoke(capsys, "sweep", "qf-klt", "--range", "3:5", "-T", "2")
     _, two, _ = invoke(capsys, "sweep", "qf-klt", "--range", "3:5", "-T", "2")

@@ -11,8 +11,8 @@ from pdmm.degree_tables import (
     outer_sum,
 )
 from pdmm.feasibility import (
+    FeasibilityReport,
     check_feasible,
-    check_feasible_low_privacy,
     feasibility_rows,
     longest_run,
     min_feasible_t,
@@ -83,19 +83,39 @@ def test_check_feasible_monotone_under_removal():
 
 
 def test_low_privacy_variant():
-    report = check_feasible_low_privacy(build_low_privacy(4, 4, 3))
+    report = check_feasible(build_low_privacy(4, 4, 3))
     assert report.feasible
     assert report.run == tuple(range(0, 23))
     assert report.threshold == 21
 
-    big = check_feasible_low_privacy(build_low_privacy(5, 5, 2))
+    big = check_feasible(build_low_privacy(5, 5, 2))
     assert big.feasible
     assert len(big.run) == 31 and big.threshold == 29
 
     with pytest.raises(ParamOutOfRangeError):
         build_low_privacy(3, 3, 4)
-    with pytest.raises(ParamOutOfRangeError):
-        check_feasible_low_privacy(build_gasp_r(2, 2, 3, 2))
+
+
+def test_low_privacy_feasibility_matches_table_minus_info_block():
+    # the low-privacy construction's own bookkeeping: the run is taken over
+    # the whole table minus the block of information-by-information sums
+    built = 0
+    for K in range(2, 9):
+        for L in range(2, K + 1):
+            for T in range(1, L):
+                try:
+                    plan = build_low_privacy(K, L, T)
+                except ParamOutOfRangeError:
+                    continue
+                built += 1
+                everything = {a + b for a in plan.alpha for b in plan.beta}
+                info_block = {plan.alpha[i] + plan.beta[j]
+                              for i in plan.info_alpha for j in plan.info_beta}
+                run = tuple(longest_run(everything - info_block))
+                threshold = -(-len(everything) // 2)
+                assert check_feasible(plan) == FeasibilityReport(True, run, threshold), \
+                    (K, L, T)
+    assert built == 43
 
 
 def test_min_feasible_t_small():

@@ -263,6 +263,26 @@ def test_dims_must_divide():
         ProtocolConfig(plan=GASP223, dims=(3, 1, 2))
 
 
+@pytest.mark.parametrize("dims", [(-2, 1, 2), (2, 0, 2), (2, 1), (2, 1, 2, 1), (2.0, 1, 2)])
+def test_dims_must_be_three_positive_ints(dims):
+    with pytest.raises(ShapeMismatchError, match="dims"):
+        ProtocolConfig(plan=GASP223, dims=dims)
+
+
+def test_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match="seed"):
+        ProtocolConfig(plan=GASP223, seed=-1)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_audit_cap_must_be_positive(cap):
+    with pytest.raises(ValueError, match="audit_cap"):
+        ProtocolConfig(plan=GASP223, audit_cap=cap)
+    ctx = FieldContext(131)
+    with pytest.raises(ValueError, match="audit_cap"):
+        privacy_audit(GASP223, ctx, list(range(1, 14)), cap=cap)
+
+
 # ---------------------------------------------------------------------------
 # privacy and rates
 # ---------------------------------------------------------------------------
