@@ -106,6 +106,14 @@ def element_of_order(order: int, p: int) -> int:
     raise ValueError(f"no element of order {order} in F_{p}")
 
 
+def _swap_rows(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Swap row i[s] with row j[s] of every matrix s in the stack, in place."""
+    every = np.arange(len(stack))
+    row_i = stack[every, i]
+    stack[every, i] = stack[every, j]
+    stack[every, j] = row_i
+
+
 @dataclass(frozen=True)
 class FieldContext:
     """Prime field F_p with exact matrix algebra.
@@ -206,6 +214,49 @@ class FieldContext:
             return 0
         _, rank = self._eliminate(a, a.shape[1])
         return rank
+
+    def batch_rank(self, stack) -> np.ndarray:
+        """Rank of every matrix in an (S, r, c) stack, as an int64 array of length S.
+
+        Gauss elimination runs column by column on all S matrices at once.
+        Each matrix keeps its own rank; its pivot is the lowest-index
+        nonzero row at or below that rank, swapped up to row ``rank``,
+        scaled to 1 and subtracted from the rows below it.  Entries stay
+        reduced in [0, p), so every product of two is below p^2 < 2^62.
+        """
+        a = self.asarray(stack)
+        if a.ndim != 3:
+            raise ValueError(f"expected an (S, r, c) stack, got shape {a.shape}")
+        p = self.p
+        _, r, c = a.shape
+        rank = np.zeros(len(a), dtype=np.int64)
+        rows = np.arange(r)
+        for col in range(c):
+            cand = (rows >= rank[:, None]) & (a[:, :, col] != 0)
+            has = cand.any(axis=1)
+            if not has.any():
+                continue
+            # Without a pivot the target row already holds one (rank == r)
+            # or is zero in this column, so the update below leaves it as is.
+            top = np.minimum(rank, r - 1)
+            _swap_rows(a, np.where(has, cand.argmax(axis=1), top), top)
+            lead = a[np.arange(len(a)), top, col:]
+            lead = lead * self._inverse_all(lead[:, :1]) % p
+            factors = np.where(rows > top[:, None], a[:, :, col], 0)
+            a[:, :, col:] = (a[:, :, col:] - factors[:, :, None] * lead[:, None, :]) % p
+            rank += has
+        return rank
+
+    def _inverse_all(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise x^(p-2) mod p (Fermat): the inverse of each nonzero entry, 0 for 0."""
+        out = np.ones_like(x)
+        e = self.p - 2
+        while e:
+            if e & 1:
+                out = out * x % self.p
+            x = x * x % self.p
+            e >>= 1
+        return out
 
     def mat_solve(self, a, b) -> np.ndarray:
         """Solve A X = B for square A; raises SingularMatrixError otherwise."""

@@ -21,7 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -362,6 +362,13 @@ def decode_quantum(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
 # privacy, rates, orchestration
 # ---------------------------------------------------------------------------
 
+# Subsets per batched rank call.  Auditing qf_klt(5,3) over F_37 (6545
+# subsets, 2-vCPU host), chunks of 256 took about 20% longer than 1024;
+# chunks of 32768 were at most 15% faster but raised the process's peak
+# RSS by 3.5 MB instead of 0.9 MB (about 10% of a 36 MB process).
+_AUDIT_CHUNK = 1024
+
+
 def _check_audit_cap(cap) -> None:
     if not (isinstance(cap, numbers.Integral) and cap >= 1):
         raise ValueError(f"audit_cap must be an integer >= 1, got {cap!r}")
@@ -371,13 +378,20 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
                   cap: int = 10_000, rng: np.random.Generator | None = None) -> AuditReport:
     """Rank check that noise acts as a one-time pad on any T server views.
 
-    For every T-subset of servers (exhaustive when C(N, T) <= cap, else
-    a seeded sample of cap subsets) the noise-exponent power matrix must
-    have full row rank, separately for the alpha and beta sides.
+    For every T-subset of servers (exhaustive when C(N, T) <= cap, in
+    ``itertools.combinations`` order, else a seeded sample of cap subsets)
+    the noise-exponent power matrix must have full row rank, separately
+    for the alpha and beta sides.  Subsets are checked in chunks: each
+    chunk's T-row slices of a side's power matrix form one stack whose
+    ranks ``FieldContext.batch_rank`` computes at once.  Checking stops
+    once 10 failing subsets are found; the report lists the first 10 in
+    enumeration order.  Fewer than T points raise ``ValueError``.
     """
     _check_audit_cap(cap)
     t = plan.T
     n = len(points)
+    if n < t:
+        raise ValueError(f"privacy audit needs at least T = {t} points, got {n}")
     if t == 0:
         return AuditReport(ok=True, checked=0, exhaustive=True)
     # Plain powers rather than FieldContext.vandermonde: a repeated or zero
@@ -396,17 +410,16 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
         subsets = [tuple(sorted(rng.choice(n, size=t, replace=False).tolist()))
                    for _ in range(cap)]
         checked = cap
+    pending = iter(subsets)
     failures = []
-    for subset in subsets:
-        rows = list(subset)
+    while len(failures) < 10 and (chunk := list(islice(pending, _AUDIT_CHUNK))):
+        rows = np.array(chunk, dtype=np.intp)
+        bad = np.zeros(len(rows), dtype=bool)
         for mat in powers:
-            if ctx.mat_rank(mat[rows]) != t:
-                failures.append(tuple(rows))
-                break
-        if len(failures) >= 10:
-            break
+            bad |= ctx.batch_rank(mat[rows]) < t
+        failures.extend(tuple(row) for row in rows[bad].tolist())
     return AuditReport(ok=not failures, checked=checked,
-                       exhaustive=exhaustive, failures=tuple(failures))
+                       exhaustive=exhaustive, failures=tuple(failures[:10]))
 
 
 def rate_report(plan: ExponentPlan, mode: str) -> RateReport:

@@ -129,3 +129,47 @@ def test_prime_helpers():
     assert element_of_order(10, 11) == 2
     with pytest.raises(ValueError):
         element_of_order(7, 11)
+
+
+def random_stack(ctx, rng, s, r, c):
+    """(s, r, c) stack with many zeros and, in every other slice, a planted
+    row that is a combination of two others, so ranks vary."""
+    p = ctx.p
+    a = rng.integers(0, p, size=(s, r, c)) * (rng.random((s, r, c)) < 0.7)
+    if r >= 3:
+        for k in range(0, s, 2):
+            i, j, d = rng.choice(r, size=3, replace=False)
+            x, y = (int(v) for v in rng.integers(0, p, size=2))
+            a[k, d] = (x * a[k, i] % p + y * a[k, j] % p) % p
+    return a
+
+
+@pytest.mark.parametrize("p", [5, 13, 2_147_483_647])
+@pytest.mark.parametrize("r,c", [(3, 3), (2, 5), (5, 2), (4, 6), (6, 4), (1, 1)])
+def test_batch_rank_matches_mat_rank(p, r, c):
+    ctx = FieldContext(p)
+    rng = np.random.default_rng(r * 10 + c)
+    stack = random_stack(ctx, rng, 60, r, c)
+    stack[:3] = 0
+    before = stack.copy()
+    ranks = ctx.batch_rank(stack)
+    assert np.array_equal(stack, before)
+    assert ranks.shape == (60,) and ranks.dtype == np.int64
+    assert ranks.tolist() == [ctx.mat_rank(m) for m in stack]
+    assert ranks[:3].tolist() == [0, 0, 0]
+
+
+def test_batch_rank_full_rank_at_largest_modulus():
+    # entries near p make every product close to p^2 ~ 2^62
+    p = 2_147_483_647
+    ctx = FieldContext(p)
+    m = np.array([[p - 1, p - 2], [p - 3, p - 1]])
+    assert ctx.batch_rank(np.stack([m, m[[0, 0]]])).tolist() == [2, 1]
+
+
+def test_batch_rank_edge_shapes():
+    assert F11.batch_rank(np.zeros((0, 3, 3), dtype=np.int64)).tolist() == []
+    assert F11.batch_rank(np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
+    assert F11.batch_rank(np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="stack"):
+        F11.batch_rank(F11.identity(3))

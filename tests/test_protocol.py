@@ -312,6 +312,14 @@ def test_audit_duplicated_points_fail():
     assert any(0 in f and 12 in f for f in report.failures)
 
 
+def test_audit_needs_at_least_t_points():
+    ctx = FieldContext(131)
+    plan = optimal_gasp_r(2, 2, 3)
+    with pytest.raises(ValueError, match="T = 3 points, got 2"):
+        privacy_audit(plan, ctx, [1, 2])
+    assert privacy_audit(plan, ctx, [1, 2, 3]).checked == 1
+
+
 def test_audit_sampling_above_cap():
     plan = build_qf_square(2)  # C(39, 4) = 82251
     ctx, frame, audit = make_frame(plan, seed=4)
