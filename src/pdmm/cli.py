@@ -18,6 +18,7 @@ a 6-place decimal column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -131,18 +132,19 @@ def _cmd_feasibility(args) -> int:
                                None if args.l_range is None
                                else _parse_range(args.l_range),
                                t_max=args.t_max)
-    writer = csv.writer(args_out(args), lineterminator="\n")
-    writer.writerow(["K", "L", "T_min_bruteforce", "T_hat", "delta"])
-    for row in rows:
-        writer.writerow([row["K"], row["L"], row["T_min_bruteforce"],
-                         f"{row['T_hat']:.6f}", row["delta"]])
+    _write_csv(args, ["K", "L", "T_min_bruteforce", "T_hat", "delta"],
+               [[row["K"], row["L"], row["T_min_bruteforce"],
+                 f"{row['T_hat']:.6f}", row["delta"]] for row in rows])
     return 0
 
 
-def args_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8", newline="")
-    return sys.stdout
+def _write_csv(args, header, rows) -> None:
+    """Header and rows as CSV, to the ``--out`` path if given, else stdout."""
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 _SWEEP_AXES = {
@@ -182,11 +184,9 @@ def _cmd_sweep(args) -> int:
             f"{ratio.numerator}/{ratio.denominator}", f"{float(ratio):.6f}",
         ])
     rows.sort(key=lambda row: (row[1], row[2], row[3]))
-    writer = csv.writer(args_out(args), lineterminator="\n")
-    writer.writerow(["family", "K", "L", "T", "N_classical", "N_quantum",
-                     "R_C", "R_C_decimal", "R_Q", "R_Q_decimal",
-                     "ratio", "ratio_decimal"])
-    writer.writerows(rows)
+    _write_csv(args, ["family", "K", "L", "T", "N_classical", "N_quantum",
+                      "R_C", "R_C_decimal", "R_Q", "R_Q_decimal",
+                      "ratio", "ratio_decimal"], rows)
     return 0
 
 

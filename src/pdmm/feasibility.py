@@ -54,17 +54,15 @@ def longest_run(values: Iterable[int]) -> list[int]:
     return best
 
 
-def check_feasible(plan: ExponentPlan, n_star: int | None = None) -> FeasibilityReport:
-    """Feasible iff the interference run covers ceil(n_star / 2) exponents.
+def check_feasible(plan: ExponentPlan) -> FeasibilityReport:
+    """Feasible iff the interference run covers ceil(N / 2) exponents.
 
-    ``n_star`` defaults to the plan's own server count; pass the optimal
-    GASP count explicitly when judging a fixed-parameter family.
+    N is the plan's own server count.  The report only describes the
+    plan; ``protocol.quantum_layout`` is what refuses quantum mode.
     """
     table = outer_sum(plan)
-    if n_star is None:
-        n_star = table.n_servers
     run = longest_run(table.interference)
-    threshold = -(-n_star // 2)
+    threshold = -(-table.n_servers // 2)
     return FeasibilityReport(len(run) >= threshold, tuple(run), threshold)
 
 

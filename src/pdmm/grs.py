@@ -20,6 +20,7 @@ from .gf import DuplicatePointError, FieldContext, ZeroPointError
 __all__ = [
     "EvalFrame",
     "ShapeMismatchError",
+    "dual_frame",
     "dual_multipliers",
     "shifted_dual_multipliers",
     "grs_generator",
@@ -133,6 +134,3 @@ def dual_frame(ctx: FieldContext, points, shift: int = 0) -> EvalFrame:
     v = shifted_dual_multipliers(ctx, points, u, shift, shift)
     return EvalFrame(ctx=ctx, points=tuple(int(x) % ctx.p for x in points), u=u,
                      v=tuple(int(x) for x in v), shift_l1=shift, shift_l2=shift)
-
-
-__all__.append("dual_frame")

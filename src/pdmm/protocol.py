@@ -28,7 +28,7 @@ import numpy as np
 from .degree_tables import ExponentPlan, check_decodable, outer_sum, plan_record
 from .feasibility import check_feasible, longest_run
 from .gf import FieldContext, SingularMatrixError, element_of_order, is_prime, next_prime
-from .grs import EvalFrame, ShapeMismatchError, shifted_dual_multipliers
+from .grs import EvalFrame, ShapeMismatchError, dual_frame
 from .nsumbox import TransferMatrix, apply_box, build_transfer
 
 __all__ = [
@@ -88,7 +88,6 @@ class ProtocolConfig:
     mode: str = "classical"
     seed: int = 0
     prime: int | None = None
-    max_resample: int = 64
     audit_cap: int = 10_000
 
     def __post_init__(self):
@@ -176,6 +175,10 @@ def default_field(plan: ExponentPlan, floor: int | None = None) -> FieldContext:
     return FieldContext(next_prime(lo))
 
 
+# Random frames tried before giving up on a non-cyclic plan.
+_MAX_RESAMPLE = 64
+
+
 def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
                  rng: np.random.Generator) -> tuple[EvalFrame, AuditReport]:
     """Draw evaluation points until the frame is fully admissible.
@@ -189,10 +192,8 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
     table = outer_sum(plan)
     exps = table.exponents
     n = table.n_servers
-    shift = 0
-    if cfg.mode == "quantum":
-        run = longest_run(table.interference)
-        shift = run[0] if run else 0
+    run = longest_run(table.interference) if cfg.mode == "quantum" else []
+    shift = run[0] if run else 0
 
     def finish(points) -> tuple[EvalFrame, AuditReport] | None:
         try:
@@ -204,14 +205,9 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
         if not audit.ok:
             return None
-        u = tuple(1 for _ in points)
-        v = None
         if cfg.mode == "quantum":
-            v = tuple(int(x) for x in
-                      shifted_dual_multipliers(ctx, points, u, shift, shift))
-        frame = EvalFrame(ctx=ctx, points=tuple(int(x) for x in points), u=u,
-                          v=v, shift_l1=shift, shift_l2=shift)
-        return frame, audit
+            return dual_frame(ctx, points, shift), audit
+        return EvalFrame(ctx=ctx, points=tuple(points), u=(1,) * len(points)), audit
 
     if plan.modulus_q:
         q = plan.modulus_q
@@ -226,28 +222,24 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
 
     if ctx.p - 1 < n:
         raise FieldTooSmallError(f"F_{ctx.p} has {ctx.p - 1} nonzero points, need {n}")
-    for _ in range(cfg.max_resample):
+    for _ in range(_MAX_RESAMPLE):
         points = (rng.choice(ctx.p - 1, size=n, replace=False) + 1).tolist()
         got = finish(points)
         if got is not None:
             return got
     raise ResampleExhaustedError(
-        f"no admissible frame within {cfg.max_resample} attempts over F_{ctx.p}")
+        f"no admissible frame within {_MAX_RESAMPLE} attempts over F_{ctx.p}")
 
 
 # ---------------------------------------------------------------------------
 # encoding, server work, decoding
 # ---------------------------------------------------------------------------
 
-def _coeff_stack(vec_exponents, info_idx, blocks, noise):
-    """Coefficient per exponent position: data block or noise block."""
-    coeffs = []
-    data = iter(blocks)
+def _coeff_stack(n_exps, info_idx, blocks, noise):
+    """Coefficient per exponent position: block k at info_idx[k], noise in order elsewhere."""
+    data = dict(zip(info_idx, blocks))
     masks = iter(noise)
-    info = set(info_idx)
-    for i in range(len(vec_exponents)):
-        coeffs.append(next(data) if i in info else next(masks))
-    return np.stack(coeffs)
+    return np.stack([data[i] if i in data else next(masks) for i in range(n_exps)])
 
 
 def encode_shares(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
@@ -258,8 +250,8 @@ def encode_shares(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
     exponents; g_n likewise over beta.  Shapes: a_blocks are K arrays
     (ra, inner), b_blocks are L arrays (inner, cb), noise blocks match.
     """
-    ca = _coeff_stack(plan.alpha, plan.info_alpha, a_blocks, noise_f)
-    cb = _coeff_stack(plan.beta, plan.info_beta, b_blocks, noise_g)
+    ca = _coeff_stack(len(plan.alpha), plan.info_alpha, a_blocks, noise_f)
+    cb = _coeff_stack(len(plan.beta), plan.info_beta, b_blocks, noise_g)
     pa = ctx.vandermonde(frame.points, plan.alpha)
     pb = ctx.vandermonde(frame.points, plan.beta)
     n = len(frame.points)
@@ -303,15 +295,16 @@ def decode_classical(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
 def quantum_layout(plan: ExponentPlan):
     """Column order of the quantum readout: [run | info sums | leftover].
 
-    Info sums are listed in row-major (k, l) order.  Raises when the
-    interference run is shorter than half the server count.
+    Info sums are listed in row-major (k, l) order.  This is the quantum
+    feasibility gate: it raises ``NotFeasibleError`` when the interference
+    run is shorter than half the server count.
     """
     table = outer_sum(plan)
     feas = check_feasible(plan)
     if not feas.feasible:
         raise NotFeasibleError(
-            f"interference run {len(feas.run)} < ceil({table.n_servers}/2); "
-            "plan not quantum-extendable")
+            f"interference run {len(feas.run)} < {feas.threshold} for {plan.family}"
+            f"({plan.K},{plan.L},{plan.T}); quantum mode unavailable")
     return feas.run, table.info, sorted(table.interference.difference(feas.run))
 
 
@@ -333,16 +326,14 @@ def quantum_transfer(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame) ->
 
 
 def decode_quantum(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
-                   responses_pair, block_shape,
-                   tm: TransferMatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   responses_pair, block_shape) -> tuple[np.ndarray, np.ndarray]:
     """Recover both instances' products from one batch of 2N operands.
 
     Servers put the first instance on the X slot scaled by u and the
     second on the Z slot scaled by v; the receiver applies the box and
     reads the information coordinates of each half.
     """
-    if tm is None:
-        tm = quantum_transfer(plan, ctx, frame)
+    tm = quantum_transfer(plan, ctx, frame)
     run, _, _ = quantum_layout(plan)
     n = len(frame.points)
     fl, ce = n // 2, -(-n // 2)
@@ -385,7 +376,10 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     chunk's T-row slices of a side's power matrix form one stack whose
     ranks ``FieldContext.batch_rank`` computes at once.  Checking stops
     once 10 failing subsets are found; the report lists the first 10 in
-    enumeration order.  Fewer than T points raise ``ValueError``.
+    enumeration order, and ``checked`` counts the subsets enumerated up to
+    and including the 10th failure.  A run that finds fewer failures
+    reports C(N, T) when exhaustive and cap when sampled.  Fewer than T
+    points raise ``ValueError``.
     """
     _check_audit_cap(cap)
     t = plan.T
@@ -403,23 +397,24 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     exhaustive = total <= cap
     if exhaustive:
         subsets = combinations(range(n), t)
-        checked = total
     else:
         if rng is None:
             rng = np.random.default_rng(0)
         subsets = [tuple(sorted(rng.choice(n, size=t, replace=False).tolist()))
                    for _ in range(cap)]
-        checked = cap
     pending = iter(subsets)
     failures = []
+    checked = 0
     while len(failures) < 10 and (chunk := list(islice(pending, _AUDIT_CHUNK))):
         rows = np.array(chunk, dtype=np.intp)
         bad = np.zeros(len(rows), dtype=bool)
         for mat in powers:
             bad |= ctx.batch_rank(mat[rows]) < t
-        failures.extend(tuple(row) for row in rows[bad].tolist())
+        hits = np.flatnonzero(bad)[:10 - len(failures)]
+        failures.extend(tuple(row) for row in rows[hits].tolist())
+        checked += len(rows) if len(failures) < 10 else int(hits[-1]) + 1
     return AuditReport(ok=not failures, checked=checked,
-                       exhaustive=exhaustive, failures=tuple(failures[:10]))
+                       exhaustive=exhaustive, failures=tuple(failures))
 
 
 def rate_report(plan: ExponentPlan, mode: str) -> RateReport:
@@ -442,11 +437,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     if not report.ok:
         raise ValueError(f"plan is not decodable: {report.reason}")
     if cfg.mode == "quantum":
-        feas = check_feasible(plan)
-        if not feas.feasible:
-            raise NotFeasibleError(
-                f"interference run {len(feas.run)} < {feas.threshold} for {plan.family}"
-                f"({plan.K},{plan.L},{plan.T}); quantum mode unavailable")
+        quantum_layout(plan)
     ctx = default_field(plan, cfg.prime)
     rng = np.random.default_rng(cfg.seed)
     frame, audit = sample_frame(cfg, ctx, rng)

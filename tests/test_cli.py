@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+import pdmm.cli as cli
 from pdmm.cli import main
 from pdmm.degree_tables import parse_plan_record
 
@@ -92,6 +93,26 @@ def test_feasibility_csv(capsys):
     assert rows[0]["K"] == "2" and rows[0]["T_min_bruteforce"] == "3"
     assert [r["K"] for r in rows] == ["2", "3"]
     assert out.endswith("\n") and "\r" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasibility", "--k-range", "2:3"],
+    ["sweep", "qf-klt", "--range", "3:4", "-T", "2"],
+])
+def test_csv_out_file_is_closed_and_matches_stdout(argv, capsys, tmp_path, monkeypatch):
+    code, stdout, _ = invoke(capsys, *argv)
+    assert code == 0
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    target = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert len(opened) == 1 and opened[0].closed
+    assert target.read_text(encoding="utf-8") == stdout
 
 
 def test_sweep_qf_klt(capsys):

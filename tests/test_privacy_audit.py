@@ -1,8 +1,9 @@
 """The batched privacy audit against the per-subset loop it replaced.
 
 ``loop_audit`` is the audit as it was before the batched rank kernel:
-one ``mat_rank`` call per T-subset and side.  It stays here as the
-reference that ``privacy_audit`` must match report for report.
+one ``mat_rank`` call per T-subset and side, with ``checked`` counting
+the subsets it iterated.  It stays here as the reference that
+``privacy_audit`` must match report for report.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import pdmm.gf as gf
+import pdmm.protocol as protocol
 from pdmm.degree_tables import build_cat, build_qf_klt, optimal_gasp_r, outer_sum
 from pdmm.gf import FieldContext
 from pdmm.protocol import AuditReport, privacy_audit
@@ -29,15 +31,15 @@ def loop_audit(plan, ctx, points, cap=10_000, rng=None):
     exhaustive = total <= cap
     if exhaustive:
         subsets = combinations(range(n), t)
-        checked = total
     else:
         if rng is None:
             rng = np.random.default_rng(0)
         subsets = [tuple(sorted(rng.choice(n, size=t, replace=False).tolist()))
                    for _ in range(cap)]
-        checked = cap
     failures = []
+    checked = 0
     for subset in subsets:
+        checked += 1
         rows = list(subset)
         for mat in powers:
             if ctx.mat_rank(mat[rows]) != t:
@@ -85,6 +87,19 @@ def test_failures_cut_at_first_ten_in_order():
     assert len(singular) > 10
     report = privacy_audit(plan, ctx, pts)
     assert not report.ok and report.failures == tuple(singular[:10])
+    # checking stopped at the 10th failure, the 249th subset enumerated
+    assert report.checked == list(combinations(range(len(pts)), plan.T)).index(singular[9]) + 1
+    assert report.checked == 249 < math.comb(len(pts), plan.T) == 1540
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 248, 249, 250])
+def test_early_stop_report_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    plan, p = PLANS["gasp_r(3,3,3)"]
+    ctx = FieldContext(p)
+    pts = frames(plan, p)[0]
+    whole = privacy_audit(plan, ctx, pts)
+    monkeypatch.setattr(protocol, "_AUDIT_CHUNK", chunk)
+    assert privacy_audit(plan, ctx, pts) == whole
 
 
 @pytest.mark.parametrize("name,cap", [("qf_klt(5,3)", 500), ("gasp_r(3,3,3)", 200)])
@@ -98,6 +113,17 @@ def test_sampled_audit_matches_loop_and_rng_state(name, cap):
     old = loop_audit(plan, ctx, pts, cap=cap, rng=rng_old)
     assert new == old and not new.exhaustive and new.checked == cap
     assert rng_new.integers(1 << 62) == rng_old.integers(1 << 62)
+
+
+def test_sampled_audit_that_stops_early_counts_draws_up_to_tenth_failure():
+    plan, p = PLANS["gasp_r(3,3,3)"]
+    ctx = FieldContext(p)
+    pts = frames(plan, p)[0]
+    cap = 1000
+    new = privacy_audit(plan, ctx, pts, cap=cap, rng=np.random.default_rng(11))
+    old = loop_audit(plan, ctx, pts, cap=cap, rng=np.random.default_rng(11))
+    assert new == old and not new.exhaustive
+    assert len(new.failures) == 10 and new.checked < cap
 
 
 def test_differential_check_catches_kernel_without_row_swap(monkeypatch):

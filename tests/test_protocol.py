@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from pdmm.degree_tables import (
     build_qf_klt,
     build_qf_kt,
     build_qf_square,
+    check_decodable,
     optimal_gasp_r,
     outer_sum,
 )
@@ -27,6 +29,7 @@ from pdmm.protocol import (
     default_field,
     encode_shares,
     privacy_audit,
+    quantum_layout,
     quantum_transfer,
     rate_report,
     run_protocol,
@@ -36,6 +39,8 @@ from pdmm.protocol import (
 )
 
 GASP223 = build_gasp_r(2, 2, 3, 2)
+# Same exponents, but A_0 rides on alpha[1] = 1 and A_1 on alpha[0] = 0.
+GASP223_SWAPPED = dataclasses.replace(GASP223, info_alpha=(1, 0))
 
 
 def make_frame(plan, mode="classical", prime=None, seed=1):
@@ -113,13 +118,15 @@ def test_encode_matches_hand_expanded_polynomial():
     ctx, frame, _ = make_frame(GASP223, prime=131, seed=3)
     a = [9, 17]
     nf = [30, 40, 50]
-    f, _ = encode_shares(GASP223, ctx, frame, scalar_blocks(a),
-                         scalar_blocks([1, 2]), scalar_blocks(nf), scalar_blocks([0, 0, 0]))
-    for srv, x in enumerate(frame.points):
-        direct = (a[0] + a[1] * x
-                  + nf[0] * pow(x, 4, 131) + nf[1] * pow(x, 5, 131)
-                  + nf[2] * pow(x, 6, 131)) % 131
-        assert f[srv, 0, 0] == direct
+    for plan in (GASP223, GASP223_SWAPPED):
+        f, _ = encode_shares(plan, ctx, frame, scalar_blocks(a), scalar_blocks([1, 2]),
+                             scalar_blocks(nf), scalar_blocks([0, 0, 0]))
+        e0, e1 = (plan.alpha[i] for i in plan.info_alpha)  # A_k rides on these
+        for srv, x in enumerate(frame.points):
+            direct = (a[0] * pow(x, e0, 131) + a[1] * pow(x, e1, 131)
+                      + nf[0] * pow(x, 4, 131) + nf[1] * pow(x, 5, 131)
+                      + nf[2] * pow(x, 6, 131)) % 131
+            assert f[srv, 0, 0] == direct, plan.info_alpha
 
 
 def test_response_exponent_support():
@@ -215,9 +222,25 @@ def test_quantum_decode_low_privacy_general():
     assert t.decode_ok and t.rate.rate == Fraction(2 * 72, 165)
 
 
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_decode_with_info_indices_out_of_position_order(mode):
+    assert check_decodable(GASP223_SWAPPED).ok
+    t = run(GASP223_SWAPPED, mode, seed=4, dims=(4, 3, 6), prime=131)
+    assert t.decode_ok
+
+
 def test_quantum_requires_feasibility():
-    with pytest.raises(NotFeasibleError):
+    want = r"interference run 3 < 4 for gasp_r\(2,2,1\); quantum mode unavailable"
+    with pytest.raises(NotFeasibleError, match=want):
         run(build_gasp_r(2, 2, 1, 1), "quantum")
+    with pytest.raises(NotFeasibleError, match=want):
+        quantum_layout(build_gasp_r(2, 2, 1, 1))
+    # decodability is checked first: this plan is undecodable and infeasible
+    collide = ExponentPlan(family="gasp_r", K=2, L=2, T=1,
+                           alpha=(0, 1, 1), beta=(0, 2, 4),
+                           info_alpha=(0, 1), info_beta=(0, 1))
+    with pytest.raises(ValueError, match="plan is not decodable"):
+        run(collide, "quantum")
 
 
 def test_undecodable_plan_refused_and_actually_breaks():
