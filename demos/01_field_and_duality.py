@@ -5,7 +5,7 @@ block in this package.
 
 import numpy as np
 
-from pdmm import FieldContext, dual_multipliers, grs_generator, shifted_dual_multipliers, sso_check
+from pdmm import FieldContext, grs_generator, shifted_dual_multipliers, sso_check
 
 ctx = FieldContext(131)
 print(f"working over F_{ctx.p}")
@@ -21,7 +21,7 @@ print("recovered coefficients:", ctx.mat_solve(vand, values).ravel().tolist())
 # dual multipliers: one closed form makes every split orthogonal
 pts = [1, 2, 3, 4, 5, 6]
 u = [1] * 6
-v = dual_multipliers(ctx, pts, u)
+v = shifted_dual_multipliers(ctx, pts, u, 0, 0)
 print("dual multipliers:", v.tolist())
 for k in range(len(pts) + 1):
     g1 = grs_generator(ctx, pts, u, k)

@@ -53,8 +53,6 @@ from .feasibility import (
 from .grs import (
     EvalFrame,
     ShapeMismatchError,
-    dual_frame,
-    dual_multipliers,
     grs_generator,
     shifted_dual_multipliers,
     sso_check,

@@ -11,6 +11,7 @@ operation returns fresh arrays, so concurrent use is safe.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,6 +107,16 @@ def element_of_order(order: int, p: int) -> int:
     raise ValueError(f"no element of order {order} in F_{p}")
 
 
+def _admissible_points(points, p: int) -> list[int]:
+    """Integer points reduced mod p; raises unless they are nonzero and pairwise distinct."""
+    pts = [operator.index(x) % p for x in points]
+    if any(x == 0 for x in pts):
+        raise ZeroPointError("evaluation points must be nonzero")
+    if len(set(pts)) != len(pts):
+        raise DuplicatePointError("evaluation points must be distinct")
+    return pts
+
+
 def _swap_rows(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
     """Swap row i[s] with row j[s] of every matrix s in the stack, in place."""
     every = np.arange(len(stack))
@@ -160,9 +171,6 @@ class FieldContext:
     def asarray(self, data) -> np.ndarray:
         """Canonicalize to an int64 array with entries in [0, p)."""
         return np.asarray(data, dtype=np.int64) % self.p
-
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        return np.zeros((rows, cols), dtype=np.int64)
 
     def identity(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
@@ -280,11 +288,7 @@ class FieldContext:
 
     def vandermonde(self, points: Sequence[int], exponents: Sequence[int]) -> np.ndarray:
         """Matrix with entry (i, j) = points[i] ** exponents[j] mod p."""
-        pts = [x % self.p for x in points]
-        if any(x == 0 for x in pts):
-            raise ZeroPointError("evaluation points must be nonzero")
-        if len(set(pts)) != len(pts):
-            raise DuplicatePointError("evaluation points must be distinct")
+        pts = _admissible_points(points, self.p)
         exps = list(exponents)
         if len(set(exps)) != len(exps):
             raise ValueError("exponents must be pairwise distinct")

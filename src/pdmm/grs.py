@@ -11,17 +11,15 @@ which is what the transfer-matrix construction consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import DuplicatePointError, FieldContext, ZeroPointError
+from .gf import FieldContext, _admissible_points
 
 __all__ = [
     "EvalFrame",
     "ShapeMismatchError",
-    "dual_frame",
-    "dual_multipliers",
     "shifted_dual_multipliers",
     "grs_generator",
     "sso_check",
@@ -32,31 +30,14 @@ class ShapeMismatchError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-def _check_points(ctx: FieldContext, points) -> np.ndarray:
-    pts = ctx.asarray(points).ravel()
-    if np.any(pts == 0):
-        raise ZeroPointError("evaluation points must be nonzero")
-    if len(set(pts.tolist())) != pts.size:
-        raise DuplicatePointError("evaluation points must be distinct")
-    return pts
-
-
-def dual_multipliers(ctx: FieldContext, points, u) -> np.ndarray:
-    """Column multipliers v making GRS(points, v) the dual of GRS(points, u).
-
-    v_i = u_i^-1 * (prod_{j != i} (a_j - a_i))^-1, so that the k-dim code
-    on u and the (n-k)-dim code on v are orthogonal for every split k.
-    """
-    return shifted_dual_multipliers(ctx, points, u, 0, 0)
-
-
 def shifted_dual_multipliers(ctx: FieldContext, points, u, l1: int, l2: int) -> np.ndarray:
     """Dual multipliers for a pair of shifted GRS codes.
 
     The l1-shifted code on u and the l2-shifted code on v are dual when
-    v_i = (u_i * a_i^(l1+l2))^-1 * (prod_{j != i} (a_j - a_i))^-1.
+    v_i = (u_i * a_i^(l1+l2))^-1 * (prod_{j != i} (a_j - a_i))^-1, for
+    every split of the N points into a k-dim and an (N-k)-dim code.
     """
-    pts = _check_points(ctx, points)
+    pts = np.array(_admissible_points(np.ravel(points), ctx.p), dtype=np.int64)
     u = ctx.asarray(u).ravel()
     if u.size != pts.size:
         raise ShapeMismatchError(f"{u.size} multipliers for {pts.size} points")
@@ -77,9 +58,8 @@ def shifted_dual_multipliers(ctx: FieldContext, points, u, l1: int, l2: int) -> 
 
 def grs_generator(ctx: FieldContext, points, u, dim: int, shift: int = 0) -> np.ndarray:
     """N x dim generator with rows u_i * [a_i^shift, ..., a_i^(shift+dim-1)]."""
-    pts = _check_points(ctx, points)
     u = ctx.asarray(u).ravel()
-    vand = ctx.vandermonde(pts.tolist(), range(shift, shift + dim))
+    vand = ctx.vandermonde(np.ravel(points), range(shift, shift + dim))
     return u[:, None] * vand % ctx.p
 
 
@@ -98,39 +78,28 @@ def sso_check(ctx: FieldContext, g) -> bool:
 
 @dataclass(frozen=True)
 class EvalFrame:
-    """Evaluation points and multipliers fixed for one protocol run.
+    """Evaluation points fixed for one protocol run, and their dual multipliers.
 
-    ``u`` are the multipliers on the first-instance side; ``v``, when
-    present, must satisfy the shifted-dual relation for the recorded
-    shifts, making the two half-blocks of the stabilizer generator dual
-    codes.  Classical runs leave ``v`` as None.
+    ``points`` are stored reduced mod p and must be nonzero and pairwise
+    distinct.  Quantum frames give ``shift``, the start of the plan's
+    interference run.  The first instance's column multipliers are all
+    ones, so ``v`` is the one vector that makes the ``shift``-shifted GRS
+    codes on ones and on ``v`` dual, and the frame computes it.
+    Classical frames leave ``shift`` and ``v`` as None.
     """
 
     ctx: FieldContext
     points: tuple[int, ...]
-    u: tuple[int, ...]
-    v: tuple[int, ...] | None = None
-    shift_l1: int = 0
-    shift_l2: int = 0
+    shift: int | None = None
+    v: tuple[int, ...] | None = field(init=False, default=None)
 
     def __post_init__(self):
-        pts = _check_points(self.ctx, self.points)
-        if len(self.u) != pts.size or any(x % self.ctx.p == 0 for x in self.u):
-            raise ValueError("u must hold one nonzero multiplier per point")
-        if self.v is not None:
-            want = shifted_dual_multipliers(
-                self.ctx, self.points, self.u, self.shift_l1, self.shift_l2)
-            if tuple(int(x) for x in want) != tuple(x % self.ctx.p for x in self.v):
-                raise ValueError("v does not satisfy the shifted-dual relation")
+        pts = tuple(_admissible_points(self.points, self.ctx.p))
+        object.__setattr__(self, "points", pts)
+        if self.shift is not None:
+            v = shifted_dual_multipliers(self.ctx, pts, [1] * len(pts), self.shift, self.shift)
+            object.__setattr__(self, "v", tuple(v.tolist()))
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-
-def dual_frame(ctx: FieldContext, points, shift: int = 0) -> EvalFrame:
-    """Frame with all-ones u and the matching shifted-dual v."""
-    u = tuple(1 for _ in points)
-    v = shifted_dual_multipliers(ctx, points, u, shift, shift)
-    return EvalFrame(ctx=ctx, points=tuple(int(x) % ctx.p for x in points), u=u,
-                     v=tuple(int(x) for x in v), shift_l1=shift, shift_l2=shift)

@@ -28,7 +28,7 @@ import numpy as np
 from .degree_tables import ExponentPlan, check_decodable, outer_sum, plan_record
 from .feasibility import check_feasible, longest_run
 from .gf import FieldContext, SingularMatrixError, element_of_order, is_prime, next_prime
-from .grs import EvalFrame, ShapeMismatchError, dual_frame
+from .grs import EvalFrame, ShapeMismatchError
 from .nsumbox import TransferMatrix, apply_box, build_transfer
 
 __all__ = [
@@ -76,11 +76,12 @@ class ProtocolConfig:
     """Inputs of one simulation run.
 
     ``dims`` is (rows_a, inner, cols_b) for the full matrices; rows_a
-    must divide into K bands and cols_b into L bands.  ``prime`` is a
-    floor for the field modulus (the default picks the smallest usable
-    prime).  Quantum mode requires the plan's feasibility check to pass.
-    ``seed`` must be non-negative and ``audit_cap`` at least 1, so that
-    the privacy audit always checks some subsets.
+    must divide into K bands and cols_b into L bands.  ``prime``, an
+    integer >= 2 when given, is a floor for the field modulus (the
+    default picks the smallest usable prime).  Quantum mode requires the
+    plan's feasibility check to pass.  ``seed`` must be non-negative and
+    ``audit_cap`` at least 1, so that the privacy audit always checks
+    some subsets.
     """
 
     plan: ExponentPlan
@@ -95,6 +96,9 @@ class ProtocolConfig:
             raise ValueError(f"mode must be classical or quantum, got {self.mode!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.prime is not None and not (
+                isinstance(self.prime, numbers.Integral) and self.prime >= 2):
+            raise ValueError(f"prime must be an integer >= 2 or None, got {self.prime!r}")
         _check_audit_cap(self.audit_cap)
         if self.dims is not None and not (
                 len(self.dims) == 3
@@ -185,14 +189,16 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
 
     Admissible means the N x N generator on all table exponents is
     invertible and the privacy rank audit passes.  Cyclic plans use the
-    fixed coset of an order-q element instead of sampling.  Quantum mode
-    attaches the shifted-dual multipliers at the interference run start.
+    fixed coset of an order-q element instead of sampling.  Quantum
+    frames carry the interference run start as their shift, from which
+    the frame derives its dual multipliers.
     """
     plan = cfg.plan
     table = outer_sum(plan)
     exps = table.exponents
     n = table.n_servers
-    run = longest_run(table.interference) if cfg.mode == "quantum" else []
+    quantum = cfg.mode == "quantum"
+    run = longest_run(table.interference) if quantum else []
     shift = run[0] if run else 0
 
     def finish(points) -> tuple[EvalFrame, AuditReport] | None:
@@ -205,9 +211,7 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
         if not audit.ok:
             return None
-        if cfg.mode == "quantum":
-            return dual_frame(ctx, points, shift), audit
-        return EvalFrame(ctx=ctx, points=tuple(points), u=(1,) * len(points)), audit
+        return EvalFrame(ctx, tuple(points), shift if quantum else None), audit
 
     if plan.modulus_q:
         q = plan.modulus_q
@@ -267,16 +271,6 @@ def server_compute(ctx: FieldContext, shares_f, shares_g) -> np.ndarray:
     return np.stack([ctx.matmul(f, g) for f, g in zip(shares_f, shares_g)])
 
 
-def _solve_generator(ctx, frame, exps, responses):
-    n = len(frame.points)
-    gen = ctx.vandermonde(frame.points, exps)
-    flat = ctx.asarray(responses).reshape(n, -1)
-    try:
-        return ctx.mat_solve(gen, flat)
-    except SingularMatrixError as exc:
-        raise SingularGeneratorError("generator singular at decode time") from exc
-
-
 def _assemble(plan, info_rows, block_shape):
     """Lay K*L coefficient rows, given in row-major (k, l) order, as the K x L grid."""
     return np.block([[info_rows[k * plan.L + l].reshape(block_shape) for l in range(plan.L)]
@@ -288,7 +282,12 @@ def decode_classical(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
     """Solve the generator system and assemble the product from info sums."""
     table = outer_sum(plan)
     exps = table.exponents
-    coeffs = _solve_generator(ctx, frame, exps, responses)
+    gen = ctx.vandermonde(frame.points, exps)
+    flat = ctx.asarray(responses).reshape(len(frame.points), -1)
+    try:
+        coeffs = ctx.mat_solve(gen, flat)
+    except SingularMatrixError as exc:
+        raise SingularGeneratorError("generator singular at decode time") from exc
     return _assemble(plan, coeffs[[exps.index(e) for e in table.info]], block_shape)
 
 
@@ -309,18 +308,22 @@ def quantum_layout(plan: ExponentPlan):
 
 
 def quantum_transfer(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame) -> TransferMatrix:
-    """Transfer matrix for a plan: dual-scaled run columns stabilized."""
+    """Transfer matrix for a plan: dual-scaled run columns stabilized.
+
+    The stabilizer block pairs the plain run columns (the first
+    instance's multipliers are all ones) with the same columns scaled by
+    the frame's dual multipliers ``v``.
+    """
     if frame.v is None:
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
     run, info, rest = quantum_layout(plan)
     n = len(frame.points)
     qmat = ctx.vandermonde(frame.points, [*run, *info, *rest])
-    u = ctx.asarray(frame.u)[:, None]
     v = ctx.asarray(frame.v)[:, None]
     fl, ce = n // 2, -(-n // 2)
-    g = np.block([[u * qmat[:, :fl] % ctx.p, np.zeros((n, ce), dtype=np.int64)],
+    g = np.block([[qmat[:, :fl], np.zeros((n, ce), dtype=np.int64)],
                   [np.zeros((n, fl), dtype=np.int64), v * qmat[:, :ce] % ctx.p]])
-    h = np.block([[u * qmat[:, fl:] % ctx.p, np.zeros((n, fl), dtype=np.int64)],
+    h = np.block([[qmat[:, fl:], np.zeros((n, fl), dtype=np.int64)],
                   [np.zeros((n, ce), dtype=np.int64), v * qmat[:, ce:] % ctx.p]])
     return build_transfer(ctx, g, h)
 
@@ -329,9 +332,9 @@ def decode_quantum(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
                    responses_pair, block_shape) -> tuple[np.ndarray, np.ndarray]:
     """Recover both instances' products from one batch of 2N operands.
 
-    Servers put the first instance on the X slot scaled by u and the
-    second on the Z slot scaled by v; the receiver applies the box and
-    reads the information coordinates of each half.
+    Servers put the first instance on the X slot as it is and the second
+    on the Z slot scaled by the frame's dual multipliers v; the receiver
+    applies the box and reads the information coordinates of each half.
     """
     tm = quantum_transfer(plan, ctx, frame)
     run, _, _ = quantum_layout(plan)
@@ -339,9 +342,8 @@ def decode_quantum(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
     fl, ce = n // 2, -(-n // 2)
     r1 = ctx.asarray(responses_pair[0]).reshape(n, -1)
     r2 = ctx.asarray(responses_pair[1]).reshape(n, -1)
-    u = ctx.asarray(frame.u)[:, None]
     v = ctx.asarray(frame.v)[:, None]
-    x = np.vstack([u * r1 % ctx.p, v * r2 % ctx.p])
+    x = np.vstack([r1, v * r2 % ctx.p])
     y = apply_box(tm, x)
     kl = plan.K * plan.L
     first = y[len(run) - fl:len(run) - fl + kl]
@@ -449,8 +451,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     def draw(*shape):
         return rng.integers(0, ctx.p, size=shape, dtype=np.int64)
 
-    a_in, b_in, nf, ng, sf, sg, resp = [], [], [], [], [], [], []
-    for _ in range(instances):
+    def instance():
         a = draw(plan.K * ra, inner)
         b = draw(inner, plan.L * cb)
         noise_f = draw(n_noise_f, ra, inner)
@@ -458,26 +459,24 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         a_blocks = [a[k * ra:(k + 1) * ra] for k in range(plan.K)]
         b_blocks = [b[:, j * cb:(j + 1) * cb] for j in range(plan.L)]
         f, g = encode_shares(plan, ctx, frame, a_blocks, b_blocks, noise_f, noise_g)
-        a_in.append(a); b_in.append(b)
-        nf.append(noise_f); ng.append(noise_g)
-        sf.append(f); sg.append(g)
-        resp.append(server_compute(ctx, f, g))
+        return a, b, noise_f, noise_g, f, g, server_compute(ctx, f, g)
+
+    # Each instance draws all its inputs and noise before the next one
+    # starts; the transcript fixes that order of rng draws.
+    a_in, b_in, nf, ng, sf, sg, resp = zip(*(instance() for _ in range(instances)))
 
     shape = (ra, cb)
     if cfg.mode == "classical":
-        decoded = [decode_classical(plan, ctx, frame, resp[0], shape)]
+        decoded = (decode_classical(plan, ctx, frame, resp[0], shape),)
     else:
-        one, two = decode_quantum(plan, ctx, frame, resp, shape)
-        decoded = [one, two]
+        decoded = decode_quantum(plan, ctx, frame, resp, shape)
     ok = all(np.array_equal(dec, ctx.matmul(a, b))
              for dec, a, b in zip(decoded, a_in, b_in))
     return Transcript(
         plan=plan, modulus=ctx.p, mode=cfg.mode, seed=cfg.seed,
         points=frame.points,
-        a_inputs=tuple(a_in), b_inputs=tuple(b_in),
-        noise_f=tuple(nf), noise_g=tuple(ng),
-        shares_f=tuple(sf), shares_g=tuple(sg),
-        responses=tuple(resp), decoded=tuple(decoded),
+        a_inputs=a_in, b_inputs=b_in, noise_f=nf, noise_g=ng,
+        shares_f=sf, shares_g=sg, responses=resp, decoded=decoded,
         decode_ok=ok, audit=audit, rate=rate_report(plan, cfg.mode),
     )
 

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from pdmm.gf import DuplicatePointError, FieldContext, element_of_order
+from pdmm.degree_tables import build_cat, build_gasp_r, outer_sum
+from pdmm.feasibility import longest_run
+from pdmm.gf import DuplicatePointError, FieldContext, ZeroPointError, element_of_order
 from pdmm.grs import (
     EvalFrame,
     ShapeMismatchError,
-    dual_frame,
-    dual_multipliers,
     grs_generator,
     shifted_dual_multipliers,
     sso_check,
 )
+from pdmm.protocol import ProtocolConfig, default_field, sample_frame
 
 
 def assert_full_duality(ctx, points, u, v, l1=0, l2=0):
@@ -24,7 +25,7 @@ def assert_full_duality(ctx, points, u, v, l1=0, l2=0):
 
 def test_dual_multipliers_two_points():
     ctx = FieldContext(5)
-    v = dual_multipliers(ctx, [1, 2], [1, 1])
+    v = shifted_dual_multipliers(ctx, [1, 2], [1, 1], 0, 0)
     assert v.tolist() == [1, 4]
     assert (1 * 1 + 1 * 4) % 5 == 0
     assert_full_duality(ctx, [1, 2], [1, 1], v)
@@ -32,28 +33,20 @@ def test_dual_multipliers_two_points():
 
 def test_dual_multipliers_single_point():
     ctx = FieldContext(11)
-    v = dual_multipliers(ctx, [7], [3])
+    v = shifted_dual_multipliers(ctx, [7], [3], 0, 0)
     assert v.tolist() == [ctx.inv(3)]  # empty difference product
 
 
 def test_dual_multipliers_three_points():
     ctx = FieldContext(11)
-    v = dual_multipliers(ctx, [1, 2, 3], [1, 1, 1])
+    v = shifted_dual_multipliers(ctx, [1, 2, 3], [1, 1, 1], 0, 0)
     assert_full_duality(ctx, [1, 2, 3], [1, 1, 1], v)
 
 
 def test_duplicate_points_rejected():
     ctx = FieldContext(11)
     with pytest.raises(DuplicatePointError):
-        dual_multipliers(ctx, [1, 1], [1, 1])
-
-
-def test_shifted_reduces_to_plain():
-    ctx = FieldContext(13)
-    pts = [2, 5, 7, 11]
-    u = [1, 3, 1, 2]
-    assert np.array_equal(shifted_dual_multipliers(ctx, pts, u, 0, 0),
-                          dual_multipliers(ctx, pts, u))
+        shifted_dual_multipliers(ctx, [1, 1], [1, 1], 0, 0)
 
 
 def test_shifted_dual_cyclic_points():
@@ -115,11 +108,27 @@ def test_sso_shape_check():
 
 
 def test_eval_frame_validation():
-    ctx = FieldContext(11)
-    frame = dual_frame(ctx, [1, 2, 3], shift=1)
-    assert frame.n == 3 and frame.shift_l1 == 1
-    with pytest.raises(ValueError):
-        EvalFrame(ctx=ctx, points=(1, 2, 3), u=(1, 1, 1),
-                  v=(1, 1, 1), shift_l1=0, shift_l2=0)
-    with pytest.raises(ValueError):
-        EvalFrame(ctx=ctx, points=(1, 2), u=(1, 0))
+    ctx = FieldContext(13)
+    pts = (2, 5, 7, 11, 12)
+    for s in (0, 1, 3):
+        frame = EvalFrame(ctx, pts, shift=s)
+        want = shifted_dual_multipliers(ctx, pts, [1] * len(pts), s, s)
+        assert frame.v == tuple(want.tolist()) and frame.n == len(pts)
+        assert_full_duality(ctx, pts, [1] * len(pts), frame.v, s, s)
+    assert EvalFrame(ctx, pts).v is None
+    assert EvalFrame(ctx, (15, 3)).points == (2, 3)
+    for shift in (None, 2):
+        with pytest.raises(ZeroPointError):
+            EvalFrame(ctx, (1, 13, 2), shift)
+        with pytest.raises(DuplicatePointError):
+            EvalFrame(ctx, (1, 3, 16), shift)
+
+
+@pytest.mark.parametrize("plan", [build_cat(2, 2, 2), build_gasp_r(2, 2, 3, 2)])
+def test_sampled_quantum_frame_is_dual_at_its_shift(plan):
+    cfg = ProtocolConfig(plan=plan, mode="quantum", seed=1)
+    ctx = default_field(plan)
+    frame, _ = sample_frame(cfg, ctx, np.random.default_rng(1))
+    shift = longest_run(outer_sum(plan).interference)[0]
+    assert frame.shift == shift
+    assert_full_duality(ctx, frame.points, [1] * frame.n, frame.v, shift, shift)

@@ -96,7 +96,7 @@ def test_encode_no_noise_is_plain_evaluation():
     plan = ExponentPlan(family="gasp_r", K=1, L=1, T=0,
                         alpha=(2,), beta=(3,), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(11)
-    frame = EvalFrame(ctx=ctx, points=(2, 3), u=(1, 1))
+    frame = EvalFrame(ctx=ctx, points=(2, 3))
     f, g = encode_shares(plan, ctx, frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
     assert f.ravel().tolist() == [5 * 4 % 11, 5 * 9 % 11]
     assert g.ravel().tolist() == [4 * 8 % 11, 4 * 27 % 11]
@@ -108,7 +108,7 @@ def test_encode_single_block_single_noise():
     plan = ExponentPlan(family="gasp_r", K=1, L=1, T=1,
                         alpha=(0, 1), beta=(0, 1), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(13)
-    frame = EvalFrame(ctx=ctx, points=(5,), u=(1,))
+    frame = EvalFrame(ctx=ctx, points=(5,))
     f, _ = encode_shares(plan, ctx, frame, scalar_blocks([7]),
                          scalar_blocks([2]), scalar_blocks([3]), scalar_blocks([0]))
     assert f.ravel().tolist() == [(7 + 3 * 5) % 13]
@@ -252,7 +252,7 @@ def test_undecodable_plan_refused_and_actually_breaks():
         run(broken, "classical")
     # the refusal is not spurious: decoding that plan garbles the product
     ctx = FieldContext(131)
-    frame = EvalFrame(ctx=ctx, points=tuple(range(2, 2 + 8)), u=(1,) * 8)
+    frame = EvalFrame(ctx=ctx, points=tuple(range(2, 2 + 8)))
     rng = np.random.default_rng(0)
     a = scalar_blocks(rng.integers(1, 131, size=2).tolist())
     b = scalar_blocks(rng.integers(1, 131, size=2).tolist())
@@ -295,6 +295,12 @@ def test_dims_must_be_three_positive_ints(dims):
 def test_seed_must_be_non_negative():
     with pytest.raises(ValueError, match="seed"):
         ProtocolConfig(plan=GASP223, seed=-1)
+
+
+@pytest.mark.parametrize("prime", [1e5, "7", -5, 1])
+def test_prime_must_be_an_integer_at_least_two(prime):
+    with pytest.raises(ValueError, match="prime"):
+        ProtocolConfig(plan=GASP223, prime=prime)
 
 
 @pytest.mark.parametrize("cap", [0, -5])
