@@ -5,12 +5,19 @@ protocol simulation) runs on top of this module.  Matrices are plain
 numpy ``int64`` arrays with entries kept canonically in ``[0, p)``; a
 :class:`FieldContext` carries the modulus and provides the operations.
 
+Matrix products run through float64 BLAS and stay exact: a float64 GEMM
+of non-negative integers is exact while every sum it forms is at most
+2^53 (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008).  So the
+inner dimension is cut into chunks of at most 2^53 // (p - 1)^2, and
+when (p - 1)^2 >= 2^53 each operand is first split into 16-bit limbs.
+
 The context and all arrays it touches are treated as immutable; every
 operation returns fresh arrays, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -117,6 +124,14 @@ def _admissible_points(points, p: int) -> list[int]:
     return pts
 
 
+# float64 holds every integer up to 2^53 exactly.
+_EXACT = 1 << 53
+_LIMB_BITS = 16
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# Output entries per column tile of ``FieldContext.matmul``: 1 MiB of float64.
+_TILE = 1 << 17
+
+
 def _swap_rows(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
     """Swap row i[s] with row j[s] of every matrix s in the stack, in place."""
     every = np.arange(len(stack))
@@ -130,8 +145,10 @@ class FieldContext:
     """Prime field F_p with exact matrix algebra.
 
     The modulus must be an odd prime with p < 2^31 so that single
-    products fit comfortably in int64; accumulated matrix products are
-    chunked to stay in range for any admissible p.
+    products fit comfortably in int64.  Matrix products are float64
+    GEMMs over inner chunks whose sums stay within 2^53, where float64
+    is exact; when (p - 1)^2 >= 2^53 the operands are split into 16-bit
+    limbs first.
     """
 
     p: int
@@ -169,26 +186,80 @@ class FieldContext:
     # -- arrays ------------------------------------------------------------
 
     def asarray(self, data) -> np.ndarray:
-        """Canonicalize to an int64 array with entries in [0, p)."""
-        return np.asarray(data, dtype=np.int64) % self.p
+        """Canonicalize to a new int64 array with entries in [0, p)."""
+        x = np.array(data, dtype=np.int64)
+        # as uint64 a negative entry exceeds 2^63, so one max finds any outside [0, p)
+        if x.size and x.view(np.uint64).max() >= self.p:
+            x %= self.p
+        return x
 
     def identity(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
 
     def matmul(self, a, b) -> np.ndarray:
-        """Exact A @ B mod p, chunking the inner dimension against overflow."""
+        """Exact A @ B mod p for a left operand of any rank and a 1-D or 2-D right one.
+
+        The products run as float64 GEMMs, which are exact while every
+        partial sum stays at or below 2^53, whatever order the BLAS sums
+        in.  Operands become float64 limbs (see ``_limbs``), the inner
+        dimension is cut into chunks short enough for that bound, and
+        each chunk's product (see ``_limb_product``) is added into an
+        int64 result and reduced mod p.  The output is built in column
+        tiles of about 1 MiB of float64, so no output-sized float64
+        array is ever live.
+        """
         a = self.asarray(a)
         b = self.asarray(b)
-        if a.shape[-1] != b.shape[0]:
+        if a.shape[-1] != b.shape[0] or b.ndim > 2:
             raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
-        chunk = max(1, (1 << 62) // (self.p * self.p))
-        inner = a.shape[-1]
-        if inner <= chunk:
-            return (a @ b) % self.p
-        acc = np.zeros(np.matmul(a[..., :1], b[:1]).shape, dtype=np.int64)
-        for lo in range(0, inner, chunk):
-            acc = (acc + a[..., lo:lo + chunk] @ b[lo:lo + chunk]) % self.p
+        shape = a.shape[:-1] + b.shape[1:]
+        rows, inner, cols = math.prod(a.shape[:-1]), b.shape[0], math.prod(b.shape[1:])
+        # Rebinding drops each int64 copy once its float64 limbs exist.
+        a = self._limbs(a.reshape(rows, inner))
+        b = self._limbs(b.reshape(inner, cols))
+        top = self.p - 1 if len(a) == 1 else _LIMB_MASK
+        depth = _EXACT // (len(a) * top * top)  # a chunk's widest sum adds len(a) limb products
+        width = max(1, _TILE // max(rows, 1))
+        out = np.zeros((rows, cols), dtype=np.int64)
+        for c in range(0, cols, width):
+            acc = out[:, c:c + width]
+            for k in range(0, inner, depth):
+                acc += self._limb_product([x[:, k:k + depth] for x in a],
+                                          [y[k:k + depth, c:c + width] for y in b])
+                acc %= self.p
+        # [()] turns the 0-d product of two vectors into a scalar, as np.matmul does
+        return out.reshape(shape)[()]
+
+    def _limb_product(self, a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
+        """Product of two limb lists as int64 below 2^54, congruent to A @ B mod p.
+
+        Each float64 product is exact by the chunk bound.  Limb products
+        are combined Horner-style in int64, reduced mod p before each
+        16-bit shift so that nothing passes 2^54.
+        """
+        if len(a) == 1:
+            return (a[0] @ b[0]).astype(np.int64)
+        (a_hi, a_lo), (b_hi, b_lo) = a, b
+        acc = (a_hi @ b_hi).astype(np.int64)
+        acc %= self.p
+        acc <<= _LIMB_BITS
+        acc += (a_hi @ b_lo + a_lo @ b_hi).astype(np.int64)
+        acc %= self.p
+        acc <<= _LIMB_BITS
+        acc += (a_lo @ b_lo).astype(np.int64)
         return acc
+
+    def _limbs(self, x: np.ndarray) -> list[np.ndarray]:
+        """Canonical entries as float64 limbs, most significant first.
+
+        One limb, the entries themselves, when (p - 1)^2 < 2^53;
+        otherwise their high and low 16-bit halves, each below 2^16
+        because p < 2^31.
+        """
+        if (self.p - 1) ** 2 < _EXACT:
+            return [x.astype(np.float64)]
+        low = (x & _LIMB_MASK).astype(np.float64)
+        return [(x >> _LIMB_BITS).astype(np.float64), low]
 
     def _eliminate(self, aug: np.ndarray, n: int) -> tuple[np.ndarray, int]:
         """In-place Gauss-Jordan on the first n columns; returns (aug, rank).

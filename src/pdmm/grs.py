@@ -30,6 +30,16 @@ class ShapeMismatchError(ValueError):
     """Operands have incompatible dimensions."""
 
 
+def _multipliers(ctx: FieldContext, u, n: int) -> np.ndarray:
+    """Multipliers reduced mod p; raises unless there are n of them, all nonzero."""
+    u = ctx.asarray(u).ravel()
+    if u.size != n:
+        raise ShapeMismatchError(f"{u.size} multipliers for {n} points")
+    if np.any(u == 0):
+        raise ValueError("multipliers must be nonzero")
+    return u
+
+
 def shifted_dual_multipliers(ctx: FieldContext, points, u, l1: int, l2: int) -> np.ndarray:
     """Dual multipliers for a pair of shifted GRS codes.
 
@@ -38,11 +48,7 @@ def shifted_dual_multipliers(ctx: FieldContext, points, u, l1: int, l2: int) -> 
     every split of the N points into a k-dim and an (N-k)-dim code.
     """
     pts = np.array(_admissible_points(np.ravel(points), ctx.p), dtype=np.int64)
-    u = ctx.asarray(u).ravel()
-    if u.size != pts.size:
-        raise ShapeMismatchError(f"{u.size} multipliers for {pts.size} points")
-    if np.any(u == 0):
-        raise ValueError("multipliers must be nonzero")
+    u = _multipliers(ctx, u, pts.size)
     p = ctx.p
     diffs = (pts[None, :] - pts[:, None]) % p  # diffs[i][j] = a_j - a_i
     v = np.empty_like(pts)
@@ -58,8 +64,8 @@ def shifted_dual_multipliers(ctx: FieldContext, points, u, l1: int, l2: int) -> 
 
 def grs_generator(ctx: FieldContext, points, u, dim: int, shift: int = 0) -> np.ndarray:
     """N x dim generator with rows u_i * [a_i^shift, ..., a_i^(shift+dim-1)]."""
-    u = ctx.asarray(u).ravel()
     vand = ctx.vandermonde(np.ravel(points), range(shift, shift + dim))
+    u = _multipliers(ctx, u, len(vand))
     return u[:, None] * vand % ctx.p
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmm import gf
 from pdmm.gf import (
     DuplicatePointError,
     FieldContext,
@@ -120,6 +121,84 @@ def test_matmul_large_modulus_no_overflow():
     a = np.full((1, 100), p - 1, dtype=np.int64)
     b = np.full((100, 1), p - 1, dtype=np.int64)
     assert ctx.matmul(a, b)[0, 0] == 100 % p  # (-1)^2 summed 100 times
+
+
+def python_int_matmul(a, b, p):
+    """Reference A @ B mod p on Python integers, which neither overflow nor round."""
+    return np.matmul(np.asarray(a, dtype=object), np.asarray(b, dtype=object)) % p
+
+
+# 94906249 is the largest prime with (p - 1)^2 < 2^53 and 94906297 the
+# next one, so these straddle the switch to 16-bit limbs.
+MATMUL_PRIMES = [3, 11, 65537, 94_906_249, 94_906_297, 2_000_000_011, 2**31 - 1]
+MATMUL_SHAPES = [
+    ((6, 9), (9, 5)),
+    ((2, 3, 9), (9, 4)),   # 3-D left operand
+    ((4, 9), (9,)),        # 1-D right operand
+    ((9,), (9, 3)),
+    ((9,), (9,)),
+    ((0, 4), (4, 3)),      # empty dimensions
+    ((3, 0), (0, 2)),
+    ((3, 4), (4, 0)),
+]
+
+
+def one_chunk(p):
+    """Inner length of one exact float64 product chunk: 2^53 over the largest sum term."""
+    if (p - 1) ** 2 < 2**53:
+        return 2**53 // (p - 1) ** 2
+    return 2**53 // (2 * (2**16 - 1) ** 2)  # two 16-bit limb products per sum
+
+
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+def test_matmul_matches_python_integers(p):
+    ctx = FieldContext(p)
+    rng = np.random.default_rng(p % 997)
+    for shape_a, shape_b in MATMUL_SHAPES:
+        a = rng.integers(0, p, size=shape_a)
+        b = rng.integers(0, p, size=shape_b)
+        got = np.asarray(ctx.matmul(a, b))
+        want = np.asarray(python_int_matmul(a, b, p))
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+    # unreduced and negative entries are taken mod p first
+    a = rng.integers(-3 * p, 3 * p, size=(4, 7))
+    b = rng.integers(-3 * p, 3 * p, size=(7, 2))
+    assert ctx.matmul(a, b).tolist() == python_int_matmul(a, b, p).tolist()
+
+
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+def test_matmul_all_largest_entries(p):
+    ctx = FieldContext(p)
+    a = np.full((3, 40), p - 1)
+    b = np.full((40, 2), p - 1)
+    assert ctx.matmul(a, b).tolist() == python_int_matmul(a, b, p).tolist()
+    inner = one_chunk(p) + 1
+    if inner > 2**21:
+        return  # p = 3, 11 or 65537: two chunks would take tens of MB
+    a = np.full((1, inner), p - 1)
+    b = np.full((inner, 1), p - 1)
+    # (p - 1)^2 = 1 mod p, so the product is the inner length mod p
+    assert ctx.matmul(a, b).tolist() == [[inner % p]]
+
+
+@pytest.mark.parametrize("p, exact, low", [
+    # all entries p - 1 and no limb split: every product rounds
+    (2**31 - 1, 2**64, 2**31 - 2),
+    # chunks of about 128 products near 2^53 each: their sums round
+    (94_906_249, 2**60, 94_906_249 - 2**20),
+])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_matmul_with_a_loosened_exactness_bound_is_wrong(monkeypatch, p, exact, low):
+    """Negative control: the same kernel with its 2^53 bound raised gives a wrong product."""
+    ctx = FieldContext(p)
+    rng = np.random.default_rng(1)
+    a = rng.integers(low, p, size=(3, 400))
+    b = rng.integers(low, p, size=(400, 2))
+    want = python_int_matmul(a, b, p).tolist()
+    assert ctx.matmul(a, b).tolist() == want
+    monkeypatch.setattr(gf, "_EXACT", exact)
+    assert ctx.matmul(a, b).tolist() != want
 
 
 def test_prime_helpers():

@@ -1,8 +1,10 @@
 """Golden transcripts: the dump of a fixed-seed run must not change.
 
 The digests below were recorded before the degree-table facts were
-consolidated into ``outer_sum``; a refactor of the plan, feasibility or
-protocol layers must leave every byte of these dumps as it was.
+consolidated into ``outer_sum``, and those over the two large primes
+before ``FieldContext.matmul`` moved to float64 products; a refactor of
+the plan, feasibility, protocol or field layers must leave every byte of
+these dumps as it was.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ from pdmm.degree_tables import (
     build_gasp_r,
     build_low_privacy,
     build_qf_klt,
+    optimal_gasp_r,
     outer_sum,
 )
 from pdmm.protocol import ProtocolConfig, run_protocol, transcript_dump
@@ -41,6 +44,18 @@ GOLDEN = [
     ("lp443-quantum", lambda: build_low_privacy(4, 4, 3),
      dict(mode="quantum", seed=3, audit_cap=500),
      "4219c3d5645d4ef8db331f4873b8602066707d351419f1301df05869692c23be"),
+    # p = 2000000011: (p - 1)^2 > 2^53, so products split into 16-bit limbs
+    ("gaspr223opt-classical-limbs", lambda: optimal_gasp_r(2, 2, 3),
+     dict(mode="classical", seed=7, dims=(4, 6, 6), prime=2_000_000_000),
+     "bf39e8511fcdd7815cabcc53980680f15917115c1e596e9e78632e9c6e158350"),
+    ("gaspr223opt-quantum-limbs", lambda: optimal_gasp_r(2, 2, 3),
+     dict(mode="quantum", seed=7, dims=(4, 6, 6), prime=2_000_000_000),
+     "e7f5e2375a985bcb18a99786af0948d2654bdf4913a8561711e41c195992a956"),
+    # p = 94906249, the largest prime with (p - 1)^2 < 2^53: one float64
+    # product covers a single inner index, so inner size 3 spans 3 chunks
+    ("gasp223-quantum-chunked", lambda: build_gasp_r(2, 2, 3, 2),
+     dict(mode="quantum", seed=4, dims=(4, 3, 6), prime=94_906_249),
+     "814ff97325838b586fafc47af855bc80abbc4dafd744c95f5094527a426ed2f1"),
 ]
 
 

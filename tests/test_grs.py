@@ -49,6 +49,18 @@ def test_duplicate_points_rejected():
         shifted_dual_multipliers(ctx, [1, 1], [1, 1], 0, 0)
 
 
+def test_generator_rejects_a_multiplier_count_that_differs_from_the_points():
+    with pytest.raises(ShapeMismatchError, match="2 multipliers for 3 points"):
+        grs_generator(FieldContext(13), [1, 2, 3], [1, 1], 2)
+
+
+def test_generator_rejects_a_zero_multiplier():
+    with pytest.raises(ValueError, match="multipliers must be nonzero"):
+        grs_generator(FieldContext(13), [1, 2, 3], [1, 0, 1], 2)
+    with pytest.raises(ValueError, match="multipliers must be nonzero"):
+        grs_generator(FieldContext(13), [1, 2, 3], [1, 13, 1], 2)
+
+
 def test_shifted_dual_cyclic_points():
     # order-10 coset in F_11, both halves shifted by 5
     ctx = FieldContext(11)
