@@ -122,15 +122,19 @@ def _cmd_simulate(args) -> int:
     return 0 if (t.decode_ok and t.audit.ok) else 1
 
 
-def _parse_range(text: str) -> range:
-    lo, hi = text.split(":")
-    return range(int(lo), int(hi) + 1)
+def _parse_range(text: str, flag: str) -> range:
+    """Inclusive integer range from ``lo:hi``; anything else names the flag."""
+    try:
+        lo, hi = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise ValueError(f"{flag} expects lo:hi with integer bounds, got {text!r}") from None
+    return range(lo, hi + 1)
 
 
 def _cmd_feasibility(args) -> int:
-    rows = fs.feasibility_rows(_parse_range(args.k_range),
+    rows = fs.feasibility_rows(_parse_range(args.k_range, "--k-range"),
                                None if args.l_range is None
-                               else _parse_range(args.l_range),
+                               else _parse_range(args.l_range, "--l-range"),
                                t_max=args.t_max)
     _write_csv(args, ["K", "L", "T_min_bruteforce", "T_hat", "delta"],
                [[row["K"], row["L"], row["T_min_bruteforce"],
@@ -170,7 +174,7 @@ def _cmd_sweep(args) -> int:
     _, required, factory = _SWEEP_AXES[args.family]
     _need(args, *required)
     rows = []
-    for value in _parse_range(args.range):
+    for value in _parse_range(args.range, "--range"):
         plan = factory(value, args)
         baseline = _classical_baseline(plan)
         quantum = rate_report(plan, "quantum")

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
 
 __all__ = [
     "ExponentPlan",
@@ -455,49 +454,79 @@ def check_decodable(plan: ExponentPlan) -> DecodabilityReport:
     return DecodabilityReport(True)
 
 
-def _merged_length(intervals: Iterable[tuple[int, int]]) -> int:
-    total = 0
-    hi: int | None = None
-    for a, b in sorted(intervals):
-        if hi is None or a > hi + 1:
-            total += b - a + 1
-            hi = b
+def _require_positive(**values: int):
+    bad = [f"{name}={v}" for name, v in values.items() if v < 1]
+    _require(not bad, f"need {', '.join(values)} >= 1, got {', '.join(bad)}")
+
+
+def _gasp_r_merge(K: int, L: int, T: int, r: int) -> tuple[int, list[tuple[int, int]]]:
+    """Server count and merged interference intervals of gasp_r(K, L, T, r).
+
+    The information sums are exactly 0..KL-1 and every other table
+    entry is at least KL, so the interference sums are the union of
+    the three noise blocks' integer intervals: alpha1 x beta2 is one
+    interval, alpha2 x beta1 and alpha2 x beta2 decompose along the
+    chain blocks.  Merging them (touching intervals join) gives the
+    maximal runs of the interference set as ascending (lo, hi) pairs,
+    so N = KL + their total length, without materializing the table.
+    """
+    kl = K * L
+    chains = -(-T // r)
+    tail = T - (chains - 1) * r
+    last = chains + L - 2
+    spans = [(kl, kl + K + T - 2)]
+    for d in range(last + 1):
+        start = kl + d * K
+        spans.append((start, start + (r if d < last else tail) - 1))
+    for c in range(chains):
+        start = 2 * kl + c * K
+        spans.append((start, start + (r if c < chains - 1 else tail) + T - 2))
+    spans.sort()
+    merged = []
+    lo, hi = spans[0]
+    for a, b in spans:
+        if a > hi + 1:
+            merged.append((lo, hi))
+            lo, hi = a, b
         elif b > hi:
-            total += b - hi
             hi = b
-    return total
+    merged.append((lo, hi))
+    return kl + sum(b - a + 1 for a, b in merged), merged
+
+
+def _best_gasp_r(K: int, L: int, T: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """(r*, N, merged intervals) of gasp_r(K, L, T) at its optimal chain length.
+
+    r* has the least server count N, ties going to the smaller r.
+    """
+    _require_positive(K=K, L=L, T=T)
+    best = None
+    for r in range(1, min(K, T) + 1):
+        n, merged = _gasp_r_merge(K, L, T, r)
+        if best is None or n < best[1]:
+            best = (r, n, merged)
+    return best
 
 
 def gasp_server_formula(K: int, L: int, T: int, r: int) -> int:
     """Closed-form server count of the gasp_r layout.
 
-    Evaluated analytically from the block structure of the degree table:
-    the low block contributes KL consecutive sums, and the three
-    remaining blocks are unions of integer intervals determined by the
-    gap progression, merged without materializing the table.  Agrees
-    with ``outer_sum(build_gasp_r(...)).n_servers`` everywhere.
+    Evaluated from the block structure of the degree table: the low
+    block contributes KL consecutive sums, and the three remaining
+    blocks are unions of integer intervals determined by the gap
+    progression, merged without materializing the table.  The same
+    block-interval merge gives ``feasibility.min_feasible_t`` its
+    interference run; ``tests/test_degree_tables.py`` checks both, N
+    and the run, against ``outer_sum(build_gasp_r(...))`` for every r.
     """
-    _require(K >= 1 and L >= 1 and T >= 1, "need K, L, T >= 1")
+    _require_positive(K=K, L=L, T=T)
     _require(1 <= r <= min(K, T), f"need 1 <= r <= min(K, T), got r={r}")
-    chains = -(-T // r)
-    tail = T - (chains - 1) * r
-    # shifted by KL: alpha1 x beta2 is one interval; alpha2 x beta1 and
-    # alpha2 x beta2 decompose along the chain blocks
-    intervals = [(0, K + T - 2)]
-    for d in range(chains + L - 1):
-        width = r if d <= chains + L - 3 else tail
-        intervals.append((d * K, d * K + width - 1))
-    for c in range(chains):
-        width = r if c < chains - 1 else tail
-        intervals.append((K * L + c * K, K * L + c * K + width + T - 2))
-    return K * L + _merged_length(intervals)
+    return _gasp_r_merge(K, L, T, r)[0]
 
 
 def optimal_gasp_r(K: int, L: int, T: int) -> ExponentPlan:
     """gasp_r plan minimizing the server count; ties broken by smaller r."""
-    best_r = min(range(1, min(K, T) + 1),
-                 key=lambda r: (gasp_server_formula(K, L, T, r), r))
-    return build_gasp_r(K, L, T, best_r)
+    return build_gasp_r(K, L, T, _best_gasp_r(K, L, T)[0])
 
 
 def best_classical_plan(K: int, L: int, T: int) -> ExponentPlan:

@@ -5,7 +5,7 @@ interference part of its degree table contains a run of consecutive
 integers at least half the server count long: the run supplies the
 exponents whose encoded symbols the transfer matrix can stabilize away.
 This module computes that run, the feasibility verdicts, the
-brute-force minimum privacy level for GASP layouts, and the quadratic
+minimum privacy level for GASP layouts, and the quadratic
 regression estimates of that minimum.
 """
 
@@ -17,8 +17,7 @@ from typing import Iterable
 from .degree_tables import (
     ExponentPlan,
     ParamOutOfRangeError,
-    gasp_server_formula,
-    optimal_gasp_r,
+    _best_gasp_r,
     outer_sum,
 )
 
@@ -71,10 +70,17 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
 
     Feasibility is judged at the r* plan (minimal server count, smallest
     r on ties), matching how the regression estimates below were fitted.
+    N and the interference run come from the gasp_r block-interval merge
+    (the run is the longest merged interval) rather than from the degree
+    table; ``tests/test_degree_tables.py`` checks that merge against
+    ``outer_sum`` and ``longest_run``, and this function against
+    ``check_feasible(optimal_gasp_r(K, L, T))``.
     """
+    if t_max < 1:
+        raise ParamOutOfRangeError(f"need t_max >= 1, got t_max={t_max}")
     for T in range(1, t_max + 1):
-        plan = optimal_gasp_r(K, L, T)
-        if check_feasible(plan).feasible:
+        _, n, merged = _best_gasp_r(K, L, T)
+        if max(hi - lo + 1 for lo, hi in merged) >= -(-n // 2):
             return T
     return None
 

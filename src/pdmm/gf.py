@@ -101,17 +101,21 @@ def _prime_factors(n: int) -> list[int]:
 def element_of_order(order: int, p: int) -> int:
     """Smallest element of multiplicative order exactly ``order`` in F_p.
 
-    Requires ``order`` to divide p - 1.
+    Requires ``order`` to divide p - 1.  Raising c = 1, 2, ... to the
+    power (p - 1) / order lands in the order-``order`` subgroup; the
+    first such h of exact order generates it, and the answer is the
+    least h^k with gcd(k, order) = 1, found in O(order) steps.
     """
-    if (p - 1) % order != 0:
+    if order < 1 or (p - 1) % order != 0:
         raise ValueError(f"order {order} does not divide p-1 = {p - 1}")
     factors = _prime_factors(order)
-    for g in range(2, p):
-        if pow(g, order, p) != 1:
-            continue
-        if all(pow(g, order // f, p) != 1 for f in factors):
-            return g
-    raise ValueError(f"no element of order {order} in F_{p}")
+    for c in range(1, p):
+        h = pow(c, (p - 1) // order, p)
+        if all(pow(h, order // f, p) != 1 for f in factors):
+            break
+    else:
+        raise ValueError(f"no element of order {order} in F_{p}")
+    return min(pow(h, k, p) for k in range(order) if math.gcd(k, order) == 1)
 
 
 def _admissible_points(points, p: int) -> list[int]:

@@ -95,6 +95,18 @@ def test_feasibility_csv(capsys):
     assert out.endswith("\n") and "\r" not in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["feasibility", "--k-range", "2-6"], "--k-range expects lo:hi with integer bounds, got '2-6'"),
+    (["feasibility", "--l-range", "1:2:3"], "--l-range expects lo:hi"),
+    (["sweep", "qf-square", "--range", "2:x"], "--range expects lo:hi"),
+    (["feasibility", "--k-range", "0:3"], "got K=0, L=0"),
+])
+def test_bad_range_is_a_clear_error(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     ["feasibility", "--k-range", "2:3"],
     ["sweep", "qf-klt", "--range", "3:4", "-T", "2"],

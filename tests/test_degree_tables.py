@@ -1,7 +1,9 @@
+import inspect
 from itertools import product
 
 import pytest
 
+import pdmm.degree_tables as dt
 from pdmm.degree_tables import (
     ExponentPlan,
     NoSolutionError,
@@ -28,6 +30,7 @@ from pdmm.degree_tables import (
     parse_plan_record,
     plan_record,
 )
+from pdmm.feasibility import longest_run
 
 
 def enum_servers(plan):
@@ -78,6 +81,55 @@ def test_server_formula_matches_enumeration_sample_grid():
         for r in range(1, min(K, T) + 1):
             plan = build_gasp_r(K, L, T, r)
             assert gasp_server_formula(K, L, T, r) == enum_servers(plan), (K, L, T, r)
+
+
+def merge_mismatches(merge):
+    """(K, L, T, r) on a grid where ``merge``'s server count, interference
+    cover or longest interval (the first on ties, as ``min_feasible_t``
+    reads it) differs from the materialized degree table."""
+    bad = []
+    for K, L, T in product(range(1, 10), range(1, 10), range(1, 16)):
+        for r in range(1, min(K, T) + 1):
+            table = outer_sum(build_gasp_r(K, L, T, r))
+            n, merged = merge(K, L, T, r)
+            lo, hi = max(merged, key=lambda iv: iv[1] - iv[0])
+            cover = {v for a, b in merged for v in range(a, b + 1)}
+            if (n != table.n_servers or cover != table.interference
+                    or list(range(lo, hi + 1)) != longest_run(table.interference)):
+                bad.append((K, L, T, r))
+    return bad
+
+
+def test_gasp_r_merge_matches_outer_sum():
+    assert merge_mismatches(dt._gasp_r_merge) == []
+
+
+def test_gasp_r_merge_gate_catches_unjoined_touching_intervals():
+    # negative control: the same merge, except that an interval starting
+    # right after the current one (a == hi + 1) opens a new interval
+    source = inspect.getsource(dt._gasp_r_merge)
+    assert source.count("a > hi + 1") == 1
+    namespace = dict(vars(dt))
+    exec(source.replace("a > hi + 1", "a > hi"), namespace)
+    assert merge_mismatches(namespace["_gasp_r_merge"])
+
+
+def test_optimal_gasp_r_takes_least_servers_then_smallest_r():
+    for K, L, T in product(range(1, 7), repeat=3):
+        counts = [outer_sum(build_gasp_r(K, L, T, r)).n_servers
+                  for r in range(1, min(K, T) + 1)]
+        assert optimal_gasp_r(K, L, T).param("r") == counts.index(min(counts)) + 1
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: optimal_gasp_r(0, 2, 1), "K=0"),
+    (lambda: optimal_gasp_r(2, -1, 1), "L=-1"),
+    (lambda: optimal_gasp_r(2, 2, 0), "T=0"),
+    (lambda: gasp_server_formula(2, 0, 1, 1), "L=0"),
+])
+def test_gasp_r_entry_points_name_the_bad_parameter(call, bad):
+    with pytest.raises(ParamOutOfRangeError, match=bad):
+        call()
 
 
 def test_gasp_rs():

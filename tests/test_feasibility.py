@@ -123,6 +123,29 @@ def test_min_feasible_t_small():
     assert min_feasible_t(3, 3) == 5
 
 
+def test_min_feasible_t_matches_check_feasible_loop():
+    # reference: the materialized search, check_feasible at each r* plan
+    def reference(K, L, t_max):
+        for T in range(1, t_max + 1):
+            if check_feasible(optimal_gasp_r(K, L, T)).feasible:
+                return T
+        return None
+
+    for K in range(1, 13):
+        for L in range(1, 13):
+            assert min_feasible_t(K, L, t_max=64) == reference(K, L, 64), (K, L)
+
+
+@pytest.mark.parametrize("args, bad", [
+    ((0, 2), "K=0"),
+    ((2, 0), "L=0"),
+    ((2, 2, 0), "t_max=0"),
+])
+def test_min_feasible_t_names_the_bad_parameter(args, bad):
+    with pytest.raises(ParamOutOfRangeError, match=bad):
+        min_feasible_t(*args)
+
+
 def test_min_feasible_t_vs_estimate():
     for K in range(2, 7):
         t_min = min_feasible_t(K, K)

@@ -206,8 +206,25 @@ def test_prime_helpers():
     assert next_prime(14) == 17
     assert next_prime(11) == 11
     assert element_of_order(10, 11) == 2
+    assert element_of_order(1, 11) == 1
     with pytest.raises(ValueError):
         element_of_order(7, 11)
+
+
+def test_element_of_order_matches_field_scan():
+    def scan(order, p):
+        """Reference: the smallest g in 2..p-1 of exact multiplicative order."""
+        return next(g for g in range(2, p)
+                    if pow(g, order, p) == 1
+                    and all(pow(g, d, p) != 1 for d in range(1, order)))
+
+    pairs = 0
+    for p in filter(is_prime, range(3, 1200)):
+        for order in range(2, p):
+            if (p - 1) % order == 0:
+                assert element_of_order(order, p) == scan(order, p), (order, p)
+                pairs += 1
+    assert pairs == 1982
 
 
 def random_stack(ctx, rng, s, r, c):

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,15 @@ def test_classical_decode_zero_matrix():
 def test_classical_decode_cat():
     t = run(build_cat(2, 2, 2), "classical", seed=2)
     assert t.modulus == 11 and t.rate.n_servers == 10 and t.decode_ok
+
+
+def test_classical_decode_cat_on_a_large_field():
+    # the cyclic frame's order-q generator is found in O(q) steps, not by
+    # scanning F_p: this run used to spend over 20 s in element_of_order
+    start = time.perf_counter()
+    t = run(build_cat(2, 2, 2), "classical", dims=(4, 5, 6), prime=2_000_000_000)
+    assert t.modulus == 2_000_000_011 and t.decode_ok and t.audit.ok
+    assert time.perf_counter() - start < 5
 
 
 def test_quantum_decode_gasp():
