@@ -18,6 +18,7 @@ from .degree_tables import (
     ExponentPlan,
     ParamOutOfRangeError,
     _best_gasp_r,
+    optimal_gasp_r,
     outer_sum,
 )
 
@@ -53,6 +54,12 @@ def longest_run(values: Iterable[int]) -> list[int]:
     return best
 
 
+def _covers_half(run_len: int, n_servers: int) -> tuple[bool, int]:
+    """(run_len >= ceil(N / 2), ceil(N / 2)): the quantum feasibility rule."""
+    threshold = -(-n_servers // 2)
+    return run_len >= threshold, threshold
+
+
 def check_feasible(plan: ExponentPlan) -> FeasibilityReport:
     """Feasible iff the interference run covers ceil(N / 2) exponents.
 
@@ -61,8 +68,8 @@ def check_feasible(plan: ExponentPlan) -> FeasibilityReport:
     """
     table = outer_sum(plan)
     run = longest_run(table.interference)
-    threshold = -(-table.n_servers // 2)
-    return FeasibilityReport(len(run) >= threshold, tuple(run), threshold)
+    feasible, threshold = _covers_half(len(run), table.n_servers)
+    return FeasibilityReport(feasible, tuple(run), threshold)
 
 
 def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
@@ -72,15 +79,16 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
     r on ties), matching how the regression estimates below were fitted.
     N and the interference run come from the gasp_r block-interval merge
     (the run is the longest merged interval) rather than from the degree
-    table; ``tests/test_degree_tables.py`` checks that merge against
-    ``outer_sum`` and ``longest_run``, and this function against
-    ``check_feasible(optimal_gasp_r(K, L, T))``.
+    table.  ``tests/test_degree_tables.py`` checks that merge against
+    ``outer_sum`` and ``longest_run``; ``tests/test_feasibility.py``
+    checks this function against a loop of
+    ``check_feasible(optimal_gasp_r(K, L, T))`` over T.
     """
     if t_max < 1:
         raise ParamOutOfRangeError(f"need t_max >= 1, got t_max={t_max}")
     for T in range(1, t_max + 1):
         _, n, merged = _best_gasp_r(K, L, T)
-        if max(hi - lo + 1 for lo, hi in merged) >= -(-n // 2):
+        if _covers_half(max(hi - lo + 1 for lo, hi in merged), n)[0]:
             return T
     return None
 
@@ -103,7 +111,9 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
     """Rows for the minimum-privacy comparison CSV.
 
     Columns: K, L, T_min_bruteforce, T_hat, delta.  ``l_values`` defaults
-    to L = K (the square grid).
+    to L = K (the square grid).  Every T_min found is confirmed by
+    ``check_feasible`` on the materialized r* plan, so no row rests on
+    the interval merge alone.
     """
     rows = []
     for K in k_values:
@@ -111,6 +121,10 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
             if L > K:
                 continue
             t_min = min_feasible_t(K, L, t_max=t_max)
+            if t_min is not None and not check_feasible(optimal_gasp_r(K, L, t_min)).feasible:
+                raise RuntimeError(
+                    f"interval merge and degree table disagree: T={t_min} is not "
+                    f"feasible for (K, L) = ({K}, {L})")
             t_hat = t_hat_estimate(K, L)
             rows.append({
                 "K": K,

@@ -101,21 +101,36 @@ def _prime_factors(n: int) -> list[int]:
 def element_of_order(order: int, p: int) -> int:
     """Smallest element of multiplicative order exactly ``order`` in F_p.
 
-    Requires ``order`` to divide p - 1.  Raising c = 1, 2, ... to the
-    power (p - 1) / order lands in the order-``order`` subgroup; the
-    first such h of exact order generates it, and the answer is the
-    least h^k with gcd(k, order) = 1, found in O(order) steps.
+    Requires ``order`` to divide p - 1.  A small order is found inside
+    its subgroup: raising c = 1, 2, ... to the power (p - 1) / order
+    lands there, the first such h of exact order generates it, and the
+    answer is the least h^k with gcd(k, order) = 1, in O(order) steps.
+    A large order is found by testing g = 2, 3, ... directly, where
+    about one g in (p - 1) / order lies in the subgroup.
     """
     if order < 1 or (p - 1) % order != 0:
         raise ValueError(f"order {order} does not divide p-1 = {p - 1}")
     factors = _prime_factors(order)
-    for c in range(1, p):
-        h = pow(c, (p - 1) // order, p)
-        if all(pow(h, order // f, p) != 1 for f in factors):
-            break
+
+    def exact(g):
+        return all(pow(g, order // f, p) != 1 for f in factors)
+
+    large = order * order > p - 1
+    if large:
+        candidates = (g for g in range(2, p) if pow(g, order, p) == 1)
     else:
+        candidates = (pow(c, (p - 1) // order, p) for c in range(1, p))
+    h = next((g for g in candidates if exact(g)), None)
+    if h is None:
         raise ValueError(f"no element of order {order} in F_{p}")
-    return min(pow(h, k, p) for k in range(order) if math.gcd(k, order) == 1)
+    if large:
+        return h
+    best, power = 1 if order == 1 else p, 1
+    for k in range(1, order):
+        power = power * h % p
+        if power < best and math.gcd(k, order) == 1:
+            best = power
+    return best
 
 
 def _admissible_points(points, p: int) -> list[int]:

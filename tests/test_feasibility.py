@@ -183,3 +183,10 @@ def test_feasibility_rows():
     assert rows[0]["T_min_bruteforce"] == 3
     assert rows[0]["delta"] == 0
     assert set(rows[0]) == {"K", "L", "T_min_bruteforce", "T_hat", "delta"}
+
+
+def test_feasibility_rows_refuse_a_t_min_the_degree_table_rejects(monkeypatch):
+    # min_feasible_t(3, 3) is 5; a merge that answered 1 must not reach a row
+    monkeypatch.setattr("pdmm.feasibility.min_feasible_t", lambda K, L, t_max: 1)
+    with pytest.raises(RuntimeError, match=r"T=1 is not feasible for \(K, L\) = \(3, 3\)"):
+        feasibility_rows([3])

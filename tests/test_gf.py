@@ -227,6 +227,27 @@ def test_element_of_order_matches_field_scan():
     assert pairs == 1982
 
 
+@pytest.mark.parametrize("order", [2_000_000_010, 1_000_000_005, 66_666_667, 30, 10])
+def test_element_of_order_on_a_large_field(order):
+    # orders near p - 1 take the direct scan, small ones the subgroup walk
+    p = 2_000_000_011
+    g = element_of_order(order, p)
+    factors = (2, 3, 5, 66_666_667)
+
+    def exact(x):
+        return pow(x, order, p) == 1 and all(
+            pow(x, order // f, p) != 1 for f in factors if order % f == 0)
+
+    assert exact(g)
+    if g < 10_000:
+        assert not any(exact(c) for c in range(2, g))
+    else:
+        # 2 is a primitive root mod p (the order p - 1 case), so the
+        # subgroup is the powers of 2^((p-1)/order)
+        h = pow(2, (p - 1) // order, p)
+        assert g == min(x for x in (pow(h, k, p) for k in range(order)) if exact(x))
+
+
 def random_stack(ctx, rng, s, r, c):
     """(s, r, c) stack with many zeros and, in every other slice, a planted
     row that is a combination of two others, so ranks vary."""
