@@ -9,7 +9,7 @@ from pdmm import FieldContext, grs_generator, shifted_dual_multipliers, sso_chec
 
 ctx = FieldContext(131)
 print(f"working over F_{ctx.p}")
-print("inv(17) =", ctx.inv(17), "check:", ctx.mul(17, ctx.inv(17)))
+print("inv(17) =", ctx.inv(17), "check:", 17 * ctx.inv(17) % ctx.p)
 
 # interpolation: recover a cubic from four evaluations
 coeffs = np.array([5, 0, 7, 2])

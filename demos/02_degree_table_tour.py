@@ -16,7 +16,6 @@ from pdmm import (
     build_qf_square,
     check_decodable,
     gasp_server_formula,
-    outer_sum,
     plan_record,
 )
 
@@ -36,13 +35,13 @@ plans = [
 ]
 
 for plan in plans:
-    table = outer_sum(plan)
+    table = plan.table
     run = check_decodable(plan)
     print(f"{plan.family:12s} K={plan.K} L={plan.L} T={plan.T}  "
           f"N={table.n_servers:3d}  decodable={run.ok}")
     print("  alpha:", plan.alpha)
     print("  beta: ", plan.beta)
-    print("  info sums:", sorted(table.info_sums))
+    print("  info sums:", sorted(table.info))
 
 print()
 print("the gasp server count has a closed form; no table needed:")

@@ -75,7 +75,7 @@ _BUILDERS = {
 
 def _cmd_construct(args) -> int:
     plan = _BUILDERS[args.family](args)
-    table = dt.outer_sum(plan)
+    table = plan.table
     print(f"family: {plan.family}  params: "
           + (" ".join(f"{k}={v}" for k, v in plan.params) or "-"))
     print(f"K={plan.K} L={plan.L} T={plan.T}"
@@ -87,7 +87,7 @@ def _cmd_construct(args) -> int:
     for row in table.table:
         print("  " + " ".join(str(v).rjust(width) for v in row))
     print(f"servers: {table.n_servers}")
-    print("info sums:   ", " ".join(map(str, sorted(table.info_sums))))
+    print("info sums:   ", " ".join(map(str, sorted(table.info))))
     print("interference:", " ".join(map(str, sorted(table.interference))))
     decodable = dt.check_decodable(plan)
     print(f"decodable: {'yes' if decodable.ok else 'no (' + decodable.reason + ')'}")
@@ -103,7 +103,11 @@ def _cmd_construct(args) -> int:
 
 def _cmd_simulate(args) -> int:
     plan = _BUILDERS[args.family](args)
-    dims = tuple(int(v) for v in args.dims.split(",")) if args.dims else None
+    try:
+        dims = tuple(int(v) for v in args.dims.split(",")) if args.dims else None
+    except ValueError:
+        raise ValueError(
+            f"--dims expects rows_A,inner,cols_B as integers, got {args.dims!r}") from None
     cfg = ProtocolConfig(plan=plan, dims=dims, mode=args.mode, seed=args.seed,
                          prime=args.prime)
     t = run_protocol(cfg)
@@ -128,6 +132,8 @@ def _parse_range(text: str, flag: str) -> range:
         lo, hi = (int(v) for v in text.split(":"))
     except ValueError:
         raise ValueError(f"{flag} expects lo:hi with integer bounds, got {text!r}") from None
+    if lo > hi:
+        raise ValueError(f"{flag} expects lo <= hi, got {text!r}")
     return range(lo, hi + 1)
 
 

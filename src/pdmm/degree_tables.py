@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "ExponentPlan",
@@ -69,12 +69,14 @@ class SideConditionViolatedError(ParamOutOfRangeError):
 
 @dataclass(frozen=True)
 class ExponentPlan:
-    """Exponent layout of one code.
+    """Exponent layout of one code, with its degree table.
 
     ``info_alpha`` / ``info_beta`` index into ``alpha`` / ``beta`` and mark
     the K (resp. L) positions that carry data blocks; the remaining
     positions carry noise.  ``modulus_q`` is set only for cyclic (CAT)
-    plans, whose exponent arithmetic wraps mod q.
+    plans, whose exponent arithmetic wraps mod q.  ``table`` is the
+    plan's ``outer_sum``, built once when the plan is built; it is not
+    an argument and plays no part in equality, hashing or ``repr``.
     """
 
     family: str
@@ -87,6 +89,7 @@ class ExponentPlan:
     info_beta: tuple[int, ...]
     params: tuple[tuple[str, int], ...] = ()
     modulus_q: int | None = None
+    table: DegreeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.info_alpha) != self.K or len(self.info_beta) != self.L:
@@ -98,6 +101,7 @@ class ExponentPlan:
         info_b = [self.beta[i] for i in self.info_beta]
         if len(set(info_a)) != len(info_a) or len(set(info_b)) != len(info_b):
             raise ValueError("info exponents must be pairwise distinct")
+        object.__setattr__(self, "table", outer_sum(self))
 
     @property
     def noise_alpha(self) -> tuple[int, ...]:
@@ -129,11 +133,6 @@ class DegreeTable:
     info: tuple[int, ...]
     interference: frozenset[int]
     n_servers: int
-
-    @property
-    def info_sums(self) -> frozenset[int]:
-        """The information sums as a set, for membership tests."""
-        return frozenset(self.info)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -419,7 +418,11 @@ def build_low_privacy(K: int, L: int, T: int) -> ExponentPlan:
 # ---------------------------------------------------------------------------
 
 def outer_sum(plan: ExponentPlan) -> DegreeTable:
-    """Build the degree table alpha(i) + beta(j) (mod q for cyclic plans)."""
+    """Build the degree table alpha(i) + beta(j) (mod q for cyclic plans).
+
+    ``ExponentPlan`` calls this once, when the plan is built, and keeps the
+    result as ``plan.table``; read that instead of calling this again.
+    """
     q = plan.modulus_q
     red = (lambda v: v % q) if q else (lambda v: v)
     rows = tuple(tuple(red(a + b) for b in plan.beta) for a in plan.alpha)
@@ -442,7 +445,7 @@ def check_decodable(plan: ExponentPlan) -> DecodabilityReport:
     noise_b = plan.noise_beta
     if len(set(noise_b)) != len(noise_b):
         return DecodabilityReport(False, "duplicate noise exponent in beta")
-    rows = outer_sum(plan).table
+    rows = plan.table.table
     counts = Counter(v for row in rows for v in row)
     for i in plan.info_alpha:
         for j in plan.info_beta:
@@ -517,7 +520,7 @@ def gasp_server_formula(K: int, L: int, T: int, r: int) -> int:
     progression, merged without materializing the table.  The same
     block-interval merge gives ``feasibility.min_feasible_t`` its
     interference run; ``tests/test_degree_tables.py`` checks both, N
-    and the run, against ``outer_sum(build_gasp_r(...))`` for every r.
+    and the run, against ``build_gasp_r(...).table`` for every r.
     """
     _require_positive(K=K, L=L, T=T)
     _require(1 <= r <= min(K, T), f"need 1 <= r <= min(K, T), got r={r}")
@@ -547,7 +550,7 @@ def best_classical_plan(K: int, L: int, T: int) -> ExponentPlan:
                 candidates.append(build_cat(K, L, T))
             except NoSolutionError:
                 pass
-    return min(candidates, key=lambda p: outer_sum(p).n_servers)
+    return min(candidates, key=lambda p: p.table.n_servers)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .degree_tables import (
     ParamOutOfRangeError,
     _best_gasp_r,
     optimal_gasp_r,
-    outer_sum,
 )
 
 __all__ = [
@@ -63,10 +62,11 @@ def _covers_half(run_len: int, n_servers: int) -> tuple[bool, int]:
 def check_feasible(plan: ExponentPlan) -> FeasibilityReport:
     """Feasible iff the interference run covers ceil(N / 2) exponents.
 
-    N is the plan's own server count.  The report only describes the
-    plan; ``protocol.quantum_layout`` is what refuses quantum mode.
+    N and the interference set come from the plan's own degree table,
+    ``plan.table``.  The report only describes the plan;
+    ``protocol.quantum_layout`` is what refuses quantum mode.
     """
-    table = outer_sum(plan)
+    table = plan.table
     run = longest_run(table.interference)
     feasible, threshold = _covers_half(len(run), table.n_servers)
     return FeasibilityReport(feasible, tuple(run), threshold)
@@ -78,9 +78,9 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
     Feasibility is judged at the r* plan (minimal server count, smallest
     r on ties), matching how the regression estimates below were fitted.
     N and the interference run come from the gasp_r block-interval merge
-    (the run is the longest merged interval) rather than from the degree
-    table.  ``tests/test_degree_tables.py`` checks that merge against
-    ``outer_sum`` and ``longest_run``; ``tests/test_feasibility.py``
+    (the run is the longest merged interval), so no plan or degree table
+    is built.  ``tests/test_degree_tables.py`` checks that merge against
+    each plan's ``table`` and ``longest_run``; ``tests/test_feasibility.py``
     checks this function against a loop of
     ``check_feasible(optimal_gasp_r(K, L, T))`` over T.
     """

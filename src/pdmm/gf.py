@@ -182,25 +182,11 @@ class FieldContext:
 
     # -- scalar arithmetic -------------------------------------------------
 
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
-
     def inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(x, -1, self.p)
-
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(x), -e, self.p)
-        return pow(x % self.p, e, self.p)
 
     # -- arrays ------------------------------------------------------------
 

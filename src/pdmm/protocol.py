@@ -25,7 +25,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .degree_tables import ExponentPlan, check_decodable, outer_sum, plan_record
+from .degree_tables import ExponentPlan, check_decodable, plan_record
 from .feasibility import check_feasible, longest_run
 from .gf import FieldContext, SingularMatrixError, element_of_order, is_prime, next_prime
 from .grs import EvalFrame, ShapeMismatchError
@@ -92,6 +92,8 @@ class ProtocolConfig:
     audit_cap: int = 10_000
 
     def __post_init__(self):
+        if not isinstance(self.plan, ExponentPlan):
+            raise TypeError(f"plan must be an ExponentPlan, got {self.plan!r}")
         if self.mode not in ("classical", "quantum"):
             raise ValueError(f"mode must be classical or quantum, got {self.mode!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
@@ -167,7 +169,7 @@ def default_field(plan: ExponentPlan, floor: int | None = None) -> FieldContext:
     exist; other plans take the smallest prime >= max(N + 2,
     largest table exponent + 2, floor).
     """
-    table = outer_sum(plan)
+    table = plan.table
     if plan.modulus_q:
         q = plan.modulus_q
         p = max(q + 1, floor or 0)
@@ -194,7 +196,7 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
     the frame derives its dual multipliers.
     """
     plan = cfg.plan
-    table = outer_sum(plan)
+    table = plan.table
     exps = table.exponents
     n = table.n_servers
     quantum = cfg.mode == "quantum"
@@ -280,7 +282,7 @@ def _assemble(plan, info_rows, block_shape):
 def decode_classical(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
                      responses, block_shape) -> np.ndarray:
     """Solve the generator system and assemble the product from info sums."""
-    table = outer_sum(plan)
+    table = plan.table
     exps = table.exponents
     gen = ctx.vandermonde(frame.points, exps)
     flat = ctx.asarray(responses).reshape(len(frame.points), -1)
@@ -298,13 +300,12 @@ def quantum_layout(plan: ExponentPlan):
     feasibility gate: it raises ``NotFeasibleError`` when the interference
     run is shorter than half the server count.
     """
-    table = outer_sum(plan)
     feas = check_feasible(plan)
     if not feas.feasible:
         raise NotFeasibleError(
             f"interference run {len(feas.run)} < {feas.threshold} for {plan.family}"
             f"({plan.K},{plan.L},{plan.T}); quantum mode unavailable")
-    return feas.run, table.info, sorted(table.interference.difference(feas.run))
+    return feas.run, plan.table.info, sorted(plan.table.interference.difference(feas.run))
 
 
 def quantum_transfer(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame) -> TransferMatrix:
@@ -421,7 +422,7 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
 
 def rate_report(plan: ExponentPlan, mode: str) -> RateReport:
     """Useful block products per downloaded symbol, exact."""
-    n = outer_sum(plan).n_servers
+    n = plan.table.n_servers
     instances = 2 if mode == "quantum" else 1
     return RateReport(rate=Fraction(instances * plan.K * plan.L, n),
                       n_servers=n, instances=instances)

@@ -100,6 +100,10 @@ def test_feasibility_csv(capsys):
     (["feasibility", "--l-range", "1:2:3"], "--l-range expects lo:hi"),
     (["sweep", "qf-square", "--range", "2:x"], "--range expects lo:hi"),
     (["feasibility", "--k-range", "0:3"], "got K=0, L=0"),
+    (["feasibility", "--k-range", "6:2"], "--k-range expects lo <= hi, got '6:2'"),
+    (["sweep", "qf-klt", "--range", "5:3", "-T", "2"], "--range expects lo <= hi, got '5:3'"),
+    (["simulate", "gasp", "-K", "2", "-L", "2", "-T", "3", "--dims", "a,2,2"],
+     "--dims expects rows_A,inner,cols_B as integers, got 'a,2,2'"),
 ])
 def test_bad_range_is_a_clear_error(capsys, argv, message):
     code, out, err = invoke(capsys, *argv)

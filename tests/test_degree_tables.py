@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 from itertools import product
 
@@ -163,7 +164,7 @@ def test_cat_hand_case():
     assert plan.beta == (0, 1, 9, 2)
     table = outer_sum(plan)
     assert table.n_servers == 10
-    assert table.info_sums == frozenset({0, 1, 3, 4})
+    assert set(table.info) == {0, 1, 3, 4}
 
 
 def test_cat_parameters():
@@ -291,7 +292,7 @@ def test_low_privacy_rejections():
 def test_outer_sum_examples():
     table = outer_sum(build_gasp_r(2, 2, 1, 1))
     assert set(table.exponents) == {0, 1, 2, 3, 4, 5, 6, 8}
-    assert table.info_sums == frozenset({0, 1, 2, 3})
+    assert set(table.info) == {0, 1, 2, 3}
     single = ExponentPlan(family="gasp_r", K=1, L=1, T=0,
                           alpha=(0,), beta=(0,), info_alpha=(0,), info_beta=(0,))
     assert outer_sum(single).n_servers == 1
@@ -347,6 +348,36 @@ def test_best_classical_plan():
     assert best.family == "cat_x"
     assert outer_sum(best).n_servers == 10
     assert outer_sum(best_classical_plan(3, 2, 2)).n_servers <= 14
+
+
+# One plan from every builder family.
+EVERY_FAMILY = [
+    build_gasp_r(2, 2, 3, 2), build_gasp_rs(2, 2, 2, 1, 1), build_dog(2, 2, 2, 1, 1),
+    build_cat(2, 2, 2, x=3), build_qf_square(2), build_qf_power(2, 2, 3),
+    build_qf_additive(2, 1, 1), build_qf_klt(3, 2), build_qf_kt(2, 3, 1),
+    build_qf_kt_shift(2, 1, 1), build_low_privacy(4, 4, 3), build_low_privacy(9, 8, 7),
+]
+
+
+@pytest.mark.parametrize("plan", EVERY_FAMILY, ids=lambda p: p.family)
+def test_plan_carries_its_outer_sum(plan):
+    assert plan.table == outer_sum(plan)
+    assert parse_plan_record(plan_record(plan)).table == outer_sum(plan)
+
+
+def test_replaced_plan_builds_its_own_table():
+    plan = build_gasp_r(2, 2, 3, 2)
+    swapped = dataclasses.replace(plan, info_alpha=(1, 0))
+    assert swapped.table == outer_sum(swapped)
+    assert swapped.table.info != plan.table.info
+
+
+def test_plan_identity_ignores_its_table():
+    plan = build_gasp_r(2, 2, 3, 2)
+    twin = parse_plan_record(plan_record(plan))
+    object.__setattr__(twin, "table", build_qf_square(2).table)
+    assert twin == plan and hash(twin) == hash(plan)
+    assert repr(twin) == repr(plan) and "table" not in repr(plan)
 
 
 def test_plan_record_roundtrip():

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import time
 from fractions import Fraction
 
@@ -239,6 +240,22 @@ def test_decode_with_info_indices_out_of_position_order(mode):
     assert t.decode_ok
 
 
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_run_reads_the_table_the_plan_built(monkeypatch, mode):
+    plan = build_qf_klt(3, 2)
+
+    def rebuild(_plan):
+        raise AssertionError("degree table rebuilt after the plan was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pdmm" and getattr(module, "outer_sum", None) is outer_sum:
+            monkeypatch.setattr(module, "outer_sum", rebuild)
+    t = run(plan, mode, seed=3, dims=(6, 2, 4))
+    assert t.decode_ok and t.audit.ok
+    with pytest.raises(AssertionError, match="rebuilt"):
+        build_qf_klt(3, 2)  # the patch reaches the plan's own build
+
+
 def test_quantum_requires_feasibility():
     want = r"interference run 3 < 4 for gasp_r\(2,2,1\); quantum mode unavailable"
     with pytest.raises(NotFeasibleError, match=want):
@@ -289,6 +306,12 @@ def test_interference_isolation():
     w = rng.integers(0, 131, size=(tm.n, 4))
     perturbed = (x + ctx.matmul(tm.g, w)) % 131
     assert np.array_equal(apply_box(tm, x), apply_box(tm, perturbed))
+
+
+@pytest.mark.parametrize("plan", ["gasp", None])
+def test_plan_must_be_an_exponent_plan(plan):
+    with pytest.raises(TypeError, match="plan must be an ExponentPlan"):
+        ProtocolConfig(plan=plan)
 
 
 def test_dims_must_divide():
