@@ -33,7 +33,6 @@ from .degree_tables import (
     build_qf_kt_shift,
     build_qf_power,
     build_qf_square,
-    build_quantum_family,
     check_decodable,
     gap_progression,
     gasp_server_formula,

@@ -8,11 +8,14 @@ Subcommands:
   estimate, as CSV.
 * ``simulate``: run the protocol end to end and report verdicts.
 * ``sweep``: rate comparison grids (quantum family vs classical
-  baseline) as CSV.
+  baseline) as CSV.  Each row's plan comes from the same ``_BUILDERS``
+  entry ``construct`` uses, with the family's ``_SWEEP_AXES`` flag set
+  to one value of ``--range``.
 
 All output is deterministic for a fixed ``--seed``; CSV has a header
 row, LF line endings, exact integers, rationals as ``num/den`` next to
-a 6-place decimal column.
+a 6-place decimal column.  A bad input or an unwritable output path is
+reported as ``error: ...`` on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -27,18 +30,16 @@ from . import feasibility as fs
 from .protocol import ProtocolConfig, rate_ratio, rate_report, run_protocol, transcript_dump
 
 
-def _add_family_arguments(parser: argparse.ArgumentParser):
-    parser.add_argument("family", choices=sorted(_BUILDERS))
-    parser.add_argument("-K", type=int)
-    parser.add_argument("-L", type=int)
-    parser.add_argument("-T", type=int)
-    parser.add_argument("-r", type=int)
-    parser.add_argument("-s", type=int)
-    parser.add_argument("-n", type=int)
-    parser.add_argument("-k", type=int)
-    parser.add_argument("-m", type=int)
-    parser.add_argument("-l", "--ell", dest="ell", type=int)
-    parser.add_argument("-x", type=int)
+def _add_family_arguments(parser: argparse.ArgumentParser, families, skip=""):
+    """The family positional and its parameter flags; a skipped flag reads as unset."""
+    parser.add_argument("family", choices=sorted(families))
+    for flag in ("K", "L", "T", "r", "s", "n", "k", "m", "l", "x"):
+        if flag in skip:
+            parser.set_defaults(**{flag: None})
+        elif flag == "l":
+            parser.add_argument("-l", "--ell", dest="ell", type=int)
+        else:
+            parser.add_argument(f"-{flag}", type=int)
 
 
 def _need(args, *names):
@@ -138,10 +139,12 @@ def _parse_range(text: str, flag: str) -> range:
 
 
 def _cmd_feasibility(args) -> int:
-    rows = fs.feasibility_rows(_parse_range(args.k_range, "--k-range"),
-                               None if args.l_range is None
-                               else _parse_range(args.l_range, "--l-range"),
-                               t_max=args.t_max)
+    k_values = _parse_range(args.k_range, "--k-range")
+    l_values = None if args.l_range is None else _parse_range(args.l_range, "--l-range")
+    if l_values is not None and l_values[0] > k_values[-1]:
+        raise ValueError(f"--l-range {args.l_range} has no L <= K "
+                         f"for --k-range {args.k_range}")
+    rows = fs.feasibility_rows(k_values, l_values, t_max=args.t_max)
     _write_csv(args, ["K", "L", "T_min_bruteforce", "T_hat", "delta"],
                [[row["K"], row["L"], row["T_min_bruteforce"],
                  f"{row['T_hat']:.6f}", row["delta"]] for row in rows])
@@ -157,17 +160,9 @@ def _write_csv(args, header, rows) -> None:
         writer.writerows(rows)
 
 
-_SWEEP_AXES = {
-    # family -> (swept parameter, required fixed flags, plan factory taking (value, args))
-    "qf-square": ("n", (), lambda v, a: dt.build_qf_square(v)),
-    "qf-power": ("n", ("k", "m"), lambda v, a: dt.build_qf_power(v, a.k, a.m)),
-    "qf-additive": ("r", ("n", "k"), lambda v, a: dt.build_qf_additive(a.n, a.k, v)),
-    "qf-klt": ("K", ("T",), lambda v, a: dt.build_qf_klt(v, a.T)),
-    "qf-kt": ("k", ("n", "l"), lambda v, a: dt.build_qf_kt(a.n, v, a.ell)),
-    "qf-kt-shift": ("r", ("n", "l"), lambda v, a: dt.build_qf_kt_shift(a.n, a.ell, v)),
-    "low-privacy": ("L", ("T",), lambda v, a: dt.build_low_privacy(a.K if a.K else v, v, a.T)),
-    "cat": ("K", ("L", "T"), lambda v, a: dt.build_cat(v, a.L, a.T)),
-}
+# family -> the flag its sweep sets to each value of --range
+_SWEEP_AXES = {"qf-square": "n", "qf-power": "n", "qf-additive": "r", "qf-klt": "K",
+               "qf-kt": "k", "qf-kt-shift": "r", "low-privacy": "L", "cat": "K"}
 
 
 def _classical_baseline(plan) -> "dt.ExponentPlan":
@@ -177,11 +172,15 @@ def _classical_baseline(plan) -> "dt.ExponentPlan":
 
 
 def _cmd_sweep(args) -> int:
-    _, required, factory = _SWEEP_AXES[args.family]
-    _need(args, *required)
+    axis = _SWEEP_AXES[args.family]
+    # low-privacy's K follows the swept L unless -K is given
+    k_follows = args.family == "low-privacy" and not args.K
     rows = []
     for value in _parse_range(args.range, "--range"):
-        plan = factory(value, args)
+        setattr(args, axis, value)
+        if k_follows:
+            args.K = value
+        plan = _BUILDERS[args.family](args)
         baseline = _classical_baseline(plan)
         quantum = rate_report(plan, "quantum")
         classical = rate_report(baseline, "classical")
@@ -207,12 +206,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_con = sub.add_parser("construct", help="build a plan and print its degree table")
-    _add_family_arguments(p_con)
+    _add_family_arguments(p_con, _BUILDERS)
     p_con.add_argument("--export", help="write the plan record to this path")
     p_con.set_defaults(func=_cmd_construct)
 
     p_sim = sub.add_parser("simulate", help="run the protocol end to end")
-    _add_family_arguments(p_sim)
+    _add_family_arguments(p_sim, _BUILDERS)
     p_sim.add_argument("--mode", choices=["classical", "quantum"], default="classical")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--prime", type=int)
@@ -229,22 +228,15 @@ def main(argv=None) -> int:
     p_fea.set_defaults(func=_cmd_feasibility)
 
     p_swp = sub.add_parser("sweep", help="rate-ratio grid (CSV)")
-    p_swp.add_argument("family", choices=sorted(_SWEEP_AXES))
     p_swp.add_argument("--range", required=True, help="swept value, as lo:hi")
-    p_swp.add_argument("-K", type=int)
-    p_swp.add_argument("-L", type=int)
-    p_swp.add_argument("-T", type=int)
-    p_swp.add_argument("-n", type=int)
-    p_swp.add_argument("-k", type=int)
-    p_swp.add_argument("-m", type=int)
-    p_swp.add_argument("-l", "--ell", dest="ell", type=int)
+    _add_family_arguments(p_swp, _SWEEP_AXES, skip="rsx")
     p_swp.add_argument("--out")
     p_swp.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

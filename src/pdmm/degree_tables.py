@@ -43,7 +43,6 @@ __all__ = [
     "build_qf_klt",
     "build_qf_kt",
     "build_qf_kt_shift",
-    "build_quantum_family",
     "build_low_privacy",
     "outer_sum",
     "check_decodable",
@@ -341,26 +340,6 @@ def build_qf_kt_shift(n: int, ell: int, r: int) -> ExponentPlan:
     beta2 = range(m * m + r * m + r, m * m + r * m + r + m)
     return _qf_plan("qf_kt_shift", K, m, K, range(K), alpha2, range(K), beta2,
                     params=[("n", n), ("ell", ell), ("r", r)])
-
-
-_QUANTUM_BUILDERS = {
-    "qf_square": build_qf_square,
-    "qf_power": build_qf_power,
-    "qf_additive": build_qf_additive,
-    "qf_klt": build_qf_klt,
-    "qf_kt": build_qf_kt,
-    "qf_kt_shift": build_qf_kt_shift,
-}
-
-
-def build_quantum_family(family: str, **params: int) -> ExponentPlan:
-    """Dispatch to one of the qf_* builders by family tag."""
-    try:
-        builder = _QUANTUM_BUILDERS[family]
-    except KeyError:
-        raise ParamOutOfRangeError(
-            f"unknown quantum family {family!r}; choose from {sorted(_QUANTUM_BUILDERS)}")
-    return builder(**params)
 
 
 # ---------------------------------------------------------------------------

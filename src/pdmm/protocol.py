@@ -183,6 +183,10 @@ def default_field(plan: ExponentPlan, floor: int | None = None) -> FieldContext:
 
 # Random frames tried before giving up on a non-cyclic plan.
 _MAX_RESAMPLE = 64
+# Why sample_frame rejects a candidate frame.
+_BAD_POINTS = "zero or repeated point"
+_RANK_DEFICIENT = "rank-deficient generator"
+_AUDIT_FAILED = "failed privacy audit"
 
 
 def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
@@ -203,16 +207,17 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
     run = longest_run(table.interference) if quantum else []
     shift = run[0] if run else 0
 
-    def finish(points) -> tuple[EvalFrame, AuditReport] | None:
+    def finish(points) -> tuple[EvalFrame, AuditReport] | str:
+        """The frame and its audit, or the check that rejected the points."""
         try:
             gen = ctx.vandermonde(points, exps)
         except ValueError:
-            return None
+            return _BAD_POINTS
         if ctx.mat_rank(gen) != n:
-            return None
+            return _RANK_DEFICIENT
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
         if not audit.ok:
-            return None
+            return _AUDIT_FAILED
         return EvalFrame(ctx, tuple(points), shift if quantum else None), audit
 
     if plan.modulus_q:
@@ -222,19 +227,22 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
         omega = element_of_order(q, ctx.p)
         points = [pow(omega, i, ctx.p) for i in range(q)]
         got = finish(points)
-        if got is None:
-            raise ResampleExhaustedError("fixed cyclic frame failed validation")
+        if isinstance(got, str):
+            raise ResampleExhaustedError(f"fixed cyclic frame failed validation ({got})")
         return got
 
     if ctx.p - 1 < n:
         raise FieldTooSmallError(f"F_{ctx.p} has {ctx.p - 1} nonzero points, need {n}")
+    rejected = dict.fromkeys((_BAD_POINTS, _RANK_DEFICIENT, _AUDIT_FAILED), 0)
     for _ in range(_MAX_RESAMPLE):
         points = (rng.choice(ctx.p - 1, size=n, replace=False) + 1).tolist()
         got = finish(points)
-        if got is not None:
+        if not isinstance(got, str):
             return got
+        rejected[got] += 1
     raise ResampleExhaustedError(
-        f"no admissible frame within {_MAX_RESAMPLE} attempts over F_{ctx.p}")
+        f"no admissible frame within {_MAX_RESAMPLE} attempts over F_{ctx.p} (rejections: "
+        + ", ".join(f"{why} {count}" for why, count in rejected.items()) + ")")
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,24 @@ def test_bad_range_is_a_clear_error(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_feasibility_ranges_without_l_at_most_k_are_an_error(capsys):
+    code, out, err = invoke(capsys, "feasibility", "--k-range", "2:3", "--l-range", "5:6")
+    assert code == 2 and out == ""
+    assert err == "error: --l-range 5:6 has no L <= K for --k-range 2:3\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasibility", "--k-range", "2:3", "--out"],
+    ["construct", "gasp", "-K", "2", "-L", "2", "-T", "3", "--export"],
+    ["simulate", "gasp", "-K", "2", "-L", "2", "-T", "3", "--transcript"],
+])
+def test_unwritable_output_path_is_a_clear_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "file.txt"
+    code, _, err = invoke(capsys, *argv, str(target))
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["feasibility", "--k-range", "2:3"],
     ["sweep", "qf-klt", "--range", "3:4", "-T", "2"],

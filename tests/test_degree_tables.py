@@ -22,7 +22,6 @@ from pdmm.degree_tables import (
     build_qf_kt_shift,
     build_qf_power,
     build_qf_square,
-    build_quantum_family,
     check_decodable,
     gap_progression,
     gasp_server_formula,
@@ -241,12 +240,6 @@ def test_qf_kt_shift():
         want = 2 * m * m + 2 * r * m + 2 * m + 2 * r - 1
         assert outer_sum(plan).n_servers == want == enum_servers(plan)
         assert check_decodable(plan).ok
-
-
-def test_quantum_family_dispatch():
-    assert build_quantum_family("qf_square", n=2) == build_qf_square(2)
-    with pytest.raises(ParamOutOfRangeError):
-        build_quantum_family("nope")
 
 
 def test_low_privacy_hand_cases():

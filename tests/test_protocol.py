@@ -21,11 +21,14 @@ from pdmm.degree_tables import (
 )
 from pdmm.gf import FieldContext
 from pdmm.grs import EvalFrame, ShapeMismatchError
+from pdmm import protocol
 from pdmm.nsumbox import apply_box
 from pdmm.protocol import (
+    AuditReport,
     FieldTooSmallError,
     NotFeasibleError,
     ProtocolConfig,
+    ResampleExhaustedError,
     decode_classical,
     decode_quantum,
     default_field,
@@ -74,6 +77,43 @@ def test_sample_frame_field_too_small():
     cfg = ProtocolConfig(plan=plan, prime=7)
     with pytest.raises(FieldTooSmallError):
         sample_frame(cfg, FieldContext(7), np.random.default_rng(0))
+
+
+def test_resample_exhaustion_counts_rejections_by_reason():
+    # Every frame drawn for optimal gasp_r(3,3,3) over its default F_29
+    # has a full-rank generator and fails the privacy audit.
+    with pytest.raises(ResampleExhaustedError) as exc:
+        run_protocol(ProtocolConfig(plan=optimal_gasp_r(3, 3, 3), seed=0))
+    assert str(exc.value) == ("no admissible frame within 64 attempts over F_29 (rejections: "
+                              "zero or repeated point 0, rank-deficient generator 0, "
+                              "failed privacy audit 64)")
+
+
+def _bad_points(self, points, exponents):
+    raise ValueError("evaluation points must be distinct")
+
+
+@pytest.mark.parametrize("method, stub, counts", [
+    ("vandermonde", _bad_points, "zero or repeated point 64, rank-deficient generator 0"),
+    ("mat_rank", lambda self, mat: 0, "zero or repeated point 0, rank-deficient generator 64"),
+])
+def test_resample_exhaustion_counts_each_rejection(monkeypatch, method, stub, counts):
+    monkeypatch.setattr(FieldContext, method, stub)
+    with pytest.raises(ResampleExhaustedError) as exc:
+        make_frame(GASP223, prime=131)
+    assert str(exc.value).endswith(f"(rejections: {counts}, failed privacy audit 0)")
+
+
+def test_cyclic_frame_failure_names_the_check(monkeypatch):
+    failed = AuditReport(ok=False, checked=1, exhaustive=True)
+    monkeypatch.setattr(protocol, "privacy_audit", lambda *args, **kwargs: failed)
+    with pytest.raises(ResampleExhaustedError,
+                       match=r"^fixed cyclic frame failed validation \(failed privacy audit\)$"):
+        make_frame(build_cat(2, 2, 2))
+    monkeypatch.setattr(FieldContext, "mat_rank", lambda self, mat: 0)
+    with pytest.raises(ResampleExhaustedError,
+                       match=r"^fixed cyclic frame failed validation \(rank-deficient generator\)$"):
+        make_frame(build_cat(2, 2, 2))
 
 
 def test_cat_frame_fixed_coset():
