@@ -65,7 +65,6 @@ from .nsumbox import (
 )
 from .protocol import (
     AuditReport,
-    FieldTooSmallError,
     NotFeasibleError,
     ProtocolConfig,
     RateReport,

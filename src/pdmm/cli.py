@@ -74,31 +74,37 @@ _BUILDERS = {
 }
 
 
+def _open_out(path, newline="\n", default=None):
+    """``path`` opened for writing, or a context yielding ``default`` if there is none."""
+    return (open(path, "w", encoding="utf-8", newline=newline) if path
+            else contextlib.nullcontext(default))
+
+
 def _cmd_construct(args) -> int:
     plan = _BUILDERS[args.family](args)
     table = plan.table
-    print(f"family: {plan.family}  params: "
-          + (" ".join(f"{k}={v}" for k, v in plan.params) or "-"))
-    print(f"K={plan.K} L={plan.L} T={plan.T}"
-          + (f" q={plan.modulus_q}" if plan.modulus_q else ""))
-    print("alpha:", " ".join(map(str, plan.alpha)))
-    print("beta: ", " ".join(map(str, plan.beta)))
-    width = len(str(max(max(row) for row in table.table)))
-    print("degree table:")
-    for row in table.table:
-        print("  " + " ".join(str(v).rjust(width) for v in row))
-    print(f"servers: {table.n_servers}")
-    print("info sums:   ", " ".join(map(str, sorted(table.info))))
-    print("interference:", " ".join(map(str, sorted(table.interference))))
-    decodable = dt.check_decodable(plan)
-    print(f"decodable: {'yes' if decodable.ok else 'no (' + decodable.reason + ')'}")
-    feas = fs.check_feasible(plan)
-    print(f"quantum feasible: {'yes' if feas.feasible else 'no'} "
-          f"(run {len(feas.run)}, need {feas.threshold})")
-    if args.export:
-        with open(args.export, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dt.plan_record(plan) + "\n")
-        print(f"exported: {args.export}")
+    with _open_out(args.export) as export:
+        print(f"family: {plan.family}  params: "
+              + (" ".join(f"{k}={v}" for k, v in plan.params) or "-"))
+        print(f"K={plan.K} L={plan.L} T={plan.T}"
+              + (f" q={plan.modulus_q}" if plan.modulus_q else ""))
+        print("alpha:", " ".join(map(str, plan.alpha)))
+        print("beta: ", " ".join(map(str, plan.beta)))
+        width = len(str(max(max(row) for row in table.table)))
+        print("degree table:")
+        for row in table.table:
+            print("  " + " ".join(str(v).rjust(width) for v in row))
+        print(f"servers: {table.n_servers}")
+        print("info sums:   ", " ".join(map(str, sorted(table.info))))
+        print("interference:", " ".join(map(str, sorted(table.interference))))
+        decodable = dt.check_decodable(plan)
+        print(f"decodable: {'yes' if decodable.ok else 'no (' + decodable.reason + ')'}")
+        feas = fs.check_feasible(plan)
+        print(f"quantum feasible: {'yes' if feas.feasible else 'no'} "
+              f"(run {len(feas.run)}, need {feas.threshold})")
+        if export:
+            export.write(dt.plan_record(plan) + "\n")
+            print(f"exported: {args.export}")
     return 0 if decodable.ok else 1
 
 
@@ -111,19 +117,19 @@ def _cmd_simulate(args) -> int:
             f"--dims expects rows_A,inner,cols_B as integers, got {args.dims!r}") from None
     cfg = ProtocolConfig(plan=plan, dims=dims, mode=args.mode, seed=args.seed,
                          prime=args.prime)
-    t = run_protocol(cfg)
-    print(f"family: {plan.family}  mode: {t.mode}  modulus: {t.modulus}  seed: {t.seed}")
-    print(f"servers: {t.rate.n_servers}  instances: {t.rate.instances}")
-    print(f"decode: {'ok' if t.decode_ok else 'FAIL'}")
-    print(f"privacy audit: {'ok' if t.audit.ok else 'FAIL'} "
-          f"(checked {t.audit.checked} subsets, "
-          f"{'exhaustive' if t.audit.exhaustive else 'sampled'})")
-    kl = t.rate.instances * plan.K * plan.L
-    print(f"rate: {kl}/{t.rate.n_servers} = {float(t.rate.rate):.6f}")
-    if args.transcript:
-        with open(args.transcript, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(transcript_dump(t))
-        print(f"transcript: {args.transcript}")
+    with _open_out(args.transcript) as transcript:
+        t = run_protocol(cfg)
+        print(f"family: {plan.family}  mode: {t.mode}  modulus: {t.modulus}  seed: {t.seed}")
+        print(f"servers: {t.rate.n_servers}  instances: {t.rate.instances}")
+        print(f"decode: {'ok' if t.decode_ok else 'FAIL'}")
+        print(f"privacy audit: {'ok' if t.audit.ok else 'FAIL'} "
+              f"(checked {t.audit.checked} subsets, "
+              f"{'exhaustive' if t.audit.exhaustive else 'sampled'})")
+        kl = t.rate.instances * plan.K * plan.L
+        print(f"rate: {kl}/{t.rate.n_servers} = {float(t.rate.rate):.6f}")
+        if transcript:
+            transcript.write(transcript_dump(t))
+            print(f"transcript: {args.transcript}")
     return 0 if (t.decode_ok and t.audit.ok) else 1
 
 
@@ -153,8 +159,7 @@ def _cmd_feasibility(args) -> int:
 
 def _write_csv(args, header, rows) -> None:
     """Header and rows as CSV, to the ``--out`` path if given, else stdout."""
-    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
-          else contextlib.nullcontext(sys.stdout)) as fh:
+    with _open_out(args.out, newline="", default=sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

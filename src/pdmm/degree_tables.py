@@ -243,10 +243,7 @@ def build_cat(K: int, L: int, T: int, x: int | None = None) -> ExponentPlan:
     elif math.gcd(x, q) != 1:
         raise ParamOutOfRangeError(f"x={x} must be coprime with q={q}")
     # solve x*t_bar + y*k_star = 0 (mod q); gcd(k_star, q) = gcd(k_star, t_bar^2) = 1
-    g = math.gcd(k_star, q)
-    if (-x * t_bar) % g != 0:
-        raise NoSolutionError(f"no y with x*T_bar + y*K* = 0 mod {q}")
-    y = (-x * t_bar * pow(k_star // g, -1, q // g)) % (q // g)
+    y = -x * t_bar * pow(k_star, -1, q) % q
     alpha = [(y * i) % q for i in range(K)] + [(x * i + K * y) % q for i in range(T)]
     beta = [(x * i) % q for i in range(L)] + [(y * i - x) % q for i in range(T)]
     cover = {(a + b) % q for a in alpha for b in beta}

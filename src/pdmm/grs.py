@@ -84,8 +84,9 @@ def sso_check(ctx: FieldContext, g) -> bool:
 
 @dataclass(frozen=True)
 class EvalFrame:
-    """Evaluation points fixed for one protocol run, and their dual multipliers.
+    """Field and evaluation points fixed for one protocol run, and their dual multipliers.
 
+    ``ctx`` is the run's field, the one every protocol stage works over.
     ``points`` are stored reduced mod p and must be nonzero and pairwise
     distinct.  Quantum frames give ``shift``, the start of the plan's
     interference run.  The first instance's column multipliers are all

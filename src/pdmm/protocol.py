@@ -12,7 +12,8 @@ broken; there is no tolerance anywhere.
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order, and every
 frame is validated (generator invertibility plus the privacy rank
-audit) before use, resampling as needed.
+audit) before use, resampling as needed.  The frame carries its run's
+field, and every later stage works over ``frame.ctx``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "Transcript",
     "AuditReport",
     "RateReport",
-    "FieldTooSmallError",
     "ResampleExhaustedError",
     "NotFeasibleError",
     "SingularGeneratorError",
@@ -53,10 +53,6 @@ __all__ = [
     "run_protocol",
     "transcript_dump",
 ]
-
-
-class FieldTooSmallError(ValueError):
-    """The field cannot host the required number of distinct nonzero points."""
 
 
 class ResampleExhaustedError(RuntimeError):
@@ -94,8 +90,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if not isinstance(self.plan, ExponentPlan):
             raise TypeError(f"plan must be an ExponentPlan, got {self.plan!r}")
-        if self.mode not in ("classical", "quantum"):
-            raise ValueError(f"mode must be classical or quantum, got {self.mode!r}")
+        _check_mode(self.mode)
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.prime is not None and not (
@@ -103,7 +98,7 @@ class ProtocolConfig:
             raise ValueError(f"prime must be an integer >= 2 or None, got {self.prime!r}")
         _check_audit_cap(self.audit_cap)
         if self.dims is not None and not (
-                len(self.dims) == 3
+                isinstance(self.dims, (tuple, list)) and len(self.dims) == 3
                 and all(isinstance(d, numbers.Integral) and d > 0 for d in self.dims)):
             raise ShapeMismatchError(
                 f"dims must be three positive integers (rows_a, inner, cols_b), "
@@ -167,7 +162,7 @@ def default_field(plan: ExponentPlan, floor: int | None = None) -> FieldContext:
 
     Cyclic plans need a prime p = 1 (mod q) so that order-q points
     exist; other plans take the smallest prime >= max(N + 2,
-    largest table exponent + 2, floor).
+    largest table exponent + 2, floor).  Either way p - 1 >= N.
     """
     table = plan.table
     if plan.modulus_q:
@@ -189,17 +184,19 @@ _RANK_DEFICIENT = "rank-deficient generator"
 _AUDIT_FAILED = "failed privacy audit"
 
 
-def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
+def sample_frame(cfg: ProtocolConfig,
                  rng: np.random.Generator) -> tuple[EvalFrame, AuditReport]:
-    """Draw evaluation points until the frame is fully admissible.
+    """Pick the run's field and draw points until the frame is fully admissible.
 
-    Admissible means the N x N generator on all table exponents is
-    invertible and the privacy rank audit passes.  Cyclic plans use the
-    fixed coset of an order-q element instead of sampling.  Quantum
-    frames carry the interference run start as their shift, from which
-    the frame derives its dual multipliers.
+    The field is ``default_field(cfg.plan, cfg.prime)``, and the frame
+    carries it as ``frame.ctx``.  Admissible means the N x N generator on
+    all table exponents is invertible and the privacy rank audit passes.
+    Cyclic plans use the fixed coset of an order-q element instead of
+    sampling.  Quantum frames carry the interference run start as their
+    shift, from which the frame derives its dual multipliers.
     """
     plan = cfg.plan
+    ctx = default_field(plan, cfg.prime)
     table = plan.table
     exps = table.exponents
     n = table.n_servers
@@ -221,18 +218,13 @@ def sample_frame(cfg: ProtocolConfig, ctx: FieldContext,
         return EvalFrame(ctx, tuple(points), shift if quantum else None), audit
 
     if plan.modulus_q:
-        q = plan.modulus_q
-        if (ctx.p - 1) % q != 0:
-            raise FieldTooSmallError(f"no order-{q} points in F_{ctx.p}")
-        omega = element_of_order(q, ctx.p)
-        points = [pow(omega, i, ctx.p) for i in range(q)]
+        omega = element_of_order(plan.modulus_q, ctx.p)
+        points = [pow(omega, i, ctx.p) for i in range(plan.modulus_q)]
         got = finish(points)
         if isinstance(got, str):
             raise ResampleExhaustedError(f"fixed cyclic frame failed validation ({got})")
         return got
 
-    if ctx.p - 1 < n:
-        raise FieldTooSmallError(f"F_{ctx.p} has {ctx.p - 1} nonzero points, need {n}")
     rejected = dict.fromkeys((_BAD_POINTS, _RANK_DEFICIENT, _AUDIT_FAILED), 0)
     for _ in range(_MAX_RESAMPLE):
         points = (rng.choice(ctx.p - 1, size=n, replace=False) + 1).tolist()
@@ -256,21 +248,21 @@ def _coeff_stack(n_exps, info_idx, blocks, noise):
     return np.stack([data[i] if i in data else next(masks) for i in range(n_exps)])
 
 
-def encode_shares(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
+def encode_shares(plan: ExponentPlan, frame: EvalFrame,
                   a_blocks, b_blocks, noise_f, noise_g):
-    """Per-server share pair (f_n, g_n) for one instance.
+    """Per-server share pair (f_n, g_n) for one instance, over ``frame.ctx``.
 
     f_n sums data and noise blocks weighted by point powers at the alpha
     exponents; g_n likewise over beta.  Shapes: a_blocks are K arrays
     (ra, inner), b_blocks are L arrays (inner, cb), noise blocks match.
     """
+    ctx = frame.ctx
     ca = _coeff_stack(len(plan.alpha), plan.info_alpha, a_blocks, noise_f)
     cb = _coeff_stack(len(plan.beta), plan.info_beta, b_blocks, noise_g)
     pa = ctx.vandermonde(frame.points, plan.alpha)
     pb = ctx.vandermonde(frame.points, plan.beta)
-    n = len(frame.points)
-    f = ctx.matmul(pa, ca.reshape(ca.shape[0], -1)).reshape((n,) + ca.shape[1:])
-    g = ctx.matmul(pb, cb.reshape(cb.shape[0], -1)).reshape((n,) + cb.shape[1:])
+    f = ctx.matmul(pa, ca.reshape(ca.shape[0], -1)).reshape((frame.n,) + ca.shape[1:])
+    g = ctx.matmul(pb, cb.reshape(cb.shape[0], -1)).reshape((frame.n,) + cb.shape[1:])
     return f, g
 
 
@@ -287,9 +279,10 @@ def _assemble(plan, info_rows, block_shape):
                      for k in range(plan.K)])
 
 
-def decode_classical(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
+def decode_classical(plan: ExponentPlan, frame: EvalFrame,
                      responses, block_shape) -> np.ndarray:
     """Solve the generator system and assemble the product from info sums."""
+    ctx = frame.ctx
     table = plan.table
     exps = table.exponents
     gen = ctx.vandermonde(frame.points, exps)
@@ -301,22 +294,24 @@ def decode_classical(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
     return _assemble(plan, coeffs[[exps.index(e) for e in table.info]], block_shape)
 
 
-def quantum_layout(plan: ExponentPlan):
-    """Column order of the quantum readout: [run | info sums | leftover].
+def quantum_layout(plan: ExponentPlan) -> list[int]:
+    """Column order of the quantum readout: [run head | info sums | rest].
 
-    Info sums are listed in row-major (k, l) order.  This is the quantum
-    feasibility gate: it raises ``NotFeasibleError`` when the interference
-    run is shorter than half the server count.
+    The head is the first ceil(N/2) exponents of the interference run, info
+    sums are in row-major (k, l) order, and the rest is every other table
+    exponent, ascending.  This is the quantum feasibility gate: it raises
+    ``NotFeasibleError`` when the interference run is shorter than ceil(N/2).
     """
     feas = check_feasible(plan)
     if not feas.feasible:
         raise NotFeasibleError(
             f"interference run {len(feas.run)} < {feas.threshold} for {plan.family}"
             f"({plan.K},{plan.L},{plan.T}); quantum mode unavailable")
-    return feas.run, plan.table.info, sorted(plan.table.interference.difference(feas.run))
+    head = feas.run[:feas.threshold]
+    return [*head, *plan.table.info, *sorted(plan.table.interference.difference(head))]
 
 
-def quantum_transfer(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame) -> TransferMatrix:
+def quantum_transfer(plan: ExponentPlan, frame: EvalFrame) -> TransferMatrix:
     """Transfer matrix for a plan: dual-scaled run columns stabilized.
 
     The stabilizer block pairs the plain run columns (the first
@@ -325,9 +320,9 @@ def quantum_transfer(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame) ->
     """
     if frame.v is None:
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
-    run, info, rest = quantum_layout(plan)
-    n = len(frame.points)
-    qmat = ctx.vandermonde(frame.points, [*run, *info, *rest])
+    ctx = frame.ctx
+    n = frame.n
+    qmat = ctx.vandermonde(frame.points, quantum_layout(plan))
     v = ctx.asarray(frame.v)[:, None]
     fl, ce = n // 2, -(-n // 2)
     g = np.block([[qmat[:, :fl], np.zeros((n, ce), dtype=np.int64)],
@@ -337,27 +332,25 @@ def quantum_transfer(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame) ->
     return build_transfer(ctx, g, h)
 
 
-def decode_quantum(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
+def decode_quantum(plan: ExponentPlan, frame: EvalFrame,
                    responses_pair, block_shape) -> tuple[np.ndarray, np.ndarray]:
     """Recover both instances' products from one batch of 2N operands.
 
     Servers put the first instance on the X slot as it is and the second
     on the Z slot scaled by the frame's dual multipliers v; the receiver
-    applies the box and reads the information coordinates of each half.
+    applies the box and reads the information coordinates of each half,
+    which ``quantum_layout`` puts right after the ceil(N/2) run columns.
     """
-    tm = quantum_transfer(plan, ctx, frame)
-    run, _, _ = quantum_layout(plan)
-    n = len(frame.points)
+    ctx = frame.ctx
+    tm = quantum_transfer(plan, frame)
+    n = frame.n
     fl, ce = n // 2, -(-n // 2)
-    r1 = ctx.asarray(responses_pair[0]).reshape(n, -1)
-    r2 = ctx.asarray(responses_pair[1]).reshape(n, -1)
+    r1, r2 = (ctx.asarray(r).reshape(n, -1) for r in responses_pair)
     v = ctx.asarray(frame.v)[:, None]
-    x = np.vstack([r1, v * r2 % ctx.p])
-    y = apply_box(tm, x)
+    y = apply_box(tm, np.vstack([r1, v * r2 % ctx.p]))
     kl = plan.K * plan.L
-    first = y[len(run) - fl:len(run) - fl + kl]
-    second = y[len(run):len(run) + kl]
-    return _assemble(plan, first, block_shape), _assemble(plan, second, block_shape)
+    return (_assemble(plan, y[ce - fl:][:kl], block_shape),
+            _assemble(plan, y[ce:][:kl], block_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +362,11 @@ def decode_quantum(plan: ExponentPlan, ctx: FieldContext, frame: EvalFrame,
 # chunks of 32768 were at most 15% faster but raised the process's peak
 # RSS by 3.5 MB instead of 0.9 MB (about 10% of a 36 MB process).
 _AUDIT_CHUNK = 1024
+
+
+def _check_mode(mode) -> None:
+    if mode not in ("classical", "quantum"):
+        raise ValueError(f"mode must be classical or quantum, got {mode!r}")
 
 
 def _check_audit_cap(cap) -> None:
@@ -430,6 +428,7 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
 
 def rate_report(plan: ExponentPlan, mode: str) -> RateReport:
     """Useful block products per downloaded symbol, exact."""
+    _check_mode(mode)
     n = plan.table.n_servers
     instances = 2 if mode == "quantum" else 1
     return RateReport(rate=Fraction(instances * plan.K * plan.L, n),
@@ -449,13 +448,11 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         raise ValueError(f"plan is not decodable: {report.reason}")
     if cfg.mode == "quantum":
         quantum_layout(plan)
-    ctx = default_field(plan, cfg.prime)
     rng = np.random.default_rng(cfg.seed)
-    frame, audit = sample_frame(cfg, ctx, rng)
+    frame, audit = sample_frame(cfg, rng)
+    ctx = frame.ctx
+    rate = rate_report(plan, cfg.mode)
     ra, inner, cb = cfg.block_dims
-    instances = 2 if cfg.mode == "quantum" else 1
-    n_noise_f = len(plan.alpha) - plan.K
-    n_noise_g = len(plan.beta) - plan.L
 
     def draw(*shape):
         return rng.integers(0, ctx.p, size=shape, dtype=np.int64)
@@ -463,22 +460,22 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     def instance():
         a = draw(plan.K * ra, inner)
         b = draw(inner, plan.L * cb)
-        noise_f = draw(n_noise_f, ra, inner)
-        noise_g = draw(n_noise_g, inner, cb)
+        noise_f = draw(len(plan.noise_alpha), ra, inner)
+        noise_g = draw(len(plan.noise_beta), inner, cb)
         a_blocks = [a[k * ra:(k + 1) * ra] for k in range(plan.K)]
         b_blocks = [b[:, j * cb:(j + 1) * cb] for j in range(plan.L)]
-        f, g = encode_shares(plan, ctx, frame, a_blocks, b_blocks, noise_f, noise_g)
+        f, g = encode_shares(plan, frame, a_blocks, b_blocks, noise_f, noise_g)
         return a, b, noise_f, noise_g, f, g, server_compute(ctx, f, g)
 
     # Each instance draws all its inputs and noise before the next one
     # starts; the transcript fixes that order of rng draws.
-    a_in, b_in, nf, ng, sf, sg, resp = zip(*(instance() for _ in range(instances)))
+    a_in, b_in, nf, ng, sf, sg, resp = zip(*(instance() for _ in range(rate.instances)))
 
     shape = (ra, cb)
     if cfg.mode == "classical":
-        decoded = (decode_classical(plan, ctx, frame, resp[0], shape),)
+        decoded = (decode_classical(plan, frame, resp[0], shape),)
     else:
-        decoded = decode_quantum(plan, ctx, frame, resp, shape)
+        decoded = decode_quantum(plan, frame, resp, shape)
     ok = all(np.array_equal(dec, ctx.matmul(a, b))
              for dec, a, b in zip(decoded, a_in, b_in))
     return Transcript(
@@ -486,7 +483,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         points=frame.points,
         a_inputs=a_in, b_inputs=b_in, noise_f=nf, noise_g=ng,
         shares_f=sf, shares_g=sg, responses=resp, decoded=decoded,
-        decode_ok=ok, audit=audit, rate=rate_report(plan, cfg.mode),
+        decode_ok=ok, audit=audit, rate=rate,
     )
 
 

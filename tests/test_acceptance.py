@@ -34,7 +34,6 @@ from pdmm.gf import FieldContext
 from pdmm.grs import grs_generator, shifted_dual_multipliers, sso_check
 from pdmm.protocol import (
     ProtocolConfig,
-    default_field,
     privacy_audit,
     quantum_transfer,
     rate_report,
@@ -148,10 +147,10 @@ def test_criterion_4_end_to_end_decode():
 def test_criterion_5_transfer_matrix_laws():
     bad = []
     for name, plan in DECODE_GRID:
-        ctx = default_field(plan)
         cfg = ProtocolConfig(plan=plan, mode="quantum", seed=13, audit_cap=2000)
-        frame, _ = sample_frame(cfg, ctx, np.random.default_rng(13))
-        tm = quantum_transfer(plan, ctx, frame)
+        frame, _ = sample_frame(cfg, np.random.default_rng(13))
+        ctx = frame.ctx
+        tm = quantum_transfer(plan, frame)
         laws = (sso_check(ctx, tm.g)
                 and not ctx.matmul(tm.m, tm.g).any()
                 and np.array_equal(ctx.matmul(tm.m, tm.h), ctx.identity(tm.n)))
@@ -224,21 +223,19 @@ class _DuplicateFirstRng:
 
 def test_criterion_8_privacy_audit():
     gasp = build_gasp_r(2, 2, 3, 2)
-    ctx = default_field(gasp, 131)
     cfg = ProtocolConfig(plan=gasp, mode="classical", seed=5, prime=131)
-    frame, audit = sample_frame(cfg, ctx, np.random.default_rng(5))
+    frame, audit = sample_frame(cfg, np.random.default_rng(5))
+    ctx = frame.ctx
     gasp_ok = audit.ok and audit.exhaustive and audit.checked == 286
 
     cat = build_cat(2, 2, 2)
-    cat_ctx = default_field(cat)
     cat_frame, cat_audit = sample_frame(
-        ProtocolConfig(plan=cat, mode="classical", seed=0), cat_ctx,
-        np.random.default_rng(0))
+        ProtocolConfig(plan=cat, mode="classical", seed=0), np.random.default_rng(0))
     cat_ok = cat_audit.ok and cat_audit.exhaustive and cat_audit.checked == 45
 
     # a duplicated-point draw must be resampled away, never accepted
     stub = _DuplicateFirstRng(9)
-    frame2, audit2 = sample_frame(cfg, ctx, stub)
+    frame2, audit2 = sample_frame(cfg, stub)
     resampled = stub.draws >= 2 and len(set(frame2.points)) == 13 and audit2.ok
     direct = privacy_audit(gasp, ctx, list(frame.points[:-1]) + [frame.points[0]])
     rejected = not direct.ok

@@ -124,8 +124,8 @@ def test_feasibility_ranges_without_l_at_most_k_are_an_error(capsys):
 ])
 def test_unwritable_output_path_is_a_clear_error(capsys, tmp_path, argv):
     target = tmp_path / "missing" / "file.txt"
-    code, _, err = invoke(capsys, *argv, str(target))
-    assert code == 2
+    code, out, err = invoke(capsys, *argv, str(target))
+    assert code == 2 and out == ""  # the path is opened before any work
     assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
 
 

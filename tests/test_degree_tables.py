@@ -176,6 +176,25 @@ def test_cat_parameters():
         build_cat(3, 3, 3)  # cyclic table cannot cover all residues here
 
 
+def test_cat_y_solves_its_congruence_on_grid():
+    # gcd(K*, q) = gcd(K*, (T-1)^2) = 1, so y = -x (T-1) / K* mod q always
+    # exists; only the cover check rejects parameters
+    built = rejected = 0
+    for K in range(2, 30):
+        for L in range(2, K + 1):
+            for T in range(2, L + 1):
+                try:
+                    plan = build_cat(K, L, T)
+                except NoSolutionError:
+                    rejected += 1
+                    continue
+                k_star = K + 1 + plan.param("kappa")
+                x, y = plan.param("x"), plan.param("y")
+                assert (x * (T - 1) + y * k_star) % plan.modulus_q == 0, (K, L, T)
+                built += 1
+    assert (built, rejected) == (1859, 2201)
+
+
 def test_cat_server_count_is_q_on_grid():
     for K in range(2, 8):
         for L in range(2, K + 1):

@@ -11,7 +11,7 @@ from pdmm.grs import (
     shifted_dual_multipliers,
     sso_check,
 )
-from pdmm.protocol import ProtocolConfig, default_field, sample_frame
+from pdmm.protocol import ProtocolConfig, sample_frame
 
 
 def assert_full_duality(ctx, points, u, v, l1=0, l2=0):
@@ -139,8 +139,8 @@ def test_eval_frame_validation():
 @pytest.mark.parametrize("plan", [build_cat(2, 2, 2), build_gasp_r(2, 2, 3, 2)])
 def test_sampled_quantum_frame_is_dual_at_its_shift(plan):
     cfg = ProtocolConfig(plan=plan, mode="quantum", seed=1)
-    ctx = default_field(plan)
-    frame, _ = sample_frame(cfg, ctx, np.random.default_rng(1))
+    frame, _ = sample_frame(cfg, np.random.default_rng(1))
+    ctx = frame.ctx
     shift = longest_run(outer_sum(plan).interference)[0]
     assert frame.shift == shift
     assert_full_duality(ctx, frame.points, [1] * frame.n, frame.v, shift, shift)

@@ -23,15 +23,13 @@ def test_single_server_boxes():
 def quantum_fixture(prime=131):
     plan = build_gasp_r(2, 2, 3, 2)
     cfg = ProtocolConfig(plan=plan, mode="quantum", seed=11, prime=prime)
-    ctx = FieldContext(prime)
-    rng = np.random.default_rng(cfg.seed)
-    frame, _ = sample_frame(cfg, ctx, rng)
-    return plan, ctx, frame
+    frame, _ = sample_frame(cfg, np.random.default_rng(cfg.seed))
+    return plan, frame.ctx, frame
 
 
 def test_transfer_laws_on_protocol_frame():
     plan, ctx, frame = quantum_fixture()
-    tm = quantum_transfer(plan, ctx, frame)
+    tm = quantum_transfer(plan, frame)
     n = tm.n
     assert n == 13
     assert np.all(ctx.matmul(tm.m, tm.g) == 0)
@@ -41,7 +39,7 @@ def test_transfer_laws_on_protocol_frame():
 
 def test_apply_box_kills_stabilized_directions():
     plan, ctx, frame = quantum_fixture()
-    tm = quantum_transfer(plan, ctx, frame)
+    tm = quantum_transfer(plan, frame)
     rng = np.random.default_rng(5)
     w = rng.integers(0, ctx.p, size=(tm.n, 1))
     z = rng.integers(0, ctx.p, size=(tm.n, 1))
@@ -53,7 +51,7 @@ def test_apply_box_kills_stabilized_directions():
 
 def test_apply_box_linearity():
     plan, ctx, frame = quantum_fixture()
-    tm = quantum_transfer(plan, ctx, frame)
+    tm = quantum_transfer(plan, frame)
     rng = np.random.default_rng(17)
     x1 = rng.integers(0, ctx.p, size=(2 * tm.n, 1))
     x2 = rng.integers(0, ctx.p, size=(2 * tm.n, 1))

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import sys
 import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,23 +11,29 @@ import scipy.stats
 
 from pdmm.degree_tables import (
     ExponentPlan,
+    NoSolutionError,
     build_cat,
+    build_dog,
     build_gasp_r,
+    build_gasp_rs,
     build_low_privacy,
+    build_qf_additive,
     build_qf_klt,
     build_qf_kt,
+    build_qf_kt_shift,
+    build_qf_power,
     build_qf_square,
     check_decodable,
     optimal_gasp_r,
     outer_sum,
 )
+from pdmm.feasibility import longest_run
 from pdmm.gf import FieldContext
 from pdmm.grs import EvalFrame, ShapeMismatchError
 from pdmm import protocol
 from pdmm.nsumbox import apply_box
 from pdmm.protocol import (
     AuditReport,
-    FieldTooSmallError,
     NotFeasibleError,
     ProtocolConfig,
     ResampleExhaustedError,
@@ -50,10 +58,8 @@ GASP223_SWAPPED = dataclasses.replace(GASP223, info_alpha=(1, 0))
 
 def make_frame(plan, mode="classical", prime=None, seed=1):
     cfg = ProtocolConfig(plan=plan, mode=mode, seed=seed, prime=prime)
-    ctx = default_field(plan, prime)
-    rng = np.random.default_rng(seed)
-    frame, audit = sample_frame(cfg, ctx, rng)
-    return ctx, frame, audit
+    frame, audit = sample_frame(cfg, np.random.default_rng(seed))
+    return frame.ctx, frame, audit
 
 
 def scalar_blocks(values):
@@ -70,13 +76,6 @@ def test_sample_frame_deterministic():
     assert frame1.points == frame2.points
     ctx3, frame3, _ = make_frame(GASP223, prime=131, seed=8)
     assert frame3.points != frame1.points
-
-
-def test_sample_frame_field_too_small():
-    plan = GASP223  # needs 13 points
-    cfg = ProtocolConfig(plan=plan, prime=7)
-    with pytest.raises(FieldTooSmallError):
-        sample_frame(cfg, FieldContext(7), np.random.default_rng(0))
 
 
 def test_resample_exhaustion_counts_rejections_by_reason():
@@ -130,6 +129,42 @@ def test_default_field_floors():
     assert default_field(build_cat(2, 2, 2), 50).p == 61  # next 1 mod 10 prime
 
 
+def _hosts_frame(plan, p):
+    """F_p has N distinct nonzero points, and order-q points for a cyclic plan."""
+    return p - 1 >= plan.table.n_servers and (p - 1) % (plan.modulus_q or 1) == 0
+
+
+def test_default_field_hosts_every_frame():
+    # sample_frame raises no field-size error because this always holds
+    plans = []
+    for K, L, T in product(range(2, 5), repeat=3):
+        plans += [optimal_gasp_r(K, L, T), build_gasp_rs(K, L, T, 1, 1),
+                  build_dog(K, L, T, 1, 1)]
+        if K >= L >= T:
+            with contextlib.suppress(NoSolutionError):
+                plans.append(build_cat(K, L, T))
+        if K >= L > T:
+            plans.append(build_low_privacy(K, L, T))
+    for n in (2, 3):
+        plans += [build_qf_square(n), build_qf_power(n, 2, 3), build_qf_additive(n, 1, 1),
+                  build_qf_klt(n + 1, n), build_qf_kt(n, 2, 1), build_qf_kt_shift(n, 1, 1)]
+    assert len({plan.family for plan in plans}) == 12
+    for plan in plans:
+        for floor in (None, 100, 2_000_000_000):
+            assert _hosts_frame(plan, default_field(plan, floor).p), (plan, floor)
+    assert not _hosts_frame(GASP223, 7)  # 6 nonzero points for 13 servers
+    assert not _hosts_frame(build_cat(2, 2, 2), 13)  # 13 - 1 is not a multiple of q = 10
+
+
+@pytest.mark.parametrize("plan, prime", [
+    (GASP223, 131), (build_qf_klt(3, 2), None), (build_cat(2, 2, 2), None),
+    (build_cat(2, 2, 2), 50)])
+def test_sample_frame_picks_the_run_field(plan, prime):
+    _, frame, _ = make_frame(plan, prime=prime)
+    assert frame.ctx.p == default_field(plan, prime).p
+    assert run(plan, "classical", seed=1, prime=prime).modulus == frame.ctx.p
+
+
 # ---------------------------------------------------------------------------
 # encoding and server work
 # ---------------------------------------------------------------------------
@@ -139,7 +174,7 @@ def test_encode_no_noise_is_plain_evaluation():
                         alpha=(2,), beta=(3,), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(11)
     frame = EvalFrame(ctx=ctx, points=(2, 3))
-    f, g = encode_shares(plan, ctx, frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
+    f, g = encode_shares(plan, frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
     assert f.ravel().tolist() == [5 * 4 % 11, 5 * 9 % 11]
     assert g.ravel().tolist() == [4 * 8 % 11, 4 * 27 % 11]
     resp = server_compute(ctx, f, g)
@@ -151,7 +186,7 @@ def test_encode_single_block_single_noise():
                         alpha=(0, 1), beta=(0, 1), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(13)
     frame = EvalFrame(ctx=ctx, points=(5,))
-    f, _ = encode_shares(plan, ctx, frame, scalar_blocks([7]),
+    f, _ = encode_shares(plan, frame, scalar_blocks([7]),
                          scalar_blocks([2]), scalar_blocks([3]), scalar_blocks([0]))
     assert f.ravel().tolist() == [(7 + 3 * 5) % 13]
 
@@ -161,7 +196,7 @@ def test_encode_matches_hand_expanded_polynomial():
     a = [9, 17]
     nf = [30, 40, 50]
     for plan in (GASP223, GASP223_SWAPPED):
-        f, _ = encode_shares(plan, ctx, frame, scalar_blocks(a), scalar_blocks([1, 2]),
+        f, _ = encode_shares(plan, frame, scalar_blocks(a), scalar_blocks([1, 2]),
                              scalar_blocks(nf), scalar_blocks([0, 0, 0]))
         e0, e1 = (plan.alpha[i] for i in plan.info_alpha)  # A_k rides on these
         for srv, x in enumerate(frame.points):
@@ -180,7 +215,7 @@ def test_response_exponent_support():
     b = rng.integers(0, 131, size=2).tolist()
     nf = rng.integers(0, 131, size=3).tolist()
     ng = rng.integers(0, 131, size=3).tolist()
-    f, g = encode_shares(GASP223, ctx, frame, scalar_blocks(a), scalar_blocks(b),
+    f, g = encode_shares(GASP223, frame, scalar_blocks(a), scalar_blocks(b),
                          scalar_blocks(nf), scalar_blocks(ng))
     resp = server_compute(ctx, f, g)
     coeff_a = dict(zip(GASP223.alpha, [a[0], a[1], nf[0], nf[1], nf[2]]))
@@ -199,7 +234,7 @@ def test_zero_inputs_zero_response():
     ctx, frame, _ = make_frame(GASP223, prime=131)
     zeros = scalar_blocks([0, 0])
     nf = scalar_blocks([0, 0, 0])
-    f, g = encode_shares(GASP223, ctx, frame, zeros, zeros, nf, nf)
+    f, g = encode_shares(GASP223, frame, zeros, zeros, nf, nf)
     assert not server_compute(ctx, f, g).any()
 
 
@@ -228,8 +263,8 @@ def test_classical_decode_zero_matrix():
     b_blocks = scalar_blocks(rng.integers(0, 131, size=2).tolist())
     nf = scalar_blocks(rng.integers(0, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(0, 131, size=1).tolist())
-    f, g = encode_shares(plan, ctx, frame, a_blocks, b_blocks, nf, ng)
-    decoded = decode_classical(plan, ctx, frame, server_compute(ctx, f, g), (1, 1))
+    f, g = encode_shares(plan, frame, a_blocks, b_blocks, nf, ng)
+    decoded = decode_classical(plan, frame, server_compute(ctx, f, g), (1, 1))
     assert not decoded.any()
 
 
@@ -296,6 +331,33 @@ def test_run_reads_the_table_the_plan_built(monkeypatch, mode):
         build_qf_klt(3, 2)  # the patch reaches the plan's own build
 
 
+@pytest.mark.parametrize("plan", [GASP223, GASP223_SWAPPED, build_cat(2, 2, 2),
+                                  build_qf_klt(3, 2), build_low_privacy(4, 4, 2)])
+def test_quantum_layout_is_run_head_then_info_then_rest(plan):
+    table = plan.table
+    ce = -(-table.n_servers // 2)
+    layout = quantum_layout(plan)
+    start = longest_run(table.interference)[0]
+    assert layout[:ce] == list(range(start, start + ce))
+    assert layout[ce:ce + len(table.info)] == list(table.info)
+    rest = layout[ce + len(table.info):]
+    assert rest == sorted(rest) and sorted(layout) == sorted(table.exponents)
+
+
+def test_quantum_layout_of_gasp_puts_the_run_tail_last():
+    # the run is 4..12, but only its first ceil(13 / 2) = 7 exponents lead
+    assert quantum_layout(GASP223) == [4, 5, 6, 7, 8, 9, 10, 0, 2, 1, 3, 11, 12]
+    assert quantum_layout(GASP223_SWAPPED) == [4, 5, 6, 7, 8, 9, 10, 1, 3, 0, 2, 11, 12]
+
+
+def test_quantum_run_derives_its_layout_twice(monkeypatch):
+    calls = []
+    real = protocol.check_feasible
+    monkeypatch.setattr(protocol, "check_feasible", lambda plan: calls.append(plan) or real(plan))
+    assert run(GASP223, "quantum", seed=7, prime=131).decode_ok
+    assert len(calls) == 2  # the quantum gate, then the transfer matrix
+
+
 def test_quantum_requires_feasibility():
     want = r"interference run 3 < 4 for gasp_r\(2,2,1\); quantum mode unavailable"
     with pytest.raises(NotFeasibleError, match=want):
@@ -325,8 +387,8 @@ def test_undecodable_plan_refused_and_actually_breaks():
     b = scalar_blocks(rng.integers(1, 131, size=2).tolist())
     nf = scalar_blocks(rng.integers(1, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(1, 131, size=1).tolist())
-    f, g = encode_shares(broken, ctx, frame, a, b, nf, ng)
-    decoded = decode_classical(broken, ctx, frame, server_compute(ctx, f, g), (1, 1))
+    f, g = encode_shares(broken, frame, a, b, nf, ng)
+    decoded = decode_classical(broken, frame, server_compute(ctx, f, g), (1, 1))
     direct = np.block([[a[0] @ b[0], a[0] @ b[1]],
                        [a[1] @ b[0], a[1] @ b[1]]]) % 131
     assert not np.array_equal(decoded, direct)
@@ -340,7 +402,7 @@ def test_quantum_rate_doubles_classical_same_plan():
 def test_interference_isolation():
     plan = GASP223
     ctx, frame, _ = make_frame(plan, mode="quantum", prime=131, seed=6)
-    tm = quantum_transfer(plan, ctx, frame)
+    tm = quantum_transfer(plan, frame)
     rng = np.random.default_rng(8)
     x = rng.integers(0, 131, size=(2 * tm.n, 4))
     w = rng.integers(0, 131, size=(tm.n, 4))
@@ -359,7 +421,7 @@ def test_dims_must_divide():
         ProtocolConfig(plan=GASP223, dims=(3, 1, 2))
 
 
-@pytest.mark.parametrize("dims", [(-2, 1, 2), (2, 0, 2), (2, 1), (2, 1, 2, 1), (2.0, 1, 2)])
+@pytest.mark.parametrize("dims", [(-2, 1, 2), (2, 0, 2), (2, 1), (2, 1, 2, 1), (2.0, 1, 2), 5])
 def test_dims_must_be_three_positive_ints(dims):
     with pytest.raises(ShapeMismatchError, match="dims"):
         ProtocolConfig(plan=GASP223, dims=dims)
@@ -440,6 +502,15 @@ def test_rate_report_values():
     assert kt.rate / base.rate == 2
 
 
+def test_rate_report_rejects_an_unknown_mode():
+    with pytest.raises(ValueError) as config:
+        ProtocolConfig(plan=GASP223, mode="bogus")
+    with pytest.raises(ValueError) as rate:
+        rate_report(GASP223, "bogus")
+    assert str(rate.value) == str(config.value) == (
+        "mode must be classical or quantum, got 'bogus'")
+
+
 def test_noise_masks_shares_uniformly():
     # fixed inputs, fresh noise: a colluding pair's share tuple should be
     # uniform over F_p x F_p (chi-squared sanity check at 1% significance)
@@ -458,7 +529,7 @@ def test_noise_masks_shares_uniformly():
                      for x in frame.points[:2]])
     tuples = (base[None, :] + noise @ powers.T) % prime
     for row in range(3):
-        f, _ = encode_shares(plan, ctx, frame, a_blocks, b_blocks,
+        f, _ = encode_shares(plan, frame, a_blocks, b_blocks,
                              scalar_blocks(noise[row].tolist()), scalar_blocks([0, 0]))
         assert f[:2, 0, 0].tolist() == tuples[row].tolist()
     counts = np.bincount(tuples[:, 0] * prime + tuples[:, 1], minlength=prime * prime)
