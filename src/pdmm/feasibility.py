@@ -97,7 +97,11 @@ def t_hat_estimate(K: int, L: int) -> float:
     """Regression estimate of the minimum feasible privacy level.
 
     Quadratic fit for K = L, bivariate fit for K > L; both are empirical
-    fits over the surveyed parameter range, accurate to about +/- 1.
+    fits, not bounds.  For K <= 12, 76 of the 78 pairs K >= L have a
+    T_min <= 64 (not (12, 11) and (12, 12)), and 62 of those 76 lie
+    within +/- 1 of round(T_hat).  The misses: for L = 1, T_min is
+    always 1, while T_hat gives 3-8 for K >= 5; for L = 3 and K >= 9,
+    T_min exceeds round(T_hat) by 2-3; (12, 4) and (12, 6) fall 2 below.
     """
     if K < L:
         raise ParamOutOfRangeError("estimate requires K >= L")

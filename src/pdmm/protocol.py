@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -118,10 +118,21 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """Verdict of ``privacy_audit``.
+
+    ``method`` says how it was reached: "proof" (an arithmetic
+    progression of noise exponents covers every T-subset at once),
+    "enumerated" (every T-subset ranked) or "sampled" (``checked``
+    distinct random T-subsets ranked).  ``exhaustive`` is set for a
+    proof and an enumeration.  ``method`` plays no part in equality and
+    stays out of ``transcript_dump``.
+    """
+
     ok: bool
     checked: int
     exhaustive: bool
     failures: tuple[tuple[int, ...], ...] = ()
+    method: str = field(default="enumerated", compare=False)
 
 
 @dataclass(frozen=True)
@@ -374,21 +385,49 @@ def _check_audit_cap(cap) -> None:
         raise ValueError(f"audit_cap must be an integer >= 1, got {cap!r}")
 
 
+def _progression_proves(exps, points, t: int, p: int) -> bool:
+    """Whether T exponents e0 + j*d (j < T) of one noise side prove it private.
+
+    On those columns any T points x_i give the minor prod x_i^e0 *
+    V(x_i^d), a Vandermonde in x_i^d (the generalized-Vandermonde
+    argument of GASP, D'Oliveira, El Rouayheb and Karpuk, IEEE T-IT
+    2020).  It is nonzero for every T-subset when no x_i^e0 is 0 (e0 = 0
+    or no point is 0 mod p) and, for T >= 2, the x_i^d are pairwise
+    distinct over all the points.
+    """
+    present = set(exps)
+    has_zero = any(int(x) % p == 0 for x in points)
+    starts = [e0 for e0 in present if e0 == 0 or not has_zero]
+    if t == 1:
+        return bool(starts)
+    for d in sorted({b - a for a in present for b in present if b > a}):
+        if (any(all(e0 + j * d in present for j in range(1, t)) for e0 in starts)
+                and len({pow(int(x), d, p) for x in points}) == len(points)):
+            return True
+    return False
+
+
 def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
                   cap: int = 10_000, rng: np.random.Generator | None = None) -> AuditReport:
     """Rank check that noise acts as a one-time pad on any T server views.
 
-    For every T-subset of servers (exhaustive when C(N, T) <= cap, in
-    ``itertools.combinations`` order, else a seeded sample of cap subsets)
-    the noise-exponent power matrix must have full row rank, separately
-    for the alpha and beta sides.  Subsets are checked in chunks: each
+    For every T-subset of servers the noise-exponent power matrix must
+    have full row rank, separately for the alpha and beta sides.  When
+    the plan has noise and every non-empty side holds an arithmetic
+    progression of T exponents that ``_progression_proves`` accepts for
+    these points, that holds for all C(N, T) subsets at once: the
+    report is a proof with ``checked = C(N, T)``, whatever the cap, and
+    draws nothing from ``rng``.  Otherwise subsets are ranked: all of
+    them in ``itertools.combinations`` order when C(N, T) <= cap, else
+    the distinct ones among cap seeded draws, in first-draw order (all
+    cap draws are made either way).  Subsets are checked in chunks: each
     chunk's T-row slices of a side's power matrix form one stack whose
     ranks ``FieldContext.batch_rank`` computes at once.  Checking stops
     once 10 failing subsets are found; the report lists the first 10 in
-    enumeration order, and ``checked`` counts the subsets enumerated up to
-    and including the 10th failure.  A run that finds fewer failures
-    reports C(N, T) when exhaustive and cap when sampled.  Fewer than T
-    points raise ``ValueError``.
+    checking order, and ``checked`` counts the subsets ranked up to and
+    including the 10th failure.  A run that finds fewer failures
+    reports C(N, T) when enumerated and the number of distinct subsets
+    drawn when sampled.  Fewer than T points raise ``ValueError``.
     """
     _check_audit_cap(cap)
     t = plan.T
@@ -397,20 +436,24 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
         raise ValueError(f"privacy audit needs at least T = {t} points, got {n}")
     if t == 0:
         return AuditReport(ok=True, checked=0, exhaustive=True)
+    sides = [exps for exps in (plan.noise_alpha, plan.noise_beta) if exps]
+    total = math.comb(n, t)
+    if sides and all(_progression_proves(exps, points, t, ctx.p) for exps in sides):
+        return AuditReport(ok=True, checked=total, exhaustive=True, method="proof")
     # Plain powers rather than FieldContext.vandermonde: a repeated or zero
     # point must show up as a failing subset, not raise before the audit.
     powers = [np.array([[pow(int(x), e, ctx.p) for e in exps] for x in points],
                        dtype=np.int64)
-              for exps in (plan.noise_alpha, plan.noise_beta) if exps]
-    total = math.comb(n, t)
+              for exps in sides]
     exhaustive = total <= cap
     if exhaustive:
         subsets = combinations(range(n), t)
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        subsets = [tuple(sorted(rng.choice(n, size=t, replace=False).tolist()))
-                   for _ in range(cap)]
+        draws = [tuple(sorted(rng.choice(n, size=t, replace=False).tolist()))
+                 for _ in range(cap)]
+        subsets = dict.fromkeys(draws)
     pending = iter(subsets)
     failures = []
     checked = 0
@@ -422,8 +465,9 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
         hits = np.flatnonzero(bad)[:10 - len(failures)]
         failures.extend(tuple(row) for row in rows[hits].tolist())
         checked += len(rows) if len(failures) < 10 else int(hits[-1]) + 1
-    return AuditReport(ok=not failures, checked=checked,
-                       exhaustive=exhaustive, failures=tuple(failures))
+    return AuditReport(ok=not failures, checked=checked, exhaustive=exhaustive,
+                       failures=tuple(failures),
+                       method="enumerated" if exhaustive else "sampled")
 
 
 def rate_report(plan: ExponentPlan, mode: str) -> RateReport:

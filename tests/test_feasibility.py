@@ -177,6 +177,21 @@ def test_t_hat_values():
         t_hat_estimate(2, 3)
 
 
+def test_t_hat_misses_counted_in_its_docstring():
+    rows = feasibility_rows(range(1, 13), range(1, 13))
+    assert len(rows) == 78
+    found = {(r["K"], r["L"]): r["delta"] for r in rows if r["T_min_bruteforce"] is not None}
+    assert len(found) == 76 and {(12, 11), (12, 12)}.isdisjoint(found)
+    assert sum(abs(delta) <= 1 for delta in found.values()) == 62
+    for K in range(1, 13):
+        assert min_feasible_t(K, 1) == 1
+    assert [round(t_hat_estimate(K, 1)) for K in range(5, 13)] == [3, 4, 4, 5, 6, 6, 7, 8]
+    assert [found[K, 3] for K in range(9, 13)] == [2, 2, 2, 3]
+    misses = {key for key, delta in found.items() if abs(delta) > 1}
+    assert misses == {(K, 1) for K in range(5, 13)} | {(K, 3) for K in range(9, 13)} \
+        | {(12, 4), (12, 6)}
+
+
 def test_feasibility_rows():
     rows = feasibility_rows(range(2, 4))
     assert [row["K"] for row in rows] == [2, 3]

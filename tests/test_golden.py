@@ -4,7 +4,10 @@ The digests below were recorded before the degree-table facts were
 consolidated into ``outer_sum``, and those over the two large primes
 before ``FieldContext.matmul`` moved to float64 products; a refactor of
 the plan, feasibility, protocol or field layers must leave every byte of
-these dumps as it was.
+these dumps as it was.  ``lp443-quantum`` was re-recorded when the
+privacy audit learned to prove progression sides (its sampled audit had
+drawn from the run's generator), and ``gaspr333-sampled`` was recorded
+when a sampled audit started counting distinct subsets.
 """
 
 import hashlib
@@ -41,9 +44,20 @@ GOLDEN = [
     ("qfklt32-quantum", lambda: build_qf_klt(3, 2),
      dict(mode="quantum", seed=5),
      "cdfa6ab1c2e11e1b7fb11cc1d82dcb97a106e356825c7b18676e110c4efc5b0b"),
+    # C(42, 3) = 11480 > 500, but the noise exponents (0, 1, 2, 3) and
+    # (0, 1, 2) prove the audit, so no subsets are sampled and the dump
+    # is the one an exhaustive audit gives (next case)
     ("lp443-quantum", lambda: build_low_privacy(4, 4, 3),
      dict(mode="quantum", seed=3, audit_cap=500),
-     "4219c3d5645d4ef8db331f4873b8602066707d351419f1301df05869692c23be"),
+     "8c485f13254d595f800ff57afcd4db559a2892593c553f5eedcd264a085f5970"),
+    # recorded when this audit still ranked all 11480 subsets
+    ("lp443-quantum-exhaustive", lambda: build_low_privacy(4, 4, 3),
+     dict(mode="quantum", seed=3, audit_cap=11480),
+     "8c485f13254d595f800ff57afcd4db559a2892593c553f5eedcd264a085f5970"),
+    # alpha noise (9, 10, 12) holds no progression of 3: a sampled audit
+    ("gaspr333-sampled", lambda: optimal_gasp_r(3, 3, 3),
+     dict(mode="classical", seed=0, prime=100_000, audit_cap=500),
+     "f60c590f10cd61708bca8283c7fc6c45a468b91bafe3fab44875d3a209f342c6"),
     # p = 2000000011: (p - 1)^2 > 2^53, so products split into 16-bit limbs
     ("gaspr223opt-classical-limbs", lambda: optimal_gasp_r(2, 2, 3),
      dict(mode="classical", seed=7, dims=(4, 6, 6), prime=2_000_000_000),

@@ -485,9 +485,16 @@ def test_audit_needs_at_least_t_points():
 
 
 def test_audit_sampling_above_cap():
-    plan = build_qf_square(2)  # C(39, 4) = 82251
+    plan = build_qf_square(2)  # C(39, 4) = 82251, noise exponents 0..3 on both sides
     ctx, frame, audit = make_frame(plan, seed=4)
-    assert audit.ok and not audit.exhaustive and audit.checked == 10_000
+    assert audit.ok and audit.exhaustive and audit.checked == 82251
+    assert audit.method == "proof"
+
+
+def test_large_quantum_run_proves_its_audit():
+    t = run_protocol(ProtocolConfig(plan=build_qf_square(3), mode="quantum", seed=1))
+    assert t.decode_ok and t.audit.method == "proof" and t.audit.exhaustive
+    assert t.audit.checked == 423793110276910  # C(179, 9)
 
 
 def test_rate_report_values():
