@@ -69,7 +69,6 @@ from .protocol import (
     ProtocolConfig,
     RateReport,
     ResampleExhaustedError,
-    SingularGeneratorError,
     Transcript,
     decode_classical,
     decode_quantum,

@@ -10,7 +10,8 @@ Subcommands:
 * ``sweep``: rate comparison grids (quantum family vs classical
   baseline) as CSV.  Each row's plan comes from the same ``_BUILDERS``
   entry ``construct`` uses, with the family's ``_SWEEP_AXES`` flag set
-  to one value of ``--range``.
+  to one value of ``--range``.  A plan that cannot run in quantum mode
+  gets empty quantum rate and ratio cells.
 
 All output is deterministic for a fixed ``--seed``; CSV has a header
 row, LF line endings, exact integers, rationals as ``num/den`` next to
@@ -27,7 +28,14 @@ import sys
 
 from . import degree_tables as dt
 from . import feasibility as fs
-from .protocol import ProtocolConfig, rate_ratio, rate_report, run_protocol, transcript_dump
+from .protocol import (
+    NotFeasibleError,
+    ProtocolConfig,
+    rate_ratio,
+    rate_report,
+    run_protocol,
+    transcript_dump,
+)
 
 
 def _add_family_arguments(parser: argparse.ArgumentParser, families, skip=""):
@@ -186,16 +194,21 @@ def _cmd_sweep(args) -> int:
         if k_follows:
             args.K = value
         plan = _BUILDERS[args.family](args)
-        baseline = _classical_baseline(plan)
-        quantum = rate_report(plan, "quantum")
-        classical = rate_report(baseline, "classical")
-        ratio = rate_ratio(quantum, classical)
+        classical = rate_report(_classical_baseline(plan), "classical")
+        try:
+            quantum = rate_report(plan, "quantum")
+        except NotFeasibleError:
+            quantum_cells = ["", "", "", ""]
+        else:
+            ratio = rate_ratio(quantum, classical)
+            quantum_cells = [
+                f"{2 * plan.K * plan.L}/{quantum.n_servers}", f"{float(quantum.rate):.6f}",
+                f"{ratio.numerator}/{ratio.denominator}", f"{float(ratio):.6f}"]
         rows.append([
             plan.family, plan.K, plan.L, plan.T,
-            classical.n_servers, quantum.n_servers,
+            classical.n_servers, plan.table.n_servers,
             f"{plan.K * plan.L}/{classical.n_servers}", f"{float(classical.rate):.6f}",
-            f"{2 * plan.K * plan.L}/{quantum.n_servers}", f"{float(quantum.rate):.6f}",
-            f"{ratio.numerator}/{ratio.denominator}", f"{float(ratio):.6f}",
+            *quantum_cells,
         ])
     rows.sort(key=lambda row: (row[1], row[2], row[3]))
     _write_csv(args, ["family", "K", "L", "T", "N_classical", "N_quantum",

@@ -93,12 +93,19 @@ class EvalFrame:
     ones, so ``v`` is the one vector that makes the ``shift``-shifted GRS
     codes on ones and on ``v`` dual, and the frame computes it.
     Classical frames leave ``shift`` and ``v`` as None.
+
+    ``inverse`` is the inverse of the N x N generator on the points and
+    the table exponents of the plan the frame was sampled for, in table
+    order; both decoders read it, so the run eliminates its generator
+    once.  ``protocol.sample_frame`` sets it, and a frame built without
+    it cannot be decoded.  It plays no part in equality.
     """
 
     ctx: FieldContext
     points: tuple[int, ...]
     shift: int | None = None
     v: tuple[int, ...] | None = field(init=False, default=None)
+    inverse: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(_admissible_points(self.points, self.ctx.p))

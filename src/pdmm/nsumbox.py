@@ -37,9 +37,11 @@ class SingularStackError(ValueError):
 class TransferMatrix:
     """Receiver map m with its stabilizer block g and readout block h.
 
-    Invariants (checked at construction): g is SSO, [g h] invertible,
-    m g = 0 and m h = I.  Inputs in the column span of g vanish; the
-    receiver sees exactly the h-coordinates.
+    Invariants (checked at construction): g is SSO, m g = 0 and m h = I.
+    [g h] must also be invertible: ``build_transfer`` finds that out by
+    elimination, and ``protocol.quantum_transfer`` has it from the
+    frame's invertible generator.  Inputs in the column span of g
+    vanish; the receiver sees exactly the h-coordinates.
     """
 
     ctx: FieldContext
@@ -47,31 +49,30 @@ class TransferMatrix:
     g: np.ndarray
     h: np.ndarray
 
+    def __post_init__(self):
+        if not sso_check(self.ctx, self.g):
+            raise NotSSOError("stabilizer block is not symplectic self-orthogonal")
+        if np.any(self.ctx.matmul(self.m, self.g) != 0):
+            raise AssertionError("transfer law m g = 0 failed")
+        if np.any(self.ctx.matmul(self.m, self.h) != self.ctx.identity(self.n)):
+            raise AssertionError("transfer law m h = I failed")
+
     @property
     def n(self) -> int:
         return self.m.shape[0]
 
 
 def build_transfer(ctx: FieldContext, g, h) -> TransferMatrix:
-    """Assemble M = [0 I] [G H]^-1 after validating both blocks."""
+    """Assemble M = [0 I] [G H]^-1 from two 2N x N blocks by elimination."""
     g = ctx.asarray(g)
     h = ctx.asarray(h)
     if g.ndim != 2 or h.ndim != 2 or g.shape != h.shape or g.shape[0] != 2 * g.shape[1]:
         raise ShapeMismatchError(f"need two 2N x N blocks, got {g.shape} and {h.shape}")
-    if not sso_check(ctx, g):
-        raise NotSSOError("stabilizer block is not symplectic self-orthogonal")
-    n = g.shape[1]
-    stack = np.hstack([g, h])
     try:
-        inv = ctx.mat_inverse(stack)
+        inv = ctx.mat_inverse(np.hstack([g, h]))
     except SingularMatrixError as exc:
         raise SingularStackError("[G H] is singular") from exc
-    m = inv[n:, :]  # [0_N I_N] [G H]^-1
-    if np.any(ctx.matmul(m, g) != 0):
-        raise AssertionError("transfer law m g = 0 failed")
-    if np.any(ctx.matmul(m, h) != ctx.identity(n)):
-        raise AssertionError("transfer law m h = I failed")
-    return TransferMatrix(ctx=ctx, m=m, g=g, h=h)
+    return TransferMatrix(ctx=ctx, m=inv[g.shape[1]:], g=g, h=h)  # [0_N I_N] [G H]^-1
 
 
 def apply_box(tm: TransferMatrix, x) -> np.ndarray:

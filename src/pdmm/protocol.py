@@ -3,17 +3,20 @@
 One run: slice A into K row bands and B into L column bands, mask both
 with fresh noise blocks, evaluate the encoding polynomials at the
 frame's points to get per-server shares, multiply the shares at each
-server, then recover the block products either classically (invert the
-generator on all table exponents) or through the transfer matrix (two
-independent instances per download).  All arithmetic is exact, so a
-decoded product either equals the true one or the run is reported
-broken; there is no tolerance anywhere.
+server, then recover the block products either classically (one product
+of the generator inverse with the responses) or through the transfer
+matrix built from the same inverse (two independent instances per
+download).  All arithmetic is exact, so a decoded product either equals
+the true one or the run is reported broken; there is no tolerance
+anywhere.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order, and every
-frame is validated (generator invertibility plus the privacy rank
-audit) before use, resampling as needed.  The frame carries its run's
-field, and every later stage works over ``frame.ctx``.
+frame is validated (generator rank plus the privacy rank audit) before
+use, resampling as needed.  The frame carries its run's field, and every
+later stage works over ``frame.ctx``.  The accepted frame also carries
+the inverse of its generator on all table exponents, the run's only
+inversion, which both decoders read.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 
 from .degree_tables import ExponentPlan, check_decodable, plan_record
 from .feasibility import check_feasible, longest_run
-from .gf import FieldContext, SingularMatrixError, element_of_order, is_prime, next_prime
+from .gf import FieldContext, element_of_order, is_prime, next_prime
 from .grs import EvalFrame, ShapeMismatchError
-from .nsumbox import TransferMatrix, apply_box, build_transfer
+from .nsumbox import TransferMatrix, apply_box
 
 __all__ = [
     "ProtocolConfig",
@@ -39,7 +42,6 @@ __all__ = [
     "RateReport",
     "ResampleExhaustedError",
     "NotFeasibleError",
-    "SingularGeneratorError",
     "default_field",
     "sample_frame",
     "encode_shares",
@@ -61,10 +63,6 @@ class ResampleExhaustedError(RuntimeError):
 
 class NotFeasibleError(ValueError):
     """The plan's interference run is too short for quantum decoding."""
-
-
-class SingularGeneratorError(SingularMatrixError):
-    """Generator matrix was singular at decode time (precluded by sampling)."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,9 @@ def sample_frame(cfg: ProtocolConfig,
 
     The field is ``default_field(cfg.plan, cfg.prime)``, and the frame
     carries it as ``frame.ctx``.  Admissible means the N x N generator on
-    all table exponents is invertible and the privacy rank audit passes.
+    all table exponents has full rank and the privacy rank audit passes.
+    Every attempt checks the rank, the cheaper elimination; only the
+    accepted frame inverts its generator, into ``frame.inverse``.
     Cyclic plans use the fixed coset of an order-q element instead of
     sampling.  Quantum frames carry the interference run start as their
     shift, from which the frame derives its dual multipliers.
@@ -226,7 +226,8 @@ def sample_frame(cfg: ProtocolConfig,
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
         if not audit.ok:
             return _AUDIT_FAILED
-        return EvalFrame(ctx, tuple(points), shift if quantum else None), audit
+        frame = EvalFrame(ctx, tuple(points), shift if quantum else None, ctx.mat_inverse(gen))
+        return frame, audit
 
     if plan.modulus_q:
         omega = element_of_order(plan.modulus_q, ctx.p)
@@ -290,19 +291,23 @@ def _assemble(plan, info_rows, block_shape):
                      for k in range(plan.K)])
 
 
+def _generator_inverse(frame: EvalFrame) -> np.ndarray:
+    if frame.inverse is None:
+        raise ValueError("frame carries no generator inverse; sample it with sample_frame")
+    return frame.inverse
+
+
 def decode_classical(plan: ExponentPlan, frame: EvalFrame,
                      responses, block_shape) -> np.ndarray:
-    """Solve the generator system and assemble the product from info sums."""
-    ctx = frame.ctx
-    table = plan.table
-    exps = table.exponents
-    gen = ctx.vandermonde(frame.points, exps)
-    flat = ctx.asarray(responses).reshape(len(frame.points), -1)
-    try:
-        coeffs = ctx.mat_solve(gen, flat)
-    except SingularMatrixError as exc:
-        raise SingularGeneratorError("generator singular at decode time") from exc
-    return _assemble(plan, coeffs[[exps.index(e) for e in table.info]], block_shape)
+    """Assemble the product from the info-sum coefficients of the responses.
+
+    Those coefficients are the info-sum rows of ``frame.inverse`` times
+    the responses, so decoding is one product and no elimination.
+    """
+    exps = plan.table.exponents
+    rows = _generator_inverse(frame)[[exps.index(e) for e in plan.table.info]]
+    flat = frame.ctx.asarray(responses).reshape(frame.n, -1)
+    return _assemble(plan, frame.ctx.matmul(rows, flat), block_shape)
 
 
 def quantum_layout(plan: ExponentPlan) -> list[int]:
@@ -325,22 +330,33 @@ def quantum_layout(plan: ExponentPlan) -> list[int]:
 def quantum_transfer(plan: ExponentPlan, frame: EvalFrame) -> TransferMatrix:
     """Transfer matrix for a plan: dual-scaled run columns stabilized.
 
-    The stabilizer block pairs the plain run columns (the first
-    instance's multipliers are all ones) with the same columns scaled by
-    the frame's dual multipliers ``v``.
+    With Q the generator in ``quantum_layout`` column order, the
+    stabilizer block g pairs Q's first floor(N/2) columns (the first
+    instance's multipliers are all ones) with the first ceil(N/2)
+    columns of D_v Q, D_v = diag of the frame's dual multipliers; the
+    readout block h holds the remaining columns.  Up to a column
+    permutation [g h] = blockdiag(Q, D_v Q), so M = [0 I] [g h]^-1 is
+    blockdiag(Q^-1[fl:], Q^-1[ce:] D_v^-1), fl = floor(N/2) and
+    ce = ceil(N/2).  Q^-1 is ``frame.inverse`` with its rows in layout
+    order, so M needs no elimination; ``TransferMatrix`` checks its laws.
     """
     if frame.v is None:
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
     ctx = frame.ctx
     n = frame.n
-    qmat = ctx.vandermonde(frame.points, quantum_layout(plan))
+    layout = quantum_layout(plan)
+    q_inv = _generator_inverse(frame)[[plan.table.exponents.index(e) for e in layout]]
+    qmat = ctx.vandermonde(frame.points, layout)
     v = ctx.asarray(frame.v)[:, None]
+    v_inv = np.array([ctx.inv(x) for x in frame.v], dtype=np.int64)
     fl, ce = n // 2, -(-n // 2)
     g = np.block([[qmat[:, :fl], np.zeros((n, ce), dtype=np.int64)],
                   [np.zeros((n, fl), dtype=np.int64), v * qmat[:, :ce] % ctx.p]])
     h = np.block([[qmat[:, fl:], np.zeros((n, fl), dtype=np.int64)],
                   [np.zeros((n, ce), dtype=np.int64), v * qmat[:, ce:] % ctx.p]])
-    return build_transfer(ctx, g, h)
+    m = np.block([[q_inv[fl:], np.zeros((ce, n), dtype=np.int64)],
+                  [np.zeros((fl, n), dtype=np.int64), q_inv[ce:] * v_inv % ctx.p]])
+    return TransferMatrix(ctx, m, g, h)
 
 
 def decode_quantum(plan: ExponentPlan, frame: EvalFrame,
@@ -471,8 +487,14 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
 
 
 def rate_report(plan: ExponentPlan, mode: str) -> RateReport:
-    """Useful block products per downloaded symbol, exact."""
+    """Useful block products per downloaded symbol, exact.
+
+    A quantum rate exists only for a plan the protocol will run:
+    ``quantum_layout`` gates it and raises ``NotFeasibleError``.
+    """
     _check_mode(mode)
+    if mode == "quantum":
+        quantum_layout(plan)
     n = plan.table.n_servers
     instances = 2 if mode == "quantum" else 1
     return RateReport(rate=Fraction(instances * plan.K * plan.L, n),
@@ -490,12 +512,10 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     report = check_decodable(plan)
     if not report.ok:
         raise ValueError(f"plan is not decodable: {report.reason}")
-    if cfg.mode == "quantum":
-        quantum_layout(plan)
+    rate = rate_report(plan, cfg.mode)  # the quantum gate
     rng = np.random.default_rng(cfg.seed)
     frame, audit = sample_frame(cfg, rng)
     ctx = frame.ctx
-    rate = rate_report(plan, cfg.mode)
     ra, inner, cb = cfg.block_dims
 
     def draw(*shape):

@@ -5,7 +5,8 @@ import pytest
 
 import pdmm.cli as cli
 from pdmm.cli import main
-from pdmm.degree_tables import parse_plan_record
+from pdmm.degree_tables import build_cat, parse_plan_record
+from pdmm.protocol import NotFeasibleError, ProtocolConfig, run_protocol
 
 
 def invoke(capsys, *argv):
@@ -177,6 +178,20 @@ def test_sweep_low_privacy_gain_bounded(capsys):
     ratios = [float(r["ratio_decimal"]) for r in parse_csv(out)]
     assert all(r <= 1.5 for r in ratios)
     assert ratios[-1] < ratios[0]  # gain shrinks as L grows
+
+
+def test_sweep_gives_a_quantum_rate_only_to_plans_quantum_mode_runs(capsys):
+    code, out, _ = invoke(capsys, "sweep", "cat", "--range", "2:4", "-L", "2", "-T", "2")
+    assert code == 0
+    rows = {int(r["K"]): r for r in parse_csv(out)}
+    quantum = ("R_Q", "R_Q_decimal", "ratio", "ratio_decimal")
+    assert [rows[2][c] for c in quantum] == ["8/10", "0.800000", "2/1", "2.000000"]
+    assert run_protocol(ProtocolConfig(plan=build_cat(2, 2, 2), mode="quantum")).decode_ok
+    for k in (3, 4):
+        assert [rows[k][c] for c in quantum] == ["", "", "", ""]
+        assert rows[k]["N_quantum"] == rows[k]["N_classical"] == str(3 * k + 4)
+        with pytest.raises(NotFeasibleError):
+            run_protocol(ProtocolConfig(plan=build_cat(k, 2, 2), mode="quantum"))
 
 
 @pytest.mark.parametrize("family, flags", [

@@ -1,0 +1,173 @@
+"""The frame's generator inverse against the eliminations it replaced.
+
+``sample_frame`` inverts the generator of the frame it accepts, once,
+into ``frame.inverse``.  ``decode_classical`` multiplies its info-sum
+rows with the responses where it used to solve the generator system
+(``ctx.mat_solve``), and ``quantum_transfer`` reads the transfer matrix
+off it where it used to invert the 2N x 2N stack [G H]
+(``nsumbox.build_transfer``).  Both are checked against those
+eliminations on every feasible builder plan with N <= 60 of a small
+grid, over each plan's default field and over the floor 10007.
+"""
+
+import functools
+from itertools import product
+
+import numpy as np
+import pytest
+
+from pdmm import protocol
+from pdmm.degree_tables import (
+    build_cat,
+    build_dog,
+    build_gasp_r,
+    build_gasp_rs,
+    build_low_privacy,
+    build_qf_additive,
+    build_qf_klt,
+    build_qf_kt,
+    build_qf_kt_shift,
+    build_qf_power,
+    build_qf_square,
+)
+from pdmm.feasibility import check_feasible
+from pdmm.gf import FieldContext
+from pdmm.grs import EvalFrame
+from pdmm.nsumbox import TransferMatrix, build_transfer
+from pdmm.protocol import (
+    ProtocolConfig,
+    decode_classical,
+    decode_quantum,
+    quantum_transfer,
+    sample_frame,
+)
+
+FLOORS = (None, 10_007)
+
+
+def builder_plans():
+    """One plan per distinct (alpha, beta, info) among the feasible plans with
+    N <= 60: K, L, T, r <= 4 and, for gasp_rs and dog_rs, r, s <= 2; qf_klt
+    and the other qf builders with every argument <= 4, and qf_square(2)."""
+    small = range(1, 5)
+    calls = [(build_qf_klt, args) for args in product(small, repeat=2)]
+    calls.append((build_qf_square, (2,)))
+    for K, L, T in product(small, repeat=3):
+        calls += [(build_cat, (K, L, T)), (build_low_privacy, (K, L, T))]
+        calls += [(build_gasp_r, (K, L, T, r)) for r in small]
+        calls += [(build, (K, L, T, r, s)) for build in (build_gasp_rs, build_dog)
+                  for r, s in product((1, 2), repeat=2)]
+    for args in product(small, repeat=3):
+        calls += [(build, args) for build in (build_qf_power, build_qf_additive,
+                                              build_qf_kt, build_qf_kt_shift)]
+    plans = {}
+    for build, args in calls:
+        try:
+            plan = build(*args)
+        except ValueError:
+            continue
+        if plan.table.n_servers <= 60 and check_feasible(plan).feasible:
+            plans.setdefault((plan.alpha, plan.beta, plan.info_alpha, plan.info_beta), plan)
+    return list(plans.values())
+
+
+@functools.cache
+def sampled():
+    """(plan, quantum frame) for every grid plan and floor.
+
+    The audit is not under test here, so its cap of 1 subset keeps
+    sampling to about one attempt per frame.
+    """
+    cases = []
+    for plan in builder_plans():
+        for floor in FLOORS:
+            cfg = ProtocolConfig(plan=plan, mode="quantum", seed=1, prime=floor, audit_cap=1)
+            frame, _ = sample_frame(cfg, np.random.default_rng(cfg.seed))
+            cases.append((plan, frame))
+    return cases
+
+
+def test_sampled_frames_carry_their_generator_inverse():
+    cases = sampled()
+    assert len({plan.family for plan, _ in cases}) == 12
+    assert any(plan.modulus_q for plan, _ in cases)  # a cyclic frame, cat_x
+    assert 55 <= max(frame.n for _, frame in cases) <= 60
+    for plan, frame in cases:
+        ctx = frame.ctx
+        gen = ctx.vandermonde(frame.points, plan.table.exponents)
+        assert np.array_equal(ctx.matmul(frame.inverse, gen), ctx.identity(frame.n)), plan
+
+
+def classical_mismatches():
+    """Grid cases where ``decode_classical`` differs from solving the generator system."""
+    rng = np.random.default_rng(0)
+    bad = []
+    for plan, frame in sampled():
+        ctx = frame.ctx
+        exps = plan.table.exponents
+        responses = rng.integers(0, ctx.p, size=(frame.n, 1, 2))
+        coeffs = ctx.mat_solve(ctx.vandermonde(frame.points, exps),
+                               responses.reshape(frame.n, -1))
+        want = protocol._assemble(plan, coeffs[[exps.index(e) for e in plan.table.info]], (1, 2))
+        if not np.array_equal(decode_classical(plan, frame, responses, (1, 2)), want):
+            bad.append((plan, frame.ctx.p))
+    return bad
+
+
+def test_classical_decode_matches_solving_the_generator_system():
+    assert classical_mismatches() == []
+
+
+def test_differential_check_catches_an_inverse_read_transposed(monkeypatch):
+    monkeypatch.setattr(protocol, "_generator_inverse", lambda frame: frame.inverse.T)
+    assert classical_mismatches()
+
+
+def transfer_mismatches(transfer=quantum_transfer):
+    """Grid cases where ``transfer``'s m differs from eliminating its own [g h]."""
+    bad = []
+    for plan, frame in sampled():
+        tm = transfer(plan, frame)
+        want = build_transfer(frame.ctx, tm.g, tm.h).m
+        if not (tm.m.dtype == want.dtype and np.array_equal(tm.m, want)):
+            bad.append((plan, frame.ctx.p))
+    return bad
+
+
+def test_structured_transfer_matches_eliminating_the_stack():
+    assert transfer_mismatches() == []
+
+
+def without_dv_inverse(plan, frame, checked=False):
+    """``quantum_transfer`` with D_v^-1 dropped: every inverse v_i^-1 reads as 1.
+
+    Unless ``checked``, the transfer-law checks are off too, so that
+    only a differential check can catch the wrong m.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldContext, "inv", lambda self, x: 1)
+        if not checked:
+            mp.setattr(TransferMatrix, "__post_init__", lambda self: None)
+        return quantum_transfer(plan, frame)
+
+
+def test_differential_check_catches_a_transfer_without_dv_inverse():
+    assert transfer_mismatches(without_dv_inverse)
+
+
+def test_transfer_laws_catch_a_transfer_without_dv_inverse():
+    plan, frame = sampled()[0]
+    with pytest.raises(AssertionError, match="transfer law m g = 0 failed"):
+        without_dv_inverse(plan, frame, checked=True)
+
+
+def test_frame_without_inverse_cannot_be_decoded():
+    plan, frame = sampled()[0]
+    bare = EvalFrame(frame.ctx, frame.points, frame.shift)
+    assert bare == frame and bare.inverse is None  # the inverse plays no part in equality
+    zeros = np.zeros((bare.n, 1, 1), dtype=np.int64)
+    want = r"^frame carries no generator inverse; sample it with sample_frame$"
+    with pytest.raises(ValueError, match=want):
+        decode_classical(plan, bare, zeros, (1, 1))
+    with pytest.raises(ValueError, match=want):
+        decode_quantum(plan, bare, (zeros, zeros), (1, 1))

@@ -4,7 +4,13 @@ import pytest
 from pdmm.degree_tables import build_gasp_r
 from pdmm.gf import FieldContext
 from pdmm.grs import ShapeMismatchError
-from pdmm.nsumbox import NotSSOError, SingularStackError, apply_box, build_transfer
+from pdmm.nsumbox import (
+    NotSSOError,
+    SingularStackError,
+    TransferMatrix,
+    apply_box,
+    build_transfer,
+)
 from pdmm.protocol import ProtocolConfig, quantum_transfer, sample_frame
 
 
@@ -72,6 +78,19 @@ def test_build_transfer_rejects_bad_blocks():
         build_transfer(ctx, g, g)
     with pytest.raises(ShapeMismatchError):
         build_transfer(ctx, np.zeros((3, 1)), np.zeros((3, 1)))
+
+
+def test_transfer_matrix_checks_its_laws_at_construction():
+    ctx = FieldContext(11)
+    g, h = np.array([[1], [0]]), np.array([[0], [1]])
+    assert TransferMatrix(ctx, np.array([[0, 1]]), g, h).n == 1
+    with pytest.raises(AssertionError, match="transfer law m g = 0 failed"):
+        TransferMatrix(ctx, np.array([[1, 1]]), g, h)
+    with pytest.raises(AssertionError, match="transfer law m h = I failed"):
+        TransferMatrix(ctx, np.array([[0, 2]]), g, h)
+    not_sso = np.array([[1, 0], [0, 1], [0, 1], [0, 0]])
+    with pytest.raises(NotSSOError):
+        TransferMatrix(ctx, np.zeros((2, 4), dtype=np.int64), not_sso, not_sso)
 
 
 def test_apply_box_shape_check():

@@ -364,6 +364,8 @@ def test_quantum_requires_feasibility():
         run(build_gasp_r(2, 2, 1, 1), "quantum")
     with pytest.raises(NotFeasibleError, match=want):
         quantum_layout(build_gasp_r(2, 2, 1, 1))
+    with pytest.raises(NotFeasibleError, match=want):
+        rate_report(build_gasp_r(2, 2, 1, 1), "quantum")
     # decodability is checked first: this plan is undecodable and infeasible
     collide = ExponentPlan(family="gasp_r", K=2, L=2, T=1,
                            alpha=(0, 1, 1), beta=(0, 2, 4),
@@ -381,7 +383,9 @@ def test_undecodable_plan_refused_and_actually_breaks():
         run(broken, "classical")
     # the refusal is not spurious: decoding that plan garbles the product
     ctx = FieldContext(131)
-    frame = EvalFrame(ctx=ctx, points=tuple(range(2, 2 + 8)))
+    points = tuple(range(2, 2 + 8))
+    frame = EvalFrame(ctx=ctx, points=points,
+                      inverse=ctx.mat_inverse(ctx.vandermonde(points, broken.table.exponents)))
     rng = np.random.default_rng(0)
     a = scalar_blocks(rng.integers(1, 131, size=2).tolist())
     b = scalar_blocks(rng.integers(1, 131, size=2).tolist())
