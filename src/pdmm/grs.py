@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .degree_tables import ExponentPlan
 from .gf import FieldContext, _admissible_points
 
 __all__ = [
@@ -94,11 +95,13 @@ class EvalFrame:
     codes on ones and on ``v`` dual, and the frame computes it.
     Classical frames leave ``shift`` and ``v`` as None.
 
-    ``inverse`` is the inverse of the N x N generator on the points and
-    the table exponents of the plan the frame was sampled for, in table
-    order; both decoders read it, so the run eliminates its generator
-    once.  ``protocol.sample_frame`` sets it, and a frame built without
-    it cannot be decoded.  It plays no part in equality.
+    ``plan`` is the plan the frame was sampled for, ``generator`` the
+    N x N generator on the points and that plan's table exponents, in
+    table order, and ``inverse`` its inverse.  ``protocol.sample_frame``
+    sets all three, so every stage that reads the frame's matrices takes
+    its plan from the frame: the decoders read the inverse, and the
+    quantum transfer matrix permutes both.  A frame built without them
+    cannot be decoded.  They play no part in equality.
     """
 
     ctx: FieldContext
@@ -106,6 +109,8 @@ class EvalFrame:
     shift: int | None = None
     v: tuple[int, ...] | None = field(init=False, default=None)
     inverse: np.ndarray | None = field(default=None, compare=False, repr=False)
+    plan: ExponentPlan | None = field(default=None, compare=False, repr=False)
+    generator: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         pts = tuple(_admissible_points(self.points, self.ctx.p))

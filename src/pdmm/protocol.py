@@ -5,18 +5,20 @@ with fresh noise blocks, evaluate the encoding polynomials at the
 frame's points to get per-server shares, multiply the shares at each
 server, then recover the block products either classically (one product
 of the generator inverse with the responses) or through the transfer
-matrix built from the same inverse (two independent instances per
-download).  All arithmetic is exact, so a decoded product either equals
-the true one or the run is reported broken; there is no tolerance
-anywhere.
+matrix built from the same generator and inverse (two independent
+instances per download).  All arithmetic is exact, so a decoded product
+either equals the true one or the run is reported broken; there is no
+tolerance anywhere.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order, and every
 frame is validated (generator rank plus the privacy rank audit) before
 use, resampling as needed.  The frame carries its run's field, and every
 later stage works over ``frame.ctx``.  The accepted frame also carries
-the inverse of its generator on all table exponents, the run's only
-inversion, which both decoders read.
+the plan it was sampled for, its generator on all table exponents and
+that generator's inverse, the run's only inversion.  The decoders take
+just the frame and the server products, and read the plan, the
+matrices and the block shape off them.
 """
 
 from __future__ import annotations
@@ -200,8 +202,10 @@ def sample_frame(cfg: ProtocolConfig,
     The field is ``default_field(cfg.plan, cfg.prime)``, and the frame
     carries it as ``frame.ctx``.  Admissible means the N x N generator on
     all table exponents has full rank and the privacy rank audit passes.
-    Every attempt checks the rank, the cheaper elimination; only the
-    accepted frame inverts its generator, into ``frame.inverse``.
+    Every attempt builds the generator and checks its rank, the cheaper
+    elimination; only the accepted frame inverts it.  The accepted frame
+    carries the plan as ``frame.plan``, the generator as
+    ``frame.generator`` and its inverse as ``frame.inverse``.
     Cyclic plans use the fixed coset of an order-q element instead of
     sampling.  Quantum frames carry the interference run start as their
     shift, from which the frame derives its dual multipliers.
@@ -226,8 +230,8 @@ def sample_frame(cfg: ProtocolConfig,
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
         if not audit.ok:
             return _AUDIT_FAILED
-        frame = EvalFrame(ctx, tuple(points), shift if quantum else None, ctx.mat_inverse(gen))
-        return frame, audit
+        return EvalFrame(ctx, tuple(points), shift if quantum else None,
+                         inverse=ctx.mat_inverse(gen), plan=plan, generator=gen), audit
 
     if plan.modulus_q:
         omega = element_of_order(plan.modulus_q, ctx.p)
@@ -286,26 +290,41 @@ def server_compute(ctx: FieldContext, shares_f, shares_g) -> np.ndarray:
 
 
 def _assemble(plan, info_rows, block_shape):
-    """Lay K*L coefficient rows, given in row-major (k, l) order, as the K x L grid."""
+    """Lay the first K*L coefficient rows, in row-major (k, l) order, as the K x L grid."""
     return np.block([[info_rows[k * plan.L + l].reshape(block_shape) for l in range(plan.L)]
                      for k in range(plan.K)])
 
 
-def _generator_inverse(frame: EvalFrame) -> np.ndarray:
-    if frame.inverse is None:
+def _sampled_plan(frame: EvalFrame) -> ExponentPlan:
+    """The plan ``frame`` was sampled for; raises for a frame built without it."""
+    if frame.plan is None or frame.inverse is None:
         raise ValueError("frame carries no generator inverse; sample it with sample_frame")
-    return frame.inverse
+    return frame.plan
 
 
-def decode_classical(plan: ExponentPlan, frame: EvalFrame,
-                     responses, block_shape) -> np.ndarray:
+def _block_shape(frame: EvalFrame, *responses) -> tuple[int, int]:
+    """The (ra, cb) of server products all shaped (N, ra, cb); else ``ShapeMismatchError``."""
+    shape, *others = {np.shape(r) for r in responses}
+    if others or len(shape) != 3 or shape[0] != frame.n:
+        raise ShapeMismatchError(
+            f"expected {frame.n} server products of one (N, ra, cb) shape, got shapes "
+            + ", ".join(str(np.shape(r)) for r in responses))
+    return shape[1:]
+
+
+def decode_classical(frame: EvalFrame, responses) -> np.ndarray:
     """Assemble the product from the info-sum coefficients of the responses.
 
-    Those coefficients are the info-sum rows of ``frame.inverse`` times
-    the responses, so decoding is one product and no elimination.
+    ``frame`` is a sampled frame, and ``responses`` are the server
+    products ``server_compute`` returns, shaped (N, ra, cb); any other
+    shape raises ``ShapeMismatchError``.  The coefficients are the
+    info-sum rows of ``frame.inverse``, for ``frame.plan``, times the
+    responses, so decoding is one product and no elimination.
     """
+    plan = _sampled_plan(frame)
+    block_shape = _block_shape(frame, responses)
     exps = plan.table.exponents
-    rows = _generator_inverse(frame)[[exps.index(e) for e in plan.table.info]]
+    rows = frame.inverse[[exps.index(e) for e in plan.table.info]]
     flat = frame.ctx.asarray(responses).reshape(frame.n, -1)
     return _assemble(plan, frame.ctx.matmul(rows, flat), block_shape)
 
@@ -327,41 +346,44 @@ def quantum_layout(plan: ExponentPlan) -> list[int]:
     return [*head, *plan.table.info, *sorted(plan.table.interference.difference(head))]
 
 
-def quantum_transfer(plan: ExponentPlan, frame: EvalFrame) -> TransferMatrix:
-    """Transfer matrix for a plan: dual-scaled run columns stabilized.
+def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
+    """Transfer matrix for a sampled quantum frame: dual-scaled run columns stabilized.
 
-    With Q the generator in ``quantum_layout`` column order, the
-    stabilizer block g pairs Q's first floor(N/2) columns (the first
-    instance's multipliers are all ones) with the first ceil(N/2)
-    columns of D_v Q, D_v = diag of the frame's dual multipliers; the
-    readout block h holds the remaining columns.  Up to a column
-    permutation [g h] = blockdiag(Q, D_v Q), so M = [0 I] [g h]^-1 is
-    blockdiag(Q^-1[fl:], Q^-1[ce:] D_v^-1), fl = floor(N/2) and
-    ce = ceil(N/2).  Q^-1 is ``frame.inverse`` with its rows in layout
-    order, so M needs no elimination; ``TransferMatrix`` checks its laws.
+    With Q the frame's generator in ``quantum_layout(frame.plan)``
+    column order, the stabilizer block g pairs Q's first floor(N/2)
+    columns (the first instance's multipliers are all ones) with the
+    first ceil(N/2) columns of D_v Q, D_v = diag of the frame's dual
+    multipliers; the readout block h holds the remaining columns.  So g
+    and h are columns of B = blockdiag(Q, D_v Q), and M = [0 I] [g h]^-1
+    is the rows of B^-1 = blockdiag(Q^-1, Q^-1 D_v^-1) at h's column
+    indices.  Q and Q^-1 are ``frame.generator`` and ``frame.inverse``
+    with their columns and rows permuted, so M needs no elimination and
+    no new generator; ``TransferMatrix`` checks its laws.
     """
+    plan = _sampled_plan(frame)
     if frame.v is None:
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
     ctx = frame.ctx
     n = frame.n
-    layout = quantum_layout(plan)
-    q_inv = _generator_inverse(frame)[[plan.table.exponents.index(e) for e in layout]]
-    qmat = ctx.vandermonde(frame.points, layout)
+    position = {e: i for i, e in enumerate(plan.table.exponents)}
+    perm = [position[e] for e in quantum_layout(plan)]
+    q, q_inv = frame.generator[:, perm], frame.inverse[perm]
     v = ctx.asarray(frame.v)[:, None]
     v_inv = np.array([ctx.inv(x) for x in frame.v], dtype=np.int64)
+    zeros = np.zeros((n, n), dtype=np.int64)
+    b = np.block([[q, zeros], [zeros, v * q % ctx.p]])
+    b_inv = np.block([[q_inv, zeros], [zeros, q_inv * v_inv % ctx.p]])
     fl, ce = n // 2, -(-n // 2)
-    g = np.block([[qmat[:, :fl], np.zeros((n, ce), dtype=np.int64)],
-                  [np.zeros((n, fl), dtype=np.int64), v * qmat[:, :ce] % ctx.p]])
-    h = np.block([[qmat[:, fl:], np.zeros((n, fl), dtype=np.int64)],
-                  [np.zeros((n, ce), dtype=np.int64), v * qmat[:, ce:] % ctx.p]])
-    m = np.block([[q_inv[fl:], np.zeros((ce, n), dtype=np.int64)],
-                  [np.zeros((fl, n), dtype=np.int64), q_inv[ce:] * v_inv % ctx.p]])
-    return TransferMatrix(ctx, m, g, h)
+    g_cols, h_cols = np.r_[:fl, n:n + ce], np.r_[fl:n, n + ce:2 * n]
+    return TransferMatrix(ctx, b_inv[h_cols], b[:, g_cols], b[:, h_cols])
 
 
-def decode_quantum(plan: ExponentPlan, frame: EvalFrame,
-                   responses_pair, block_shape) -> tuple[np.ndarray, np.ndarray]:
+def decode_quantum(frame: EvalFrame, responses_pair) -> tuple[np.ndarray, np.ndarray]:
     """Recover both instances' products from one batch of 2N operands.
+
+    ``frame`` is a sampled quantum frame, and ``responses_pair`` holds
+    the two instances' server products, both shaped (N, ra, cb); any
+    other shapes raise ``ShapeMismatchError``.
 
     Servers put the first instance on the X slot as it is and the second
     on the Z slot scaled by the frame's dual multipliers v; the receiver
@@ -369,15 +391,14 @@ def decode_quantum(plan: ExponentPlan, frame: EvalFrame,
     which ``quantum_layout`` puts right after the ceil(N/2) run columns.
     """
     ctx = frame.ctx
-    tm = quantum_transfer(plan, frame)
-    n = frame.n
-    fl, ce = n // 2, -(-n // 2)
-    r1, r2 = (ctx.asarray(r).reshape(n, -1) for r in responses_pair)
+    block_shape = _block_shape(frame, *responses_pair)
+    tm = quantum_transfer(frame)
+    fl, ce = frame.n // 2, -(-frame.n // 2)
+    r1, r2 = (ctx.asarray(r).reshape(frame.n, -1) for r in responses_pair)
     v = ctx.asarray(frame.v)[:, None]
     y = apply_box(tm, np.vstack([r1, v * r2 % ctx.p]))
-    kl = plan.K * plan.L
-    return (_assemble(plan, y[ce - fl:][:kl], block_shape),
-            _assemble(plan, y[ce:][:kl], block_shape))
+    return (_assemble(frame.plan, y[ce - fl:], block_shape),
+            _assemble(frame.plan, y[ce:], block_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +556,10 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     # starts; the transcript fixes that order of rng draws.
     a_in, b_in, nf, ng, sf, sg, resp = zip(*(instance() for _ in range(rate.instances)))
 
-    shape = (ra, cb)
     if cfg.mode == "classical":
-        decoded = (decode_classical(plan, frame, resp[0], shape),)
+        decoded = (decode_classical(frame, resp[0]),)
     else:
-        decoded = decode_quantum(plan, frame, resp, shape)
+        decoded = decode_quantum(frame, resp)
     ok = all(np.array_equal(dec, ctx.matmul(a, b))
              for dec, a, b in zip(decoded, a_in, b_in))
     return Transcript(

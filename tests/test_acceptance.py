@@ -150,7 +150,7 @@ def test_criterion_5_transfer_matrix_laws():
         cfg = ProtocolConfig(plan=plan, mode="quantum", seed=13, audit_cap=2000)
         frame, _ = sample_frame(cfg, np.random.default_rng(13))
         ctx = frame.ctx
-        tm = quantum_transfer(plan, frame)
+        tm = quantum_transfer(frame)
         laws = (sso_check(ctx, tm.g)
                 and not ctx.matmul(tm.m, tm.g).any()
                 and np.array_equal(ctx.matmul(tm.m, tm.h), ctx.identity(tm.n)))

@@ -4,6 +4,7 @@ import io
 import pytest
 
 import pdmm.cli as cli
+from pdmm import protocol
 from pdmm.cli import main
 from pdmm.degree_tables import build_cat, parse_plan_record
 from pdmm.protocol import NotFeasibleError, ProtocolConfig, run_protocol
@@ -192,6 +193,68 @@ def test_sweep_gives_a_quantum_rate_only_to_plans_quantum_mode_runs(capsys):
         assert rows[k]["N_quantum"] == rows[k]["N_classical"] == str(3 * k + 4)
         with pytest.raises(NotFeasibleError):
             run_protocol(ProtocolConfig(plan=build_cat(k, 2, 2), mode="quantum"))
+
+
+# A small --range for every sweep family, cat with two infeasible rows.
+GATE_SWEEPS = [
+    ["qf-square", "--range", "2:3"],
+    ["qf-power", "--range", "2:3", "-k", "2", "-m", "2"],
+    ["qf-additive", "--range", "0:2", "-n", "2", "-k", "2"],
+    ["qf-klt", "--range", "3:5", "-T", "2"],
+    ["qf-kt", "--range", "1:2", "-n", "2", "-l", "1"],
+    ["qf-kt-shift", "--range", "1:3", "-n", "2", "-l", "1"],
+    ["low-privacy", "--range", "4:6", "-T", "2"],
+    ["cat", "--range", "2:4", "-L", "2", "-T", "2"],
+]
+
+
+def sweep_gate_violations(capsys, sweeps=GATE_SWEEPS):
+    """Sweep rows whose R_Q cell disagrees with a quantum run of the row's plan.
+
+    A row with an R_Q cell must decode in quantum mode; a row without one
+    must raise ``NotFeasibleError``.  Rows pair with the plans the sweep
+    built, in the order the sweep sorts them.
+    """
+    bad = []
+    for argv in sweeps:
+        family, built = argv[0], []
+        builder = cli._BUILDERS[family]
+
+        def build(args):
+            built.append(builder(args))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(cli._BUILDERS, family, build)
+            code, out, _ = invoke(capsys, "sweep", *argv)
+        rows = parse_csv(out)
+        built.sort(key=lambda plan: (plan.K, plan.L, plan.T))
+        assert code == 0 and len(rows) == len(built) > 0
+        for row, plan in zip(rows, built):
+            assert [row["K"], row["L"], row["T"]] == [str(plan.K), str(plan.L), str(plan.T)]
+            cfg = ProtocolConfig(plan=plan, dims=(plan.K, 2, 2 * plan.L), mode="quantum")
+            try:
+                runs = run_protocol(cfg).decode_ok
+            except NotFeasibleError:
+                runs = False
+            if runs != bool(row["R_Q"]):
+                bad.append((family, plan.K, plan.L, plan.T, row["R_Q"]))
+    return bad
+
+
+def test_every_sweep_row_with_a_quantum_rate_runs_in_quantum_mode(capsys):
+    assert sweep_gate_violations(capsys) == []
+
+
+def test_sweep_gate_check_catches_an_ungated_quantum_rate(capsys, monkeypatch):
+    def ungated_rate_report(plan, mode):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "quantum_layout", lambda plan: [])
+            return protocol.rate_report(plan, mode)
+
+    monkeypatch.setattr(cli, "rate_report", ungated_rate_report)
+    assert sweep_gate_violations(capsys, GATE_SWEEPS[-1:]) == [
+        ("cat", 3, 2, 2, "12/13"), ("cat", 4, 2, 2, "16/16")]
 
 
 @pytest.mark.parametrize("family, flags", [

@@ -1,15 +1,18 @@
 """The frame's generator inverse against the eliminations it replaced.
 
 ``sample_frame`` inverts the generator of the frame it accepts, once,
-into ``frame.inverse``.  ``decode_classical`` multiplies its info-sum
-rows with the responses where it used to solve the generator system
+into ``frame.inverse``, and keeps the plan and the generator on the
+frame too.  ``decode_classical`` multiplies the inverse's info-sum rows
+with the responses where it used to solve the generator system
 (``ctx.mat_solve``), and ``quantum_transfer`` reads the transfer matrix
-off it where it used to invert the 2N x 2N stack [G H]
-(``nsumbox.build_transfer``).  Both are checked against those
+off the generator and its inverse where it used to invert the 2N x 2N
+stack [G H] (``nsumbox.build_transfer``).  Both are checked against those
 eliminations on every feasible builder plan with N <= 60 of a small
 grid, over each plan's default field and over the floor 10007.
 """
 
+import collections
+import dataclasses
 import functools
 from itertools import product
 
@@ -39,6 +42,7 @@ from pdmm.protocol import (
     decode_classical,
     decode_quantum,
     quantum_transfer,
+    run_protocol,
     sample_frame,
 )
 
@@ -95,11 +99,13 @@ def test_sampled_frames_carry_their_generator_inverse():
     for plan, frame in cases:
         ctx = frame.ctx
         gen = ctx.vandermonde(frame.points, plan.table.exponents)
+        assert frame.plan is plan and np.array_equal(frame.generator, gen), plan
         assert np.array_equal(ctx.matmul(frame.inverse, gen), ctx.identity(frame.n)), plan
 
 
-def classical_mismatches():
-    """Grid cases where ``decode_classical`` differs from solving the generator system."""
+def classical_mismatches(alter=lambda frame: frame):
+    """Grid cases where ``decode_classical`` on ``alter(frame)`` differs from
+    solving the generator system."""
     rng = np.random.default_rng(0)
     bad = []
     for plan, frame in sampled():
@@ -109,7 +115,7 @@ def classical_mismatches():
         coeffs = ctx.mat_solve(ctx.vandermonde(frame.points, exps),
                                responses.reshape(frame.n, -1))
         want = protocol._assemble(plan, coeffs[[exps.index(e) for e in plan.table.info]], (1, 2))
-        if not np.array_equal(decode_classical(plan, frame, responses, (1, 2)), want):
+        if not np.array_equal(decode_classical(alter(frame), responses), want):
             bad.append((plan, frame.ctx.p))
     return bad
 
@@ -118,16 +124,15 @@ def test_classical_decode_matches_solving_the_generator_system():
     assert classical_mismatches() == []
 
 
-def test_differential_check_catches_an_inverse_read_transposed(monkeypatch):
-    monkeypatch.setattr(protocol, "_generator_inverse", lambda frame: frame.inverse.T)
-    assert classical_mismatches()
+def test_differential_check_catches_an_inverse_read_transposed():
+    assert classical_mismatches(lambda frame: dataclasses.replace(frame, inverse=frame.inverse.T))
 
 
 def transfer_mismatches(transfer=quantum_transfer):
     """Grid cases where ``transfer``'s m differs from eliminating its own [g h]."""
     bad = []
     for plan, frame in sampled():
-        tm = transfer(plan, frame)
+        tm = transfer(frame)
         want = build_transfer(frame.ctx, tm.g, tm.h).m
         if not (tm.m.dtype == want.dtype and np.array_equal(tm.m, want)):
             bad.append((plan, frame.ctx.p))
@@ -138,7 +143,7 @@ def test_structured_transfer_matches_eliminating_the_stack():
     assert transfer_mismatches() == []
 
 
-def without_dv_inverse(plan, frame, checked=False):
+def without_dv_inverse(frame, checked=False):
     """``quantum_transfer`` with D_v^-1 dropped: every inverse v_i^-1 reads as 1.
 
     Unless ``checked``, the transfer-law checks are off too, so that
@@ -148,7 +153,7 @@ def without_dv_inverse(plan, frame, checked=False):
         mp.setattr(FieldContext, "inv", lambda self, x: 1)
         if not checked:
             mp.setattr(TransferMatrix, "__post_init__", lambda self: None)
-        return quantum_transfer(plan, frame)
+        return quantum_transfer(frame)
 
 
 def test_differential_check_catches_a_transfer_without_dv_inverse():
@@ -156,18 +161,38 @@ def test_differential_check_catches_a_transfer_without_dv_inverse():
 
 
 def test_transfer_laws_catch_a_transfer_without_dv_inverse():
-    plan, frame = sampled()[0]
+    _, frame = sampled()[0]
     with pytest.raises(AssertionError, match="transfer law m g = 0 failed"):
-        without_dv_inverse(plan, frame, checked=True)
+        without_dv_inverse(frame, checked=True)
 
 
 def test_frame_without_inverse_cannot_be_decoded():
-    plan, frame = sampled()[0]
+    _, frame = sampled()[0]
     bare = EvalFrame(frame.ctx, frame.points, frame.shift)
     assert bare == frame and bare.inverse is None  # the inverse plays no part in equality
     zeros = np.zeros((bare.n, 1, 1), dtype=np.int64)
     want = r"^frame carries no generator inverse; sample it with sample_frame$"
     with pytest.raises(ValueError, match=want):
-        decode_classical(plan, bare, zeros, (1, 1))
+        decode_classical(bare, zeros)
     with pytest.raises(ValueError, match=want):
-        decode_quantum(plan, bare, (zeros, zeros), (1, 1))
+        decode_quantum(bare, (zeros, zeros))
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("plan, prime, seed, attempts", [
+    (build_low_privacy(3, 3, 2), None, 1, 2),
+    (build_dog(2, 2, 2, 1, 1), 60, 0, 7),
+])
+def test_a_run_builds_its_generator_once_per_sampling_attempt(monkeypatch, mode, plan,
+                                                              prime, seed, attempts):
+    """Every attempt builds one generator and ranks it; after that a run only
+    builds ``encode_shares``'s two power matrices per instance."""
+    calls = collections.Counter()
+    for name in ("vandermonde", "mat_rank"):
+        def counted(self, *args, _name=name, _original=getattr(FieldContext, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(FieldContext, name, counted)
+    t = run_protocol(ProtocolConfig(plan=plan, mode=mode, seed=seed, prime=prime))
+    assert t.decode_ok and calls["mat_rank"] == attempts
+    assert calls["vandermonde"] == attempts + 2 * t.rate.instances

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import re
 import sys
 import time
 from fractions import Fraction
@@ -264,8 +265,35 @@ def test_classical_decode_zero_matrix():
     nf = scalar_blocks(rng.integers(0, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(0, 131, size=1).tolist())
     f, g = encode_shares(plan, frame, a_blocks, b_blocks, nf, ng)
-    decoded = decode_classical(plan, frame, server_compute(ctx, f, g), (1, 1))
+    decoded = decode_classical(frame, server_compute(ctx, f, g))
     assert not decoded.any()
+
+
+# Server products for gasp_r(2,2,3,2), N = 13, must be shaped (13, ra, cb).
+MALFORMED = [(12, 1, 13), (13, 13), (13, 1, 13, 1)]  # (12, 1, 13): a size N divides
+MALFORMED_MATCH = r"^expected 13 server products of one \(N, ra, cb\) shape, got shapes "
+
+
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_classical_decode_refuses_malformed_responses(shape):
+    _, frame, _ = make_frame(GASP223, prime=131)
+    assert decode_classical(frame, np.zeros((13, 1, 13), dtype=np.int64)).shape == (2, 26)
+    with pytest.raises(ShapeMismatchError, match=MALFORMED_MATCH + re.escape(str(shape)) + "$"):
+        decode_classical(frame, np.zeros(shape, dtype=np.int64))
+
+
+@pytest.mark.parametrize("shapes", [
+    *[(shape, shape) for shape in MALFORMED],
+    ((13, 1, 13), (12, 1, 13)),
+    ((13, 1, 13), (13, 13, 1)),  # the sizes agree, the shapes do not
+    ((13, 1, 13), (13, 1, 12)),
+])
+def test_quantum_decode_refuses_malformed_responses(shapes):
+    _, frame, _ = make_frame(GASP223, mode="quantum", prime=131)
+    good = np.zeros((13, 1, 13), dtype=np.int64)
+    assert [d.shape for d in decode_quantum(frame, (good, good))] == [(2, 26), (2, 26)]
+    with pytest.raises(ShapeMismatchError, match=MALFORMED_MATCH):
+        decode_quantum(frame, [np.zeros(shape, dtype=np.int64) for shape in shapes])
 
 
 def test_classical_decode_cat():
@@ -384,7 +412,7 @@ def test_undecodable_plan_refused_and_actually_breaks():
     # the refusal is not spurious: decoding that plan garbles the product
     ctx = FieldContext(131)
     points = tuple(range(2, 2 + 8))
-    frame = EvalFrame(ctx=ctx, points=points,
+    frame = EvalFrame(ctx=ctx, points=points, plan=broken,
                       inverse=ctx.mat_inverse(ctx.vandermonde(points, broken.table.exponents)))
     rng = np.random.default_rng(0)
     a = scalar_blocks(rng.integers(1, 131, size=2).tolist())
@@ -392,7 +420,7 @@ def test_undecodable_plan_refused_and_actually_breaks():
     nf = scalar_blocks(rng.integers(1, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(1, 131, size=1).tolist())
     f, g = encode_shares(broken, frame, a, b, nf, ng)
-    decoded = decode_classical(broken, frame, server_compute(ctx, f, g), (1, 1))
+    decoded = decode_classical(frame, server_compute(ctx, f, g))
     direct = np.block([[a[0] @ b[0], a[0] @ b[1]],
                        [a[1] @ b[0], a[1] @ b[1]]]) % 131
     assert not np.array_equal(decoded, direct)
@@ -406,7 +434,7 @@ def test_quantum_rate_doubles_classical_same_plan():
 def test_interference_isolation():
     plan = GASP223
     ctx, frame, _ = make_frame(plan, mode="quantum", prime=131, seed=6)
-    tm = quantum_transfer(plan, frame)
+    tm = quantum_transfer(frame)
     rng = np.random.default_rng(8)
     x = rng.integers(0, 131, size=(2 * tm.n, 4))
     w = rng.integers(0, 131, size=(tm.n, 4))
