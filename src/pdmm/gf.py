@@ -5,11 +5,15 @@ protocol simulation) runs on top of this module.  Matrices are plain
 numpy ``int64`` arrays with entries kept canonically in ``[0, p)``; a
 :class:`FieldContext` carries the modulus and provides the operations.
 
-Matrix products run through float64 BLAS and stay exact: a float64 GEMM
-of non-negative integers is exact while every sum it forms is at most
-2^53 (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008).  So the
-inner dimension is cut into chunks of at most 2^53 // (p - 1)^2, and
-when (p - 1)^2 >= 2^53 each operand is first split into 16-bit limbs.
+Matrix products run through float BLAS and stay exact, after
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008): a float GEMM of
+non-negative integers is exact, and so is the reduction
+``x - floor(x / p) * p``, while every value stays at or below 2^(t - 1),
+t the significand width.  Each product picks one of three tiers: float32
+when the whole inner sum fits 2^23, float64 on the entries in inner
+chunks that keep the reduced accumulator plus a chunk within 2^52, and
+float64 on 16-bit limbs when (p - 1)^2 + p > 2^52.  Reduction stays in
+floating point until one cast into the int64 result.
 
 The context and all arrays it touches are treated as immutable; every
 operation returns fresh arrays, so concurrent use is safe.
@@ -143,8 +147,11 @@ def _admissible_points(points, p: int) -> list[int]:
     return pts
 
 
-# float64 holds every integer up to 2^53 exactly.
-_EXACT = 1 << 53
+# A float type with a t-bit significand (t = 53 for float64, 24 for
+# float32) holds every integer up to 2^t, and floor(x / p) is exact on
+# the integers up to 2^(t - 1); every sum ``matmul`` forms stays there.
+_EXACT = 1 << 52
+_EXACT32 = 1 << 23
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Output entries per column tile of ``FieldContext.matmul``: 1 MiB of float64.
@@ -159,15 +166,27 @@ def _swap_rows(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
     stack[every, j] = row_i
 
 
+def _limbs(x: np.ndarray, split: bool, dtype) -> list[np.ndarray]:
+    """Canonical entries as float limbs, most significant first.
+
+    The entries themselves, or, when ``split``, their high and low
+    16-bit halves, each below 2^16 because p < 2^31.
+    """
+    if not split:
+        return [x.astype(dtype)]
+    low = (x & _LIMB_MASK).astype(dtype)
+    return [(x >> _LIMB_BITS).astype(dtype), low]
+
+
 @dataclass(frozen=True)
 class FieldContext:
     """Prime field F_p with exact matrix algebra.
 
     The modulus must be an odd prime with p < 2^31 so that single
-    products fit comfortably in int64.  Matrix products are float64
-    GEMMs over inner chunks whose sums stay within 2^53, where float64
-    is exact; when (p - 1)^2 >= 2^53 the operands are split into 16-bit
-    limbs first.
+    products fit comfortably in int64.  Matrix products are float GEMMs
+    reduced mod p in floating point (see ``matmul``): float32 when
+    inner * (p - 1)^2 + p <= 2^23, else float64 over inner chunks that
+    stay within 2^52, on 16-bit limbs when (p - 1)^2 + p > 2^52.
     """
 
     p: int
@@ -204,14 +223,23 @@ class FieldContext:
     def matmul(self, a, b) -> np.ndarray:
         """Exact A @ B mod p for a left operand of any rank and a 1-D or 2-D right one.
 
-        The products run as float64 GEMMs, which are exact while every
-        partial sum stays at or below 2^53, whatever order the BLAS sums
-        in.  Operands become float64 limbs (see ``_limbs``), the inner
-        dimension is cut into chunks short enough for that bound, and
-        each chunk's product (see ``_limb_product``) is added into an
-        int64 result and reduced mod p.  The output is built in column
-        tiles of about 1 MiB of float64, so no output-sized float64
-        array is ever live.
+        The products run as float GEMMs, exact while every sum stays at
+        or below 2^(t - 1), t the significand width, whatever order the
+        BLAS sums in; within that bound ``x - floor(x / p) * p`` is exact
+        too, so reduction stays in floating point.  One tier is picked
+        per call from p and the inner dimension:
+
+        - float32, when inner * (p - 1)^2 + p <= 2^23: one chunk holds
+          the whole inner dimension;
+        - float64 on the entries, when (p - 1)^2 + p <= 2^52: chunks
+          short enough that the reduced accumulator plus one chunk's
+          product stays within 2^52;
+        - float64 on 16-bit limbs otherwise (see ``_limb_product``).
+
+        The output is built in column tiles of about 1 MiB of float64.
+        Each tile keeps a float accumulator, reduced in place after every
+        inner chunk and cast into the int64 result once, so no
+        output-sized float array is ever live.
         """
         a = self.asarray(a)
         b = self.asarray(b)
@@ -219,52 +247,66 @@ class FieldContext:
             raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
         shape = a.shape[:-1] + b.shape[1:]
         rows, inner, cols = math.prod(a.shape[:-1]), b.shape[0], math.prod(b.shape[1:])
-        # Rebinding drops each int64 copy once its float64 limbs exist.
-        a = self._limbs(a.reshape(rows, inner))
-        b = self._limbs(b.reshape(inner, cols))
-        top = self.p - 1 if len(a) == 1 else _LIMB_MASK
-        depth = _EXACT // (len(a) * top * top)  # a chunk's widest sum adds len(a) limb products
+        p = self.p
+        if inner * (p - 1) ** 2 + p <= _EXACT32:
+            dtype, split, depth = np.float32, False, max(inner, 1)
+        elif (p - 1) ** 2 + p <= _EXACT:
+            dtype, split, depth = np.float64, False, (_EXACT - p) // (p - 1) ** 2
+        else:
+            # a Horner step adds two limb products per index to a carry below p * 2^16
+            dtype, split = np.float64, True
+            depth = (_EXACT - (p << _LIMB_BITS)) // (2 * _LIMB_MASK ** 2)
+        # Rebinding drops each int64 copy once its float limbs exist.
+        a = _limbs(a.reshape(rows, inner), split, dtype)
+        b = _limbs(b.reshape(inner, cols), split, dtype)
         width = max(1, _TILE // max(rows, 1))
-        out = np.zeros((rows, cols), dtype=np.int64)
+        out = np.empty((rows, cols), dtype=np.int64)
         for c in range(0, cols, width):
-            acc = out[:, c:c + width]
-            for k in range(0, inner, depth):
-                acc += self._limb_product([x[:, k:k + depth] for x in a],
+            acc = None
+            # an empty inner dimension still takes one chunk, whose product is zero
+            for k in range(0, max(inner, 1), depth):
+                part = self._limb_product([x[:, k:k + depth] for x in a],
                                           [y[k:k + depth, c:c + width] for y in b])
-                acc %= self.p
+                if acc is not None:
+                    part += acc
+                acc = self._reduce(part)
+            out[:, c:c + width] = acc
         # [()] turns the 0-d product of two vectors into a scalar, as np.matmul does
         return out.reshape(shape)[()]
 
     def _limb_product(self, a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-        """Product of two limb lists as int64 below 2^54, congruent to A @ B mod p.
+        """Product of two limb lists as floats congruent to A @ B mod p.
 
-        Each float64 product is exact by the chunk bound.  Limb products
-        are combined Horner-style in int64, reduced mod p before each
-        16-bit shift so that nothing passes 2^54.
+        One limb gives the GEMM itself.  Two limbs are combined Horner
+        style: hh is reduced, shifted 16 bits and added to hl + lh, which
+        is reduced and shifted again before ll is added.  The chunk
+        depth keeps every step, and the accumulator ``matmul`` adds to
+        the result, within the exact range.
         """
         if len(a) == 1:
-            return (a[0] @ b[0]).astype(np.int64)
+            return a[0] @ b[0]
         (a_hi, a_lo), (b_hi, b_lo) = a, b
-        acc = (a_hi @ b_hi).astype(np.int64)
-        acc %= self.p
-        acc <<= _LIMB_BITS
-        acc += (a_hi @ b_lo + a_lo @ b_hi).astype(np.int64)
-        acc %= self.p
-        acc <<= _LIMB_BITS
-        acc += (a_lo @ b_lo).astype(np.int64)
+        acc = self._reduce(a_hi @ b_hi)
+        acc *= 1 << _LIMB_BITS
+        acc += a_hi @ b_lo
+        acc += a_lo @ b_hi
+        self._reduce(acc)
+        acc *= 1 << _LIMB_BITS
+        acc += a_lo @ b_lo
         return acc
 
-    def _limbs(self, x: np.ndarray) -> list[np.ndarray]:
-        """Canonical entries as float64 limbs, most significant first.
+    def _reduce(self, x: np.ndarray) -> np.ndarray:
+        """Reduce integer-valued floats mod p in place, and return them.
 
-        One limb, the entries themselves, when (p - 1)^2 < 2^53;
-        otherwise their high and low 16-bit halves, each below 2^16
-        because p < 2^31.
+        Exact for 0 <= x <= 2^(t - 1): with x = k p + r, the correctly
+        rounded x / p lies in [k, k + 1 - 1/p], more than half an ulp
+        below k + 1 because (k + 1) p < 2^t, so its floor is k.
         """
-        if (self.p - 1) ** 2 < _EXACT:
-            return [x.astype(np.float64)]
-        low = (x & _LIMB_MASK).astype(np.float64)
-        return [(x >> _LIMB_BITS).astype(np.float64), low]
+        q = x / self.p
+        np.floor(q, out=q)
+        q *= self.p
+        x -= q
+        return x
 
     def _eliminate(self, aug: np.ndarray, n: int) -> tuple[np.ndarray, int]:
         """In-place Gauss-Jordan on the first n columns; returns (aug, rank).

@@ -361,6 +361,8 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     no new generator; ``TransferMatrix`` checks its laws.
     """
     plan = _sampled_plan(frame)
+    if frame.generator is None:
+        raise ValueError("frame carries no generator; sample it with sample_frame")
     if frame.v is None:
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
     ctx = frame.ctx
@@ -405,11 +407,17 @@ def decode_quantum(frame: EvalFrame, responses_pair) -> tuple[np.ndarray, np.nda
 # privacy, rates, orchestration
 # ---------------------------------------------------------------------------
 
-# Subsets per batched rank call.  Auditing qf_klt(5,3) over F_37 (6545
-# subsets, 2-vCPU host), chunks of 256 took about 20% longer than 1024;
-# chunks of 32768 were at most 15% faster but raised the process's peak
-# RSS by 3.5 MB instead of 0.9 MB (about 10% of a 36 MB process).
+# Most subsets per batched rank call.  Auditing qf_klt(5,3) over F_37
+# (6545 subsets, 2-vCPU host), chunks of 256 took about 20% longer than
+# 1024; chunks of 32768 were at most 15% faster but raised the process's
+# peak RSS by 3.5 MB instead of 0.9 MB (about 10% of a 36 MB process).
 _AUDIT_CHUNK = 1024
+# Size of the first chunk, doubled for each later one up to _AUDIT_CHUNK,
+# so an audit whose 10th failure comes early ranks few subsets beyond
+# it.  Optimal gasp_r(3,3,3)'s default run (64 failing audits over F_29,
+# then ResampleExhaustedError) took 0.16-0.19 s from 128 against
+# 0.28-0.29 s with every chunk at 1024.
+_AUDIT_FIRST_CHUNK = 128
 
 
 def _check_mode(mode) -> None:
@@ -457,9 +465,10 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     draws nothing from ``rng``.  Otherwise subsets are ranked: all of
     them in ``itertools.combinations`` order when C(N, T) <= cap, else
     the distinct ones among cap seeded draws, in first-draw order (all
-    cap draws are made either way).  Subsets are checked in chunks: each
-    chunk's T-row slices of a side's power matrix form one stack whose
-    ranks ``FieldContext.batch_rank`` computes at once.  Checking stops
+    cap draws are made either way).  Subsets are checked in chunks that
+    start small and double up to ``_AUDIT_CHUNK``: each chunk's T-row
+    slices of a side's power matrix form one stack whose ranks
+    ``FieldContext.batch_rank`` computes at once.  Checking stops
     once 10 failing subsets are found; the report lists the first 10 in
     checking order, and ``checked`` counts the subsets ranked up to and
     including the 10th failure.  A run that finds fewer failures
@@ -494,7 +503,9 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     pending = iter(subsets)
     failures = []
     checked = 0
-    while len(failures) < 10 and (chunk := list(islice(pending, _AUDIT_CHUNK))):
+    size = min(_AUDIT_FIRST_CHUNK, _AUDIT_CHUNK)
+    while len(failures) < 10 and (chunk := list(islice(pending, size))):
+        size = min(2 * size, _AUDIT_CHUNK)
         rows = np.array(chunk, dtype=np.intp)
         bad = np.zeros(len(rows), dtype=bool)
         for mat in powers:

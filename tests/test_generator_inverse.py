@@ -178,6 +178,18 @@ def test_frame_without_inverse_cannot_be_decoded():
         decode_quantum(bare, (zeros, zeros))
 
 
+def test_quantum_frame_without_generator_cannot_be_decoded():
+    _, frame = sampled()[0]
+    bare = dataclasses.replace(frame, generator=None)
+    assert bare.plan is frame.plan and bare.inverse is frame.inverse
+    zeros = np.zeros((bare.n, 1, 1), dtype=np.int64)
+    want = r"^frame carries no generator; sample it with sample_frame$"
+    with pytest.raises(ValueError, match=want):
+        quantum_transfer(bare)
+    with pytest.raises(ValueError, match=want):
+        decode_quantum(bare, (zeros, zeros))
+
+
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("plan, prime, seed, attempts", [
     (build_low_privacy(3, 3, 2), None, 1, 2),

@@ -123,9 +123,14 @@ def python_int_matmul(a, b, p):
     return np.matmul(np.asarray(a, dtype=object), np.asarray(b, dtype=object)) % p
 
 
-# 94906249 is the largest prime with (p - 1)^2 < 2^53 and 94906297 the
-# next one, so these straddle the switch to 16-bit limbs.
-MATMUL_PRIMES = [3, 11, 65537, 94_906_249, 94_906_297, 2_000_000_011, 2**31 - 1]
+# The tier switches, each straddled by the primes on either side of it:
+# 2887 is the largest prime with (p - 1)^2 + p <= 2^23, so float32 takes
+# an inner dimension of 1 there and never at 2897; 67108859 is the
+# largest with (p - 1)^2 + p <= 2^52, so it is the last on float64
+# entries before 16-bit limbs from 67108879.  94906249 and 94906297
+# straddled the limb switch while float64 sums reached 2^53.
+MATMUL_PRIMES = [3, 11, 2887, 2897, 65537, 67_108_859, 67_108_879, 94_906_249, 94_906_297,
+                 2_000_000_011, 2**31 - 1]
 MATMUL_SHAPES = [
     ((6, 9), (9, 5)),
     ((2, 3, 9), (9, 4)),   # 3-D left operand
@@ -135,14 +140,31 @@ MATMUL_SHAPES = [
     ((0, 4), (4, 3)),      # empty dimensions
     ((3, 0), (0, 2)),
     ((3, 4), (4, 0)),
+    ((5, 1), (1, 7)),      # one inner index: float32 up to p = 2887
 ]
 
 
 def one_chunk(p):
-    """Inner length of one exact float64 product chunk: 2^53 over the largest sum term."""
-    if (p - 1) ** 2 < 2**53:
-        return 2**53 // (p - 1) ** 2
-    return 2**53 // (2 * (2**16 - 1) ** 2)  # two 16-bit limb products per sum
+    """Inner length of one exact product chunk of the tier that p starts on.
+
+    float32 takes the whole inner dimension while inner (p - 1)^2 + p <= 2^23;
+    float64 entries take chunks whose sum, plus a reduced accumulator below
+    p, stays within 2^52; 16-bit limbs take chunks whose Horner step, two
+    limb products per index plus a carry below p 2^16, stays within 2^52.
+    """
+    if (p - 1) ** 2 + p <= 2**23:
+        return (2**23 - p) // (p - 1) ** 2
+    if (p - 1) ** 2 + p <= 2**52:
+        return (2**52 - p) // (p - 1) ** 2
+    return (2**52 - p * 2**16) // (2 * (2**16 - 1) ** 2)
+
+
+def test_tier_switch_primes():
+    assert [is_prime(p) for p in (2887, 2897, 67_108_859, 67_108_879)] == [True] * 4
+    assert one_chunk(2887) == 1 and (2897 - 1) ** 2 + 2897 > 2**23
+    assert not any(map(is_prime, range(2888, 2897)))
+    assert one_chunk(67_108_859) == 1 and (67_108_879 - 1) ** 2 > 2**52
+    assert not any(map(is_prime, range(67_108_860, 67_108_879)))
 
 
 @pytest.mark.parametrize("p", MATMUL_PRIMES)
@@ -168,13 +190,13 @@ def test_matmul_all_largest_entries(p):
     a = np.full((3, 40), p - 1)
     b = np.full((40, 2), p - 1)
     assert ctx.matmul(a, b).tolist() == python_int_matmul(a, b, p).tolist()
-    inner = one_chunk(p) + 1
-    if inner > 2**21:
-        return  # p = 3, 11 or 65537: two chunks would take tens of MB
-    a = np.full((1, inner), p - 1)
-    b = np.full((inner, 1), p - 1)
-    # (p - 1)^2 = 1 mod p, so the product is the inner length mod p
-    assert ctx.matmul(a, b).tolist() == [[inner % p]]
+    for inner in (one_chunk(p), one_chunk(p) + 1):
+        if inner > 2**21:
+            return  # 2897 or 65537: two chunks would take tens of MB
+        a = np.full((1, inner), p - 1)
+        b = np.full((inner, 1), p - 1)
+        # (p - 1)^2 = 1 mod p, so the product is the inner length mod p
+        assert ctx.matmul(a, b).tolist() == [[inner % p]]
 
 
 @pytest.mark.parametrize("p, exact, low", [
@@ -182,10 +204,13 @@ def test_matmul_all_largest_entries(p):
     (2**31 - 1, 2**64, 2**31 - 2),
     # chunks of about 128 products near 2^53 each: their sums round
     (94_906_249, 2**60, 94_906_249 - 2**20),
+    # float64 entries in chunks of 256 products near 2^52: sums and floors round
+    (67_108_859, 2**60, 67_108_859 - 2**20),
 ])
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 def test_matmul_with_a_loosened_exactness_bound_is_wrong(monkeypatch, p, exact, low):
-    """Negative control: the same kernel with its 2^53 bound raised gives a wrong product."""
+    """Negative control: the same kernel with its float64 bound of 2^52 raised gives
+    a wrong product."""
     ctx = FieldContext(p)
     rng = np.random.default_rng(1)
     a = rng.integers(low, p, size=(3, 400))
@@ -193,6 +218,40 @@ def test_matmul_with_a_loosened_exactness_bound_is_wrong(monkeypatch, p, exact, 
     want = python_int_matmul(a, b, p).tolist()
     assert ctx.matmul(a, b).tolist() == want
     monkeypatch.setattr(gf, "_EXACT", exact)
+    assert ctx.matmul(a, b).tolist() != want
+
+
+def test_matmul_with_a_loosened_float32_bound_is_wrong(monkeypatch):
+    """Negative control: float32 on sums up to about 2^31 instead of 2^23 rounds."""
+    p = 2897
+    ctx = FieldContext(p)
+    rng = np.random.default_rng(2)
+    a = rng.integers(p - 2**10, p, size=(3, 400))
+    b = rng.integers(p - 2**10, p, size=(400, 2))
+    want = python_int_matmul(a, b, p).tolist()
+    assert ctx.matmul(a, b).tolist() == want
+    monkeypatch.setattr(gf, "_EXACT32", 2**40)
+    assert ctx.matmul(a, b).tolist() != want
+
+
+def test_matmul_with_a_loosened_limb_bound_is_wrong(monkeypatch):
+    """Negative control: limb chunks deeper than the Horner bound allows round.
+
+    At 2^56 the operands still split into limbs (p^2 > 2^56), but one chunk
+    spans the whole inner dimension, so the odd sum of the low limbs'
+    products, inner * 65533^2 > 2^53, cannot be a float64 and the product
+    comes out wrong; under the real bound it takes 5 exact chunks.
+    """
+    p = 2**31 - 1
+    ctx = FieldContext(p)
+    x = p - 2  # limbs 2^15 - 1 and 65533
+    inner = 2**21 + 2**12 + 1
+    assert inner % 2 and inner * 65533**2 > 2**53 and one_chunk(p) * 4 < inner
+    a = np.broadcast_to(x, (1, inner))
+    b = np.broadcast_to(x, (inner, 1))
+    want = [[inner * x * x % p]]
+    assert ctx.matmul(a, b).tolist() == want
+    monkeypatch.setattr(gf, "_EXACT", 2**56)
     assert ctx.matmul(a, b).tolist() != want
 
 

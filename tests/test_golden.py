@@ -1,10 +1,12 @@
 """Golden transcripts: the dump of a fixed-seed run must not change.
 
 The digests below were recorded before the degree-table facts were
-consolidated into ``outer_sum``, and those over the two large primes
-before ``FieldContext.matmul`` moved to float64 products; a refactor of
-the plan, feasibility, protocol or field layers must leave every byte of
-these dumps as it was.  ``lp443-quantum`` was re-recorded when the
+consolidated into ``outer_sum``, those over the two large primes
+before ``FieldContext.matmul`` moved to float64 products, and the
+``onelimb`` and ``float32`` cases before it reduced in floating point
+and gained a float32 tier; a refactor of the plan, feasibility,
+protocol or field layers must leave every byte of these dumps as it
+was.  ``lp443-quantum`` was re-recorded when the
 privacy audit learned to prove progression sides (its sampled audit had
 drawn from the run's generator), and ``gaspr333-sampled`` was recorded
 when a sampled audit started counting distinct subsets.
@@ -66,10 +68,21 @@ GOLDEN = [
      dict(mode="quantum", seed=7, dims=(4, 6, 6), prime=2_000_000_000),
      "e7f5e2375a985bcb18a99786af0948d2654bdf4913a8561711e41c195992a956"),
     # p = 94906249, the largest prime with (p - 1)^2 < 2^53: one float64
-    # product covers a single inner index, so inner size 3 spans 3 chunks
+    # product covered a single inner index, so inner size 3 spanned 3
+    # chunks; since reduction moved to floating point it runs on limbs
     ("gasp223-quantum-chunked", lambda: build_gasp_r(2, 2, 3, 2),
      dict(mode="quantum", seed=4, dims=(4, 3, 6), prime=94_906_249),
      "814ff97325838b586fafc47af855bc80abbc4dafd744c95f5094527a426ed2f1"),
+    # p = 67108859, the largest prime with (p - 1)^2 + p <= 2^52: one
+    # float64 chunk per inner index on the entries themselves
+    ("gasp223-quantum-onelimb", lambda: build_gasp_r(2, 2, 3, 2),
+     dict(mode="quantum", seed=4, dims=(4, 3, 6), prime=67_108_859),
+     "fbef41b37ae124f5ea2d4fbad2db85c9eabf5af909af0ce3c2151e40e289da5e"),
+    # p = 2887, the largest prime with (p - 1)^2 + p <= 2^23: the server
+    # products, with inner size 1, run in float32
+    ("gasp223-quantum-float32", lambda: build_gasp_r(2, 2, 3, 2),
+     dict(mode="quantum", seed=4, dims=(4, 1, 6), prime=2887),
+     "0742094ebe98e68be7cd2758cc93668c4a0a5991f20031f63b5a98ad28e2f8e5"),
 ]
 
 

@@ -119,6 +119,27 @@ def test_early_stop_report_does_not_depend_on_chunk_size(monkeypatch, chunk):
     assert privacy_audit(plan, ctx, pts) == whole
 
 
+@pytest.mark.parametrize("first, ranked", [(1, 255), (7, 441), (128, 384), (249, 249),
+                                           (250, 250), (1024, 1024)])
+def test_early_stop_ranks_growing_chunks(monkeypatch, first, ranked):
+    """Chunks start at ``_AUDIT_FIRST_CHUNK`` and double up to ``_AUDIT_CHUNK``, so an
+    audit whose 10th failure is the 249th subset ranks only the chunks reaching it."""
+    plan, p = PLANS["gasp_r(3,3,3)"]
+    ctx = FieldContext(p)
+    pts = frames(plan, p)[0]
+    whole = privacy_audit(plan, ctx, pts)
+    sizes = []
+
+    def counted(self, stack, _original=FieldContext.batch_rank):
+        sizes.append(len(stack))
+        return _original(self, stack)
+
+    monkeypatch.setattr(FieldContext, "batch_rank", counted)
+    monkeypatch.setattr(protocol, "_AUDIT_FIRST_CHUNK", first)
+    assert privacy_audit(plan, ctx, pts) == whole
+    assert sum(sizes) == 2 * ranked  # both noise sides rank each chunk
+
+
 # Plans whose alpha noise side is general (no arithmetic progression of
 # T exponents), so their audits above the cap are sampled.
 GENERAL = {
