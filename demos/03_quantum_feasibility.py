@@ -11,13 +11,12 @@ from pdmm import (
     longest_run,
     min_feasible_t,
     optimal_gasp_r,
-    outer_sum,
     t_hat_estimate,
 )
 
 for T in (1, 2, 3):
     plan = optimal_gasp_r(2, 2, T)
-    table = outer_sum(plan)
+    table = plan.table
     report = check_feasible(plan)
     print(f"gasp(2,2,{T}): N={table.n_servers}, interference run "
           f"{len(report.run)} vs threshold {report.threshold} -> "
@@ -25,7 +24,7 @@ for T in (1, 2, 3):
 
 print()
 print("the run itself, for gasp(2,2,3):")
-table = outer_sum(build_gasp_r(2, 2, 3, 2))
+table = build_gasp_r(2, 2, 3, 2).table
 print("  interference:", sorted(table.interference))
 print("  longest run: ", longest_run(table.interference))
 

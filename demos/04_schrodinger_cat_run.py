@@ -12,7 +12,6 @@ from pdmm import (
     ProtocolConfig,
     best_classical_plan,
     build_cat,
-    outer_sum,
     rate_report,
     run_protocol,
     transcript_dump,

@@ -246,13 +246,13 @@ def build_cat(K: int, L: int, T: int, x: int | None = None) -> ExponentPlan:
     y = -x * t_bar * pow(k_star, -1, q) % q
     alpha = [(y * i) % q for i in range(K)] + [(x * i + K * y) % q for i in range(T)]
     beta = [(x * i) % q for i in range(L)] + [(y * i - x) % q for i in range(T)]
-    cover = {(a + b) % q for a in alpha for b in beta}
-    if len(cover) != q:
-        raise NoSolutionError(
-            f"cyclic table covers {len(cover)} of {q} residues for "
-            f"(K, L, T) = ({K}, {L}, {T}); construction undefined here")
-    return _plan("cat_x", K, L, T, alpha, beta, range(K), range(L),
+    plan = _plan("cat_x", K, L, T, alpha, beta, range(K), range(L),
                  params=[("x", x), ("y", y), ("kappa", kappa), ("lambda", lam)], q=q)
+    if plan.table.n_servers != q:
+        raise NoSolutionError(
+            f"cyclic table covers {plan.table.n_servers} of {q} residues for "
+            f"(K, L, T) = ({K}, {L}, {T}); construction undefined here")
+    return plan
 
 
 # ---------------------------------------------------------------------------

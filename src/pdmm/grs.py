@@ -98,10 +98,10 @@ class EvalFrame:
     ``plan`` is the plan the frame was sampled for, ``generator`` the
     N x N generator on the points and that plan's table exponents, in
     table order, and ``inverse`` its inverse.  ``protocol.sample_frame``
-    sets all three, so every stage that reads the frame's matrices takes
-    its plan from the frame: the decoders read the inverse, and the
-    quantum transfer matrix permutes both.  A frame built without them
-    cannot be decoded.  They play no part in equality.
+    sets all three, and every stage takes its plan from the frame: the
+    encoder places blocks by it, the decoders read the inverse, and the
+    quantum transfer matrix permutes both.  Encoding needs the plan and
+    decoding all three.  They play no part in equality.
     """
 
     ctx: FieldContext

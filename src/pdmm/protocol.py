@@ -16,9 +16,9 @@ frame is validated (generator rank plus the privacy rank audit) before
 use, resampling as needed.  The frame carries its run's field, and every
 later stage works over ``frame.ctx``.  The accepted frame also carries
 the plan it was sampled for, its generator on all table exponents and
-that generator's inverse, the run's only inversion.  The decoders take
-just the frame and the server products, and read the plan, the
-matrices and the block shape off them.
+that generator's inverse, the run's only inversion.  Every stage reads
+the plan from the frame: the encoder takes just the frame and the
+blocks, the decoders just the frame and the server products.
 """
 
 from __future__ import annotations
@@ -257,29 +257,29 @@ def sample_frame(cfg: ProtocolConfig,
 # encoding, server work, decoding
 # ---------------------------------------------------------------------------
 
-def _coeff_stack(n_exps, info_idx, blocks, noise):
-    """Coefficient per exponent position: block k at info_idx[k], noise in order elsewhere."""
-    data = dict(zip(info_idx, blocks))
-    masks = iter(noise)
-    return np.stack([data[i] if i in data else next(masks) for i in range(n_exps)])
+def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
+    """Per-server share pair (f_n, g_n) for one instance, placed by ``frame.plan``.
 
-
-def encode_shares(plan: ExponentPlan, frame: EvalFrame,
-                  a_blocks, b_blocks, noise_f, noise_g):
-    """Per-server share pair (f_n, g_n) for one instance, over ``frame.ctx``.
-
-    f_n sums data and noise blocks weighted by point powers at the alpha
-    exponents; g_n likewise over beta.  Shapes: a_blocks are K arrays
-    (ra, inner), b_blocks are L arrays (inner, cb), noise blocks match.
+    f_n weights the K blocks a_blocks (ra, inner) by point powers at the
+    info alpha exponents and noise_f at ``plan.noise_alpha``; g_n likewise
+    over beta.  Other block counts or shapes raise ``ShapeMismatchError``.
     """
-    ctx = frame.ctx
-    ca = _coeff_stack(len(plan.alpha), plan.info_alpha, a_blocks, noise_f)
-    cb = _coeff_stack(len(plan.beta), plan.info_beta, b_blocks, noise_g)
-    pa = ctx.vandermonde(frame.points, plan.alpha)
-    pb = ctx.vandermonde(frame.points, plan.beta)
-    f = ctx.matmul(pa, ca.reshape(ca.shape[0], -1)).reshape((frame.n,) + ca.shape[1:])
-    g = ctx.matmul(pb, cb.reshape(cb.shape[0], -1)).reshape((frame.n,) + cb.shape[1:])
-    return f, g
+    if (plan := frame.plan) is None:
+        raise ValueError("frame carries no plan; sample it with sample_frame")
+    shares = []
+    for side, exps, info, noise_exps, blocks, noise in (
+            ("A", plan.alpha, plan.info_alpha, plan.noise_alpha, a_blocks, noise_f),
+            ("B", plan.beta, plan.info_beta, plan.noise_beta, b_blocks, noise_g)):
+        shapes = {np.shape(m) for m in (*blocks, *noise)}
+        if (len(blocks), len(noise), len(shapes)) != (len(info), len(noise_exps), 1):
+            raise ShapeMismatchError(
+                f"expected {len(info)} {side} blocks and {len(noise_exps)} noise blocks of one "
+                f"shape, got {len(blocks)} and {len(noise)} shaped {sorted(shapes)}")
+        coeffs = np.stack([*blocks, *noise])
+        powers = frame.ctx.vandermonde(frame.points, [*(exps[i] for i in info), *noise_exps])
+        shares.append(frame.ctx.matmul(powers, coeffs.reshape(len(coeffs), -1))
+                      .reshape(frame.n, *coeffs.shape[1:]))
+    return tuple(shares)
 
 
 def server_compute(ctx: FieldContext, shares_f, shares_g) -> np.ndarray:
@@ -291,8 +291,8 @@ def server_compute(ctx: FieldContext, shares_f, shares_g) -> np.ndarray:
 
 def _assemble(plan, info_rows, block_shape):
     """Lay the first K*L coefficient rows, in row-major (k, l) order, as the K x L grid."""
-    return np.block([[info_rows[k * plan.L + l].reshape(block_shape) for l in range(plan.L)]
-                     for k in range(plan.K)])
+    (ra, cb), k, l = block_shape, plan.K, plan.L
+    return info_rows[:k * l].reshape(k, l, ra, cb).swapaxes(1, 2).reshape(k * ra, l * cb)
 
 
 def _sampled_plan(frame: EvalFrame) -> ExponentPlan:
@@ -558,9 +558,8 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         b = draw(inner, plan.L * cb)
         noise_f = draw(len(plan.noise_alpha), ra, inner)
         noise_g = draw(len(plan.noise_beta), inner, cb)
-        a_blocks = [a[k * ra:(k + 1) * ra] for k in range(plan.K)]
-        b_blocks = [b[:, j * cb:(j + 1) * cb] for j in range(plan.L)]
-        f, g = encode_shares(plan, frame, a_blocks, b_blocks, noise_f, noise_g)
+        f, g = encode_shares(frame, a.reshape(plan.K, ra, inner),
+                             b.reshape(inner, plan.L, cb).swapaxes(0, 1), noise_f, noise_g)
         return a, b, noise_f, noise_g, f, g, server_compute(ctx, f, g)
 
     # Each instance draws all its inputs and noise before the next one

@@ -174,8 +174,8 @@ def test_encode_no_noise_is_plain_evaluation():
     plan = ExponentPlan(family="gasp_r", K=1, L=1, T=0,
                         alpha=(2,), beta=(3,), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(11)
-    frame = EvalFrame(ctx=ctx, points=(2, 3))
-    f, g = encode_shares(plan, frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
+    frame = EvalFrame(ctx=ctx, points=(2, 3), plan=plan)
+    f, g = encode_shares(frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
     assert f.ravel().tolist() == [5 * 4 % 11, 5 * 9 % 11]
     assert g.ravel().tolist() == [4 * 8 % 11, 4 * 27 % 11]
     resp = server_compute(ctx, f, g)
@@ -186,8 +186,8 @@ def test_encode_single_block_single_noise():
     plan = ExponentPlan(family="gasp_r", K=1, L=1, T=1,
                         alpha=(0, 1), beta=(0, 1), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(13)
-    frame = EvalFrame(ctx=ctx, points=(5,))
-    f, _ = encode_shares(plan, frame, scalar_blocks([7]),
+    frame = EvalFrame(ctx=ctx, points=(5,), plan=plan)
+    f, _ = encode_shares(frame, scalar_blocks([7]),
                          scalar_blocks([2]), scalar_blocks([3]), scalar_blocks([0]))
     assert f.ravel().tolist() == [(7 + 3 * 5) % 13]
 
@@ -197,8 +197,8 @@ def test_encode_matches_hand_expanded_polynomial():
     a = [9, 17]
     nf = [30, 40, 50]
     for plan in (GASP223, GASP223_SWAPPED):
-        f, _ = encode_shares(plan, frame, scalar_blocks(a), scalar_blocks([1, 2]),
-                             scalar_blocks(nf), scalar_blocks([0, 0, 0]))
+        f, _ = encode_shares(dataclasses.replace(frame, plan=plan), scalar_blocks(a),
+                             scalar_blocks([1, 2]), scalar_blocks(nf), scalar_blocks([0, 0, 0]))
         e0, e1 = (plan.alpha[i] for i in plan.info_alpha)  # A_k rides on these
         for srv, x in enumerate(frame.points):
             direct = (a[0] * pow(x, e0, 131) + a[1] * pow(x, e1, 131)
@@ -216,7 +216,7 @@ def test_response_exponent_support():
     b = rng.integers(0, 131, size=2).tolist()
     nf = rng.integers(0, 131, size=3).tolist()
     ng = rng.integers(0, 131, size=3).tolist()
-    f, g = encode_shares(GASP223, frame, scalar_blocks(a), scalar_blocks(b),
+    f, g = encode_shares(frame, scalar_blocks(a), scalar_blocks(b),
                          scalar_blocks(nf), scalar_blocks(ng))
     resp = server_compute(ctx, f, g)
     coeff_a = dict(zip(GASP223.alpha, [a[0], a[1], nf[0], nf[1], nf[2]]))
@@ -235,8 +235,33 @@ def test_zero_inputs_zero_response():
     ctx, frame, _ = make_frame(GASP223, prime=131)
     zeros = scalar_blocks([0, 0])
     nf = scalar_blocks([0, 0, 0])
-    f, g = encode_shares(GASP223, frame, zeros, zeros, nf, nf)
+    f, g = encode_shares(frame, zeros, zeros, nf, nf)
     assert not server_compute(ctx, f, g).any()
+
+
+def test_encode_reads_the_plan_from_the_frame():
+    _, frame, _ = make_frame(GASP223, prime=131)
+    blocks, noise = scalar_blocks([1, 2]), scalar_blocks([3, 4, 5])
+    with pytest.raises(ValueError, match="^frame carries no plan; sample it with sample_frame$"):
+        encode_shares(dataclasses.replace(frame, plan=None), blocks, blocks, noise, noise)
+
+
+# gasp_r(2,2,3,2) takes 2 data and 3 noise blocks per side, all of one shape.
+@pytest.mark.parametrize("a, nf, ng, message", [
+    ([1], [3, 4, 5], [3, 4, 5], "2 A blocks and 3 noise blocks of one shape, got 1 and 3"),
+    ([1, 2], [3, 4], [3, 4, 5], "2 A blocks and 3 noise blocks of one shape, got 2 and 2"),
+    ([1, 2], [3, 4, 5], [3, 4, 5, 6], "2 B blocks and 3 noise blocks of one shape, got 2 and 4"),
+    ([1, 2], [3, 4, np.zeros((1, 2))], [3, 4, 5],
+     r"2 A blocks and 3 noise blocks of one shape, got 2 and 3 shaped \[\(1, 1\), \(1, 2\)\]"),
+])
+def test_encode_refuses_wrong_block_counts_and_shapes(a, nf, ng, message):
+    _, frame, _ = make_frame(GASP223, prime=131)
+
+    def blocks(values):
+        return [v if isinstance(v, np.ndarray) else np.array([[v]]) for v in values]
+
+    with pytest.raises(ShapeMismatchError, match="^expected " + message):
+        encode_shares(frame, blocks(a), blocks([1, 2]), blocks(nf), blocks(ng))
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +275,13 @@ def run(plan, mode, seed=0, dims=None, prime=None, audit_cap=10_000):
 
 
 def test_classical_decode_blocks():
-    t = run(build_gasp_r(2, 2, 1, 1), "classical", seed=3, dims=(4, 2, 4), prime=131)
-    assert t.decode_ok
-    direct = np.asarray(t.a_inputs[0]) @ np.asarray(t.b_inputs[0]) % t.modulus
-    assert np.array_equal(t.decoded[0], direct)
+    # the second plan has K != L and ra != cb, so a swapped grid axis shows
+    for plan, dims in ((build_gasp_r(2, 2, 1, 1), (4, 2, 4)),
+                       (optimal_gasp_r(3, 2, 2), (6, 2, 6))):
+        t = run(plan, "classical", seed=3, dims=dims, prime=131)
+        assert t.decode_ok
+        direct = np.asarray(t.a_inputs[0]) @ np.asarray(t.b_inputs[0]) % t.modulus
+        assert np.array_equal(t.decoded[0], direct)
 
 
 def test_classical_decode_zero_matrix():
@@ -264,7 +292,7 @@ def test_classical_decode_zero_matrix():
     b_blocks = scalar_blocks(rng.integers(0, 131, size=2).tolist())
     nf = scalar_blocks(rng.integers(0, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(0, 131, size=1).tolist())
-    f, g = encode_shares(plan, frame, a_blocks, b_blocks, nf, ng)
+    f, g = encode_shares(frame, a_blocks, b_blocks, nf, ng)
     decoded = decode_classical(frame, server_compute(ctx, f, g))
     assert not decoded.any()
 
@@ -325,10 +353,11 @@ def test_quantum_decode_cat_rate():
 
 
 def test_quantum_decode_blocks_and_families():
-    for plan in (build_qf_square(2), build_qf_klt(3, 2), build_low_privacy(3, 3, 1),
-                 build_low_privacy(4, 4, 2)):
-        t = run(plan, "quantum", seed=5, dims=(2 * plan.K, 2, 2 * plan.L))
-        assert t.decode_ok, plan.family
+    for plan, dims in ((build_qf_square(2), (8, 2, 8)), (build_qf_klt(3, 2), (6, 2, 4)),
+                       (build_qf_klt(3, 2), (6, 2, 6)), (build_low_privacy(3, 3, 1), (6, 2, 6)),
+                       (build_low_privacy(4, 4, 2), (8, 2, 8))):
+        t = run(plan, "quantum", seed=5, dims=dims)
+        assert t.decode_ok, (plan.family, dims)
 
 
 def test_quantum_decode_low_privacy_general():
@@ -419,7 +448,7 @@ def test_undecodable_plan_refused_and_actually_breaks():
     b = scalar_blocks(rng.integers(1, 131, size=2).tolist())
     nf = scalar_blocks(rng.integers(1, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(1, 131, size=1).tolist())
-    f, g = encode_shares(broken, frame, a, b, nf, ng)
+    f, g = encode_shares(frame, a, b, nf, ng)
     decoded = decode_classical(frame, server_compute(ctx, f, g))
     direct = np.block([[a[0] @ b[0], a[0] @ b[1]],
                        [a[1] @ b[0], a[1] @ b[1]]]) % 131
@@ -568,7 +597,7 @@ def test_noise_masks_shares_uniformly():
                      for x in frame.points[:2]])
     tuples = (base[None, :] + noise @ powers.T) % prime
     for row in range(3):
-        f, _ = encode_shares(plan, frame, a_blocks, b_blocks,
+        f, _ = encode_shares(frame, a_blocks, b_blocks,
                              scalar_blocks(noise[row].tolist()), scalar_blocks([0, 0]))
         assert f[:2, 0, 0].tolist() == tuples[row].tolist()
     counts = np.bincount(tuples[:, 0] * prime + tuples[:, 1], minlength=prime * prime)
