@@ -407,7 +407,73 @@ class FieldContext:
     def vandermonde(self, points: Sequence[int], exponents: Sequence[int]) -> np.ndarray:
         """Matrix with entry (i, j) = points[i] ** exponents[j] mod p."""
         pts = _admissible_points(points, self.p)
-        exps = list(exponents)
+        exps = [operator.index(e) for e in exponents]
         if len(set(exps)) != len(exps):
             raise ValueError("exponents must be pairwise distinct")
-        return np.array([[pow(x, e, self.p) for e in exps] for x in pts], dtype=np.int64)
+        return _powers(np.array(pts, dtype=np.int64), exps, self.p)
+
+    def _vandermonde_inverse(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of the n x n Vandermonde matrix (x_i^j), j < n, on distinct points x.
+
+        Lagrange interpolation: column i of the inverse holds the
+        coefficients, lowest degree first, of L_i(X) = w_i P(X) / (X - x_i),
+        where P(X) = prod_k (X - x_k) and w_i = 1 / prod_{k != i} (x_i - x_k),
+        since L_i is 1 at x_i and 0 at every other point.  One synthetic
+        division per degree serves every point at once: with P = sum a_j X^j,
+        the quotient by X - x_i has q_(n-1) = 1 and q_(j-1) = a_j + x_i q_j.
+        ``x`` holds canonical entries.
+        """
+        p = self.p
+        n = x.size
+        master = np.zeros(n + 1, dtype=np.int64)  # a_n .. a_0, highest degree first
+        master[0] = 1
+        for k, xk in enumerate(x.tolist()):
+            master[1:k + 2] = (master[1:k + 2] - xk * master[:k + 1]) % p  # times (X - xk)
+        quotients = np.empty((n, n), dtype=np.int64)  # row j: the X^j coefficients
+        row = np.ones(n, dtype=np.int64)
+        for j in range(n - 1, -1, -1):
+            quotients[j] = row
+            row = (master[n - j] + x * row) % p  # master[n - j] is a_j
+        # prod_{k != i} (x_i - x_k) = (-1)^(n-1) prod_{k != i} (x_k - x_i)
+        nodes = _node_products(x, p)
+        if n % 2 == 0:
+            nodes = (p - nodes) % p
+        return quotients * self._inverse_all(nodes) % p
+
+
+def _powers(x: np.ndarray, exponents: Sequence[int], p: int) -> np.ndarray:
+    """Matrix with entry (i, j) = x[i] ** exponents[j] mod p, for canonical x.
+
+    Square-and-multiply on all entries at once, one pass per bit of the
+    largest exponent.  A negative exponent is taken mod p - 1, which
+    for every nonzero entry gives what Python's ``pow`` gives (a power
+    of the inverse).  No check on the points: ``vandermonde`` makes them
+    admissible, and the privacy audit must see zero and repeated points.
+    """
+    e = np.array(exponents, dtype=np.int64)
+    e = np.where(e < 0, e % (p - 1), e)
+    base = x[:, None]
+    out = np.ones((x.size, e.size), dtype=np.int64)
+    for bit in range(int(e.max(initial=0)).bit_length()):
+        out *= np.where(e >> bit & 1, base, 1)
+        out %= p
+        base = base * base % p
+    return out
+
+
+def _node_products(x: np.ndarray, p: int) -> np.ndarray:
+    """prod_{j != i} (x[j] - x[i]) mod p for every i, for canonical x.
+
+    The row products of the difference matrix, diagonal set to 1: each
+    step multiplies its left half by its right half (an odd last column
+    goes into the first), so there are about log2(n) steps.
+    """
+    diffs = (x[None, :] - x[:, None]) % p  # diffs[i, j] = x[j] - x[i]
+    np.fill_diagonal(diffs, 1)
+    while (width := diffs.shape[1]) > 1:
+        half = width // 2
+        head = diffs[:, :half] * diffs[:, half:2 * half] % p
+        if width % 2:
+            head[:, 0] = head[:, 0] * diffs[:, -1] % p
+        diffs = head
+    return diffs.prod(axis=1)  # one column left, or none when x is empty

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .degree_tables import ExponentPlan
-from .gf import FieldContext, _admissible_points
+from .gf import FieldContext, _admissible_points, _node_products, _powers
 
 __all__ = [
     "EvalFrame",
@@ -50,17 +50,8 @@ def shifted_dual_multipliers(ctx: FieldContext, points, u, l1: int, l2: int) -> 
     """
     pts = np.array(_admissible_points(np.ravel(points), ctx.p), dtype=np.int64)
     u = _multipliers(ctx, u, pts.size)
-    p = ctx.p
-    diffs = (pts[None, :] - pts[:, None]) % p  # diffs[i][j] = a_j - a_i
-    v = np.empty_like(pts)
-    for i in range(pts.size):
-        prod = 1
-        for j in range(pts.size):
-            if j != i:
-                prod = prod * int(diffs[i, j]) % p
-        scale = int(u[i]) * pow(int(pts[i]), l1 + l2, p) % p
-        v[i] = ctx.inv(scale * prod % p)
-    return v
+    scale = u * _powers(pts, [l1 + l2], ctx.p)[:, 0] % ctx.p
+    return ctx._inverse_all(scale * _node_products(pts, ctx.p) % ctx.p)
 
 
 def grs_generator(ctx: FieldContext, points, u, dim: int, shift: int = 0) -> np.ndarray:
@@ -97,11 +88,13 @@ class EvalFrame:
 
     ``plan`` is the plan the frame was sampled for, ``generator`` the
     N x N generator on the points and that plan's table exponents, in
-    table order, and ``inverse`` its inverse.  ``protocol.sample_frame``
-    sets all three, and every stage takes its plan from the frame: the
-    encoder places blocks by it, the decoders read the inverse, and the
-    quantum transfer matrix permutes both.  Encoding needs the plan and
-    decoding all three.  They play no part in equality.
+    table order, and ``inverse`` its inverse (by Lagrange interpolation
+    when those exponents are 0, ..., N - 1, else by elimination).
+    ``protocol.sample_frame`` sets all three, and every stage takes its
+    plan from the frame: the encoder places blocks by it, the decoders
+    read the inverse, and the quantum transfer matrix permutes both.
+    Encoding needs the plan and decoding all three.  They play no part
+    in equality.
     """
 
     ctx: FieldContext

@@ -39,9 +39,9 @@ class TransferMatrix:
 
     Invariants (checked at construction): g is SSO, m g = 0 and m h = I.
     [g h] must also be invertible: ``build_transfer`` finds that out by
-    elimination, and ``protocol.quantum_transfer`` has it because it
-    takes g, h and m as column and row slices of one block-diagonal
-    matrix and its inverse, made from the sampled frame's generator and
+    elimination, and ``protocol.quantum_transfer`` has it because its
+    g, h and m are column and row slices of one block-diagonal matrix
+    and its inverse, filled in from the sampled frame's generator and
     that generator's inverse.  Inputs in the column span of g vanish;
     the receiver sees exactly the h-coordinates.
     """

@@ -12,13 +12,14 @@ tolerance anywhere.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order, and every
-frame is validated (generator rank plus the privacy rank audit) before
-use, resampling as needed.  The frame carries its run's field, and every
-later stage works over ``frame.ctx``.  The accepted frame also carries
-the plan it was sampled for, its generator on all table exponents and
-that generator's inverse, the run's only inversion.  Every stage reads
-the plan from the frame: the encoder takes just the frame and the
-blocks, the decoders just the frame and the server products.
+frame is validated (generator rank, unless the generator is a plain
+Vandermonde matrix, plus the privacy rank audit) before use, resampling
+as needed.  The frame carries its run's field, and every later stage
+works over ``frame.ctx``.  The accepted frame also carries the plan it
+was sampled for, its generator on all table exponents and that
+generator's inverse, the run's only inversion.  Every stage reads the
+plan from the frame: the encoder takes just the frame and the blocks,
+the decoders just the frame and the server products.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .degree_tables import ExponentPlan, check_decodable, plan_record
 from .feasibility import check_feasible, longest_run
-from .gf import FieldContext, element_of_order, is_prime, next_prime
+from .gf import FieldContext, _powers, element_of_order, is_prime, next_prime
 from .grs import EvalFrame, ShapeMismatchError
 from .nsumbox import TransferMatrix, apply_box
 
@@ -202,9 +203,13 @@ def sample_frame(cfg: ProtocolConfig,
     The field is ``default_field(cfg.plan, cfg.prime)``, and the frame
     carries it as ``frame.ctx``.  Admissible means the N x N generator on
     all table exponents has full rank and the privacy rank audit passes.
-    Every attempt builds the generator and checks its rank, the cheaper
-    elimination; only the accepted frame inverts it.  The accepted frame
-    carries the plan as ``frame.plan``, the generator as
+    Every attempt builds the generator.  When the table exponents are
+    exactly 0, 1, ..., N - 1 the generator is the plain Vandermonde
+    matrix, nonsingular on distinct points, so it is not ranked, and the
+    accepted frame inverts it by Lagrange interpolation.  Any other
+    generator is ranked on every attempt, the cheaper elimination, and
+    only the accepted frame's is inverted by elimination.  The accepted
+    frame carries the plan as ``frame.plan``, the generator as
     ``frame.generator`` and its inverse as ``frame.inverse``.
     Cyclic plans use the fixed coset of an order-q element instead of
     sampling.  Quantum frames carry the interference run start as their
@@ -215,6 +220,7 @@ def sample_frame(cfg: ProtocolConfig,
     table = plan.table
     exps = table.exponents
     n = table.n_servers
+    vandermonde = exps == tuple(range(n))
     quantum = cfg.mode == "quantum"
     run = longest_run(table.interference) if quantum else []
     shift = run[0] if run else 0
@@ -225,13 +231,15 @@ def sample_frame(cfg: ProtocolConfig,
             gen = ctx.vandermonde(points, exps)
         except ValueError:
             return _BAD_POINTS
-        if ctx.mat_rank(gen) != n:
+        if not vandermonde and ctx.mat_rank(gen) != n:
             return _RANK_DEFICIENT
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
         if not audit.ok:
             return _AUDIT_FAILED
+        inverse = (ctx._vandermonde_inverse(ctx.asarray(points)) if vandermonde
+                   else ctx.mat_inverse(gen))
         return EvalFrame(ctx, tuple(points), shift if quantum else None,
-                         inverse=ctx.mat_inverse(gen), plan=plan, generator=gen), audit
+                         inverse=inverse, plan=plan, generator=gen), audit
 
     if plan.modulus_q:
         omega = element_of_order(plan.modulus_q, ctx.p)
@@ -262,11 +270,12 @@ def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
 
     f_n weights the K blocks a_blocks (ra, inner) by point powers at the
     info alpha exponents and noise_f at ``plan.noise_alpha``; g_n likewise
-    over beta.  Other block counts or shapes raise ``ShapeMismatchError``.
+    over beta, for B blocks shaped (inner, cb).  Other block counts or
+    shapes raise ``ShapeMismatchError``.
     """
     if (plan := frame.plan) is None:
         raise ValueError("frame carries no plan; sample it with sample_frame")
-    shares = []
+    sides = []
     for side, exps, info, noise_exps, blocks, noise in (
             ("A", plan.alpha, plan.info_alpha, plan.noise_alpha, a_blocks, noise_f),
             ("B", plan.beta, plan.info_beta, plan.noise_beta, b_blocks, noise_g)):
@@ -275,10 +284,21 @@ def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
             raise ShapeMismatchError(
                 f"expected {len(info)} {side} blocks and {len(noise_exps)} noise blocks of one "
                 f"shape, got {len(blocks)} and {len(noise)} shaped {sorted(shapes)}")
-        coeffs = np.stack([*blocks, *noise])
-        powers = frame.ctx.vandermonde(frame.points, [*(exps[i] for i in info), *noise_exps])
+        sides.append(([*(exps[i] for i in info), *noise_exps], [*blocks, *noise], *shapes))
+    (*_, a_shape), (*_, b_shape) = sides
+    if len(a_shape) != 2 or len(b_shape) != 2:
+        raise ShapeMismatchError(
+            f"expected 2-D blocks, got A blocks shaped {a_shape} and B blocks shaped {b_shape}")
+    if a_shape[1] != b_shape[0]:
+        raise ShapeMismatchError(
+            f"inner dimensions differ: A blocks shaped {a_shape} have {a_shape[1]} columns, "
+            f"B blocks shaped {b_shape} have {b_shape[0]} rows")
+    shares = []
+    for exps, blocks, shape in sides:
+        coeffs = np.stack(blocks)  # one side at a time, so both stacks are never alive at once
+        powers = frame.ctx.vandermonde(frame.points, exps)
         shares.append(frame.ctx.matmul(powers, coeffs.reshape(len(coeffs), -1))
-                      .reshape(frame.n, *coeffs.shape[1:]))
+                      .reshape(frame.n, *shape))
     return tuple(shares)
 
 
@@ -356,9 +376,11 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     multipliers; the readout block h holds the remaining columns.  So g
     and h are columns of B = blockdiag(Q, D_v Q), and M = [0 I] [g h]^-1
     is the rows of B^-1 = blockdiag(Q^-1, Q^-1 D_v^-1) at h's column
-    indices.  Q and Q^-1 are ``frame.generator`` and ``frame.inverse``
-    with their columns and rows permuted, so M needs no elimination and
-    no new generator; ``TransferMatrix`` checks its laws.
+    indices.  Each of g, h and M is built from the matching column or
+    row slices of Q, D_v Q, Q^-1 and Q^-1 D_v^-1, with zeros elsewhere.
+    Q and Q^-1 are ``frame.generator`` and ``frame.inverse`` with their
+    columns and rows permuted, so M needs no elimination and no new
+    generator; ``TransferMatrix`` checks its laws.
     """
     plan = _sampled_plan(frame)
     if frame.generator is None:
@@ -370,14 +392,14 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     position = {e: i for i, e in enumerate(plan.table.exponents)}
     perm = [position[e] for e in quantum_layout(plan)]
     q, q_inv = frame.generator[:, perm], frame.inverse[perm]
-    v = ctx.asarray(frame.v)[:, None]
+    vq = ctx.asarray(frame.v)[:, None] * q % ctx.p
     v_inv = np.array([ctx.inv(x) for x in frame.v], dtype=np.int64)
-    zeros = np.zeros((n, n), dtype=np.int64)
-    b = np.block([[q, zeros], [zeros, v * q % ctx.p]])
-    b_inv = np.block([[q_inv, zeros], [zeros, q_inv * v_inv % ctx.p]])
     fl, ce = n // 2, -(-n // 2)
-    g_cols, h_cols = np.r_[:fl, n:n + ce], np.r_[fl:n, n + ce:2 * n]
-    return TransferMatrix(ctx, b_inv[h_cols], b[:, g_cols], b[:, h_cols])
+    g, h, m = (np.zeros(shape, dtype=np.int64) for shape in ((2 * n, n), (2 * n, n), (n, 2 * n)))
+    g[:n, :fl], g[n:, fl:] = q[:, :fl], vq[:, :ce]
+    h[:n, :ce], h[n:, ce:] = q[:, fl:], vq[:, ce:]
+    m[:ce, :n], m[ce:, n:] = q_inv[fl:], q_inv[ce:] * v_inv % ctx.p
+    return TransferMatrix(ctx, m, g, h)
 
 
 def decode_quantum(frame: EvalFrame, responses_pair) -> tuple[np.ndarray, np.ndarray]:
@@ -438,16 +460,16 @@ def _progression_proves(exps, points, t: int, p: int) -> bool:
     argument of GASP, D'Oliveira, El Rouayheb and Karpuk, IEEE T-IT
     2020).  It is nonzero for every T-subset when no x_i^e0 is 0 (e0 = 0
     or no point is 0 mod p) and, for T >= 2, the x_i^d are pairwise
-    distinct over all the points.
+    distinct over all the points.  ``points`` holds canonical entries.
     """
     present = set(exps)
-    has_zero = any(int(x) % p == 0 for x in points)
+    has_zero = not points.all()
     starts = [e0 for e0 in present if e0 == 0 or not has_zero]
     if t == 1:
         return bool(starts)
     for d in sorted({b - a for a in present for b in present if b > a}):
         if (any(all(e0 + j * d in present for j in range(1, t)) for e0 in starts)
-                and len({pow(int(x), d, p) for x in points}) == len(points)):
+                and len(set(_powers(points, [d], p).ravel().tolist())) == len(points)):
             return True
     return False
 
@@ -484,13 +506,12 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
         return AuditReport(ok=True, checked=0, exhaustive=True)
     sides = [exps for exps in (plan.noise_alpha, plan.noise_beta) if exps]
     total = math.comb(n, t)
+    points = np.array([int(x) % ctx.p for x in points], dtype=np.int64)
     if sides and all(_progression_proves(exps, points, t, ctx.p) for exps in sides):
         return AuditReport(ok=True, checked=total, exhaustive=True, method="proof")
-    # Plain powers rather than FieldContext.vandermonde: a repeated or zero
-    # point must show up as a failing subset, not raise before the audit.
-    powers = [np.array([[pow(int(x), e, ctx.p) for e in exps] for x in points],
-                       dtype=np.int64)
-              for exps in sides]
+    # Unchecked powers rather than FieldContext.vandermonde: a repeated or
+    # zero point must show up as a failing subset, not raise before the audit.
+    powers = [_powers(points, exps, ctx.p) for exps in sides]
     exhaustive = total <= cap
     if exhaustive:
         subsets = combinations(range(n), t)

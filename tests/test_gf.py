@@ -344,3 +344,34 @@ def test_batch_rank_edge_shapes():
     assert F11.batch_rank(np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [0, 0]
     with pytest.raises(ValueError, match="stack"):
         F11.batch_rank(F11.identity(3))
+
+
+# Primes from the smallest field to the largest modulus FieldContext accepts.
+PROPERTY_PRIMES = [3, 11, 101, 10_007, 2_000_000_011, 2**31 - 1]
+
+
+def pow_oracle(points, exponents, p):
+    """One Python ``pow`` per entry: the scalar reference for ``vandermonde``."""
+    return [[pow(x, e, p) for e in exponents] for x in points]
+
+
+@given(st.sampled_from(PROPERTY_PRIMES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_vandermonde_matches_pow_oracle(p, data):
+    points = data.draw(st.lists(st.integers(-2**40, 2**40).filter(lambda x: x % p),
+                                max_size=8, unique_by=lambda x: x % p))
+    exps = data.draw(st.lists(st.integers(-70, 70), max_size=8, unique=True))
+    got = FieldContext(p).vandermonde(points, exps)
+    assert got.dtype == np.int64 and got.shape == (len(points), len(exps))
+    assert got.tolist() == pow_oracle([x % p for x in points], exps, p)
+
+
+@given(st.sampled_from(PROPERTY_PRIMES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_unchecked_powers_match_pow_oracle(p, data):
+    """The audit's power kernel keeps zero and repeated points: 0^0 = 1."""
+    points = data.draw(st.lists(st.integers(0, min(p - 1, 50)), max_size=8))
+    exps = data.draw(st.lists(st.integers(0, 2**40), max_size=6))
+    got = gf._powers(np.array(points, dtype=np.int64), exps, p)
+    assert got.shape == (len(points), len(exps))
+    assert got.tolist() == pow_oracle(points, exps, p)

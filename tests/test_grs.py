@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmm.degree_tables import build_cat, build_gasp_r, outer_sum
 from pdmm.feasibility import longest_run
@@ -144,3 +146,26 @@ def test_sampled_quantum_frame_is_dual_at_its_shift(plan):
     shift = longest_run(outer_sum(plan).interference)[0]
     assert frame.shift == shift
     assert_full_duality(ctx, frame.points, [1] * frame.n, frame.v, shift, shift)
+
+
+def loop_dual_multipliers(p, points, u, shift_sum):
+    """Scalar reference: v_i = (u_i a_i^s prod_{j != i} (a_j - a_i))^-1, one pow each."""
+    out = []
+    for i, a in enumerate(points):
+        prod = u[i] * pow(a, shift_sum, p) % p
+        for j, b in enumerate(points):
+            if j != i:
+                prod = prod * (b - a) % p
+        out.append(pow(prod, -1, p))
+    return out
+
+
+@given(st.sampled_from([3, 11, 101, 10_007, 2_000_000_011, 2**31 - 1]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_shifted_dual_multipliers_match_loop_oracle(p, data):
+    points = data.draw(st.lists(st.integers(1, p - 1), max_size=9, unique=True))
+    u = data.draw(st.lists(st.integers(1, p - 1), min_size=len(points), max_size=len(points)))
+    l1, l2 = data.draw(st.integers(-5, 20)), data.draw(st.integers(-5, 20))
+    v = shifted_dual_multipliers(FieldContext(p), points, u, l1, l2)
+    assert v.dtype == np.int64
+    assert v.tolist() == loop_dual_multipliers(p, points, u, l1 + l2)

@@ -93,14 +93,19 @@ def _bad_points(self, points, exponents):
     raise ValueError("evaluation points must be distinct")
 
 
+# Table exponents with gaps (up to 10, then 13), so every attempt ranks its generator.
+GAPPED = build_dog(2, 2, 2, 1, 1)
+
+
 @pytest.mark.parametrize("method, stub, counts", [
     ("vandermonde", _bad_points, "zero or repeated point 64, rank-deficient generator 0"),
     ("mat_rank", lambda self, mat: 0, "zero or repeated point 0, rank-deficient generator 64"),
 ])
 def test_resample_exhaustion_counts_each_rejection(monkeypatch, method, stub, counts):
+    assert GAPPED.table.exponents != tuple(range(GAPPED.table.n_servers))
     monkeypatch.setattr(FieldContext, method, stub)
     with pytest.raises(ResampleExhaustedError) as exc:
-        make_frame(GASP223, prime=131)
+        make_frame(GAPPED, prime=131)
     assert str(exc.value).endswith(f"(rejections: {counts}, failed privacy audit 0)")
 
 
@@ -110,10 +115,22 @@ def test_cyclic_frame_failure_names_the_check(monkeypatch):
     with pytest.raises(ResampleExhaustedError,
                        match=r"^fixed cyclic frame failed validation \(failed privacy audit\)$"):
         make_frame(build_cat(2, 2, 2))
-    monkeypatch.setattr(FieldContext, "mat_rank", lambda self, mat: 0)
-    with pytest.raises(ResampleExhaustedError,
-                       match=r"^fixed cyclic frame failed validation \(rank-deficient generator\)$"):
-        make_frame(build_cat(2, 2, 2))
+
+
+def _no_elimination(self, *args):
+    raise AssertionError("eliminated a Vandermonde generator")
+
+
+@pytest.mark.parametrize("plan", [build_cat(2, 2, 2), build_qf_klt(5, 3)])
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+def test_vandermonde_generator_is_neither_ranked_nor_eliminated(monkeypatch, plan, mode):
+    """Table exponents 0, ..., N - 1 give a plain Vandermonde generator:
+    never rank-deficient on distinct points, and inverted by interpolation."""
+    assert plan.table.exponents == tuple(range(plan.table.n_servers))
+    for name in ("mat_rank", "mat_inverse", "mat_solve"):
+        monkeypatch.setattr(FieldContext, name, _no_elimination)
+    t = run_protocol(ProtocolConfig(plan=plan, mode=mode, seed=2, dims=(plan.K, 2, plan.L)))
+    assert t.decode_ok and t.audit.ok
 
 
 def test_cat_frame_fixed_coset():
@@ -262,6 +279,17 @@ def test_encode_refuses_wrong_block_counts_and_shapes(a, nf, ng, message):
 
     with pytest.raises(ShapeMismatchError, match="^expected " + message):
         encode_shares(frame, blocks(a), blocks([1, 2]), blocks(nf), blocks(ng))
+
+
+def test_encode_refuses_blocks_whose_inner_dimensions_differ():
+    _, frame, _ = make_frame(GASP223, prime=131)
+    a, b = np.ones((5, 1, 2), dtype=np.int64), np.ones((5, 3, 1), dtype=np.int64)
+    want = (r"^inner dimensions differ: A blocks shaped \(1, 2\) have 2 columns, "
+            r"B blocks shaped \(3, 1\) have 3 rows$")
+    with pytest.raises(ShapeMismatchError, match=want):
+        encode_shares(frame, a[:2], b[:2], a[2:], b[2:])
+    with pytest.raises(ShapeMismatchError, match=r"^expected 2-D blocks, got A blocks shaped \(2,\)"):
+        encode_shares(frame, a[:2, 0], b[:2, 0], a[2:, 0], b[2:, 0])
 
 
 # ---------------------------------------------------------------------------
