@@ -16,7 +16,7 @@ coeffs = np.array([5, 0, 7, 2])
 points = [3, 10, 44, 90]
 vand = ctx.vandermonde(points, range(4))
 values = ctx.matmul(vand, coeffs.reshape(-1, 1))
-print("recovered coefficients:", ctx.mat_solve(vand, values).ravel().tolist())
+print("recovered coefficients:", ctx.matmul(ctx.mat_inverse(vand), values).ravel().tolist())
 
 # dual multipliers: one closed form makes every split orthogonal
 pts = [1, 2, 3, 4, 5, 6]

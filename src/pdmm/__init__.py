@@ -56,13 +56,7 @@ from .grs import (
     shifted_dual_multipliers,
     sso_check,
 )
-from .nsumbox import (
-    NotSSOError,
-    SingularStackError,
-    TransferMatrix,
-    apply_box,
-    build_transfer,
-)
+from .nsumbox import NotSSOError, TransferMatrix, apply_box
 from .protocol import (
     AuditReport,
     NotFeasibleError,

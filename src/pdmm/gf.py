@@ -335,7 +335,9 @@ class FieldContext:
         return aug, rank
 
     def mat_rank(self, a) -> int:
-        a = self.asarray(a).copy()
+        a = self.asarray(a)
+        if a.ndim != 2:
+            raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
         if a.size == 0:
             return 0
         _, rank = self._eliminate(a, a.shape[1])
@@ -384,25 +386,16 @@ class FieldContext:
             e >>= 1
         return out
 
-    def mat_solve(self, a, b) -> np.ndarray:
-        """Solve A X = B for square A; raises SingularMatrixError otherwise."""
+    def mat_inverse(self, a) -> np.ndarray:
+        """Inverse of a square matrix by elimination on [A | I]; raises SingularMatrixError otherwise."""
         a = self.asarray(a)
-        b = self.asarray(b)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got {a.shape}")
-        if b.ndim == 1:
-            b = b.reshape(-1, 1)
-        if b.shape[0] != a.shape[0]:
-            raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {a.shape[0]}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {a.shape}")
         n = a.shape[0]
-        aug, rank = self._eliminate(np.hstack([a, b]).copy(), n)
+        aug, rank = self._eliminate(np.hstack([a, self.identity(n)]), n)
         if rank < n:
             raise SingularMatrixError(f"matrix of rank {rank} < {n}")
         return aug[:, n:]
-
-    def mat_inverse(self, a) -> np.ndarray:
-        a = self.asarray(a)
-        return self.mat_solve(a, self.identity(a.shape[0]))
 
     def vandermonde(self, points: Sequence[int], exponents: Sequence[int]) -> np.ndarray:
         """Matrix with entry (i, j) = points[i] ** exponents[j] mod p."""

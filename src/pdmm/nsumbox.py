@@ -5,6 +5,9 @@ operand); the receiver recovers N symbols through the linear map
 M = [0 I] [G H]^-1, where G spans the stabilized directions and must be
 symplectic self-orthogonal.  The map is exact for stabilizer-based
 protocols, so no state-vector simulation is involved anywhere.
+``protocol.quantum_transfer`` builds G, H and M without elimination;
+this module holds the map, the laws it is checked against, and its
+application.
 """
 
 from __future__ import annotations
@@ -13,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldContext, SingularMatrixError
+from .gf import FieldContext
 from .grs import ShapeMismatchError, sso_check
 
 __all__ = [
     "TransferMatrix",
     "NotSSOError",
-    "SingularStackError",
-    "build_transfer",
     "apply_box",
 ]
 
@@ -29,21 +30,17 @@ class NotSSOError(ValueError):
     """The stabilizer block fails the symplectic self-orthogonality check."""
 
 
-class SingularStackError(ValueError):
-    """[G H] is not invertible, so no transfer matrix exists."""
-
-
 @dataclass(frozen=True)
 class TransferMatrix:
     """Receiver map m with its stabilizer block g and readout block h.
 
-    Invariants (checked at construction): g is SSO, m g = 0 and m h = I.
-    [g h] must also be invertible: ``build_transfer`` finds that out by
-    elimination, and ``protocol.quantum_transfer`` has it because its
-    g, h and m are column and row slices of one block-diagonal matrix
-    and its inverse, filled in from the sampled frame's generator and
-    that generator's inverse.  Inputs in the column span of g vanish;
-    the receiver sees exactly the h-coordinates.
+    Invariants (checked exactly at construction): g is SSO, m g = 0 and
+    m h = I.  [g h] must also be invertible, which the checks do not
+    show: ``protocol.quantum_transfer`` has it because its g, h and m
+    are column and row slices of one block-diagonal matrix and its
+    inverse, filled in from the sampled frame's generator and that
+    generator's inverse.  Inputs in the column span of g vanish; the
+    receiver sees exactly the h-coordinates.
     """
 
     ctx: FieldContext
@@ -62,19 +59,6 @@ class TransferMatrix:
     @property
     def n(self) -> int:
         return self.m.shape[0]
-
-
-def build_transfer(ctx: FieldContext, g, h) -> TransferMatrix:
-    """Assemble M = [0 I] [G H]^-1 from two 2N x N blocks by elimination."""
-    g = ctx.asarray(g)
-    h = ctx.asarray(h)
-    if g.ndim != 2 or h.ndim != 2 or g.shape != h.shape or g.shape[0] != 2 * g.shape[1]:
-        raise ShapeMismatchError(f"need two 2N x N blocks, got {g.shape} and {h.shape}")
-    try:
-        inv = ctx.mat_inverse(np.hstack([g, h]))
-    except SingularMatrixError as exc:
-        raise SingularStackError("[G H] is singular") from exc
-    return TransferMatrix(ctx=ctx, m=inv[g.shape[1]:], g=g, h=h)  # [0_N I_N] [G H]^-1
 
 
 def apply_box(tm: TransferMatrix, x) -> np.ndarray:

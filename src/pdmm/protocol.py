@@ -379,8 +379,9 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     indices.  Each of g, h and M is built from the matching column or
     row slices of Q, D_v Q, Q^-1 and Q^-1 D_v^-1, with zeros elsewhere.
     Q and Q^-1 are ``frame.generator`` and ``frame.inverse`` with their
-    columns and rows permuted, so M needs no elimination and no new
-    generator; ``TransferMatrix`` checks its laws.
+    columns and rows permuted, and D_v^-1 takes one vectorised Fermat
+    inversion, so M needs no elimination and no new generator;
+    ``TransferMatrix`` checks its laws.
     """
     plan = _sampled_plan(frame)
     if frame.generator is None:
@@ -392,8 +393,9 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     position = {e: i for i, e in enumerate(plan.table.exponents)}
     perm = [position[e] for e in quantum_layout(plan)]
     q, q_inv = frame.generator[:, perm], frame.inverse[perm]
-    vq = ctx.asarray(frame.v)[:, None] * q % ctx.p
-    v_inv = np.array([ctx.inv(x) for x in frame.v], dtype=np.int64)
+    v = ctx.asarray(frame.v)
+    vq = v[:, None] * q % ctx.p
+    v_inv = ctx._inverse_all(v)
     fl, ce = n // 2, -(-n // 2)
     g, h, m = (np.zeros(shape, dtype=np.int64) for shape in ((2 * n, n), (2 * n, n), (n, 2 * n)))
     g[:n, :fl], g[n:, fl:] = q[:, :fl], vq[:, :ce]

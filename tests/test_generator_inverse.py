@@ -1,13 +1,13 @@
-"""The frame's generator inverse against the eliminations it replaced.
+"""The frame's generator inverse against plain elimination.
 
 ``sample_frame`` inverts the generator of the frame it accepts, once,
 into ``frame.inverse``, and keeps the plan and the generator on the
 frame too.  ``decode_classical`` multiplies the inverse's info-sum rows
-with the responses where it used to solve the generator system
-(``ctx.mat_solve``), and ``quantum_transfer`` reads the transfer matrix
-off the generator and its inverse where it used to invert the 2N x 2N
-stack [G H] (``nsumbox.build_transfer``).  Both are checked against those
-eliminations on every feasible builder plan with N <= 60 of a small
+with the responses, and ``quantum_transfer`` reads the transfer matrix
+off the generator and its inverse, with no elimination.  Both are
+checked against the elimination oracle in ``elimination_oracle.py``:
+solving the generator system, and inverting the 2N x 2N stack [G H].
+The checks run on every feasible builder plan with N <= 60 of a small
 grid, over each plan's default field and over the floor 10007.
 """
 
@@ -19,6 +19,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import elimination_oracle as oracle
 from pdmm import protocol
 from pdmm.degree_tables import (
     build_cat,
@@ -36,7 +37,7 @@ from pdmm.degree_tables import (
 from pdmm.feasibility import check_feasible
 from pdmm.gf import FieldContext
 from pdmm.grs import EvalFrame
-from pdmm.nsumbox import TransferMatrix, build_transfer
+from pdmm.nsumbox import TransferMatrix
 from pdmm.protocol import (
     ProtocolConfig,
     decode_classical,
@@ -112,8 +113,8 @@ def classical_mismatches(alter=lambda frame: frame):
         ctx = frame.ctx
         exps = plan.table.exponents
         responses = rng.integers(0, ctx.p, size=(frame.n, 1, 2))
-        coeffs = ctx.mat_solve(ctx.vandermonde(frame.points, exps),
-                               responses.reshape(frame.n, -1))
+        coeffs = oracle.solve(ctx, ctx.vandermonde(frame.points, exps),
+                              responses.reshape(frame.n, -1))
         want = protocol._assemble(plan, coeffs[[exps.index(e) for e in plan.table.info]], (1, 2))
         if not np.array_equal(decode_classical(alter(frame), responses), want):
             bad.append((plan, frame.ctx.p))
@@ -128,13 +129,15 @@ def test_differential_check_catches_an_inverse_read_transposed():
     assert classical_mismatches(lambda frame: dataclasses.replace(frame, inverse=frame.inverse.T))
 
 
-def transfer_mismatches(transfer=quantum_transfer):
-    """Grid cases where ``transfer``'s m differs from eliminating its own [g h]."""
+def transfer_mismatches(alter=lambda frame, m: m):
+    """Grid cases where ``quantum_transfer``'s m, passed through ``alter``,
+    differs from eliminating its own [g h]."""
     bad = []
     for plan, frame in sampled():
-        tm = transfer(frame)
-        want = build_transfer(frame.ctx, tm.g, tm.h).m
-        if not (tm.m.dtype == want.dtype and np.array_equal(tm.m, want)):
+        tm = quantum_transfer(frame)
+        m = alter(frame, tm.m)
+        want = oracle.transfer(frame.ctx, tm.g, tm.h)
+        if not (m.dtype == want.dtype and np.array_equal(m, want)):
             bad.append((plan, frame.ctx.p))
     return bad
 
@@ -143,17 +146,12 @@ def test_structured_transfer_matches_eliminating_the_stack():
     assert transfer_mismatches() == []
 
 
-def without_dv_inverse(frame, checked=False):
-    """``quantum_transfer`` with D_v^-1 dropped: every inverse v_i^-1 reads as 1.
-
-    Unless ``checked``, the transfer-law checks are off too, so that
-    only a differential check can catch the wrong m.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FieldContext, "inv", lambda self, x: 1)
-        if not checked:
-            mp.setattr(TransferMatrix, "__post_init__", lambda self: None)
-        return quantum_transfer(frame)
+def without_dv_inverse(frame, m):
+    """m with D_v^-1 dropped: its right half, the rows of Q^-1 D_v^-1, times D_v."""
+    ctx = frame.ctx
+    wrong = m.copy()
+    wrong[:, frame.n:] = wrong[:, frame.n:] * ctx.asarray(frame.v) % ctx.p
+    return wrong
 
 
 def test_differential_check_catches_a_transfer_without_dv_inverse():
@@ -162,8 +160,19 @@ def test_differential_check_catches_a_transfer_without_dv_inverse():
 
 def test_transfer_laws_catch_a_transfer_without_dv_inverse():
     _, frame = sampled()[0]
+    tm = quantum_transfer(frame)
     with pytest.raises(AssertionError, match="transfer law m g = 0 failed"):
-        without_dv_inverse(frame, checked=True)
+        TransferMatrix(frame.ctx, without_dv_inverse(frame, tm.m), tm.g, tm.h)
+
+
+def test_transfer_laws_catch_any_one_corrupt_entry_of_m():
+    _, frame = sampled()[0]
+    tm = quantum_transfer(frame)
+    for index in np.ndindex(tm.m.shape):
+        m = tm.m.copy()
+        m[index] = (m[index] + 1) % frame.ctx.p
+        with pytest.raises(AssertionError, match="^transfer law m [gh] "):
+            TransferMatrix(frame.ctx, m, tm.g, tm.h)
 
 
 def test_frame_without_inverse_cannot_be_decoded():

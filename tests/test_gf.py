@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,22 +39,34 @@ def test_context_validation():
         FieldContext(2**31 + 11)
 
 
-def test_solve_identity():
-    x = F5.mat_solve(F5.identity(2), [[3], [4]])
-    assert x.tolist() == [[3], [4]]
+def test_inverse_identity():
+    assert F5.mat_inverse(F5.identity(2)).tolist() == [[1, 0], [0, 1]]
 
 
-def test_solve_verified_by_remultiplication():
+def test_inverse_verified_by_remultiplication():
     a = [[1, 1], [1, 2]]
-    b = [[0], [1]]
-    x = F5.mat_solve(a, b)
-    assert x.tolist() == [[4], [1]]
-    assert F5.matmul(a, x).tolist() == b
+    x = F5.mat_inverse(a)
+    assert x.tolist() == [[2, 4], [4, 1]]
+    assert F5.matmul(a, x).tolist() == F5.identity(2).tolist()
 
 
-def test_solve_singular():
+def test_inverse_singular():
     with pytest.raises(SingularMatrixError):
-        F5.mat_solve([[1, 2], [2, 4]], [[1], [0]])
+        F5.mat_inverse([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("a, shape", [
+    ([1, 2], "(2,)"), ([], "(0,)"), ([[[1]]], "(1, 1, 1)"), ([[1, 2]], "(1, 2)"),
+])
+def test_inverse_rejects_a_non_square_shape(a, shape):
+    with pytest.raises(ValueError, match=rf"^matrix must be square, got shape {re.escape(shape)}$"):
+        F5.mat_inverse(a)
+
+
+@pytest.mark.parametrize("a, shape", [([1, 2], "(2,)"), ([[[1]]], "(1, 1, 1)")])
+def test_rank_rejects_a_non_matrix(a, shape):
+    with pytest.raises(ValueError, match=rf"^expected a 2-D matrix, got shape {re.escape(shape)}$"):
+        F5.mat_rank(a)
 
 
 def test_rank():

@@ -1,23 +1,18 @@
 import numpy as np
 import pytest
 
+import elimination_oracle as oracle
 from pdmm.degree_tables import build_gasp_r
 from pdmm.gf import FieldContext
 from pdmm.grs import ShapeMismatchError
-from pdmm.nsumbox import (
-    NotSSOError,
-    SingularStackError,
-    TransferMatrix,
-    apply_box,
-    build_transfer,
-)
+from pdmm.nsumbox import NotSSOError, TransferMatrix, apply_box
 from pdmm.protocol import ProtocolConfig, quantum_transfer, sample_frame
 
 
 def tiny_box(ctx, g_col, h_col):
     g = np.array(g_col, dtype=np.int64).reshape(2, 1)
     h = np.array(h_col, dtype=np.int64).reshape(2, 1)
-    return build_transfer(ctx, g, h)
+    return TransferMatrix(ctx, oracle.transfer(ctx, g, h), g, h)
 
 
 def test_single_server_boxes():
@@ -41,6 +36,7 @@ def test_transfer_laws_on_protocol_frame():
     assert np.all(ctx.matmul(tm.m, tm.g) == 0)
     assert np.all(ctx.matmul(tm.m, tm.h) == ctx.identity(n))
     assert ctx.mat_rank(tm.m) == n
+    assert np.array_equal(tm.m, oracle.transfer(ctx, tm.g, tm.h))
 
 
 def test_apply_box_kills_stabilized_directions():
@@ -65,19 +61,6 @@ def test_apply_box_linearity():
     combined = apply_box(tm, (a * x1 + b * x2) % ctx.p)
     split = (a * apply_box(tm, x1) + b * apply_box(tm, x2)) % ctx.p
     assert np.array_equal(combined, split)
-
-
-def test_build_transfer_rejects_bad_blocks():
-    ctx = FieldContext(11)
-    not_sso = np.array([[1, 0], [0, 1], [0, 1], [0, 0]])
-    h = np.array([[0, 0], [0, 0], [1, 0], [0, 1]])
-    with pytest.raises(NotSSOError):
-        build_transfer(ctx, not_sso, h)
-    g = np.array([[1, 0], [0, 1], [0, 0], [0, 0]])
-    with pytest.raises(SingularStackError):
-        build_transfer(ctx, g, g)
-    with pytest.raises(ShapeMismatchError):
-        build_transfer(ctx, np.zeros((3, 1)), np.zeros((3, 1)))
 
 
 def test_transfer_matrix_checks_its_laws_at_construction():

@@ -127,7 +127,7 @@ def test_vandermonde_generator_is_neither_ranked_nor_eliminated(monkeypatch, pla
     """Table exponents 0, ..., N - 1 give a plain Vandermonde generator:
     never rank-deficient on distinct points, and inverted by interpolation."""
     assert plan.table.exponents == tuple(range(plan.table.n_servers))
-    for name in ("mat_rank", "mat_inverse", "mat_solve"):
+    for name in ("mat_rank", "mat_inverse", "_eliminate"):
         monkeypatch.setattr(FieldContext, name, _no_elimination)
     t = run_protocol(ProtocolConfig(plan=plan, mode=mode, seed=2, dims=(plan.K, 2, plan.L)))
     assert t.decode_ok and t.audit.ok
