@@ -13,10 +13,15 @@ t the significand width.  Each product picks one of three tiers: float32
 when the whole inner sum fits 2^23, float64 on the entries in inner
 chunks that keep the reduced accumulator plus a chunk within 2^52, and
 float64 on 16-bit limbs when (p - 1)^2 + p > 2^52.  Reduction stays in
-floating point until one cast into the int64 result.
+floating point until one cast into the int64 result.  A product also
+takes an (S, r, k) stack times an (S, k, c) stack, one per server in the
+protocol, staged in groups of matrices so that small matrices share one
+stacked GEMM instead of one call each.  Products read int64 operands in
+place and copy only what is not yet reduced mod p.
 
 The context and all arrays it touches are treated as immutable; every
-operation returns fresh arrays, so concurrent use is safe.
+operation returns fresh arrays and writes none of its inputs, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -154,7 +159,9 @@ _EXACT = 1 << 52
 _EXACT32 = 1 << 23
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-# Output entries per column tile of ``FieldContext.matmul``: 1 MiB of float64.
+# Entries of 1 MiB of float64: ``FieldContext.matmul`` builds its output in
+# column tiles of this many entries, and stages stacks in groups whose
+# operand and output entries together stay within it.
 _TILE = 1 << 17
 
 
@@ -212,22 +219,42 @@ class FieldContext:
     def asarray(self, data) -> np.ndarray:
         """Canonicalize to a new int64 array with entries in [0, p)."""
         x = np.array(data, dtype=np.int64)
-        # as uint64 a negative entry exceeds 2^63, so one max finds any outside [0, p)
-        if x.size and x.view(np.uint64).max() >= self.p:
+        if not self._is_canonical(x):
             x %= self.p
         return x
+
+    def _is_canonical(self, x: np.ndarray) -> bool:
+        """Whether every entry of the int64 array x lies in [0, p)."""
+        # as uint64 a negative entry exceeds 2^63, so one max finds any outside [0, p)
+        return not x.size or x.view(np.uint64).max() < self.p
+
+    def _canonical(self, data) -> np.ndarray:
+        """``data`` as int64 entries in [0, p), read in place when it already is.
+
+        Otherwise the entries are reduced into a new array; the caller's
+        array is never written.
+        """
+        x = np.asarray(data, dtype=np.int64)
+        return x if self._is_canonical(x) else x % self.p
 
     def identity(self, n: int) -> np.ndarray:
         return np.eye(n, dtype=np.int64)
 
     def matmul(self, a, b) -> np.ndarray:
-        """Exact A @ B mod p for a left operand of any rank and a 1-D or 2-D right one.
+        """Exact A @ B mod p, for one right operand or a stack of them.
+
+        A left operand of any rank takes a 1-D or 2-D right one; an
+        (S, r, k) stack takes an (S, k, c) stack and gives the (S, r, c)
+        stack of products A[s] @ B[s], as ``np.matmul`` does.  Operands
+        are read in place, never written, and reduced mod p into new
+        arrays only when some entry lies outside [0, p).
 
         The products run as float GEMMs, exact while every sum stays at
         or below 2^(t - 1), t the significand width, whatever order the
         BLAS sums in; within that bound ``x - floor(x / p) * p`` is exact
         too, so reduction stays in floating point.  One tier is picked
-        per call from p and the inner dimension:
+        per call from p and the inner dimension, so it holds for every
+        matrix of a stack:
 
         - float32, when inner * (p - 1)^2 + p <= 2^23: one chunk holds
           the whole inner dimension;
@@ -236,43 +263,66 @@ class FieldContext:
           product stays within 2^52;
         - float64 on 16-bit limbs otherwise (see ``_limb_product``).
 
-        The output is built in column tiles of about 1 MiB of float64.
-        Each tile keeps a float accumulator, reduced in place after every
-        inner chunk and cast into the int64 result once, so no
-        output-sized float array is ever live.
+        A stack is staged in groups of matrices whose operand and output
+        entries together stay within about 1 MiB of float64, each group
+        one stacked GEMM per inner chunk; a matrix too large to share
+        its group is staged alone as a 2-D product.  See ``_product``
+        for the column tiles.
         """
-        a = self.asarray(a)
-        b = self.asarray(b)
-        if a.shape[-1] != b.shape[0] or b.ndim > 2:
+        a, b = self._canonical(a), self._canonical(b)
+        if b.ndim == 3:
+            fits = a.ndim == 3 and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]
+        else:
+            fits = a.ndim > 0 and 0 < b.ndim < 3 and a.shape[-1] == b.shape[0]
+        if not fits:
             raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
-        shape = a.shape[:-1] + b.shape[1:]
-        rows, inner, cols = math.prod(a.shape[:-1]), b.shape[0], math.prod(b.shape[1:])
+        inner = b.shape[-2] if b.ndim == 3 else b.shape[0]
         p = self.p
         if inner * (p - 1) ** 2 + p <= _EXACT32:
-            dtype, split, depth = np.float32, False, max(inner, 1)
+            tier = np.float32, False, max(inner, 1)
         elif (p - 1) ** 2 + p <= _EXACT:
-            dtype, split, depth = np.float64, False, (_EXACT - p) // (p - 1) ** 2
+            tier = np.float64, False, (_EXACT - p) // (p - 1) ** 2
         else:
             # a Horner step adds two limb products per index to a carry below p * 2^16
-            dtype, split = np.float64, True
-            depth = (_EXACT - (p << _LIMB_BITS)) // (2 * _LIMB_MASK ** 2)
-        # Rebinding drops each int64 copy once its float limbs exist.
-        a = _limbs(a.reshape(rows, inner), split, dtype)
-        b = _limbs(b.reshape(inner, cols), split, dtype)
-        width = max(1, _TILE // max(rows, 1))
-        out = np.empty((rows, cols), dtype=np.int64)
-        for c in range(0, cols, width):
+            tier = np.float64, True, (_EXACT - (p << _LIMB_BITS)) // (2 * _LIMB_MASK ** 2)
+        if b.ndim < 3:
+            shape = a.shape[:-1] + b.shape[1:]
+            rows, cols = math.prod(a.shape[:-1]), math.prod(b.shape[1:])
+            out = np.empty((rows, cols), dtype=np.int64)
+            self._product(a.reshape(rows, inner), b.reshape(inner, cols), out, *tier)
+            # [()] turns the 0-d product of two vectors into a scalar, as np.matmul does
+            return out.reshape(shape)[()]
+        stack, rows, cols = len(a), a.shape[1], b.shape[2]
+        out = np.empty((stack, rows, cols), dtype=np.int64)
+        group = _TILE // max(rows * inner + inner * cols + rows * cols, 1)
+        for s in range(0, stack, max(group, 1)):
+            part = s if group <= 1 else slice(s, s + group)
+            self._product(a[part], b[part], out[part], *tier)
+        return out
+
+    def _product(self, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                 dtype, split: bool, depth: int) -> None:
+        """Write A @ B mod p into ``out``, for 2-D operands or equal-length stacks of them.
+
+        ``a`` and ``b`` hold canonical entries.  The output is built in
+        column tiles of about 1 MiB of float64.  Each tile keeps a float
+        accumulator, reduced in place after every inner chunk of
+        ``depth`` indices and cast into ``out`` once, so no output-sized
+        float array is ever live.
+        """
+        a, b = _limbs(a, split, dtype), _limbs(b, split, dtype)
+        inner = b[0].shape[-2]
+        width = max(1, _TILE // max(math.prod(out.shape[:-1]), 1))
+        for c in range(0, out.shape[-1], width):
             acc = None
             # an empty inner dimension still takes one chunk, whose product is zero
             for k in range(0, max(inner, 1), depth):
-                part = self._limb_product([x[:, k:k + depth] for x in a],
-                                          [y[k:k + depth, c:c + width] for y in b])
+                part = self._limb_product([x[..., k:k + depth] for x in a],
+                                          [y[..., k:k + depth, c:c + width] for y in b])
                 if acc is not None:
                     part += acc
                 acc = self._reduce(part)
-            out[:, c:c + width] = acc
-        # [()] turns the 0-d product of two vectors into a scalar, as np.matmul does
-        return out.reshape(shape)[()]
+            out[..., c:c + width] = acc
 
     def _limb_product(self, a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
         """Product of two limb lists as floats congruent to A @ B mod p.

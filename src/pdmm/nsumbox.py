@@ -63,7 +63,6 @@ class TransferMatrix:
 
 def apply_box(tm: TransferMatrix, x) -> np.ndarray:
     """Receive y = m x for a 2N-vector (or a 2N x k batch) of operands."""
-    x = tm.ctx.asarray(x)
-    if x.shape[0] != 2 * tm.n:
-        raise ShapeMismatchError(f"operand length {x.shape[0]}, expected {2 * tm.n}")
+    if np.shape(x)[:1] != (2 * tm.n,):
+        raise ShapeMismatchError(f"operand shape {np.shape(x)}, expected length {2 * tm.n}")
     return tm.ctx.matmul(tm.m, x)

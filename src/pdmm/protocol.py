@@ -303,10 +303,20 @@ def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
 
 
 def server_compute(ctx: FieldContext, shares_f, shares_g) -> np.ndarray:
-    """Each server multiplies its two shares: response_n = f_n g_n."""
-    if shares_f.shape[0] != shares_g.shape[0]:
-        raise ShapeMismatchError("share counts differ")
-    return np.stack([ctx.matmul(f, g) for f, g in zip(shares_f, shares_g)])
+    """Each server multiplies its two shares: response_n = f_n g_n.
+
+    ``shares_f`` is an (N, ra, inner) stack and ``shares_g`` an
+    (N, inner, cb) one, as ``encode_shares`` returns them; all N products
+    are one stacked ``ctx.matmul``, shaped (N, ra, cb).  Stacks of other
+    ranks, or whose counts or inner dimensions differ, raise
+    ``ShapeMismatchError``.
+    """
+    f_shape, g_shape = np.shape(shares_f), np.shape(shares_g)
+    if len(f_shape) != 3 or len(g_shape) != 3 or (f_shape[0], f_shape[2]) != g_shape[:2]:
+        raise ShapeMismatchError(
+            f"expected (N, ra, inner) and (N, inner, cb) share stacks, "
+            f"got shapes {f_shape} and {g_shape}")
+    return ctx.matmul(shares_f, shares_g)
 
 
 def _assemble(plan, info_rows, block_shape):
@@ -345,7 +355,7 @@ def decode_classical(frame: EvalFrame, responses) -> np.ndarray:
     block_shape = _block_shape(frame, responses)
     exps = plan.table.exponents
     rows = frame.inverse[[exps.index(e) for e in plan.table.info]]
-    flat = frame.ctx.asarray(responses).reshape(frame.n, -1)
+    flat = np.reshape(responses, (frame.n, -1))
     return _assemble(plan, frame.ctx.matmul(rows, flat), block_shape)
 
 

@@ -213,6 +213,68 @@ def test_matmul_all_largest_entries(p):
         assert ctx.matmul(a, b).tolist() == [[inner % p]]
 
 
+@pytest.mark.parametrize("p", MATMUL_PRIMES)
+@pytest.mark.parametrize("shape_a, shape_b, tile", [
+    # 3*4 + 4*2 + 3*2 = 26 entries a matrix: groups of 2, and 35 ends on a group of 1
+    ((3, 4), (4, 2), 60),
+    # 83 entries a matrix: each staged alone, in column tiles of 3, 3 and 1
+    ((5, 4), (4, 7), 16),
+])
+def test_stacked_matmul_matches_the_per_matrix_loop(monkeypatch, p, shape_a, shape_b, tile):
+    ctx = FieldContext(p)
+    rng = np.random.default_rng(p % 991)
+    monkeypatch.setattr(gf, "_TILE", tile)
+    for stack in (0, 1, 2, 35):
+        # unreduced and negative entries are taken mod p first
+        a = rng.integers(-3 * p, 3 * p, size=(stack, *shape_a))
+        b = rng.integers(-3 * p, 3 * p, size=(stack, *shape_b))
+        got = ctx.matmul(a, b)
+        assert got.dtype == np.int64 and got.shape == (stack, shape_a[0], shape_b[1])
+        assert got.tolist() == python_int_matmul(a, b, p).tolist()
+        assert got.tolist() == [ctx.matmul(x, y).tolist() for x, y in zip(a, b)]
+        if stack > 1:
+            # negative control: server i's f paired with server i + 1's g
+            assert got.tolist() != python_int_matmul(a, np.roll(b, -1, axis=0), p).tolist()
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((2, 3, 4), (3, 4, 2)),  # stack lengths differ
+    ((2, 3, 4), (2, 5, 2)),  # inner dimensions differ
+    ((3, 4), (2, 4, 2)),     # a matrix times a stack
+    ((2, 3, 4, 1), (2, 4, 2)),
+    ((2, 4), (5, 2)),
+    ((), (1, 1)),
+])
+def test_matmul_rejects_mismatched_shapes(shape_a, shape_b):
+    with pytest.raises(ValueError, match=re.escape(f"shape mismatch for matmul: {shape_a} x {shape_b}")):
+        F11.matmul(np.zeros(shape_a, dtype=np.int64), np.zeros(shape_b, dtype=np.int64))
+
+
+def test_matmul_reads_its_operands_without_writing_or_aliasing_them():
+    rng = np.random.default_rng(4)
+    a = rng.integers(-30, 30, size=(4, 3, 5))
+    b = rng.integers(0, 11, size=(4, 5, 2))
+    row = rng.integers(0, 11, size=5)
+    for x in (a, b, row):
+        x.setflags(write=False)
+    cases = [
+        (a, b),                                   # read-only; a unreduced
+        (a[:, ::2, ::-1], b[:, ::-1]),            # non-contiguous views
+        (np.broadcast_to(row, (4, 3, 5)), b),     # broadcast
+        (a[1].T[::2], np.broadcast_to(row[:3, None], (3, 7))),
+        (np.broadcast_to(row, (6, 5)), row),
+    ]
+    for x, y in cases:
+        before = x.copy(), y.copy()
+        got = F11.matmul(x, y)
+        assert got.tolist() == python_int_matmul(x, y, 11).tolist()
+        assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+        assert not np.shares_memory(got, x) and not np.shares_memory(got, y)
+    # canonical int64 input is read in place; any other is reduced into a new array
+    assert F11._canonical(b) is b
+    assert not np.shares_memory(F11._canonical(a), a)
+
+
 @pytest.mark.parametrize("p, exact, low", [
     # all entries p - 1 and no limb split: every product rounds
     (2**31 - 1, 2**64, 2**31 - 2),

@@ -248,6 +248,18 @@ def test_response_exponent_support():
         assert resp[srv, 0, 0] == want
 
 
+@pytest.mark.parametrize("f_shape, g_shape", [
+    ((13, 1, 2), (12, 2, 13)),     # share counts differ
+    ((13, 1, 2), (13, 3, 13)),     # inner dimensions differ
+    ((13, 2), (13, 2, 1)),         # not a stack of matrices
+    ((13, 1, 2), (13, 2, 1, 1)),
+])
+def test_server_compute_refuses_mismatched_stacks(f_shape, g_shape):
+    f, g = np.zeros(f_shape, dtype=np.int64), np.zeros(g_shape, dtype=np.int64)
+    with pytest.raises(ShapeMismatchError, match=re.escape(f"got shapes {f_shape} and {g_shape}")):
+        server_compute(FieldContext(131), f, g)
+
+
 def test_zero_inputs_zero_response():
     ctx, frame, _ = make_frame(GASP223, prime=131)
     zeros = scalar_blocks([0, 0])
