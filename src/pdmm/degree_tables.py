@@ -400,10 +400,12 @@ def outer_sum(plan: ExponentPlan) -> DegreeTable:
     result as ``plan.table``; read that instead of calling this again.
     """
     q = plan.modulus_q
-    red = (lambda v: v % q) if q else (lambda v: v)
-    rows = tuple(tuple(red(a + b) for b in plan.beta) for a in plan.alpha)
+    if q:
+        rows = tuple(tuple((a + b) % q for b in plan.beta) for a in plan.alpha)
+    else:
+        rows = tuple(tuple(a + b for b in plan.beta) for a in plan.alpha)
     info = tuple(rows[i][j] for i in plan.info_alpha for j in plan.info_beta)
-    everything = frozenset(v for row in rows for v in row)
+    everything = frozenset().union(*rows)
     return DegreeTable(table=rows, info=info,
                        interference=everything.difference(info),
                        n_servers=len(everything))
@@ -438,73 +440,74 @@ def _require_positive(**values: int):
     _require(not bad, f"need {', '.join(values)} >= 1, got {', '.join(bad)}")
 
 
-def _gasp_r_merge(K: int, L: int, T: int, r: int) -> tuple[int, list[tuple[int, int]]]:
-    """Server count and merged interference intervals of gasp_r(K, L, T, r).
+def _gasp_r_interference(K: int, L: int, T: int, r: int) -> int:
+    """Interference set of gasp_r(K, L, T, r), shifted down by KL, as a bitmask.
 
-    The information sums are exactly 0..KL-1 and every other table
-    entry is at least KL, so the interference sums are the union of
-    the three noise blocks' integer intervals: alpha1 x beta2 is one
-    interval, alpha2 x beta1 and alpha2 x beta2 decompose along the
-    chain blocks.  Merging them (touching intervals join) gives the
-    maximal runs of the interference set as ascending (lo, hi) pairs,
-    so N = KL + their total length, without materializing the table.
+    Bit i is set iff KL + i is an interference sum.  The information
+    sums are exactly 0..KL-1 and every other table entry is at least
+    KL, so the interference set is the union of the three noise blocks'
+    integer intervals, and each block is a few big-int operations:
+    alpha1 x beta2 is one interval of length K + T - 1; alpha2 x beta1
+    is chains + L - 2 intervals of length r at stride K, then one of the
+    last chain's length ``tail``; alpha2 x beta2, shifted up by KL, is
+    chains - 1 intervals of length r + T - 1 at stride K, then one of
+    length tail + T - 1.  The set bits count the interference sums and
+    the runs of ones are the maximal interference runs, with no table
+    materialized.
     """
-    kl = K * L
     chains = -(-T // r)
     tail = T - (chains - 1) * r
-    last = chains + L - 2
-    spans = [(kl, kl + K + T - 2)]
-    for d in range(last + 1):
-        start = kl + d * K
-        spans.append((start, start + (r if d < last else tail) - 1))
-    for c in range(chains):
-        start = 2 * kl + c * K
-        spans.append((start, start + (r if c < chains - 1 else tail) + T - 2))
-    spans.sort()
-    merged = []
-    lo, hi = spans[0]
-    for a, b in spans:
-        if a > hi + 1:
-            merged.append((lo, hi))
-            lo, hi = a, b
-        elif b > hi:
-            hi = b
-    merged.append((lo, hi))
-    return kl + sum(b - a + 1 for a, b in merged), merged
+    # an alpha2 x beta2 interval reaching the next one's start (r + T - 1
+    # >= K) joins it, so clipping its width to K keeps their union
+    return ((1 << (K + T - 1)) - 1
+            | _chain(K, chains + L - 2, r, tail)
+            | _chain(K, chains - 1, min(r + T - 1, K), tail + T - 1) << (K * L))
 
 
-def _best_gasp_r(K: int, L: int, T: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """(r*, N, merged intervals) of gasp_r(K, L, T) at its optimal chain length.
+def _chain(K: int, n: int, width: int, last: int) -> int:
+    """Bitmask of n intervals of length width <= K at stride K, then one of length last."""
+    # bits 0, K, ..., (n-1)K times 2^width - 1: the intervals, with no carries
+    ones = ((1 << (n * K)) - 1) // ((1 << K) - 1)
+    return ((1 << width) - 1) * ones | ((1 << last) - 1) << (n * K)
 
-    r* has the least server count N, ties going to the smaller r.
+
+def _best_gasp_r(K: int, L: int, T: int) -> tuple[int, int, int]:
+    """(r*, N, interference bitmask) of gasp_r(K, L, T) at its optimal chain length.
+
+    r* has the least server count N = KL + the bitmask's set bits, ties
+    going to the smaller r.  The caller validates K, L and T.
     """
-    _require_positive(K=K, L=L, T=T)
     best = None
     for r in range(1, min(K, T) + 1):
-        n, merged = _gasp_r_merge(K, L, T, r)
+        mask = _gasp_r_interference(K, L, T, r)
+        n = mask.bit_count()
         if best is None or n < best[1]:
-            best = (r, n, merged)
-    return best
+            best = (r, n, mask)
+    r, n, mask = best
+    return r, K * L + n, mask
 
 
 def gasp_server_formula(K: int, L: int, T: int, r: int) -> int:
     """Closed-form server count of the gasp_r layout.
 
     Evaluated from the block structure of the degree table: the low
-    block contributes KL consecutive sums, and the three remaining
-    blocks are unions of integer intervals determined by the gap
-    progression, merged without materializing the table.  The same
-    block-interval merge gives ``feasibility.min_feasible_t`` its
-    interference run; ``tests/test_degree_tables.py`` checks both, N
-    and the run, against ``build_gasp_r(...).table`` for every r.
+    block contributes the KL consecutive information sums, and the
+    three noise blocks' interference sums form one integer bitmask,
+    built from the gap progression without materializing the table;
+    N is KL plus its set bits.  ``feasibility.min_feasible_t`` reads
+    its interference run off the same bitmask;
+    ``tests/test_degree_tables.py`` checks both, N and the run, against
+    ``build_gasp_r(...).table`` and a sort-and-merge of the blocks'
+    intervals for every r.
     """
     _require_positive(K=K, L=L, T=T)
     _require(1 <= r <= min(K, T), f"need 1 <= r <= min(K, T), got r={r}")
-    return _gasp_r_merge(K, L, T, r)[0]
+    return K * L + _gasp_r_interference(K, L, T, r).bit_count()
 
 
 def optimal_gasp_r(K: int, L: int, T: int) -> ExponentPlan:
     """gasp_r plan minimizing the server count; ties broken by smaller r."""
+    _require_positive(K=K, L=L, T=T)
     return build_gasp_r(K, L, T, _best_gasp_r(K, L, T)[0])
 
 

@@ -18,6 +18,7 @@ from .degree_tables import (
     ExponentPlan,
     ParamOutOfRangeError,
     _best_gasp_r,
+    _require_positive,
     optimal_gasp_r,
 )
 
@@ -77,18 +78,21 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
 
     Feasibility is judged at the r* plan (minimal server count, smallest
     r on ties), matching how the regression estimates below were fitted.
-    N and the interference run come from the gasp_r block-interval merge
-    (the run is the longest merged interval), so no plan or degree table
-    is built.  ``tests/test_degree_tables.py`` checks that merge against
-    each plan's ``table`` and ``longest_run``; ``tests/test_feasibility.py``
-    checks this function against a loop of
+    N and the interference set come from the gasp_r interference
+    bitmask, which ranks each r by its set bits alone; the interference
+    run, read only at r*, is the bitmask's longest run of ones, so no
+    plan or degree table is built.  K and L are validated once, as the
+    search's first plan (T = 1).  ``tests/test_degree_tables.py`` checks
+    the bitmask against each plan's ``table`` and ``longest_run``;
+    ``tests/test_feasibility.py`` checks this function against a loop of
     ``check_feasible(optimal_gasp_r(K, L, T))`` over T.
     """
     if t_max < 1:
         raise ParamOutOfRangeError(f"need t_max >= 1, got t_max={t_max}")
+    _require_positive(K=K, L=L, T=1)
     for T in range(1, t_max + 1):
-        _, n, merged = _best_gasp_r(K, L, T)
-        if _covers_half(max(hi - lo + 1 for lo, hi in merged), n)[0]:
+        _, n, mask = _best_gasp_r(K, L, T)
+        if _covers_half(max(map(len, bin(mask)[2:].split("0"))), n)[0]:
             return T
     return None
 
@@ -115,9 +119,11 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
     """Rows for the minimum-privacy comparison CSV.
 
     Columns: K, L, T_min_bruteforce, T_hat, delta.  ``l_values`` defaults
-    to L = K (the square grid).  Every T_min found is confirmed by
-    ``check_feasible`` on the materialized r* plan, so no row rests on
-    the interval merge alone.
+    to L = K (the square grid).  T_min_bruteforce is ``min_feasible_t``'s
+    scan over T on the gasp_r interference bitmask.  Every T_min found is
+    confirmed by ``check_feasible`` on the materialized r* plan,
+    ``optimal_gasp_r(K, L, T_min)``, so no row rests on the bitmask
+    alone; a disagreement raises ``RuntimeError``.
     """
     rows = []
     for K in k_values:
@@ -127,7 +133,7 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
             t_min = min_feasible_t(K, L, t_max=t_max)
             if t_min is not None and not check_feasible(optimal_gasp_r(K, L, t_min)).feasible:
                 raise RuntimeError(
-                    f"interval merge and degree table disagree: T={t_min} is not "
+                    f"interference bitmask and degree table disagree: T={t_min} is not "
                     f"feasible for (K, L) = ({K}, {L})")
             t_hat = t_hat_estimate(K, L)
             rows.append({

@@ -429,10 +429,15 @@ def decode_quantum(frame: EvalFrame, responses_pair) -> tuple[np.ndarray, np.nda
     ctx = frame.ctx
     block_shape = _block_shape(frame, *responses_pair)
     tm = quantum_transfer(frame)
-    fl, ce = frame.n // 2, -(-frame.n // 2)
-    r1, r2 = (ctx.asarray(r).reshape(frame.n, -1) for r in responses_pair)
-    v = ctx.asarray(frame.v)[:, None]
-    y = apply_box(tm, np.vstack([r1, v * r2 % ctx.p]))
+    n, fl, ce = frame.n, frame.n // 2, -(-frame.n // 2)
+    r1, r2 = (np.reshape(np.asarray(r, dtype=np.int64), (n, -1)) for r in responses_pair)
+    # one (2N, ra*cb) operand; apply_box reduces the X half itself, and
+    # only the Z half must be canonical before scaling by v
+    ops = np.empty((2 * n, r1.shape[1]), dtype=np.int64)
+    ops[:n] = r1
+    np.multiply(ctx.asarray(frame.v)[:, None], ctx._canonical(r2), out=ops[n:])
+    ops[n:] %= ctx.p
+    y = apply_box(tm, ops)
     return (_assemble(frame.plan, y[ce - fl:], block_shape),
             _assemble(frame.plan, y[ce:], block_shape))
 

@@ -1,9 +1,11 @@
 import dataclasses
 import inspect
+import re
 from itertools import product
 
 import pytest
 
+import merge_oracle
 import pdmm.degree_tables as dt
 from pdmm.degree_tables import (
     ExponentPlan,
@@ -83,6 +85,15 @@ def test_server_formula_matches_enumeration_sample_grid():
             assert gasp_server_formula(K, L, T, r) == enum_servers(plan), (K, L, T, r)
 
 
+def mask_runs(interference):
+    """``interference``'s bitmask read back as the oracle's (N, merged intervals)."""
+    def runs(K, L, T, r):
+        mask, kl = interference(K, L, T, r), K * L
+        ones = re.finditer("1+", bin(mask)[:1:-1])  # bit i is character i
+        return kl + mask.bit_count(), [(kl + m.start(), kl + m.end() - 1) for m in ones]
+    return runs
+
+
 def merge_mismatches(merge):
     """(K, L, T, r) on a grid where ``merge``'s server count, interference
     cover or longest interval (the first on ties, as ``min_feasible_t``
@@ -100,18 +111,49 @@ def merge_mismatches(merge):
     return bad
 
 
-def test_gasp_r_merge_matches_outer_sum():
-    assert merge_mismatches(dt._gasp_r_merge) == []
+def oracle_mismatches(interference):
+    """(K, L, T, r), K, L <= 16 and T <= 40, where ``interference``'s bitmask
+    is not the sort-and-merge oracle's cover, shifted down by KL."""
+    bad = []
+    for K, L, T in product(range(1, 17), range(1, 17), range(1, 41)):
+        for r in range(1, min(K, T) + 1):
+            kl = K * L
+            _, merged = merge_oracle.merge(K, L, T, r)
+            cover = sum(((1 << (b - a + 1)) - 1) << (a - kl) for a, b in merged)
+            if interference(K, L, T, r) != cover:
+                bad.append((K, L, T, r))
+    return bad
 
 
-def test_gasp_r_merge_gate_catches_unjoined_touching_intervals():
-    # negative control: the same merge, except that an interval starting
-    # right after the current one (a == hi + 1) opens a new interval
-    source = inspect.getsource(dt._gasp_r_merge)
-    assert source.count("a > hi + 1") == 1
+def test_gasp_r_interference_matches_outer_sum():
+    assert merge_mismatches(mask_runs(dt._gasp_r_interference)) == []
+
+
+def test_gasp_r_interference_matches_merge_oracle():
+    assert oracle_mismatches(dt._gasp_r_interference) == []
+
+
+def mutant(old, new):
+    """``_gasp_r_interference`` with one source fragment replaced."""
+    source = inspect.getsource(dt._gasp_r_interference)
+    assert source.count(old) == 1
     namespace = dict(vars(dt))
-    exec(source.replace("a > hi + 1", "a > hi"), namespace)
-    assert merge_mismatches(namespace["_gasp_r_merge"])
+    exec(source.replace(old, new), namespace)
+    return namespace["_gasp_r_interference"]
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("(1 << (K + T - 1)) - 1", "(1 << (K + T - 2)) - 1",
+                 id="alpha1_beta2_one_short"),
+    pytest.param("K), tail + T - 1)", "K), r + T - 1)",
+                 id="last_alpha2_beta2_chain_as_long_as_r"),
+    pytest.param("min(r + T - 1, K)", "r + T - 1",
+                 id="unclipped_widths_carry"),  # intervals wider than K overlap
+])
+def test_gasp_r_interference_gates_catch_a_mutant(old, new):
+    bad = mutant(old, new)
+    assert merge_mismatches(mask_runs(bad))
+    assert oracle_mismatches(bad)
 
 
 def test_optimal_gasp_r_takes_least_servers_then_smallest_r():

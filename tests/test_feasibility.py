@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,8 +203,14 @@ def test_feasibility_rows():
     assert set(rows[0]) == {"K", "L", "T_min_bruteforce", "T_hat", "delta"}
 
 
+def test_feasibility_rows_match_the_design_sweep_reference_rows():
+    # the rows every design_sweep benchmark op is checked against; read only
+    path = Path(__file__).parents[1] / "benchmarks" / "design_sweep_rows.json"
+    assert feasibility_rows(range(2, 13), range(2, 13)) == json.loads(path.read_text())
+
+
 def test_feasibility_rows_refuse_a_t_min_the_degree_table_rejects(monkeypatch):
-    # min_feasible_t(3, 3) is 5; a merge that answered 1 must not reach a row
+    # min_feasible_t(3, 3) is 5; a search that answered 1 must not reach a row
     monkeypatch.setattr("pdmm.feasibility.min_feasible_t", lambda K, L, t_max: 1)
     with pytest.raises(RuntimeError, match=r"T=1 is not feasible for \(K, L\) = \(3, 3\)"):
         feasibility_rows([3])

@@ -364,6 +364,21 @@ def test_quantum_decode_refuses_malformed_responses(shapes):
         decode_quantum(frame, [np.zeros(shape, dtype=np.int64) for shape in shapes])
 
 
+def test_quantum_decode_reads_responses_mod_p():
+    # entries below 0 or at least p decode as their canonical residues,
+    # and the caller's arrays are not written; at up to 2^57, times v
+    # they would overflow int64 unreduced
+    _, frame, _ = make_frame(GASP223, mode="quantum", prime=131)
+    rng = np.random.default_rng(5)
+    pair = [rng.integers(0, 131, size=(13, 2, 3)) for _ in range(2)]
+    shifted = [r + 131 * rng.integers(-2**50, 2**50, size=r.shape) for r in pair]
+    assert all((r < 0).any() and (r >= 131).any() for r in shifted)
+    kept = [r.copy() for r in shifted]
+    for want, got in zip(decode_quantum(frame, pair), decode_quantum(frame, shifted)):
+        assert np.array_equal(want, got)
+    assert all(np.array_equal(r, k) for r, k in zip(shifted, kept))
+
+
 def test_classical_decode_cat():
     t = run(build_cat(2, 2, 2), "classical", seed=2)
     assert t.modulus == 11 and t.rate.n_servers == 10 and t.decode_ok
