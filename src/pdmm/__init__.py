@@ -50,7 +50,6 @@ from .feasibility import (
     t_hat_estimate,
 )
 from .grs import (
-    EvalFrame,
     ShapeMismatchError,
     grs_generator,
     shifted_dual_multipliers,
@@ -59,6 +58,7 @@ from .grs import (
 from .nsumbox import NotSSOError, TransferMatrix, apply_box
 from .protocol import (
     AuditReport,
+    EvalFrame,
     NotFeasibleError,
     ProtocolConfig,
     RateReport,

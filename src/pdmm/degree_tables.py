@@ -153,15 +153,7 @@ def gap_progression(length: int, x: int, r: int) -> list[int]:
     """First ``length`` terms of [0..r-1, x..x+r-1, 2x..2x+r-1, ...]."""
     if r < 1 or length < 0:
         raise ParamOutOfRangeError(f"need r >= 1 and length >= 0, got r={r}, length={length}")
-    out: list[int] = []
-    block = 0
-    while len(out) < length:
-        for i in range(r):
-            out.append(block * x + i)
-            if len(out) == length:
-                break
-        block += 1
-    return out
+    return [i // r * x + i % r for i in range(length)]
 
 
 def _plan(family, K, L, T, alpha, beta, info_alpha, info_beta, params=(), q=None):

@@ -125,6 +125,7 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
     ``optimal_gasp_r(K, L, T_min)``, so no row rests on the bitmask
     alone; a disagreement raises ``RuntimeError``.
     """
+    l_values = None if l_values is None else tuple(l_values)  # every K reads all of it
     rows = []
     for K in k_values:
         for L in (l_values if l_values is not None else [K]):

@@ -12,12 +12,13 @@ tolerance anywhere.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order, and every
-frame is validated (generator rank, unless the generator is a plain
-Vandermonde matrix, plus the privacy rank audit) before use, resampling
-as needed.  The frame carries its run's field, and every later stage
-works over ``frame.ctx``.  The accepted frame also carries the plan it
-was sampled for, its generator on all table exponents and that
-generator's inverse, the run's only inversion.  Every stage reads the
+candidate set of points is checked (generator rank, unless the generator
+is a plain Vandermonde matrix, plus the privacy rank audit) before use,
+resampling as needed.  There is one kind of frame, ``EvalFrame``:
+``sample_frame`` builds it from the accepted points, complete with the
+run's field, the plan, the generator on all table exponents and that
+generator's inverse (the run's only inversion), and the constructor
+validates it.  Every later stage works over ``frame.ctx`` and reads the
 plan from the frame: the encoder takes just the frame and the blocks,
 the decoders just the frame and the server products.
 """
@@ -34,11 +35,12 @@ import numpy as np
 
 from .degree_tables import ExponentPlan, check_decodable, plan_record
 from .feasibility import check_feasible, longest_run
-from .gf import FieldContext, _powers, element_of_order, is_prime, next_prime
-from .grs import EvalFrame, ShapeMismatchError
+from .gf import FieldContext, _admissible_points, _powers, element_of_order, is_prime, next_prime
+from .grs import ShapeMismatchError, shifted_dual_multipliers
 from .nsumbox import TransferMatrix, apply_box
 
 __all__ = [
+    "EvalFrame",
     "ProtocolConfig",
     "Transcript",
     "AuditReport",
@@ -188,6 +190,55 @@ def default_field(plan: ExponentPlan, floor: int | None = None) -> FieldContext:
     return FieldContext(next_prime(lo))
 
 
+@dataclass(frozen=True)
+class EvalFrame:
+    """Field, points, plan, generator and inverse fixed for one protocol run.
+
+    ``sample_frame`` builds a run's frame, and the constructor validates
+    it: ``plan`` must be an ``ExponentPlan`` (else ``TypeError``), and
+    the N = ``plan.table.n_servers`` points, stored reduced mod p, must
+    be nonzero and distinct.  ``generator``, on the points and the
+    table exponents in table order, and its ``inverse`` must both be
+    N x N (else ``ShapeMismatchError``).  Every stage works over the
+    run's field ``ctx`` and reads the plan, generator and inverse from
+    the frame; they play no part in equality or repr.
+
+    Quantum frames give ``shift``, the start of the plan's interference
+    run.  The first instance's column multipliers are all ones, so ``v``
+    is the one vector that makes the ``shift``-shifted GRS codes on ones
+    and on ``v`` dual, and the frame computes it.  Classical frames
+    leave ``shift`` and ``v`` as None.
+    """
+
+    ctx: FieldContext
+    points: tuple[int, ...]
+    plan: ExponentPlan = field(compare=False, repr=False)
+    generator: np.ndarray = field(compare=False, repr=False)
+    inverse: np.ndarray = field(compare=False, repr=False)
+    shift: int | None = None
+    v: tuple[int, ...] | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if not isinstance(self.plan, ExponentPlan):
+            raise TypeError(f"plan must be an ExponentPlan, got {self.plan!r}")
+        pts = tuple(_admissible_points(self.points, self.ctx.p))
+        n = self.plan.table.n_servers
+        gen_shape, inv_shape = np.shape(self.generator), np.shape(self.inverse)
+        if (len(pts), gen_shape, inv_shape) != (n, (n, n), (n, n)):
+            raise ShapeMismatchError(
+                f"expected {n} points and generator and inverse shaped {(n, n)} for {n} "
+                f"servers, got {len(pts)} points, generator shaped {gen_shape} and inverse "
+                f"shaped {inv_shape}")
+        object.__setattr__(self, "points", pts)
+        if self.shift is not None:
+            v = shifted_dual_multipliers(self.ctx, pts, [1] * n, self.shift, self.shift)
+            object.__setattr__(self, "v", tuple(v.tolist()))
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+
 # Random frames tried before giving up on a non-cyclic plan.
 _MAX_RESAMPLE = 64
 # Why sample_frame rejects a candidate frame.
@@ -208,12 +259,11 @@ def sample_frame(cfg: ProtocolConfig,
     matrix, nonsingular on distinct points, so it is not ranked, and the
     accepted frame inverts it by Lagrange interpolation.  Any other
     generator is ranked on every attempt, the cheaper elimination, and
-    only the accepted frame's is inverted by elimination.  The accepted
-    frame carries the plan as ``frame.plan``, the generator as
-    ``frame.generator`` and its inverse as ``frame.inverse``.
-    Cyclic plans use the fixed coset of an order-q element instead of
-    sampling.  Quantum frames carry the interference run start as their
-    shift, from which the frame derives its dual multipliers.
+    only the accepted points' is inverted by elimination.  Only accepted
+    points become a frame, complete with the plan, the generator and its
+    inverse.  Cyclic plans use the fixed coset of an order-q element
+    instead of sampling.  Quantum frames carry the interference run start
+    as their shift, from which the frame derives its dual multipliers.
     """
     plan = cfg.plan
     ctx = default_field(plan, cfg.prime)
@@ -238,8 +288,8 @@ def sample_frame(cfg: ProtocolConfig,
             return _AUDIT_FAILED
         inverse = (ctx._vandermonde_inverse(ctx.asarray(points)) if vandermonde
                    else ctx.mat_inverse(gen))
-        return EvalFrame(ctx, tuple(points), shift if quantum else None,
-                         inverse=inverse, plan=plan, generator=gen), audit
+        return EvalFrame(ctx, tuple(points), plan, gen, inverse,
+                         shift if quantum else None), audit
 
     if plan.modulus_q:
         omega = element_of_order(plan.modulus_q, ctx.p)
@@ -273,8 +323,7 @@ def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     over beta, for B blocks shaped (inner, cb).  Other block counts or
     shapes raise ``ShapeMismatchError``.
     """
-    if (plan := frame.plan) is None:
-        raise ValueError("frame carries no plan; sample it with sample_frame")
+    plan = frame.plan
     sides = []
     for side, exps, info, noise_exps, blocks, noise in (
             ("A", plan.alpha, plan.info_alpha, plan.noise_alpha, a_blocks, noise_f),
@@ -325,13 +374,6 @@ def _assemble(plan, info_rows, block_shape):
     return info_rows[:k * l].reshape(k, l, ra, cb).swapaxes(1, 2).reshape(k * ra, l * cb)
 
 
-def _sampled_plan(frame: EvalFrame) -> ExponentPlan:
-    """The plan ``frame`` was sampled for; raises for a frame built without it."""
-    if frame.plan is None or frame.inverse is None:
-        raise ValueError("frame carries no generator inverse; sample it with sample_frame")
-    return frame.plan
-
-
 def _block_shape(frame: EvalFrame, *responses) -> tuple[int, int]:
     """The (ra, cb) of server products all shaped (N, ra, cb); else ``ShapeMismatchError``."""
     shape, *others = {np.shape(r) for r in responses}
@@ -345,13 +387,13 @@ def _block_shape(frame: EvalFrame, *responses) -> tuple[int, int]:
 def decode_classical(frame: EvalFrame, responses) -> np.ndarray:
     """Assemble the product from the info-sum coefficients of the responses.
 
-    ``frame`` is a sampled frame, and ``responses`` are the server
-    products ``server_compute`` returns, shaped (N, ra, cb); any other
-    shape raises ``ShapeMismatchError``.  The coefficients are the
-    info-sum rows of ``frame.inverse``, for ``frame.plan``, times the
-    responses, so decoding is one product and no elimination.
+    ``responses`` are the server products ``server_compute`` returns,
+    shaped (N, ra, cb); any other shape raises ``ShapeMismatchError``.
+    The coefficients are the info-sum rows of ``frame.inverse``, for
+    ``frame.plan``, times the responses, so decoding is one product and
+    no elimination.
     """
-    plan = _sampled_plan(frame)
+    plan = frame.plan
     block_shape = _block_shape(frame, responses)
     exps = plan.table.exponents
     rows = frame.inverse[[exps.index(e) for e in plan.table.info]]
@@ -377,7 +419,7 @@ def quantum_layout(plan: ExponentPlan) -> list[int]:
 
 
 def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
-    """Transfer matrix for a sampled quantum frame: dual-scaled run columns stabilized.
+    """Transfer matrix for a quantum frame: dual-scaled run columns stabilized.
 
     With Q the frame's generator in ``quantum_layout(frame.plan)``
     column order, the stabilizer block g pairs Q's first floor(N/2)
@@ -391,11 +433,10 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     Q and Q^-1 are ``frame.generator`` and ``frame.inverse`` with their
     columns and rows permuted, and D_v^-1 takes one vectorised Fermat
     inversion, so M needs no elimination and no new generator;
-    ``TransferMatrix`` checks its laws.
+    ``TransferMatrix`` checks its laws.  A classical frame, which has no
+    dual multipliers, raises ``ValueError``.
     """
-    plan = _sampled_plan(frame)
-    if frame.generator is None:
-        raise ValueError("frame carries no generator; sample it with sample_frame")
+    plan = frame.plan
     if frame.v is None:
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
     ctx = frame.ctx
@@ -417,15 +458,18 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
 def decode_quantum(frame: EvalFrame, responses_pair) -> tuple[np.ndarray, np.ndarray]:
     """Recover both instances' products from one batch of 2N operands.
 
-    ``frame`` is a sampled quantum frame, and ``responses_pair`` holds
-    the two instances' server products, both shaped (N, ra, cb); any
-    other shapes raise ``ShapeMismatchError``.
+    ``frame`` is a quantum frame, and ``responses_pair`` holds the two
+    instances' server products, both shaped (N, ra, cb); another number
+    of stacks, or other shapes, raise ``ShapeMismatchError``.
 
     Servers put the first instance on the X slot as it is and the second
     on the Z slot scaled by the frame's dual multipliers v; the receiver
     applies the box and reads the information coordinates of each half,
     which ``quantum_layout`` puts right after the ceil(N/2) run columns.
     """
+    if len(responses_pair) != 2:
+        raise ShapeMismatchError(f"expected two response stacks, one per instance, "
+                                 f"got {len(responses_pair)}")
     ctx = frame.ctx
     block_shape = _block_shape(frame, *responses_pair)
     tm = quantum_transfer(frame)

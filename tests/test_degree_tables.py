@@ -52,6 +52,35 @@ def test_gap_progression():
         gap_progression(3, 2, 0)
 
 
+def loop_gap_progression(length, x, r):
+    """Oracle: the first ``length`` terms, appended block by block."""
+    out, block = [], 0
+    while len(out) < length:
+        for i in range(r):
+            out.append(block * x + i)
+            if len(out) == length:
+                break
+        block += 1
+    return out
+
+
+def gap_mismatches(progression, xs=range(8)):
+    """Grid points (length, x, r), length < 20 and r <= 5, where ``progression`` differs
+    from the loop oracle; r > x is included."""
+    return [(length, x, r) for r in range(1, 6) for x in xs for length in range(20)
+            if progression(length, x, r) != loop_gap_progression(length, x, r)]
+
+
+def test_gap_progression_matches_the_loop_oracle():
+    assert gap_mismatches(gap_progression) == []
+    want = r"^need r >= 1 and length >= 0, got r=2, length=-1$"
+    with pytest.raises(ParamOutOfRangeError, match=want):
+        gap_progression(-1, 3, 2)
+    # negative control: blocks of x terms instead of r
+    assert gap_mismatches(lambda length, x, r: [i // r * x + i % x for i in range(length)],
+                          xs=range(1, 8))
+
+
 def test_gasp_r_small():
     plan = build_gasp_r(2, 2, 1, 1)
     assert plan.alpha == (0, 1, 4)

@@ -203,6 +203,13 @@ def test_feasibility_rows():
     assert set(rows[0]) == {"K", "L", "T_min_bruteforce", "T_hat", "delta"}
 
 
+def test_feasibility_rows_read_a_one_shot_l_values_for_every_k():
+    want = feasibility_rows(range(2, 5), [2, 3])
+    assert [(row["K"], row["L"]) for row in want] == [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]
+    assert feasibility_rows(range(2, 5), iter([2, 3])) == want
+    assert feasibility_rows(range(2, 5), (L for L in (2, 3))) == want
+
+
 def test_feasibility_rows_match_the_design_sweep_reference_rows():
     # the rows every design_sweep benchmark op is checked against; read only
     path = Path(__file__).parents[1] / "benchmarks" / "design_sweep_rows.json"

@@ -14,6 +14,7 @@ grid, over each plan's default field and over the floor 10007.
 import collections
 import dataclasses
 import functools
+import re
 from itertools import product
 
 import numpy as np
@@ -36,12 +37,12 @@ from pdmm.degree_tables import (
 )
 from pdmm.feasibility import check_feasible
 from pdmm.gf import FieldContext
-from pdmm.grs import EvalFrame
+from pdmm.grs import ShapeMismatchError
 from pdmm.nsumbox import TransferMatrix
 from pdmm.protocol import (
+    EvalFrame,
     ProtocolConfig,
     decode_classical,
-    decode_quantum,
     quantum_transfer,
     run_protocol,
     sample_frame,
@@ -175,28 +176,36 @@ def test_transfer_laws_catch_any_one_corrupt_entry_of_m():
             TransferMatrix(frame.ctx, m, tm.g, tm.h)
 
 
-def test_frame_without_inverse_cannot_be_decoded():
+def test_frame_without_plan_generator_or_inverse_fails_at_construction():
     _, frame = sampled()[0]
-    bare = EvalFrame(frame.ctx, frame.points, frame.shift)
-    assert bare == frame and bare.inverse is None  # the inverse plays no part in equality
-    zeros = np.zeros((bare.n, 1, 1), dtype=np.int64)
-    want = r"^frame carries no generator inverse; sample it with sample_frame$"
-    with pytest.raises(ValueError, match=want):
-        decode_classical(bare, zeros)
-    with pytest.raises(ValueError, match=want):
-        decode_quantum(bare, (zeros, zeros))
+    with pytest.raises(TypeError, match="missing 3 required positional arguments: "
+                                        "'plan', 'generator', and 'inverse'"):
+        EvalFrame(frame.ctx, frame.points, shift=frame.shift)
+    with pytest.raises(TypeError, match="^plan must be an ExponentPlan, got None$"):
+        dataclasses.replace(frame, plan=None)
+    n = frame.n
+    for change, got in (({"generator": None}, f"generator shaped () and inverse shaped {(n, n)}"),
+                        ({"inverse": None}, f"generator shaped {(n, n)} and inverse shaped ()")):
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"{n} points, {got}")):
+            dataclasses.replace(frame, **change)
 
 
-def test_quantum_frame_without_generator_cannot_be_decoded():
+def test_frame_with_mismatched_points_or_shapes_fails_at_construction():
     _, frame = sampled()[0]
-    bare = dataclasses.replace(frame, generator=None)
-    assert bare.plan is frame.plan and bare.inverse is frame.inverse
-    zeros = np.zeros((bare.n, 1, 1), dtype=np.int64)
-    want = r"^frame carries no generator; sample it with sample_frame$"
-    with pytest.raises(ValueError, match=want):
-        quantum_transfer(bare)
-    with pytest.raises(ValueError, match=want):
-        decode_quantum(bare, (zeros, zeros))
+    n, gen, inv = frame.n, frame.generator, frame.inverse
+    square = (n, n)
+    # plan, generator and inverse play no part in equality or repr
+    twin = dataclasses.replace(frame, inverse=inv.T)
+    assert twin == frame and repr(twin) == repr(frame)
+    want = f"expected {n} points and generator and inverse shaped {square} for {n} servers, got "
+    for change, got in (
+            ({"points": frame.points[:-1]}, f"{n - 1} points, generator shaped {square}"),
+            ({"generator": gen[:, :-1]}, f"{n} points, generator shaped {(n, n - 1)}"),
+            ({"inverse": inv[:-1]}, f"{n} points, generator shaped {square} and inverse shaped "
+                                    f"{(n - 1, n)}"),
+            ({"inverse": inv[None]}, f"and inverse shaped {(1, n, n)}")):
+        with pytest.raises(ShapeMismatchError, match=re.escape(want) + ".*" + re.escape(got)):
+            dataclasses.replace(frame, **change)
 
 
 @pytest.mark.parametrize("mode", ["classical", "quantum"])

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from pdmm.degree_tables import build_cat, build_gasp_r, outer_sum
 from pdmm.feasibility import longest_run
-from pdmm.gf import DuplicatePointError, FieldContext, ZeroPointError, element_of_order
+from pdmm.gf import DuplicatePointError, FieldContext, element_of_order
 from pdmm.grs import (
-    EvalFrame,
     ShapeMismatchError,
     grs_generator,
     shifted_dual_multipliers,
@@ -115,27 +114,57 @@ def test_sso_false_case():
     assert not sso_check(ctx, g)
 
 
+def two_product_sso(ctx, g):
+    """Oracle: G^t J G = top^t bot - bot^t top, both products formed, all zero mod p."""
+    g = ctx.asarray(g)
+    n = len(g) // 2
+    top, bot = g[:n], g[n:]
+    return bool(np.all((ctx.matmul(top.T, bot) - ctx.matmul(bot.T, top)) % ctx.p == 0))
+
+
+def symplectic_case(ctx, rng, n, k, perturb):
+    """A 2n x k matrix [A; S A], S symmetric, so G^t J G = A^t S A - (A^t S A)^t = 0.
+
+    ``perturb`` adds 1 to one entry, which usually breaks that.  Entries
+    are shifted by random multiples of p, so none need be canonical.
+    """
+    a = rng.integers(0, ctx.p, size=(n, k))
+    s = rng.integers(0, ctx.p, size=(n, n))
+    g = np.vstack([a, ctx.matmul(s + s.T, a)])
+    if perturb and g.size:
+        g[rng.integers(2 * n), rng.integers(k)] += 1
+    return g + ctx.p * rng.integers(-2, 3, size=g.shape)
+
+
+@given(st.sampled_from([3, 11, 101, 2_000_000_011]), st.integers(1, 6), st.integers(0, 6),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sso_check_matches_the_two_product_oracle(p, n, k, perturb, seed):
+    ctx = FieldContext(p)
+    g = symplectic_case(ctx, np.random.default_rng(seed), n, k, perturb)
+    assert sso_check(ctx, g) == two_product_sso(ctx, g)
+
+
+def sso_mismatches(check):
+    """Cases, half of them perturbed, where ``check`` and the oracle disagree."""
+    ctx = FieldContext(11)
+    rng = np.random.default_rng(0)
+    cases = [symplectic_case(ctx, rng, 4, 3, perturb) for perturb in (False, True) * 10]
+    assert {two_product_sso(ctx, g) for g in cases} == {True, False}
+    return sum(check(ctx, g) != two_product_sso(ctx, g) for g in cases)
+
+
+def test_sso_oracle_comparison_catches_wrong_checks():
+    assert sso_mismatches(sso_check) == 0
+    # top^t bot = 0 alone, and X = X without the transpose
+    assert sso_mismatches(lambda ctx, g: not ctx.matmul(g[:4].T, g[4:]).any())
+    assert sso_mismatches(lambda ctx, g: True)
+
+
 def test_sso_shape_check():
     ctx = FieldContext(11)
     with pytest.raises(ShapeMismatchError):
         sso_check(ctx, np.zeros((3, 2)))
-
-
-def test_eval_frame_validation():
-    ctx = FieldContext(13)
-    pts = (2, 5, 7, 11, 12)
-    for s in (0, 1, 3):
-        frame = EvalFrame(ctx, pts, shift=s)
-        want = shifted_dual_multipliers(ctx, pts, [1] * len(pts), s, s)
-        assert frame.v == tuple(want.tolist()) and frame.n == len(pts)
-        assert_full_duality(ctx, pts, [1] * len(pts), frame.v, s, s)
-    assert EvalFrame(ctx, pts).v is None
-    assert EvalFrame(ctx, (15, 3)).points == (2, 3)
-    for shift in (None, 2):
-        with pytest.raises(ZeroPointError):
-            EvalFrame(ctx, (1, 13, 2), shift)
-        with pytest.raises(DuplicatePointError):
-            EvalFrame(ctx, (1, 3, 16), shift)
 
 
 @pytest.mark.parametrize("plan", [build_cat(2, 2, 2), build_gasp_r(2, 2, 3, 2)])

@@ -29,12 +29,13 @@ from pdmm.degree_tables import (
     outer_sum,
 )
 from pdmm.feasibility import longest_run
-from pdmm.gf import FieldContext
-from pdmm.grs import EvalFrame, ShapeMismatchError
+from pdmm.gf import DuplicatePointError, FieldContext, ZeroPointError
+from pdmm.grs import ShapeMismatchError, shifted_dual_multipliers
 from pdmm import protocol
 from pdmm.nsumbox import apply_box
 from pdmm.protocol import (
     AuditReport,
+    EvalFrame,
     NotFeasibleError,
     ProtocolConfig,
     ResampleExhaustedError,
@@ -51,6 +52,7 @@ from pdmm.protocol import (
     server_compute,
     transcript_dump,
 )
+from test_grs import assert_full_duality
 
 GASP223 = build_gasp_r(2, 2, 3, 2)
 # Same exponents, but A_0 rides on alpha[1] = 1 and A_1 on alpha[0] = 0.
@@ -65,6 +67,12 @@ def make_frame(plan, mode="classical", prime=None, seed=1):
 
 def scalar_blocks(values):
     return [np.array([[v]], dtype=np.int64) for v in values]
+
+
+def hand_frame(ctx, points, plan, shift=None):
+    """A frame on chosen points, with the generator and inverse ``sample_frame`` gives them."""
+    gen = ctx.vandermonde(points, plan.table.exponents)
+    return EvalFrame(ctx, points, plan, gen, ctx.mat_inverse(gen), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +191,29 @@ def test_sample_frame_picks_the_run_field(plan, prime):
     assert run(plan, "classical", seed=1, prime=prime).modulus == frame.ctx.p
 
 
+# K = 2, L = 1, T = 1 with table exponents 0..4: five servers.
+FIVE_SERVERS = ExponentPlan(family="gasp_r", K=2, L=1, T=1, alpha=(0, 1, 2), beta=(0, 2),
+                            info_alpha=(0, 1), info_beta=(0,))
+
+
+def test_eval_frame_validation():
+    ctx = FieldContext(13)
+    pts = (2, 5, 7, 11, 12)
+    for s in (0, 1, 3):
+        frame = hand_frame(ctx, pts, FIVE_SERVERS, shift=s)
+        want = shifted_dual_multipliers(ctx, pts, [1] * len(pts), s, s)
+        assert frame.v == tuple(want.tolist()) and frame.n == len(pts)
+        assert_full_duality(ctx, pts, [1] * len(pts), frame.v, s, s)
+    frame = hand_frame(ctx, pts, FIVE_SERVERS)
+    assert frame.v is None
+    assert dataclasses.replace(frame, points=(15, 5, 7, 11, 25)).points == (2, 5, 7, 11, 12)
+    for shift in (None, 2):
+        with pytest.raises(ZeroPointError):
+            dataclasses.replace(frame, points=(1, 13, 2, 3, 4), shift=shift)
+        with pytest.raises(DuplicatePointError):
+            dataclasses.replace(frame, points=(1, 3, 16, 4, 5), shift=shift)
+
+
 # ---------------------------------------------------------------------------
 # encoding and server work
 # ---------------------------------------------------------------------------
@@ -191,22 +222,23 @@ def test_encode_no_noise_is_plain_evaluation():
     plan = ExponentPlan(family="gasp_r", K=1, L=1, T=0,
                         alpha=(2,), beta=(3,), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(11)
-    frame = EvalFrame(ctx=ctx, points=(2, 3), plan=plan)
-    f, g = encode_shares(frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
-    assert f.ravel().tolist() == [5 * 4 % 11, 5 * 9 % 11]
-    assert g.ravel().tolist() == [4 * 8 % 11, 4 * 27 % 11]
-    resp = server_compute(ctx, f, g)
-    assert resp.ravel().tolist() == [20 * 32 % 11, 45 * 108 % 11]
+    # the one table exponent 2 + 3 makes a one-server plan; evaluate it at 2, then at 3
+    for x, f_want, g_want, resp_want in ((2, 5 * 4, 4 * 8, 20 * 32), (3, 5 * 9, 4 * 27, 45 * 108)):
+        frame = hand_frame(ctx, (x,), plan)
+        f, g = encode_shares(frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
+        assert f.ravel().tolist() == [f_want % 11]
+        assert g.ravel().tolist() == [g_want % 11]
+        assert server_compute(ctx, f, g).ravel().tolist() == [resp_want % 11]
 
 
 def test_encode_single_block_single_noise():
     plan = ExponentPlan(family="gasp_r", K=1, L=1, T=1,
                         alpha=(0, 1), beta=(0, 1), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(13)
-    frame = EvalFrame(ctx=ctx, points=(5,), plan=plan)
+    frame = hand_frame(ctx, (5, 2, 3), plan)  # table exponents 0, 1, 2: three servers
     f, _ = encode_shares(frame, scalar_blocks([7]),
                          scalar_blocks([2]), scalar_blocks([3]), scalar_blocks([0]))
-    assert f.ravel().tolist() == [(7 + 3 * 5) % 13]
+    assert f.ravel().tolist() == [(7 + 3 * x) % 13 for x in (5, 2, 3)]
 
 
 def test_encode_matches_hand_expanded_polynomial():
@@ -271,7 +303,7 @@ def test_zero_inputs_zero_response():
 def test_encode_reads_the_plan_from_the_frame():
     _, frame, _ = make_frame(GASP223, prime=131)
     blocks, noise = scalar_blocks([1, 2]), scalar_blocks([3, 4, 5])
-    with pytest.raises(ValueError, match="^frame carries no plan; sample it with sample_frame$"):
+    with pytest.raises(TypeError, match="^plan must be an ExponentPlan, got None$"):
         encode_shares(dataclasses.replace(frame, plan=None), blocks, blocks, noise, noise)
 
 
@@ -362,6 +394,16 @@ def test_quantum_decode_refuses_malformed_responses(shapes):
     assert [d.shape for d in decode_quantum(frame, (good, good))] == [(2, 26), (2, 26)]
     with pytest.raises(ShapeMismatchError, match=MALFORMED_MATCH):
         decode_quantum(frame, [np.zeros(shape, dtype=np.int64) for shape in shapes])
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_quantum_decode_refuses_a_response_stack_count_other_than_two(monkeypatch, count):
+    _, frame, _ = make_frame(GASP223, mode="quantum", prime=131)
+    monkeypatch.setattr(protocol, "quantum_transfer", None)  # no work before the check
+    stacks = [np.zeros((13, 1, 13), dtype=np.int64)] * count
+    with pytest.raises(ShapeMismatchError,
+                       match=f"^expected two response stacks, one per instance, got {count}$"):
+        decode_quantum(frame, stacks)
 
 
 def test_quantum_decode_reads_responses_mod_p():
@@ -495,9 +537,7 @@ def test_undecodable_plan_refused_and_actually_breaks():
         run(broken, "classical")
     # the refusal is not spurious: decoding that plan garbles the product
     ctx = FieldContext(131)
-    points = tuple(range(2, 2 + 8))
-    frame = EvalFrame(ctx=ctx, points=points, plan=broken,
-                      inverse=ctx.mat_inverse(ctx.vandermonde(points, broken.table.exponents)))
+    frame = hand_frame(ctx, tuple(range(2, 2 + 8)), broken)
     rng = np.random.default_rng(0)
     a = scalar_blocks(rng.integers(1, 131, size=2).tolist())
     b = scalar_blocks(rng.integers(1, 131, size=2).tolist())
