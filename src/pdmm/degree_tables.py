@@ -543,17 +543,34 @@ def plan_record(plan: ExponentPlan) -> str:
 
 
 def parse_plan_record(line: str) -> ExponentPlan:
+    """The plan a ``plan_record`` line describes; a malformed field raises ``ValueError`` naming it."""
     parts = [chunk.strip() for chunk in line.split("|")]
     if len(parts) != 6:
         raise ValueError(f"expected 6 |-separated fields, got {len(parts)}")
     head = parts[0].split()
-    family = head[0]
-    K, L, T = (int(v) for v in head[-3:])
-    params = tuple((kv.split("=")[0], int(kv.split("=")[1]))
-                   for kv in head[1:-3] if kv != "-")
-    ints = [tuple(int(v) for v in chunk.split()) if chunk else () for chunk in parts[1:5]]
-    q = None if parts[5] == "-" else int(parts[5])
-    return ExponentPlan(family=family, K=K, L=L, T=T,
+    if len(head) < 4:
+        raise ValueError(f"plan record head must be 'family params K L T', got {parts[0]!r}")
+
+    def integer(name, token):
+        try:
+            return int(token)
+        except ValueError:
+            raise ValueError(f"plan record field {name} must be an integer, "
+                             f"got {token!r}") from None
+
+    K, L, T = (integer(name, v) for name, v in zip("KLT", head[-3:]))
+    params = []
+    for kv in head[1:-3]:
+        if kv == "-":
+            continue
+        key, eq, value = kv.partition("=")
+        if not eq:
+            raise ValueError(f"plan record param {kv!r} must be key=value")
+        params.append((key, integer(f"param {key}", value)))
+    ints = [tuple(integer(name, v) for v in chunk.split())
+            for name, chunk in zip(("alpha", "beta", "info_alpha", "info_beta"), parts[1:5])]
+    q = None if parts[5] == "-" else integer("modulus_q", parts[5])
+    return ExponentPlan(family=head[0], K=K, L=L, T=T,
                         alpha=ints[0], beta=ints[1],
                         info_alpha=ints[2], info_beta=ints[3],
-                        params=params, modulus_q=q)
+                        params=tuple(params), modulus_q=q)

@@ -4,6 +4,9 @@ Everything downstream (degree tables, GRS duality, transfer matrices,
 protocol simulation) runs on top of this module.  Matrices are plain
 numpy ``int64`` arrays with entries kept canonically in ``[0, p)``; a
 :class:`FieldContext` carries the modulus and provides the operations.
+Every array operation reads its operands through one intake check:
+integer and bool arrays pass, and any other non-empty one (float,
+string, object) raises ``TypeError`` instead of being truncated.
 
 Matrix products run through float BLAS and stay exact, after
 FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008): a float GEMM of
@@ -27,6 +30,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -142,6 +146,19 @@ def element_of_order(order: int, p: int) -> int:
     return best
 
 
+def _integers(data) -> np.ndarray:
+    """``data`` as an array of integer or bool dtype; other non-empty arrays raise ``TypeError``.
+
+    Field elements are integers, so a float, string or object entry is
+    refused rather than truncated.  An empty input passes whatever its
+    dtype, since ``np.asarray([])`` is float64.
+    """
+    x = np.asarray(data)
+    if x.dtype.kind not in "biu" and x.size:
+        raise TypeError(f"field elements must be integers, got an array of dtype {x.dtype}")
+    return x
+
+
 def _admissible_points(points, p: int) -> list[int]:
     """Integer points reduced mod p; raises unless they are nonzero and pairwise distinct."""
     pts = [operator.index(x) % p for x in points]
@@ -189,7 +206,8 @@ def _limbs(x: np.ndarray, split: bool, dtype) -> list[np.ndarray]:
 class FieldContext:
     """Prime field F_p with exact matrix algebra.
 
-    The modulus must be an odd prime with p < 2^31 so that single
+    The modulus must be an integer (else ``TypeError``) and an odd
+    prime with p < 2^31 (else ``ValueError``) so that single
     products fit comfortably in int64.  Matrix products are float GEMMs
     reduced mod p in floating point (see ``matmul``): float32 when
     inner * (p - 1)^2 + p <= 2^23, else float64 over inner chunks that
@@ -199,6 +217,8 @@ class FieldContext:
     p: int
 
     def __post_init__(self):
+        if not isinstance(self.p, numbers.Integral):
+            raise TypeError(f"modulus p must be an integer, got {self.p!r}")
         if self.p < 3 or self.p % 2 == 0:
             raise ValueError(f"modulus must be an odd prime >= 3, got {self.p}")
         if self.p >= 2**31:
@@ -218,7 +238,7 @@ class FieldContext:
 
     def asarray(self, data) -> np.ndarray:
         """Canonicalize to a new int64 array with entries in [0, p)."""
-        x = np.array(data, dtype=np.int64)
+        x = _integers(data).astype(np.int64)
         if not self._is_canonical(x):
             x %= self.p
         return x
@@ -234,7 +254,7 @@ class FieldContext:
         Otherwise the entries are reduced into a new array; the caller's
         array is never written.
         """
-        x = np.asarray(data, dtype=np.int64)
+        x = _integers(data).astype(np.int64, copy=False)
         return x if self._is_canonical(x) else x % self.p
 
     def identity(self, n: int) -> np.ndarray:

@@ -11,22 +11,25 @@ either equals the true one or the run is reported broken; there is no
 tolerance anywhere.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
-inputs, and noise from one seeded generator in a fixed order, and every
-candidate set of points is checked (generator rank, unless the generator
-is a plain Vandermonde matrix, plus the privacy rank audit) before use,
-resampling as needed.  There is one kind of frame, ``EvalFrame``:
-``sample_frame`` builds it from the accepted points, complete with the
-run's field, the plan, the generator on all table exponents and that
-generator's inverse (the run's only inversion), and the constructor
-validates it.  Every later stage works over ``frame.ctx`` and reads the
-plan from the frame: the encoder takes just the frame and the blocks,
-the decoders just the frame and the server products.
+inputs, and noise from one seeded generator in a fixed order.
+``sample_frame`` runs one loop over candidate point sets (a cyclic
+plan's single order-q coset, or up to ``_MAX_RESAMPLE`` random draws),
+checks each one (generator rank, unless the generator is a plain
+Vandermonde matrix, then the privacy rank audit) and builds the run's
+``EvalFrame``, the one kind of frame, from the first that passes:
+complete with the run's field, the plan, the generator on all table
+exponents and that generator's inverse (the run's only inversion), and
+the constructor validates it.  Every later stage works over
+``frame.ctx`` and reads the plan from the frame: the encoder takes just
+the frame and the blocks, the decoders just the frame and the server
+products.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
@@ -249,21 +252,20 @@ _AUDIT_FAILED = "failed privacy audit"
 
 def sample_frame(cfg: ProtocolConfig,
                  rng: np.random.Generator) -> tuple[EvalFrame, AuditReport]:
-    """Pick the run's field and draw points until the frame is fully admissible.
+    """Pick the run's field and return the first candidate frame that passes every check.
 
-    The field is ``default_field(cfg.plan, cfg.prime)``, and the frame
-    carries it as ``frame.ctx``.  Admissible means the N x N generator on
-    all table exponents has full rank and the privacy rank audit passes.
-    Every attempt builds the generator.  When the table exponents are
-    exactly 0, 1, ..., N - 1 the generator is the plain Vandermonde
-    matrix, nonsingular on distinct points, so it is not ranked, and the
-    accepted frame inverts it by Lagrange interpolation.  Any other
-    generator is ranked on every attempt, the cheaper elimination, and
-    only the accepted points' is inverted by elimination.  Only accepted
-    points become a frame, complete with the plan, the generator and its
-    inverse.  Cyclic plans use the fixed coset of an order-q element
-    instead of sampling.  Quantum frames carry the interference run start
-    as their shift, from which the frame derives its dual multipliers.
+    The field is ``default_field(cfg.plan, cfg.prime)`` and becomes
+    ``frame.ctx``.  A cyclic plan has one candidate point set, the coset
+    of an order-q element; any other plan has up to ``_MAX_RESAMPLE``
+    seeded draws, each drawn just before its checks.  Every candidate
+    builds its N x N generator on all table exponents (zero or repeated
+    points reject it), ranks it unless the exponents are exactly 0, 1,
+    ..., N - 1 (a plain Vandermonde matrix, nonsingular on distinct
+    points), and runs the privacy audit.  The first to pass becomes the
+    frame, its generator inverted by Lagrange interpolation when plain
+    Vandermonde and by elimination otherwise; quantum frames also carry
+    the interference run start as their shift.  If none passes,
+    ``ResampleExhaustedError`` counts the rejections by check.
     """
     plan = cfg.plan
     ctx = default_field(plan, cfg.prime)
@@ -271,43 +273,33 @@ def sample_frame(cfg: ProtocolConfig,
     exps = table.exponents
     n = table.n_servers
     vandermonde = exps == tuple(range(n))
-    quantum = cfg.mode == "quantum"
-    run = longest_run(table.interference) if quantum else []
-    shift = run[0] if run else 0
-
-    def finish(points) -> tuple[EvalFrame, AuditReport] | str:
-        """The frame and its audit, or the check that rejected the points."""
+    shift = (longest_run(table.interference) or [0])[0] if cfg.mode == "quantum" else None
+    if plan.modulus_q:
+        omega = element_of_order(plan.modulus_q, ctx.p)
+        candidates = [[pow(omega, i, ctx.p) for i in range(plan.modulus_q)]]
+    else:
+        candidates = ((rng.choice(ctx.p - 1, size=n, replace=False) + 1).tolist()
+                      for _ in range(_MAX_RESAMPLE))
+    rejected = dict.fromkeys((_BAD_POINTS, _RANK_DEFICIENT, _AUDIT_FAILED), 0)
+    for points in candidates:
         try:
             gen = ctx.vandermonde(points, exps)
         except ValueError:
-            return _BAD_POINTS
+            rejected[_BAD_POINTS] += 1
+            continue
         if not vandermonde and ctx.mat_rank(gen) != n:
-            return _RANK_DEFICIENT
+            rejected[_RANK_DEFICIENT] += 1
+            continue
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
-        if not audit.ok:
-            return _AUDIT_FAILED
-        inverse = (ctx._vandermonde_inverse(ctx.asarray(points)) if vandermonde
-                   else ctx.mat_inverse(gen))
-        return EvalFrame(ctx, tuple(points), plan, gen, inverse,
-                         shift if quantum else None), audit
-
-    if plan.modulus_q:
-        omega = element_of_order(plan.modulus_q, ctx.p)
-        points = [pow(omega, i, ctx.p) for i in range(plan.modulus_q)]
-        got = finish(points)
-        if isinstance(got, str):
-            raise ResampleExhaustedError(f"fixed cyclic frame failed validation ({got})")
-        return got
-
-    rejected = dict.fromkeys((_BAD_POINTS, _RANK_DEFICIENT, _AUDIT_FAILED), 0)
-    for _ in range(_MAX_RESAMPLE):
-        points = (rng.choice(ctx.p - 1, size=n, replace=False) + 1).tolist()
-        got = finish(points)
-        if not isinstance(got, str):
-            return got
-        rejected[got] += 1
+        if audit.ok:
+            inverse = (ctx._vandermonde_inverse(ctx.asarray(points)) if vandermonde
+                       else ctx.mat_inverse(gen))
+            return EvalFrame(ctx, tuple(points), plan, gen, inverse, shift), audit
+        rejected[_AUDIT_FAILED] += 1
+    tries = sum(rejected.values())
     raise ResampleExhaustedError(
-        f"no admissible frame within {_MAX_RESAMPLE} attempts over F_{ctx.p} (rejections: "
+        f"no admissible frame within {tries} attempt{'' if tries == 1 else 's'} over "
+        f"F_{ctx.p} (rejections: "
         + ", ".join(f"{why} {count}" for why, count in rejected.items()) + ")")
 
 
@@ -474,12 +466,11 @@ def decode_quantum(frame: EvalFrame, responses_pair) -> tuple[np.ndarray, np.nda
     block_shape = _block_shape(frame, *responses_pair)
     tm = quantum_transfer(frame)
     n, fl, ce = frame.n, frame.n // 2, -(-frame.n // 2)
-    r1, r2 = (np.reshape(np.asarray(r, dtype=np.int64), (n, -1)) for r in responses_pair)
-    # one (2N, ra*cb) operand; apply_box reduces the X half itself, and
-    # only the Z half must be canonical before scaling by v
+    r1, r2 = (ctx._canonical(r).reshape(n, -1) for r in responses_pair)
+    # one (2N, ra*cb) operand: the X half as it is, the Z half scaled by v
     ops = np.empty((2 * n, r1.shape[1]), dtype=np.int64)
     ops[:n] = r1
-    np.multiply(ctx.asarray(frame.v)[:, None], ctx._canonical(r2), out=ops[n:])
+    np.multiply(ctx.asarray(frame.v)[:, None], r2, out=ops[n:])
     ops[n:] %= ctx.p
     y = apply_box(tm, ops)
     return (_assemble(frame.plan, y[ce - fl:], block_shape),
@@ -556,7 +547,9 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     checking order, and ``checked`` counts the subsets ranked up to and
     including the 10th failure.  A run that finds fewer failures
     reports C(N, T) when enumerated and the number of distinct subsets
-    drawn when sampled.  Fewer than T points raise ``ValueError``.
+    drawn when sampled.  Points are read as integers mod p, zero and
+    repeated ones included; a non-integer point raises ``TypeError`` and
+    fewer than T points raise ``ValueError``.
     """
     _check_audit_cap(cap)
     t = plan.T
@@ -567,7 +560,7 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
         return AuditReport(ok=True, checked=0, exhaustive=True)
     sides = [exps for exps in (plan.noise_alpha, plan.noise_beta) if exps]
     total = math.comb(n, t)
-    points = np.array([int(x) % ctx.p for x in points], dtype=np.int64)
+    points = np.array([operator.index(x) % ctx.p for x in points], dtype=np.int64)
     if sides and all(_progression_proves(exps, points, t, ctx.p) for exps in sides):
         return AuditReport(ok=True, checked=total, exhaustive=True, method="proof")
     # Unchecked powers rather than FieldContext.vandermonde: a repeated or

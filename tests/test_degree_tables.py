@@ -469,3 +469,24 @@ def test_plan_record_roundtrip():
         line = plan_record(plan)
         assert parse_plan_record(line) == plan
         assert " | " in line
+
+
+GASP223_RECORD = "gasp_r r=2 2 2 3 | 0 1 4 5 6 | 0 2 4 5 6 | 0 1 | 0 1 | -"
+
+
+@pytest.mark.parametrize("line, message", [
+    # not IndexError, nor int()'s "invalid literal" naming no field
+    (GASP223_RECORD.replace("r=2", "r"), "param 'r' must be key=value"),
+    (GASP223_RECORD.replace("r=2", "r=two"), "field param r must be an integer, got 'two'"),
+    (GASP223_RECORD.replace(" 3 |", " x |"), "field T must be an integer, got 'x'"),
+    (GASP223_RECORD.replace("| 0 1 4", "| 0 1.5 4"), "field alpha must be an integer, got '1.5'"),
+    (GASP223_RECORD.replace("| 0 2 4", "| 0 y 4"), "field beta must be an integer, got 'y'"),
+    (GASP223_RECORD.replace("| 0 1 | -", "| 0 z | -"), "field info_beta must be an integer"),
+    (GASP223_RECORD.replace("| -", "| q"), "field modulus_q must be an integer, got 'q'"),
+    (GASP223_RECORD.replace("r=2 2 2 3", "2 2"), "head must be 'family params K L T'"),
+    (GASP223_RECORD.replace("gasp_r r=2 2 2 3", ""), "head must be 'family params K L T', got ''"),
+])
+def test_malformed_plan_record_names_its_field(line, message):
+    assert parse_plan_record(GASP223_RECORD) == build_gasp_r(2, 2, 3, 2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_plan_record(line)

@@ -39,6 +39,46 @@ def test_context_validation():
         FieldContext(2**31 + 11)
 
 
+@pytest.mark.parametrize("p", [7.0, 7.5, "7", None])
+def test_modulus_must_be_an_integer(p):
+    with pytest.raises(TypeError, match=r"^modulus p must be an integer, got " + re.escape(repr(p))):
+        FieldContext(p)
+
+
+def test_modulus_of_an_integer_type_keeps_its_value_errors():
+    assert FieldContext(np.int64(7)).p == 7
+    with pytest.raises(ValueError, match=r"^modulus 9 is not prime$"):
+        FieldContext(np.int64(9))
+
+
+# Each call reads one non-integer entry x, which an int64 cast would
+# silently turn into a field element: 1.9 into 1, 0.5 into 0, "3" into 3.
+NON_INTEGER_CALLS = {
+    "matmul_left": lambda x: F13.matmul(np.array([[x]]), np.array([[2]])),
+    "matmul_right": lambda x: F13.matmul([[2]], [[x]]),
+    "asarray": lambda x: F13.asarray([1, x]),
+    "mat_rank": lambda x: F13.mat_rank([[x, 0], [0, 1]]),
+    "batch_rank": lambda x: F13.batch_rank([[[x, 0], [0, 1]]]),
+    "mat_inverse": lambda x: F13.mat_inverse([[x, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("x", [1.9, 0.5, float("nan"), "3"])
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS.keys())
+def test_non_integer_entries_are_refused(call, x):
+    with pytest.raises(TypeError, match=r"^field elements must be integers, got an array of dtype"):
+        call(x)
+
+
+def test_integer_bool_and_empty_operands_are_read():
+    assert F13.matmul(np.array([[True]]), np.array([[15]], dtype=np.uint8)).tolist() == [[2]]
+    assert F13.asarray(np.array([-1], dtype=np.int8)).tolist() == [12]
+    empty = F13.asarray([])  # float64 to numpy, but there is no entry to truncate
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+    assert F13.matmul(np.zeros((2, 0)), np.zeros((0, 3))).tolist() == [[0] * 3] * 2
+    assert F13.mat_rank(np.zeros((0, 0))) == 0
+
+
 def test_inverse_identity():
     assert F5.mat_inverse(F5.identity(2)).tolist() == [[1, 0], [0, 1]]
 
@@ -72,7 +112,7 @@ def test_rank_rejects_a_non_matrix(a, shape):
 def test_rank():
     assert F5.mat_rank([[1, 2], [2, 4]]) == 1
     assert F5.mat_rank(F5.identity(3)) == 3
-    assert F5.mat_rank(np.zeros((2, 2))) == 0
+    assert F5.mat_rank(np.zeros((2, 2), dtype=np.int64)) == 0
 
 
 def test_vandermonde_examples():

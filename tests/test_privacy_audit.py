@@ -293,3 +293,23 @@ def test_differential_check_catches_proof_of_any_distinct_exponents(monkeypatch)
 
     monkeypatch.setattr(protocol, "_progression_proves", loose)
     assert any(ref is not None and got != ref for *_, got, ref in audit_cases())
+
+
+CAT222 = build_cat(2, 2, 2)
+CAT222_POINTS = [pow(2, i, 11) for i in range(10)]  # its order-10 coset in F_11
+
+
+@pytest.mark.parametrize("x", [1.5, np.float64(2.0), "3"])
+def test_audit_refuses_a_non_integer_point(x):
+    # int(1.5) is 1, the coset's own first point, which the audit would prove private
+    with pytest.raises(TypeError):
+        privacy_audit(CAT222, FieldContext(11), [x, *CAT222_POINTS[1:]])
+
+
+def test_audit_reads_integer_points_mod_p_and_fails_zero_and_repeated_ones():
+    ctx = FieldContext(11)
+    assert privacy_audit(CAT222, ctx, [1 + 11, *CAT222_POINTS[1:]]).method == "proof"
+    repeated = privacy_audit(CAT222, ctx, np.array([2, *CAT222_POINTS[1:]]))
+    assert not repeated.ok and repeated.failures == ((0, 1),)
+    zero = privacy_audit(CAT222, ctx, np.array([0, *CAT222_POINTS[1:]]))
+    assert not zero.ok and zero.failures == tuple((0, j) for j in range(1, 10))

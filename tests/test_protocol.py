@@ -121,7 +121,9 @@ def test_cyclic_frame_failure_names_the_check(monkeypatch):
     failed = AuditReport(ok=False, checked=1, exhaustive=True)
     monkeypatch.setattr(protocol, "privacy_audit", lambda *args, **kwargs: failed)
     with pytest.raises(ResampleExhaustedError,
-                       match=r"^fixed cyclic frame failed validation \(failed privacy audit\)$"):
+                       match=r"^no admissible frame within 1 attempt over F_11 \(rejections: "
+                             r"zero or repeated point 0, rank-deficient generator 0, "
+                             r"failed privacy audit 1\)$"):
         make_frame(build_cat(2, 2, 2))
 
 
@@ -290,6 +292,29 @@ def test_server_compute_refuses_mismatched_stacks(f_shape, g_shape):
     f, g = np.zeros(f_shape, dtype=np.int64), np.zeros(g_shape, dtype=np.int64)
     with pytest.raises(ShapeMismatchError, match=re.escape(f"got shapes {f_shape} and {g_shape}")):
         server_compute(FieldContext(131), f, g)
+
+
+@pytest.mark.parametrize("x", [1.5, 0.5, float("nan"), "3"])
+def test_server_compute_refuses_non_integer_shares(x):
+    # an int64 cast would read shares of 1.5 as 1 and return products of 1
+    ints = np.ones((2, 1, 1), dtype=np.int64)
+    bad = np.full((2, 1, 1), x)
+    for f, g in ((bad, ints), (ints, bad)):
+        with pytest.raises(TypeError, match="field elements must be integers"):
+            server_compute(FieldContext(13), f, g)
+
+
+@pytest.mark.parametrize("x", [1.5, float("nan"), "3"])
+def test_decoders_refuse_non_integer_responses(x):
+    _, frame, _ = make_frame(GASP223, prime=131)
+    bad = np.full((13, 1, 13), x)
+    with pytest.raises(TypeError, match="field elements must be integers"):
+        decode_classical(frame, bad)
+    _, frame, _ = make_frame(GASP223, mode="quantum", prime=131)
+    good = np.zeros((13, 1, 13), dtype=np.int64)
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(TypeError, match="field elements must be integers"):
+            decode_quantum(frame, pair)
 
 
 def test_zero_inputs_zero_response():
