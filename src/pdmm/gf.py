@@ -5,8 +5,9 @@ protocol simulation) runs on top of this module.  Matrices are plain
 numpy ``int64`` arrays with entries kept canonically in ``[0, p)``; a
 :class:`FieldContext` carries the modulus and provides the operations.
 Every array operation reads its operands through one intake check:
-integer and bool arrays pass, and any other non-empty one (float,
-string, object) raises ``TypeError`` instead of being truncated.
+integer and bool arrays pass, unsigned 64-bit ones reduced mod p
+before the int64 cast, and any other non-empty one (float, string,
+object) raises ``TypeError`` instead of being truncated.
 
 Matrix products run through float BLAS and stay exact, after
 FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008): a float GEMM of
@@ -14,8 +15,13 @@ non-negative integers is exact, and so is the reduction
 ``x - floor(x / p) * p``, while every value stays at or below 2^(t - 1),
 t the significand width.  Each product picks one of three tiers: float32
 when the whole inner sum fits 2^23, float64 on the entries in inner
-chunks that keep the reduced accumulator plus a chunk within 2^52, and
-float64 on 16-bit limbs when (p - 1)^2 + p > 2^52.  Reduction stays in
+chunks that keep the reduced accumulator plus a chunk within 2^52, and,
+when (p - 1)^2 + p > 2^52, float64 limbs.  There the operand with more
+entries is read whole, exact since p < 2^31, and only the other is cut
+into k limbs of b = ceil(bitlen(p - 1) / k) bits, so a chunk of depth d
+takes k GEMMs combined Horner style, exact while
+d (p - 1)(2^b - 1) + p 2^b + p <= 2^52: two limbs when one such chunk
+holds the whole inner dimension, else three.  Reduction stays in
 floating point until one cast into the int64 result.  A product also
 takes an (S, r, k) stack times an (S, k, c) stack, one per server in the
 protocol, staged in groups of matrices so that small matrices share one
@@ -29,6 +35,7 @@ concurrent use is safe.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -146,17 +153,19 @@ def element_of_order(order: int, p: int) -> int:
     return best
 
 
-def _integers(data) -> np.ndarray:
-    """``data`` as an array of integer or bool dtype; other non-empty arrays raise ``TypeError``.
+def _integers(data, p: int) -> np.ndarray:
+    """``data`` as an integer or bool array congruent mod p to its int64 cast.
 
     Field elements are integers, so a float, string or object entry is
-    refused rather than truncated.  An empty input passes whatever its
-    dtype, since ``np.asarray([])`` is float64.
+    refused with ``TypeError`` rather than truncated.  An empty input
+    passes whatever its dtype, since ``np.asarray([])`` is float64.  An
+    unsigned 64-bit array is reduced mod p first, since its entries at
+    or above 2^63 would wrap negative in the cast.
     """
     x = np.asarray(data)
     if x.dtype.kind not in "biu" and x.size:
         raise TypeError(f"field elements must be integers, got an array of dtype {x.dtype}")
-    return x
+    return x % p if x.dtype.kind == "u" and x.itemsize == 8 else x
 
 
 def _admissible_points(points, p: int) -> list[int]:
@@ -174,8 +183,6 @@ def _admissible_points(points, p: int) -> list[int]:
 # the integers up to 2^(t - 1); every sum ``matmul`` forms stays there.
 _EXACT = 1 << 52
 _EXACT32 = 1 << 23
-_LIMB_BITS = 16
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Entries of 1 MiB of float64: ``FieldContext.matmul`` builds its output in
 # column tiles of this many entries, and stages stacks in groups whose
 # operand and output entries together stay within it.
@@ -190,16 +197,31 @@ def _swap_rows(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
     stack[every, j] = row_i
 
 
-def _limbs(x: np.ndarray, split: bool, dtype) -> list[np.ndarray]:
-    """Canonical entries as float limbs, most significant first.
+def _limb_geometry(p: int, count: int) -> tuple[int, int]:
+    """(bits, depth) of a limb product over F_p whose split operand has ``count`` limbs.
 
-    The entries themselves, or, when ``split``, their high and low
-    16-bit halves, each below 2^16 because p < 2^31.
+    Each limb holds b = ceil(bitlen(p - 1) / count) bits, so it is at
+    most 2^b - 1.  A Horner step adds one limb's GEMM, ``depth`` products
+    of a whole entry below p and a limb, to the reduced carry shifted by
+    b bits, below p 2^b, and ``matmul`` then adds its reduced
+    accumulator, below p; the depth keeps all of it within 2^52.
     """
-    if not split:
+    bits = -(-(p - 1).bit_length() // count)
+    return bits, (_EXACT - (p << bits) - p) // ((p - 1) * ((1 << bits) - 1))
+
+
+def _limbs(x: np.ndarray, count: int, bits: int, dtype) -> list[np.ndarray]:
+    """Canonical entries cut into ``count`` limbs of ``bits`` bits, as floats, most significant first.
+
+    One limb is the entries themselves.  Otherwise each limb is at most
+    2^bits - 1, and the entries are the sum of limb j times
+    2^(bits (count - 1 - j)); ``_limb_geometry`` bounds the GEMMs of
+    such limbs with a whole operand.
+    """
+    if count == 1:
         return [x.astype(dtype)]
-    low = (x & _LIMB_MASK).astype(dtype)
-    return [(x >> _LIMB_BITS).astype(dtype), low]
+    mask = (1 << bits) - 1
+    return [(x >> shift & mask).astype(dtype) for shift in range(bits * (count - 1), -1, -bits)]
 
 
 @dataclass(frozen=True)
@@ -211,7 +233,8 @@ class FieldContext:
     products fit comfortably in int64.  Matrix products are float GEMMs
     reduced mod p in floating point (see ``matmul``): float32 when
     inner * (p - 1)^2 + p <= 2^23, else float64 over inner chunks that
-    stay within 2^52, on 16-bit limbs when (p - 1)^2 + p > 2^52.
+    stay within 2^52, with the smaller operand cut into two or three
+    limbs when (p - 1)^2 + p > 2^52.
     """
 
     p: int
@@ -238,7 +261,7 @@ class FieldContext:
 
     def asarray(self, data) -> np.ndarray:
         """Canonicalize to a new int64 array with entries in [0, p)."""
-        x = _integers(data).astype(np.int64)
+        x = _integers(data, self.p).astype(np.int64)
         if not self._is_canonical(x):
             x %= self.p
         return x
@@ -254,7 +277,7 @@ class FieldContext:
         Otherwise the entries are reduced into a new array; the caller's
         array is never written.
         """
-        x = _integers(data).astype(np.int64, copy=False)
+        x = _integers(data, self.p).astype(np.int64, copy=False)
         return x if self._is_canonical(x) else x % self.p
 
     def identity(self, n: int) -> np.ndarray:
@@ -281,7 +304,12 @@ class FieldContext:
         - float64 on the entries, when (p - 1)^2 + p <= 2^52: chunks
           short enough that the reduced accumulator plus one chunk's
           product stays within 2^52;
-        - float64 on 16-bit limbs otherwise (see ``_limb_product``).
+        - float64 limbs otherwise: the operand with more entries is read
+          whole and the other is cut into k limbs of
+          b = ceil(bitlen(p - 1) / k) bits, in chunks of depth d with
+          d (p - 1)(2^b - 1) + p 2^b + p <= 2^52 (see ``_limb_geometry``
+          and ``_limb_product``); k = 2 when such a chunk holds the whole
+          inner dimension, else k = 3.  A chunk costs k GEMMs.
 
         A stack is staged in groups of matrices whose operand and output
         entries together stay within about 1 MiB of float64, each group
@@ -299,12 +327,13 @@ class FieldContext:
         inner = b.shape[-2] if b.ndim == 3 else b.shape[0]
         p = self.p
         if inner * (p - 1) ** 2 + p <= _EXACT32:
-            tier = np.float32, False, max(inner, 1)
+            tier = np.float32, 1, 0, max(inner, 1)
         elif (p - 1) ** 2 + p <= _EXACT:
-            tier = np.float64, False, (_EXACT - p) // (p - 1) ** 2
+            tier = np.float64, 1, 0, (_EXACT - p) // (p - 1) ** 2
         else:
-            # a Horner step adds two limb products per index to a carry below p * 2^16
-            tier = np.float64, True, (_EXACT - (p << _LIMB_BITS)) // (2 * _LIMB_MASK ** 2)
+            # two limbs when one chunk of them holds the whole inner dimension, else three
+            count = 2 if _limb_geometry(p, 2)[1] >= inner else 3
+            tier = np.float64, count, *_limb_geometry(p, count)
         if b.ndim < 3:
             shape = a.shape[:-1] + b.shape[1:]
             rows, cols = math.prod(a.shape[:-1]), math.prod(b.shape[1:])
@@ -321,16 +350,21 @@ class FieldContext:
         return out
 
     def _product(self, a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                 dtype, split: bool, depth: int) -> None:
+                 dtype, count: int, bits: int, depth: int) -> None:
         """Write A @ B mod p into ``out``, for 2-D operands or equal-length stacks of them.
 
-        ``a`` and ``b`` hold canonical entries.  The output is built in
+        ``a`` and ``b`` hold canonical entries.  The left operand is cut
+        into ``count`` limbs of ``bits`` bits when it has fewer entries,
+        else the right one, and the other is read whole, all as ``dtype``.  The output is built in
         column tiles of about 1 MiB of float64.  Each tile keeps a float
         accumulator, reduced in place after every inner chunk of
         ``depth`` indices and cast into ``out`` once, so no output-sized
         float array is ever live.
         """
-        a, b = _limbs(a, split, dtype), _limbs(b, split, dtype)
+        if a.size < b.size:
+            a, b = _limbs(a, count, bits, dtype), [b.astype(dtype)]
+        else:
+            a, b = [a.astype(dtype)], _limbs(b, count, bits, dtype)
         inner = b[0].shape[-2]
         width = max(1, _TILE // max(math.prod(out.shape[:-1]), 1))
         for c in range(0, out.shape[-1], width):
@@ -338,31 +372,33 @@ class FieldContext:
             # an empty inner dimension still takes one chunk, whose product is zero
             for k in range(0, max(inner, 1), depth):
                 part = self._limb_product([x[..., k:k + depth] for x in a],
-                                          [y[..., k:k + depth, c:c + width] for y in b])
+                                          [y[..., k:k + depth, c:c + width] for y in b], bits)
                 if acc is not None:
                     part += acc
                 acc = self._reduce(part)
             out[..., c:c + width] = acc
 
-    def _limb_product(self, a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-        """Product of two limb lists as floats congruent to A @ B mod p.
+    def _limb_product(self, a: list[np.ndarray], b: list[np.ndarray], bits: int) -> np.ndarray:
+        """Product of two limb lists, one of them a single limb, as floats congruent to A @ B mod p.
 
-        One limb gives the GEMM itself.  Two limbs are combined Horner
-        style: hh is reduced, shifted 16 bits and added to hl + lh, which
-        is reduced and shifted again before ll is added.  The chunk
-        depth keeps every step, and the accumulator ``matmul`` adds to
-        the result, within the exact range.
+        With W the single limb and L_0, ..., L_(k-1) the other side's
+        limbs of ``bits`` bits, most significant first, the product is
+        the sum of 2^(bits (k - 1 - j)) W L_j, formed Horner style one
+        GEMM at a time: the running sum is reduced, shifted ``bits``
+        bits and added to the next limb's GEMM.  One limb each gives the
+        GEMM itself.  Over a chunk of depth d each step stays within
+        2^52: the shifted sum is below p 2^bits, a GEMM at most
+        d (p - 1)(2^bits - 1), and the accumulator ``matmul`` adds to the
+        result below p.
         """
-        if len(a) == 1:
-            return a[0] @ b[0]
-        (a_hi, a_lo), (b_hi, b_lo) = a, b
-        acc = self._reduce(a_hi @ b_hi)
-        acc *= 1 << _LIMB_BITS
-        acc += a_hi @ b_lo
-        acc += a_lo @ b_hi
-        self._reduce(acc)
-        acc *= 1 << _LIMB_BITS
-        acc += a_lo @ b_lo
+        acc = None
+        for x, y in itertools.product(a, b):
+            if acc is None:
+                acc = x @ y
+            else:
+                self._reduce(acc)
+                acc *= 1 << bits
+                acc += x @ y
         return acc
 
     def _reduce(self, x: np.ndarray) -> np.ndarray:

@@ -79,6 +79,22 @@ def test_integer_bool_and_empty_operands_are_read():
     assert F13.mat_rank(np.zeros((0, 0))) == 0
 
 
+def test_unsigned_64_bit_entries_are_read_mod_p():
+    """Entries at or above 2^63 are reduced mod p, not wrapped negative by the int64 cast."""
+    row = np.array([2**64 - 1, 2**63, 5], dtype=np.uint64)  # 4, 8, 5 mod 11
+    ones = np.ones(3, dtype=np.uint64)
+    square = np.array([[[2**64 - 1, 8], [1, 2]]], dtype=np.uint64)  # [[4, 8], [1, 2]]: rank 1
+    assert F11.asarray(row).tolist() == [4, 8, 5]
+    assert F11.matmul(row, ones) == 6 and F11.matmul(row[None], ones[:, None]).tolist() == [[6]]
+    assert F11.batch_rank(square).tolist() == [1]
+    assert row.tolist() == [2**64 - 1, 2**63, 5]  # the caller's array is not written
+    # negative control: read through the wrapping cast, 2^64 - 1 is -1 = 10 and 2^63 is 3
+    wrapped = row.astype(np.int64)
+    assert F11.asarray(wrapped).tolist() == [10, 3, 5]
+    assert F11.matmul(wrapped, ones.astype(np.int64)) == 7
+    assert F11.batch_rank(square.astype(np.int64)).tolist() == [2]
+
+
 def test_inverse_identity():
     assert F5.mat_inverse(F5.identity(2)).tolist() == [[1, 0], [0, 1]]
 
@@ -198,19 +214,31 @@ MATMUL_SHAPES = [
 ]
 
 
+def limb_geometry(p, count, exact=2**52):
+    """(bits, depth) of a limb product whose smaller operand is cut into ``count`` limbs.
+
+    The limbs hold ceil(bitlen(p - 1) / count) bits, and a chunk is as
+    deep as a Horner step allows: depth whole-entry-by-limb products, a
+    carry below p shifted by the limb width and an accumulator below p,
+    all within ``exact``.
+    """
+    bits = -(-(p - 1).bit_length() // count)
+    return bits, (exact - p * 2**bits - p) // ((p - 1) * (2**bits - 1))
+
+
 def one_chunk(p):
     """Inner length of one exact product chunk of the tier that p starts on.
 
     float32 takes the whole inner dimension while inner (p - 1)^2 + p <= 2^23;
     float64 entries take chunks whose sum, plus a reduced accumulator below
-    p, stays within 2^52; 16-bit limbs take chunks whose Horner step, two
-    limb products per index plus a carry below p 2^16, stays within 2^52.
+    p, stays within 2^52; past that, a product longer than one two-limb
+    chunk cuts its smaller operand into three limbs, whose chunks are these.
     """
     if (p - 1) ** 2 + p <= 2**23:
         return (2**23 - p) // (p - 1) ** 2
     if (p - 1) ** 2 + p <= 2**52:
         return (2**52 - p) // (p - 1) ** 2
-    return (2**52 - p * 2**16) // (2 * (2**16 - 1) ** 2)
+    return limb_geometry(p, 3)[1]
 
 
 def test_tier_switch_primes():
@@ -251,6 +279,84 @@ def test_matmul_all_largest_entries(p):
         b = np.full((inner, 1), p - 1)
         # (p - 1)^2 = 1 mod p, so the product is the inner length mod p
         assert ctx.matmul(a, b).tolist() == [[inner % p]]
+
+
+# Every prime of MATMUL_PRIMES on the limb tier, and one near 2^29.
+LIMB_PRIMES = [p for p in MATMUL_PRIMES if (p - 1) ** 2 + p > 2**52] + [536_870_909]
+
+
+@pytest.mark.parametrize("p", LIMB_PRIMES)
+def test_limb_geometry_matches_its_derivation(p):
+    assert [gf._limb_geometry(p, count) for count in (2, 3)] == [limb_geometry(p, 2), limb_geometry(p, 3)]
+
+
+def test_limb_tier_cuts_the_smaller_operand_into_two_or_three_limbs(monkeypatch):
+    cuts = []
+    real = gf._limbs
+
+    def spy(x, count, bits, dtype):
+        cuts.append((x.shape, count, bits))
+        return real(x, count, bits, dtype)
+
+    monkeypatch.setattr(gf, "_limbs", spy)
+    ctx = FieldContext(2_000_000_011)
+    assert [gf._limb_geometry(ctx.p, count) for count in (2, 3)] == [(16, 33), (11, 1099)]
+    for (rows, inner), cols in [((13, 5), 40), ((4, 33), 50), ((6, 34), 2), ((8, 512), 8)]:
+        ctx.matmul(np.ones((rows, inner), dtype=np.int64), np.ones((inner, cols), dtype=np.int64))
+    # the right operand is cut when the two are the same size
+    assert cuts == [((13, 5), 2, 16), ((4, 33), 2, 16), ((34, 2), 3, 11), ((512, 8), 3, 11)]
+
+
+@pytest.mark.parametrize("p", LIMB_PRIMES)
+def test_limb_products_of_largest_entries_at_the_chunk_depths(p):
+    """All-(p - 1) operands at and one past each limb count's chunk depth.
+
+    The four inner lengths take two limbs in one chunk, three limbs in
+    one chunk, three in one full chunk and three in two chunks; each is
+    run with the left operand cut into limbs, then the right one.
+    """
+    ctx = FieldContext(p)
+    (_, two), (_, three) = limb_geometry(p, 2), limb_geometry(p, 3)
+    for inner in (two, two + 1, three, three + 1):
+        for rows, cols in ((1, 2), (2, 1)):
+            a = np.broadcast_to(p - 1, (rows, inner))
+            b = np.broadcast_to(p - 1, (inner, cols))
+            assert ctx.matmul(a, b).tolist() == python_int_matmul(a, b, p).tolist()
+
+
+@pytest.mark.parametrize("p", LIMB_PRIMES)
+@pytest.mark.parametrize("rows, cols", [(2, 7), (7, 2), (4, 4)])  # left smaller, right smaller, equal
+def test_limb_products_match_python_integers(p, rows, cols):
+    ctx = FieldContext(p)
+    rng = np.random.default_rng(p % 983 + rows)
+    (_, two), (_, three) = limb_geometry(p, 2), limb_geometry(p, 3)
+    for inner in (1, 13, two, two + 1, three + 1):
+        a = rng.integers(0, p, size=(rows, inner))
+        b = rng.integers(0, p, size=(inner, cols))
+        assert ctx.matmul(a, b).tolist() == python_int_matmul(a, b, p).tolist()
+
+
+@pytest.mark.parametrize("p", LIMB_PRIMES)
+def test_limb_products_of_stacks_vectors_and_views(p):
+    ctx = FieldContext(p)
+    rng = np.random.default_rng(p % 977)
+    for inner in (5, limb_geometry(p, 2)[1] + 1):  # two limbs, then three
+        a = rng.integers(0, p, size=(3, 4, inner))
+        b = rng.integers(0, p, size=(3, inner, 6))
+        pair = rng.integers(0, p, size=(2 * inner, 9))
+        cases = [
+            (a, b),                                        # stacks
+            (b.transpose(0, 2, 1)[:, :2], a.transpose(0, 2, 1)),
+            (a[:, ::-1], b[:, :, ::3]),
+            (a, b[0]),                                     # a stack times one matrix
+            (a[0], b[0, :, 0]),                            # 1-D operands
+            (b[1, :, 0], b[1]),
+            (a[1, 0], b[1, :, 2]),
+            (pair[::2].T, pair[1::2, ::-1]),               # strided views
+        ]
+        for x, y in cases:
+            got, want = np.asarray(ctx.matmul(x, y)), np.asarray(python_int_matmul(x, y, p))
+            assert got.shape == want.shape and got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p", MATMUL_PRIMES)
@@ -353,22 +459,50 @@ def test_matmul_with_a_loosened_float32_bound_is_wrong(monkeypatch):
 def test_matmul_with_a_loosened_limb_bound_is_wrong(monkeypatch):
     """Negative control: limb chunks deeper than the Horner bound allows round.
 
-    At 2^56 the operands still split into limbs (p^2 > 2^56), but one chunk
-    spans the whole inner dimension, so the odd sum of the low limbs'
-    products, inner * 65533^2 > 2^53, cannot be a float64 and the product
-    comes out wrong; under the real bound it takes 5 exact chunks.
+    At 2^56 the operands still take the limb tier ((p - 1)^2 + p > 2^56),
+    and the inner dimension, past one two-limb chunk, cuts the right one
+    into three 11-bit limbs, but each chunk spans 16391 indices instead
+    of 1023.  Every index of the low limb's GEMM adds x * 2045, odd, since
+    the low limb of x = p - 2 is 2045; the last chunk's 3201 indices sum to
+    an odd integer above 2^53, which is no float64, and the product comes
+    out wrong.
     """
     p = 2**31 - 1
     ctx = FieldContext(p)
-    x = p - 2  # limbs 2^15 - 1 and 65533
+    x = p - 2  # 11-bit limbs 511, 2047 and 2045
     inner = 2**21 + 2**12 + 1
-    assert inner % 2 and inner * 65533**2 > 2**53 and one_chunk(p) * 4 < inner
+    bits, depth = limb_geometry(p, 3, exact=2**56)
+    last = inner % depth
+    assert (bits, depth, one_chunk(p)) == (11, 16391, 1023) and limb_geometry(p, 2, exact=2**56)[1] < inner
+    assert x & 2047 == 2045 and last % 2 and last * x * 2045 > 2**53
     a = np.broadcast_to(x, (1, inner))
     b = np.broadcast_to(x, (inner, 1))
     want = [[inner * x * x % p]]
     assert ctx.matmul(a, b).tolist() == want
     monkeypatch.setattr(gf, "_EXACT", 2**56)
     assert ctx.matmul(a, b).tolist() != want
+
+
+def test_matmul_with_two_limbs_at_the_three_limb_depth_is_wrong(monkeypatch):
+    """Negative control: two 16-bit limbs over a three-limb chunk round.
+
+    At p = 2^31 - 1 a two-limb chunk holds 31 indices and a three-limb
+    one 1023.  On all-(p - 1) operands, p - 1 = 2 (2^30 - 1) with high
+    limb 32767, the high limb's GEMM over 1023 indices sums to
+    1023 (p - 1) 32767: twice an odd number and above 2^54, where
+    float64 holds only multiples of 4.
+    """
+    p = 2**31 - 1
+    ctx = FieldContext(p)
+    depth = limb_geometry(p, 3)[1]
+    assert limb_geometry(p, 2) == (16, 31) and depth == 1023
+    assert (p - 1) >> 16 == 32767 and depth * (p - 1) * 32767 > 2**54
+    a = np.full((1, depth), p - 1)
+    b = np.full((depth, 1), p - 1)
+    assert ctx.matmul(a, b).tolist() == [[depth]]  # (p - 1)^2 = 1 mod p
+    real = gf._limb_geometry
+    monkeypatch.setattr(gf, "_limb_geometry", lambda p, count: (real(p, count)[0], depth))
+    assert ctx.matmul(a, b).tolist() != [[depth]]
 
 
 def test_prime_helpers():
