@@ -1,8 +1,9 @@
 """When does a classical plan extend to the two-instance quantum
 protocol?  The interference exponents must contain a consecutive run at
 least half the server count long.  This script shows the check, then
-brute-forces the minimum privacy level and compares it against the
-quadratic estimate.
+finds the exact minimum privacy level (a galloping search over T on the
+gasp_r interference bitmask) and compares it against the quadratic
+estimate.
 """
 
 from pdmm import (

@@ -4,8 +4,8 @@ protocol runs, and sweep parameter grids into CSV.
 Subcommands:
 
 * ``construct``: build one plan, print its degree table and verdicts.
-* ``feasibility``: brute-force minimum privacy level vs the quadratic
-  estimate, as CSV.
+* ``feasibility``: exact minimum privacy level (``min_feasible_t``'s
+  search, ``--t-max`` caps it) vs the quadratic estimate, as CSV.
 * ``simulate``: run the protocol end to end and report verdicts.
 * ``sweep``: rate comparison grids (quantum family vs classical
   baseline) as CSV.  Each row's plan comes from the same ``_BUILDERS``

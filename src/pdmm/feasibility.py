@@ -5,12 +5,14 @@ interference part of its degree table contains a run of consecutive
 integers at least half the server count long: the run supplies the
 exponents whose encoded symbols the transfer matrix can stabilize away.
 This module computes that run, the feasibility verdicts, the
-minimum privacy level for GASP layouts, and the quadratic
-regression estimates of that minimum.
+minimum privacy level T_min for GASP layouts (a galloping search over T
+on the gasp_r interference bitmask, capped at ``t_max``), and the
+quadratic regression estimates of that minimum.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -73,28 +75,67 @@ def check_feasible(plan: ExponentPlan) -> FeasibilityReport:
     return FeasibilityReport(feasible, tuple(run), threshold)
 
 
+def _bitmask_feasible(K: int, L: int, T: int) -> bool:
+    """Quantum feasibility of gasp_r(K, L, T) at r*, read off its interference bitmask.
+
+    N and the interference set come from ``_best_gasp_r``, which ranks
+    each r by the bitmask's set bits alone; the interference run is the
+    bitmask's longest run of ones, so no plan or degree table is built.
+    The caller validates K, L and T.
+    """
+    _, n, mask = _best_gasp_r(K, L, T)
+    return _covers_half(max(map(len, bin(mask)[2:].split("0"))), n)[0]
+
+
 def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
-    """Smallest T <= t_max whose optimal gasp_r plan is feasible.
+    """Smallest T <= t_max whose optimal gasp_r plan is feasible, else None.
 
     Feasibility is judged at the r* plan (minimal server count, smallest
-    r on ties), matching how the regression estimates below were fitted.
-    N and the interference set come from the gasp_r interference
-    bitmask, which ranks each r by its set bits alone; the interference
-    run, read only at r*, is the bitmask's longest run of ones, so no
-    plan or degree table is built.  K and L are validated once, as the
-    search's first plan (T = 1).  ``tests/test_degree_tables.py`` checks
-    the bitmask against each plan's ``table`` and ``longest_run``;
-    ``tests/test_feasibility.py`` checks this function against a loop of
-    ``check_feasible(optimal_gasp_r(K, L, T))`` over T.
+    r on ties), matching how the regression estimates below were fitted,
+    and read off the gasp_r interference bitmask (``_bitmask_feasible``).
+
+    The search gallops: it probes T = 1, 2, 4, ..., with the last probe
+    clipped to ``t_max``, and answers None if the probe at ``t_max``
+    fails.  Otherwise it bisects between the last failing probe and the
+    first passing one, so the answer T is always a probed pass and, for
+    T > 1, T - 1 is always a probed failure.
+
+    That answer is the smallest feasible T, T_min, whenever every T in
+    [T_min, 2 T_min] is feasible: the first probe at or above T_min is
+    then below 2 T_min and passes, and every bisection probe lies
+    between two probes already made.  Feasibility is not proven monotone
+    in T, since r* moves with T.  The evidence is the test grid alone:
+    ``tests/test_feasibility.py`` checks that window for every K <= 16,
+    L <= K, and checks this search against a linear scan over T on the
+    same bitmask for every K <= 24, L <= K at t_max = 1000.  It also
+    checks the search against a loop of ``check_feasible(optimal_gasp_r
+    (K, L, T))`` over T for K, L <= 12, and
+    ``tests/test_degree_tables.py`` checks the bitmask against each
+    plan's ``table`` and ``longest_run``.
+
+    ``t_max`` must be an integer of at least 1; a bool, float or string
+    raises ``TypeError`` and a numpy integer is read as an int, so no
+    probe is an int64.  K and L are validated once, as the search's
+    first plan (T = 1).
     """
+    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
+        raise TypeError(f"t_max must be an integer, got t_max={t_max!r}")
+    t_max = int(t_max)
     if t_max < 1:
         raise ParamOutOfRangeError(f"need t_max >= 1, got t_max={t_max}")
     _require_positive(K=K, L=L, T=1)
-    for T in range(1, t_max + 1):
-        _, n, mask = _best_gasp_r(K, L, T)
-        if _covers_half(max(map(len, bin(mask)[2:].split("0"))), n)[0]:
-            return T
-    return None
+    fail, probe = 0, 1  # 0 stands for "no failing probe yet"
+    while not _bitmask_feasible(K, L, probe):
+        if probe == t_max:
+            return None
+        fail, probe = probe, min(2 * probe, t_max)
+    while probe - fail > 1:
+        mid = (fail + probe) // 2
+        if _bitmask_feasible(K, L, mid):
+            probe = mid
+        else:
+            fail = mid
+    return probe
 
 
 def t_hat_estimate(K: int, L: int) -> float:
@@ -120,7 +161,10 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
 
     Columns: K, L, T_min_bruteforce, T_hat, delta.  ``l_values`` defaults
     to L = K (the square grid).  T_min_bruteforce is ``min_feasible_t``'s
-    scan over T on the gasp_r interference bitmask.  Every T_min found is
+    galloping search over T on the gasp_r interference bitmask: an exact
+    minimum, not an estimate.  The column keeps its old name because the
+    CSV header, the pinned CLI output and the benchmark's reference rows
+    all use it.  Every T_min found is
     confirmed by ``check_feasible`` on the materialized r* plan,
     ``optimal_gasp_r(K, L, T_min)``, so no row rests on the bitmask
     alone; a disagreement raises ``RuntimeError``.

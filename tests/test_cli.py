@@ -97,6 +97,14 @@ def test_feasibility_csv(capsys):
     assert out.endswith("\n") and "\r" not in out
 
 
+def test_feasibility_below_the_cap_prints_an_empty_t_min(capsys):
+    # (3, 3) has T_min = 5, above --t-max 4
+    code, out, _ = invoke(capsys, "feasibility", "--k-range", "3:3", "--t-max", "4")
+    assert code == 0
+    [row] = parse_csv(out)
+    assert (row["K"], row["L"], row["T_min_bruteforce"], row["delta"]) == ("3", "3", "", "")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["feasibility", "--k-range", "2-6"], "--k-range expects lo:hi with integer bounds, got '2-6'"),
     (["feasibility", "--l-range", "1:2:3"], "--l-range expects lo:hi"),

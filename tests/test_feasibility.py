@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmm import feasibility
 from pdmm.degree_tables import (
     ParamOutOfRangeError,
     build_cat,
@@ -15,6 +17,7 @@ from pdmm.degree_tables import (
 )
 from pdmm.feasibility import (
     FeasibilityReport,
+    _bitmask_feasible,
     check_feasible,
     feasibility_rows,
     longest_run,
@@ -147,6 +150,79 @@ def test_min_feasible_t_matches_check_feasible_loop():
 def test_min_feasible_t_names_the_bad_parameter(args, bad):
     with pytest.raises(ParamOutOfRangeError, match=bad):
         min_feasible_t(*args)
+
+
+@pytest.mark.parametrize("t_max", [2.5, 3.0, True, "3"])
+def test_min_feasible_t_refuses_a_non_integer_cap(t_max):
+    with pytest.raises(TypeError, match=r"t_max must be an integer, got t_max="):
+        min_feasible_t(2, 2, t_max)
+
+
+def linear_t_min(K, L, t_max):
+    """Oracle: the first T in 1..t_max that passes the same bitmask predicate."""
+    return next((T for T in range(1, t_max + 1) if _bitmask_feasible(K, L, T)), None)
+
+
+def search_mismatches(k_max, t_max):
+    """{(K, L): (search, oracle)} over K <= k_max, L <= K where the two differ."""
+    mismatches = {}
+    for K in range(1, k_max + 1):
+        for L in range(1, K + 1):
+            got, want = feasibility.min_feasible_t(K, L, t_max), linear_t_min(K, L, t_max)
+            if got != want:
+                mismatches[K, L] = (got, want)
+    return mismatches
+
+
+def test_min_feasible_t_matches_a_linear_scan_of_the_bitmask():
+    # at cap 1000 every pair here has a T_min, (24, 24) the largest
+    assert linear_t_min(24, 24, 1000) is not None
+    assert search_mismatches(24, 1000) == {}
+
+
+def test_search_without_bisection_fails_the_linear_scan_comparison(monkeypatch):
+    # negative control: answer the first passing probe of 1, 2, 4, ... instead
+    def first_passing_probe(K, L, t_max):
+        T = 1
+        while not _bitmask_feasible(K, L, T):
+            if T == t_max:
+                return None
+            T = min(2 * T, t_max)
+        return T
+
+    monkeypatch.setattr(feasibility, "min_feasible_t", first_passing_probe)
+    mismatches = search_mismatches(6, 1000)
+    assert mismatches[2, 2] == (4, 3)
+    assert len(mismatches) > 1
+
+
+def test_feasibility_is_monotone_over_the_window_the_search_probes():
+    # every T the search can probe after its first pass lies in [T_min, 2 T_min]
+    for K in range(1, 17):
+        for L in range(1, K + 1):
+            t_min = linear_t_min(K, L, 1000)
+            failing = [T for T in range(t_min, 2 * t_min + 1)
+                       if not _bitmask_feasible(K, L, T)]
+            assert failing == [], (K, L)
+
+
+@pytest.mark.parametrize("t_max, want", [(4, None), (5, 5), (6, 5), (7, 5), (64, 5)])
+def test_min_feasible_t_at_the_cap_edge(t_max, want):
+    # (3, 3) has T_min = 5; cap 7 clips the probe after 4 to 7
+    assert min_feasible_t(3, 3, t_max) == want
+
+
+def test_min_feasible_t_cap_one_and_above_the_default_cap():
+    assert [min_feasible_t(K, 1, 1) for K in range(1, 6)] == [1] * 5
+    assert min_feasible_t(2, 2, 1) is None
+    assert min_feasible_t(12, 12) is None
+    assert min_feasible_t(12, 12, 1000) == linear_t_min(12, 12, 1000) == 73
+    # caps just below and at T_min = 73: the unclipped probe 128 would pass
+    assert min_feasible_t(12, 12, 72) is None
+    assert min_feasible_t(12, 12, 73) == 73
+    # a numpy cap must not turn the clipped probe (100) into an int64, whose
+    # bit shifts overflow
+    assert min_feasible_t(12, 12, np.int64(100)) == 73
 
 
 def test_min_feasible_t_vs_estimate():
