@@ -72,10 +72,12 @@ class ExponentPlan:
 
     ``info_alpha`` / ``info_beta`` index into ``alpha`` / ``beta`` and mark
     the K (resp. L) positions that carry data blocks; the remaining
-    positions carry noise.  ``modulus_q`` is set only for cyclic (CAT)
-    plans, whose exponent arithmetic wraps mod q.  ``table`` is the
-    plan's ``outer_sum``, built once when the plan is built; it is not
-    an argument and plays no part in equality, hashing or ``repr``.
+    positions carry noise.  Exponents are polynomial degrees, so a
+    negative one raises ``ValueError`` naming its side.  ``modulus_q``
+    is set only for cyclic (CAT) plans, whose exponent arithmetic wraps
+    mod q.  ``table`` is the plan's ``outer_sum``, built once when the
+    plan is built; it is not an argument and plays no part in equality,
+    hashing or ``repr``.
     """
 
     family: str
@@ -91,6 +93,10 @@ class ExponentPlan:
     table: DegreeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for side, vec in (("alpha", self.alpha), ("beta", self.beta)):
+            negative = [e for e in vec if e < 0]
+            if negative:
+                raise ValueError(f"{side} exponents must be non-negative, got {negative[0]}")
         if len(self.info_alpha) != self.K or len(self.info_beta) != self.L:
             raise ValueError("info index sets must have sizes K and L")
         for idx, vec in ((self.info_alpha, self.alpha), (self.info_beta, self.beta)):
@@ -404,17 +410,19 @@ def outer_sum(plan: ExponentPlan) -> DegreeTable:
 
 
 def check_decodable(plan: ExponentPlan) -> DecodabilityReport:
-    """Check the two decodability and privacy conditions on a plan.
+    """Check the decodability and privacy conditions on a plan.
 
     1. every information sum appears exactly once in the whole table;
-    2. noise exponents are pairwise distinct within alpha and within beta.
+    2. noise exponents are pairwise distinct within alpha and within beta;
+    3. alpha and beta each hold at least T noise exponents, since T
+       servers see a side's data in the clear otherwise.
     """
-    noise_a = plan.noise_alpha
-    if len(set(noise_a)) != len(noise_a):
-        return DecodabilityReport(False, "duplicate noise exponent in alpha")
-    noise_b = plan.noise_beta
-    if len(set(noise_b)) != len(noise_b):
-        return DecodabilityReport(False, "duplicate noise exponent in beta")
+    for side, noise in (("alpha", plan.noise_alpha), ("beta", plan.noise_beta)):
+        if len(set(noise)) != len(noise):
+            return DecodabilityReport(False, f"duplicate noise exponent in {side}")
+        if len(noise) < plan.T:
+            return DecodabilityReport(
+                False, f"{side} has {len(noise)} noise exponents, fewer than T = {plan.T}")
     rows = plan.table.table
     counts = Counter(v for row in rows for v in row)
     for i in plan.info_alpha:

@@ -28,6 +28,16 @@ protocol, staged in groups of matrices so that small matrices share one
 stacked GEMM instead of one call each.  Products read int64 operands in
 place and copy only what is not yet reduced mod p.
 
+``mat_inverse`` inverts a square matrix by eliminating [A | I], and
+``batch_rank`` ranks a whole stack of matrices at once, by one
+elimination on all of them, for the privacy audit.  A generator
+(x_i^(e_j)) on distinct points is inverted without eliminating it:
+Lagrange interpolation gives the inverse when the exponents are 0, ...,
+N - 1, and when g exponents below the top one are missing, a g x g
+system on the master polynomial's coefficients corrects it in
+O(N^2 g + g^3) work.  That g x g matrix is singular exactly when the
+generator is.
+
 The context and all arrays it touches are treated as immutable; every
 operation returns fresh arrays and writes none of its inputs, so
 concurrent use is safe.
@@ -440,15 +450,6 @@ class FieldContext:
                 break
         return aug, rank
 
-    def mat_rank(self, a) -> int:
-        a = self.asarray(a)
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
-        if a.size == 0:
-            return 0
-        _, rank = self._eliminate(a, a.shape[1])
-        return rank
-
     def batch_rank(self, stack) -> np.ndarray:
         """Rank of every matrix in an (S, r, c) stack, as an int64 array of length S.
 
@@ -511,15 +512,32 @@ class FieldContext:
             raise ValueError("exponents must be pairwise distinct")
         return _powers(np.array(pts, dtype=np.int64), exps, self.p)
 
-    def _vandermonde_inverse(self, x: np.ndarray) -> np.ndarray:
-        """Inverse of the n x n Vandermonde matrix (x_i^j), j < n, on distinct points x.
+    def _vandermonde_inverse(self, x: np.ndarray, exponents: Sequence[int]) -> np.ndarray:
+        """Inverse of the generator (x_i^(e_j)) on distinct points x and ascending exponents e.
 
-        Lagrange interpolation: column i of the inverse holds the
-        coefficients, lowest degree first, of L_i(X) = w_i P(X) / (X - x_i),
-        where P(X) = prod_k (X - x_k) and w_i = 1 / prod_{k != i} (x_i - x_k),
+        The generator takes the coefficients of a polynomial supported on
+        the n exponents to its values at the n points, so its inverse
+        interpolates.  Lagrange interpolation gives the interpolant of
+        degree < n: column i of L holds the coefficients, lowest degree
+        first, of L_i(X) = w_i P(X) / (X - x_i), where
+        P(X) = prod_k (X - x_k) and w_i = 1 / prod_{k != i} (x_i - x_k),
         since L_i is 1 at x_i and 0 at every other point.  One synthetic
         division per degree serves every point at once: with P = sum a_j X^j,
         the quotient by X - x_i has q_(n-1) = 1 and q_(j-1) = a_j + x_i q_j.
+        Exponents exactly 0, ..., n - 1 make L the inverse.
+
+        Otherwise g = e_(n-1) + 1 - n exponents below the top one are
+        missing, and every interpolant of degree <= e_(n-1) is
+        L(X) + P(X) h(X) with deg h < g.  It is supported on the exponents
+        when h cancels L's coefficients at the gaps s: C h = -L_s, with
+        C[s, l] = a_(s - l) the X^s coefficient of X^l P(X).  So the
+        inverse is L's rows at the exponents minus the rows of
+        (X^l P(X))_(l < g) at the exponents times C^-1 L_s: O(n^2 g + g^3)
+        work, whose only elimination inverts the g x g matrix C.  The
+        generator is singular exactly when C is, since a nonzero h with
+        C h = 0 gives P h, supported on the exponents and zero at every
+        point, and a kernel vector of the generator gives such a
+        polynomial; then ``mat_inverse`` raises ``SingularMatrixError``.
         ``x`` holds canonical entries.
         """
         p = self.p
@@ -537,7 +555,20 @@ class FieldContext:
         nodes = _node_products(x, p)
         if n % 2 == 0:
             nodes = (p - nodes) % p
-        return quotients * self._inverse_all(nodes) % p
+        lagrange = quotients * self._inverse_all(nodes) % p
+        exps = np.asarray(exponents, dtype=np.int64)
+        gaps = _gaps(exps)
+        if not gaps.size:
+            return lagrange
+
+        def multiples(rows):
+            """Entry (e, l): a_(e - l), the X^e coefficient of X^l P(X), for l < g."""
+            k = rows[:, None] - np.arange(gaps.size)
+            return np.where((k >= 0) & (k <= n), master[n - k.clip(0, n)], 0)
+
+        lagrange = np.vstack([lagrange, np.zeros((gaps.size, n), dtype=np.int64)])
+        h = self.matmul(self.mat_inverse(multiples(gaps)), lagrange[gaps])
+        return (lagrange[exps] - self.matmul(multiples(exps), h)) % p
 
 
 def _powers(x: np.ndarray, exponents: Sequence[int], p: int) -> np.ndarray:
@@ -576,3 +607,14 @@ def _node_products(x: np.ndarray, p: int) -> np.ndarray:
             head[:, 0] = head[:, 0] * diffs[:, -1] % p
         diffs = head
     return diffs.prod(axis=1)  # one column left, or none when x is empty
+
+
+def _gaps(exponents: np.ndarray) -> np.ndarray:
+    """The non-negative integers below the largest exponent that are not exponents, ascending.
+
+    A mask rather than ``np.setdiff1d``, whose first call imports
+    ``numpy.ma`` and adds about 1 MB to a process's peak memory.
+    """
+    present = np.zeros(exponents.max(initial=-1) + 1, dtype=bool)
+    present[exponents] = True
+    return np.flatnonzero(~present)

@@ -13,16 +13,17 @@ tolerance anywhere.
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order.
 ``sample_frame`` runs one loop over candidate point sets (a cyclic
-plan's single order-q coset, or up to ``_MAX_RESAMPLE`` random draws),
-checks each one (generator rank, unless the generator is a plain
-Vandermonde matrix, then the privacy rank audit) and builds the run's
-``EvalFrame``, the one kind of frame, from the first that passes:
-complete with the run's field, the plan, the generator on all table
-exponents and that generator's inverse (the run's only inversion), and
-the constructor validates it.  Every later stage works over
-``frame.ctx`` and reads the plan from the frame: the encoder takes just
-the frame and the blocks, the decoders just the frame and the server
-products.
+plan's single order-q coset, or up to ``_MAX_RESAMPLE`` random draws).
+Each candidate's generator, on all table exponents, is inverted by
+Lagrange interpolation with a g x g correction for the g gaps in the
+exponents, which rejects a singular generator; then the privacy rank
+audit runs.  The first candidate that passes becomes the run's
+``EvalFrame``, the one kind of frame: complete with the run's field,
+the plan, the generator, built once, and its inverse, and the
+constructor validates it.  No N x N matrix is eliminated or ranked.
+Every later stage works over ``frame.ctx`` and reads the plan from the
+frame: the encoder takes just the frame and the blocks, the decoders
+just the frame and the server products.
 """
 
 from __future__ import annotations
@@ -38,7 +39,15 @@ import numpy as np
 
 from .degree_tables import ExponentPlan, check_decodable, plan_record
 from .feasibility import check_feasible, longest_run
-from .gf import FieldContext, _admissible_points, _powers, element_of_order, is_prime, next_prime
+from .gf import (
+    FieldContext,
+    SingularMatrixError,
+    _admissible_points,
+    _powers,
+    element_of_order,
+    is_prime,
+    next_prime,
+)
 from .grs import ShapeMismatchError, shifted_dual_multipliers
 from .nsumbox import TransferMatrix, apply_box
 
@@ -202,9 +211,11 @@ class EvalFrame:
     the N = ``plan.table.n_servers`` points, stored reduced mod p, must
     be nonzero and distinct.  ``generator``, on the points and the
     table exponents in table order, and its ``inverse`` must both be
-    N x N (else ``ShapeMismatchError``).  Every stage works over the
-    run's field ``ctx`` and reads the plan, generator and inverse from
-    the frame; they play no part in equality or repr.
+    N x N (else ``ShapeMismatchError``); ``sample_frame`` gets the
+    inverse by interpolation, so the run eliminates no N x N matrix.
+    Every stage works over the run's field ``ctx`` and reads the plan,
+    generator and inverse from the frame; they play no part in equality
+    or repr.
 
     Quantum frames give ``shift``, the start of the plan's interference
     run.  The first instance's column multipliers are all ones, so ``v``
@@ -245,7 +256,6 @@ class EvalFrame:
 # Random frames tried before giving up on a non-cyclic plan.
 _MAX_RESAMPLE = 64
 # Why sample_frame rejects a candidate frame.
-_BAD_POINTS = "zero or repeated point"
 _RANK_DEFICIENT = "rank-deficient generator"
 _AUDIT_FAILED = "failed privacy audit"
 
@@ -257,13 +267,14 @@ def sample_frame(cfg: ProtocolConfig,
     The field is ``default_field(cfg.plan, cfg.prime)`` and becomes
     ``frame.ctx``.  A cyclic plan has one candidate point set, the coset
     of an order-q element; any other plan has up to ``_MAX_RESAMPLE``
-    seeded draws, each drawn just before its checks.  Every candidate
-    builds its N x N generator on all table exponents (zero or repeated
-    points reject it), ranks it unless the exponents are exactly 0, 1,
-    ..., N - 1 (a plain Vandermonde matrix, nonsingular on distinct
-    points), and runs the privacy audit.  The first to pass becomes the
-    frame, its generator inverted by Lagrange interpolation when plain
-    Vandermonde and by elimination otherwise; quantum frames also carry
+    seeded draws, each drawn just before its checks.  Both give
+    distinct nonzero points.  Every candidate inverts its N x N
+    generator on all table exponents by interpolation, with a g x g
+    correction for the g exponents missing below the top one (see
+    ``FieldContext._vandermonde_inverse``); a singular correction means
+    a rank-deficient generator and rejects the candidate.  Then the
+    privacy audit runs.  The first to pass becomes the frame, with its
+    inverse and its generator, built once; quantum frames also carry
     the interference run start as their shift.  If none passes,
     ``ResampleExhaustedError`` counts the rejections by check.
     """
@@ -272,7 +283,6 @@ def sample_frame(cfg: ProtocolConfig,
     table = plan.table
     exps = table.exponents
     n = table.n_servers
-    vandermonde = exps == tuple(range(n))
     shift = (longest_run(table.interference) or [0])[0] if cfg.mode == "quantum" else None
     if plan.modulus_q:
         omega = element_of_order(plan.modulus_q, ctx.p)
@@ -280,20 +290,16 @@ def sample_frame(cfg: ProtocolConfig,
     else:
         candidates = ((rng.choice(ctx.p - 1, size=n, replace=False) + 1).tolist()
                       for _ in range(_MAX_RESAMPLE))
-    rejected = dict.fromkeys((_BAD_POINTS, _RANK_DEFICIENT, _AUDIT_FAILED), 0)
+    rejected = dict.fromkeys((_RANK_DEFICIENT, _AUDIT_FAILED), 0)
     for points in candidates:
         try:
-            gen = ctx.vandermonde(points, exps)
-        except ValueError:
-            rejected[_BAD_POINTS] += 1
-            continue
-        if not vandermonde and ctx.mat_rank(gen) != n:
+            inverse = ctx._vandermonde_inverse(ctx.asarray(points), exps)
+        except SingularMatrixError:
             rejected[_RANK_DEFICIENT] += 1
             continue
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
         if audit.ok:
-            inverse = (ctx._vandermonde_inverse(ctx.asarray(points)) if vandermonde
-                       else ctx.mat_inverse(gen))
+            gen = ctx.vandermonde(points, exps)
             return EvalFrame(ctx, tuple(points), plan, gen, inverse, shift), audit
         rejected[_AUDIT_FAILED] += 1
     tries = sum(rejected.values())
@@ -531,15 +537,16 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     """Rank check that noise acts as a one-time pad on any T server views.
 
     For every T-subset of servers the noise-exponent power matrix must
-    have full row rank, separately for the alpha and beta sides.  When
-    the plan has noise and every non-empty side holds an arithmetic
-    progression of T exponents that ``_progression_proves`` accepts for
-    these points, that holds for all C(N, T) subsets at once: the
-    report is a proof with ``checked = C(N, T)``, whatever the cap, and
-    draws nothing from ``rng``.  Otherwise subsets are ranked: all of
-    them in ``itertools.combinations`` order when C(N, T) <= cap, else
-    the distinct ones among cap seeded draws, in first-draw order (all
-    cap draws are made either way).  Subsets are checked in chunks that
+    have full row rank, separately for the alpha and beta sides, so a
+    side with fewer than T noise exponents fails every subset.  When
+    each side holds an arithmetic progression of T exponents that
+    ``_progression_proves`` accepts for these points, that holds for
+    all C(N, T) subsets at once: the report is a proof with
+    ``checked = C(N, T)``, whatever the cap, and draws nothing from
+    ``rng``.  Otherwise subsets are ranked: all of them in
+    ``itertools.combinations`` order when C(N, T) <= cap, else the
+    distinct ones among cap seeded draws, in first-draw order (all cap
+    draws are made either way).  Subsets are checked in chunks that
     start small and double up to ``_AUDIT_CHUNK``: each chunk's T-row
     slices of a side's power matrix form one stack whose ranks
     ``FieldContext.batch_rank`` computes at once.  Checking stops
@@ -558,10 +565,10 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
         raise ValueError(f"privacy audit needs at least T = {t} points, got {n}")
     if t == 0:
         return AuditReport(ok=True, checked=0, exhaustive=True)
-    sides = [exps for exps in (plan.noise_alpha, plan.noise_beta) if exps]
+    sides = (plan.noise_alpha, plan.noise_beta)
     total = math.comb(n, t)
     points = np.array([operator.index(x) % ctx.p for x in points], dtype=np.int64)
-    if sides and all(_progression_proves(exps, points, t, ctx.p) for exps in sides):
+    if all(_progression_proves(exps, points, t, ctx.p) for exps in sides):
         return AuditReport(ok=True, checked=total, exhaustive=True, method="proof")
     # Unchecked powers rather than FieldContext.vandermonde: a repeated or
     # zero point must show up as a failing subset, not raise before the audit.

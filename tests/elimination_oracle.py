@@ -1,15 +1,26 @@
 """Gauss-Jordan elimination as the reference for the structured inverses.
 
-The library never eliminates to decode: ``decode_classical`` multiplies
-by the sampled frame's generator inverse, and ``quantum_transfer`` reads
-M = [0 I] [G H]^-1 off that generator and its inverse.  These helpers
-get the same results the plain way, by ``FieldContext._eliminate``, for
-the tests to compare against.
+The library never eliminates an N x N matrix: ``sample_frame`` inverts
+the generator by interpolation, which also tells a singular one apart,
+``decode_classical`` multiplies by that inverse, and ``quantum_transfer``
+reads M = [0 I] [G H]^-1 off the generator and its inverse.  These
+helpers get the same results the plain way, by
+``FieldContext._eliminate``, for the tests to compare against.
 """
 
 import numpy as np
 
 from pdmm.gf import SingularMatrixError
+
+
+def rank(ctx, a):
+    """Rank of a 2-D matrix, by eliminating it; ``ValueError`` naming any other shape."""
+    a = ctx.asarray(a)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.size == 0:
+        return 0
+    return ctx._eliminate(a, a.shape[1])[1]
 
 
 def solve(ctx, a, b):

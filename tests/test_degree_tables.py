@@ -463,6 +463,15 @@ def test_plan_identity_ignores_its_table():
     assert repr(twin) == repr(plan) and "table" not in repr(plan)
 
 
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_plan_refuses_a_negative_exponent(side):
+    fields = dict(family="hand", K=1, L=1, T=1, alpha=(0, 1), beta=(0, 1),
+                  info_alpha=(0,), info_beta=(0,))
+    ExponentPlan(**fields)
+    with pytest.raises(ValueError, match=rf"^{side} exponents must be non-negative, got -3$"):
+        ExponentPlan(**{**fields, side: (0, -3)})
+
+
 def test_plan_record_roundtrip():
     for plan in (build_gasp_r(2, 2, 3, 2), build_cat(2, 2, 2),
                  build_low_privacy(4, 4, 3), build_qf_square(2)):
@@ -483,6 +492,7 @@ GASP223_RECORD = "gasp_r r=2 2 2 3 | 0 1 4 5 6 | 0 2 4 5 6 | 0 1 | 0 1 | -"
     (GASP223_RECORD.replace("| 0 2 4", "| 0 y 4"), "field beta must be an integer, got 'y'"),
     (GASP223_RECORD.replace("| 0 1 | -", "| 0 z | -"), "field info_beta must be an integer"),
     (GASP223_RECORD.replace("| -", "| q"), "field modulus_q must be an integer, got 'q'"),
+    (GASP223_RECORD.replace("| 0 2 4", "| 0 -2 4"), "beta exponents must be non-negative, got -2"),
     (GASP223_RECORD.replace("r=2 2 2 3", "2 2"), "head must be 'family params K L T'"),
     (GASP223_RECORD.replace("gasp_r r=2 2 2 3", ""), "head must be 'family params K L T', got ''"),
 ])

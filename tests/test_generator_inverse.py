@@ -213,16 +213,17 @@ def test_frame_with_mismatched_points_or_shapes_fails_at_construction():
     (build_low_privacy(3, 3, 2), None, 1, 2),
     (build_dog(2, 2, 2, 1, 1), 60, 0, 7),
 ])
-def test_a_run_builds_its_generator_once_per_sampling_attempt(monkeypatch, mode, plan,
-                                                              prime, seed, attempts):
-    """Every attempt builds one generator and ranks it; after that a run only
-    builds ``encode_shares``'s two power matrices per instance."""
+def test_a_run_inverts_once_per_attempt_and_builds_one_generator(
+        monkeypatch, mode, plan, prime, seed, attempts):
+    """Every attempt inverts its generator by interpolation, which needs no
+    generator matrix; the accepted frame builds its generator once, and after
+    that a run only builds ``encode_shares``'s two power matrices per instance."""
     calls = collections.Counter()
-    for name in ("vandermonde", "mat_rank"):
+    for name in ("vandermonde", "_vandermonde_inverse"):
         def counted(self, *args, _name=name, _original=getattr(FieldContext, name)):
             calls[_name] += 1
             return _original(self, *args)
         monkeypatch.setattr(FieldContext, name, counted)
     t = run_protocol(ProtocolConfig(plan=plan, mode=mode, seed=seed, prime=prime))
-    assert t.decode_ok and calls["mat_rank"] == attempts
-    assert calls["vandermonde"] == attempts + 2 * t.rate.instances
+    assert t.decode_ok and calls["_vandermonde_inverse"] == attempts
+    assert calls["vandermonde"] == 1 + 2 * t.rate.instances

@@ -1,13 +1,23 @@
-"""The Lagrange inverse of a Vandermonde generator against elimination.
+"""The interpolation inverse of a frame's generator against elimination.
 
-A plan whose table exponents are exactly 0, 1, ..., N - 1 has the plain
-Vandermonde generator, and ``sample_frame`` inverts it by Lagrange
-interpolation (``FieldContext._vandermonde_inverse``) instead of
-Gauss-Jordan elimination.  The two must agree entry for entry, on every
-such plan of the feasible builder grid, on the cyclic cat frames and on
-qf_square(3) (N = 179), over each plan's default field and over the
-floor 10007.  The negative controls corrupt the node products the
-weights are inverted from, and the check must catch both.
+``sample_frame`` inverts every candidate's generator with
+``FieldContext._vandermonde_inverse``: Lagrange interpolation, plus a
+g x g correction when g exponents below the top one are missing.  It must
+agree entry for entry with Gauss-Jordan elimination of the generator
+(``mat_inverse``), and raise ``SingularMatrixError`` on exactly the
+singular generators.
+
+Plans whose table exponents are exactly 0, 1, ..., N - 1 (plain
+Vandermonde generators): every such plan of the feasible builder grid,
+the cyclic cat frames and qf_square(3) (N = 179), over each plan's
+default field and over the floor 10007.  Their negative controls corrupt
+the node products the weights are inverted from.
+
+Plans with gaps: every distinct exponent set of the gasp_r, gasp_rs,
+dog_rs and lp plans with K, L, T <= 5 (r, s <= 2 for gasp_rs and dog_rs)
+and N <= 80, on seeded draws over each plan's default field, where some
+generators are singular, and over 2000000011.  Their negative controls
+leave out the gap correction and move one gap up by one.
 """
 
 import functools
@@ -17,8 +27,16 @@ import numpy as np
 import pytest
 
 from pdmm import gf
-from pdmm.degree_tables import build_cat, build_qf_square
-from pdmm.protocol import ProtocolConfig, sample_frame
+from pdmm.degree_tables import (
+    build_cat,
+    build_dog,
+    build_gasp_r,
+    build_gasp_rs,
+    build_low_privacy,
+    build_qf_square,
+)
+from pdmm.gf import FieldContext, SingularMatrixError
+from pdmm.protocol import ProtocolConfig, default_field, sample_frame
 from test_generator_inverse import FLOORS, builder_plans
 
 
@@ -55,7 +73,7 @@ def lagrange_mismatches():
     bad = []
     for frame in frames():
         ctx = frame.ctx
-        got = ctx._vandermonde_inverse(ctx.asarray(frame.points))
+        got = ctx._vandermonde_inverse(ctx.asarray(frame.points), frame.plan.table.exponents)
         if not np.array_equal(got, ctx.mat_inverse(frame.generator)):
             bad.append((frame.plan.family, frame.n, ctx.p))
     return bad
@@ -76,8 +94,9 @@ def test_lagrange_inverse_matches_elimination():
     assert lagrange_mismatches() == []
     # and it is the inverse the sampled frames carry
     for frame in frames():
-        assert np.array_equal(frame.inverse,
-                              frame.ctx._vandermonde_inverse(frame.ctx.asarray(frame.points)))
+        ctx = frame.ctx
+        assert np.array_equal(frame.inverse, ctx._vandermonde_inverse(
+            ctx.asarray(frame.points), frame.plan.table.exponents))
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -89,3 +108,100 @@ def test_differential_check_catches_corrupt_weights(monkeypatch, corrupt):
     real = gf._node_products
     monkeypatch.setattr(gf, "_node_products", lambda x, p: corrupt(real(x, p), p))
     assert len(lagrange_mismatches()) == len(frames())
+
+
+LARGE = FieldContext(2_000_000_011)
+# Seeded draws per exponent set over its default field, then over LARGE.
+DRAWS = 2
+
+
+@functools.cache
+def gapped_plans():
+    """One plan per distinct exponent set with gaps and N <= 80, by exponents."""
+    small = range(1, 6)
+    calls = []
+    for K, L, T in product(small, repeat=3):
+        calls.append((build_low_privacy, (K, L, T)))
+        calls += [(build_gasp_r, (K, L, T, r)) for r in small]
+        calls += [(build, (K, L, T, r, s)) for build in (build_gasp_rs, build_dog)
+                  for r, s in product((1, 2), repeat=2)]
+    plans = {}
+    for build, args in calls:
+        try:
+            plan = build(*args)
+        except ValueError:
+            continue
+        exps = plan.table.exponents
+        if exps != tuple(range(len(exps))) and len(exps) <= 80:
+            plans.setdefault(exps, plan)
+    return plans
+
+
+def inverse_or_none(invert, *args):
+    try:
+        return invert(*args)
+    except SingularMatrixError:
+        return None
+
+
+@functools.cache
+def gapped_cases():
+    """(field, points, exponents, the generator's inverse by elimination or None if singular)."""
+    cases = []
+    for exps, plan in gapped_plans().items():
+        n = len(exps)
+        for ctx, draws in ((default_field(plan), DRAWS), (LARGE, 1)):
+            rng = np.random.default_rng(n)
+            for _ in range(draws):
+                points = (rng.choice(ctx.p - 1, size=n, replace=False) + 1).tolist()
+                want = inverse_or_none(ctx.mat_inverse, ctx.vandermonde(points, exps))
+                cases.append((ctx, points, exps, want))
+    return cases
+
+
+def gapped_mismatches(cases):
+    """Cases whose interpolation inverse differs from elimination's, singular verdict included."""
+    bad = []
+    for ctx, points, exps, want in cases:
+        got = inverse_or_none(ctx._vandermonde_inverse, ctx.asarray(points), exps)
+        if (got is None) != (want is None) or (got is not None and not np.array_equal(got, want)):
+            bad.append((exps, ctx.p, points))
+    return bad
+
+
+def test_gapped_grid_covers_every_family_and_singular_draws():
+    plans, cases = gapped_plans(), gapped_cases()
+    assert {plan.family for plan in plans.values()} == {
+        "gasp_r", "gasp_rs", "dog_rs", "lp_equal", "lp_general"}
+    assert len(plans) == 603 and max(map(len, plans)) == 71
+    assert max(exps[-1] + 1 - len(exps) for exps in plans) == 32  # gaps
+    assert build_dog(2, 2, 2, 1, 1).table.exponents in plans  # about 6% singular over F_17
+    singular = [(ctx.p, exps) for ctx, _, exps, want in cases if want is None]
+    assert len(singular) >= 40 and all(p < LARGE.p for p, _ in singular)
+
+
+def test_gap_corrected_inverse_matches_elimination():
+    assert gapped_mismatches(gapped_cases()) == []
+
+
+def _no_correction(self, a):
+    """The g x g correction's inverse as zero: L's rows at the exponents, uncorrected."""
+    return np.zeros_like(self.asarray(a))
+
+
+def _first_gap_moved(real):
+    def gaps(exponents):
+        moved = real(exponents).copy()
+        moved[0] += 1
+        return moved
+    return gaps
+
+
+@pytest.mark.parametrize("owner, name, mutant", [
+    (FieldContext, "mat_inverse", lambda real: _no_correction),
+    (gf, "_gaps", _first_gap_moved),
+], ids=["gap-correction-left-out", "one-gap-moved"])
+def test_differential_check_catches_a_wrong_gap_correction(monkeypatch, owner, name, mutant):
+    cases = gapped_cases()[::5]  # elimination's answers, computed before the patch
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    assert len(gapped_mismatches(cases)) >= 0.9 * len(cases)

@@ -1,7 +1,8 @@
 """The batched privacy audit against the per-subset loop it replaced.
 
 ``loop_audit`` is the audit as it was before the batched rank kernel:
-one ``mat_rank`` call per T-subset and side, with ``checked`` counting
+one elimination rank (``elimination_oracle.rank``) per T-subset and
+side, an empty side failing every subset, with ``checked`` counting
 the subsets it iterated (above the cap, the distinct ones among the
 cap draws, in first-draw order).  It stays here as the reference that
 ``privacy_audit`` must match report for report.  ``privacy_audit``
@@ -9,15 +10,18 @@ also proves some sides without ranking; ``enumerated_audit`` runs it
 with that proof switched off, so it ranks every subset.
 """
 
+import dataclasses
 import math
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+import elimination_oracle as oracle
 import pdmm.gf as gf
 import pdmm.protocol as protocol
 from pdmm.degree_tables import (
+    ExponentPlan,
     build_cat,
     build_dog,
     build_gasp_r,
@@ -43,7 +47,7 @@ def loop_audit(plan, ctx, points, cap=10_000, rng=None):
         return AuditReport(ok=True, checked=0, exhaustive=True)
     powers = [np.array([[pow(int(x), e, ctx.p) for e in exps] for x in points],
                        dtype=np.int64)
-              for exps in (plan.noise_alpha, plan.noise_beta) if exps]
+              for exps in (plan.noise_alpha, plan.noise_beta)]
     total = math.comb(n, t)
     exhaustive = total <= cap
     if exhaustive:
@@ -59,7 +63,7 @@ def loop_audit(plan, ctx, points, cap=10_000, rng=None):
         checked += 1
         rows = list(subset)
         for mat in powers:
-            if ctx.mat_rank(mat[rows]) != t:
+            if oracle.rank(ctx, mat[rows]) != t:
                 failures.append(tuple(rows))
                 break
         if len(failures) >= 10:
@@ -100,7 +104,7 @@ def test_failures_cut_at_first_ten_in_order():
     powers = [np.array([[pow(x, e, p) for e in exps] for x in pts])
               for exps in (plan.noise_alpha, plan.noise_beta)]
     singular = [s for s in combinations(range(len(pts)), plan.T)
-                if any(ctx.mat_rank(m[list(s)]) < plan.T for m in powers)]
+                if any(oracle.rank(ctx, m[list(s)]) < plan.T for m in powers)]
     assert len(singular) > 10
     report = privacy_audit(plan, ctx, pts)
     assert not report.ok and report.failures == tuple(singular[:10])
@@ -293,6 +297,23 @@ def test_differential_check_catches_proof_of_any_distinct_exponents(monkeypatch)
 
     monkeypatch.setattr(protocol, "_progression_proves", loose)
     assert any(ref is not None and got != ref for *_, got, ref in audit_cases())
+
+
+# T = 2 and no beta noise: the alpha noise (1, 2) alone is a progression.
+NO_BETA_NOISE = ExponentPlan(family="hand", K=1, L=1, T=2, alpha=(0, 1, 2), beta=(0,),
+                             info_alpha=(0,), info_beta=(0,))
+
+
+def test_an_empty_noise_side_fails_every_subset():
+    ctx = FieldContext(11)
+    points = [1, 2, 3]
+    report = privacy_audit(NO_BETA_NOISE, ctx, points)
+    assert not report.ok and report.method == "enumerated"
+    assert report.failures == ((0, 1), (0, 2), (1, 2)) and report.checked == 3
+    assert report == loop_audit(NO_BETA_NOISE, ctx, points)
+    # negative control: with beta noise (1, 2) as well, both sides are proved private
+    both = dataclasses.replace(NO_BETA_NOISE, beta=(0, 1, 2))
+    assert privacy_audit(both, ctx, points).method == "proof"
 
 
 CAT222 = build_cat(2, 2, 2)

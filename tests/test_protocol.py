@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import elimination_oracle as oracle
 from pdmm.degree_tables import (
     ExponentPlan,
     NoSolutionError,
@@ -29,7 +30,7 @@ from pdmm.degree_tables import (
     outer_sum,
 )
 from pdmm.feasibility import longest_run
-from pdmm.gf import DuplicatePointError, FieldContext, ZeroPointError
+from pdmm.gf import DuplicatePointError, FieldContext, SingularMatrixError, ZeroPointError
 from pdmm.grs import ShapeMismatchError, shifted_dual_multipliers
 from pdmm import protocol
 from pdmm.nsumbox import apply_box
@@ -93,28 +94,48 @@ def test_resample_exhaustion_counts_rejections_by_reason():
     with pytest.raises(ResampleExhaustedError) as exc:
         run_protocol(ProtocolConfig(plan=optimal_gasp_r(3, 3, 3), seed=0))
     assert str(exc.value) == ("no admissible frame within 64 attempts over F_29 (rejections: "
-                              "zero or repeated point 0, rank-deficient generator 0, "
-                              "failed privacy audit 64)")
+                              "rank-deficient generator 0, failed privacy audit 64)")
 
 
-def _bad_points(self, points, exponents):
-    raise ValueError("evaluation points must be distinct")
-
-
-# Table exponents with gaps (up to 10, then 13), so every attempt ranks its generator.
+# Table exponents 0..10 and 13: two gaps, so a generator on distinct points can be singular.
 GAPPED = build_dog(2, 2, 2, 1, 1)
 
 
-@pytest.mark.parametrize("method, stub, counts", [
-    ("vandermonde", _bad_points, "zero or repeated point 64, rank-deficient generator 0"),
-    ("mat_rank", lambda self, mat: 0, "zero or repeated point 0, rank-deficient generator 64"),
-])
-def test_resample_exhaustion_counts_each_rejection(monkeypatch, method, stub, counts):
+def _singular(self, x, exponents):
+    raise SingularMatrixError("stub")
+
+
+@pytest.mark.parametrize("prime, seed, stub, counts", [
+    (131, 0, True, "rank-deficient generator 64, failed privacy audit 0"),
+    (60, 22, False, "rank-deficient generator 1, failed privacy audit 63"),
+], ids=["every-inverse-singular", "real-draws"])
+def test_resample_exhaustion_counts_each_rejection(monkeypatch, prime, seed, stub, counts):
     assert GAPPED.table.exponents != tuple(range(GAPPED.table.n_servers))
-    monkeypatch.setattr(FieldContext, method, stub)
+    if stub:
+        monkeypatch.setattr(FieldContext, "_vandermonde_inverse", _singular)
     with pytest.raises(ResampleExhaustedError) as exc:
-        make_frame(GAPPED, prime=131)
-    assert str(exc.value).endswith(f"(rejections: {counts}, failed privacy audit 0)")
+        make_frame(GAPPED, prime=prime, seed=seed)
+    assert str(exc.value).endswith(f"(rejections: {counts})")
+
+
+def test_singular_generators_are_the_ones_elimination_ranks_deficient():
+    """Over F_17, where about 6% of GAPPED's generators are singular,
+    replaying each seed's draws with the elimination rank as the generator
+    check accepts the same frame as ``sample_frame``."""
+    ctx = default_field(GAPPED)
+    n, exps = GAPPED.table.n_servers, GAPPED.table.exponents
+    assert ctx.p == 17
+    deficient = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        for _ in range(protocol._MAX_RESAMPLE):
+            points = (rng.choice(ctx.p - 1, size=n, replace=False) + 1).tolist()
+            if oracle.rank(ctx, ctx.vandermonde(points, exps)) < n:
+                deficient += 1
+            elif privacy_audit(GAPPED, ctx, points, rng=rng).ok:
+                break
+        assert make_frame(GAPPED, seed=seed)[1].points == tuple(points), seed
+    assert deficient >= 3
 
 
 def test_cyclic_frame_failure_names_the_check(monkeypatch):
@@ -122,8 +143,7 @@ def test_cyclic_frame_failure_names_the_check(monkeypatch):
     monkeypatch.setattr(protocol, "privacy_audit", lambda *args, **kwargs: failed)
     with pytest.raises(ResampleExhaustedError,
                        match=r"^no admissible frame within 1 attempt over F_11 \(rejections: "
-                             r"zero or repeated point 0, rank-deficient generator 0, "
-                             r"failed privacy audit 1\)$"):
+                             r"rank-deficient generator 0, failed privacy audit 1\)$"):
         make_frame(build_cat(2, 2, 2))
 
 
@@ -137,7 +157,7 @@ def test_vandermonde_generator_is_neither_ranked_nor_eliminated(monkeypatch, pla
     """Table exponents 0, ..., N - 1 give a plain Vandermonde generator:
     never rank-deficient on distinct points, and inverted by interpolation."""
     assert plan.table.exponents == tuple(range(plan.table.n_servers))
-    for name in ("mat_rank", "mat_inverse", "_eliminate"):
+    for name in ("mat_inverse", "_eliminate"):
         monkeypatch.setattr(FieldContext, name, _no_elimination)
     t = run_protocol(ProtocolConfig(plan=plan, mode=mode, seed=2, dims=(plan.K, 2, plan.L)))
     assert t.decode_ok and t.audit.ok
@@ -551,6 +571,19 @@ def test_quantum_requires_feasibility():
                            info_alpha=(0, 1), info_beta=(0, 1))
     with pytest.raises(ValueError, match="plan is not decodable"):
         run(collide, "quantum")
+
+
+def test_a_noise_side_shorter_than_t_is_refused_up_front():
+    """With T = 1 and no beta noise, every server's g share would be B itself."""
+    bare = ExponentPlan(family="hand", K=1, L=1, T=1, alpha=(0, 1), beta=(0,),
+                        info_alpha=(0,), info_beta=(0,))
+    report = check_decodable(bare)
+    assert not report.ok and report.reason == "beta has 0 noise exponents, fewer than T = 1"
+    with pytest.raises(ValueError, match=r"^plan is not decodable: beta has 0 noise exponents"):
+        run_protocol(ProtocolConfig(plan=bare))
+    # negative control: one beta noise exponent is enough for T = 1
+    masked = dataclasses.replace(bare, beta=(0, 1))
+    assert check_decodable(masked).ok and run_protocol(ProtocolConfig(plan=masked)).audit.ok
 
 
 def test_undecodable_plan_refused_and_actually_breaks():
