@@ -21,6 +21,7 @@ Families:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -77,7 +78,8 @@ class ExponentPlan:
     is set only for cyclic (CAT) plans, whose exponent arithmetic wraps
     mod q.  ``table`` is the plan's ``outer_sum``, built once when the
     plan is built; it is not an argument and plays no part in equality,
-    hashing or ``repr``.
+    hashing or ``repr``.  The privacy proof's ``noise_progressions`` is
+    worked out on first use: most plans built are never audited.
     """
 
     family: str
@@ -118,6 +120,24 @@ class ExponentPlan:
     def noise_beta(self) -> tuple[int, ...]:
         keep = set(self.info_beta)
         return tuple(e for i, e in enumerate(self.beta) if i not in keep)
+
+    @functools.cached_property
+    def noise_progressions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per noise side (alpha, beta), each (d, e0) with T exponents e0 + j*d, j < T.
+
+        A step d is a gap between two exponents, at most (max - min) / (T - 1),
+        and e0 is its least start.  Steps ascend and all are kept: which x^d
+        are distinct depends on the points.  T <= 1 gives (0, least exponent).
+        """
+        facts = []
+        for noise in (set(self.noise_alpha), set(self.noise_beta)):
+            span = max(noise) - min(noise) if noise else 0
+            steps = sorted({b - a for a in noise for b in noise
+                            if 0 < (b - a) * (self.T - 1) <= span}) if self.T > 1 else (0,)
+            runs = ((d, noise.intersection(*({e - j * d for e in noise} for j in range(1, self.T))))
+                    for d in steps)
+            facts.append(tuple((d, min(starts)) for d, starts in runs if starts))
+        return tuple(facts)
 
     def param(self, name: str) -> int:
         for key, val in self.params:
@@ -218,10 +238,10 @@ def build_cat(K: int, L: int, T: int, x: int | None = None) -> ExponentPlan:
 
     kappa and lambda are searched independently as the smallest
     non-negative integers making K* and L* coprime with T-1.  The
-    multiplier x defaults to the smallest positive integer coprime with
-    q; any coprime x is accepted.  The builder verifies that the cyclic
-    table covers all q residues (the construction's server count);
-    parameters where the cover fails are rejected.
+    multiplier x defaults to 1; any x coprime with q is accepted.  The
+    builder verifies that the cyclic table covers all q residues (the
+    construction's server count); parameters where the cover fails are
+    rejected.
     """
     _require(K >= L >= T >= 2, "need K >= L >= T >= 2")
     t_bar = T - 1
@@ -236,8 +256,6 @@ def build_cat(K: int, L: int, T: int, x: int | None = None) -> ExponentPlan:
     q = k_star * l_star + t_bar * t_bar
     if x is None:
         x = 1
-        while math.gcd(x, q) != 1:
-            x += 1
     elif math.gcd(x, q) != 1:
         raise ParamOutOfRangeError(f"x={x} must be coprime with q={q}")
     # solve x*t_bar + y*k_star = 0 (mod q); gcd(k_star, q) = gcd(k_star, t_bar^2) = 1

@@ -131,13 +131,15 @@ def _prime_factors(n: int) -> list[int]:
 def element_of_order(order: int, p: int) -> int:
     """Smallest element of multiplicative order exactly ``order`` in F_p.
 
-    Requires ``order`` to divide p - 1.  A small order is found inside
+    Requires p prime and ``order`` | p - 1.  A small order is found inside
     its subgroup: raising c = 1, 2, ... to the power (p - 1) / order
     lands there, the first such h of exact order generates it, and the
     answer is the least h^k with gcd(k, order) = 1, in O(order) steps.
     A large order is found by testing g = 2, 3, ... directly, where
     about one g in (p - 1) / order lies in the subgroup.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if order < 1 or (p - 1) % order != 0:
         raise ValueError(f"order {order} does not divide p-1 = {p - 1}")
     factors = _prime_factors(order)

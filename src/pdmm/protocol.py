@@ -510,40 +510,19 @@ def _check_audit_cap(cap) -> None:
         raise ValueError(f"audit_cap must be an integer >= 1, got {cap!r}")
 
 
-def _progression_proves(exps, points, t: int, p: int) -> bool:
-    """Whether T exponents e0 + j*d (j < T) of one noise side prove it private.
-
-    On those columns any T points x_i give the minor prod x_i^e0 *
-    V(x_i^d), a Vandermonde in x_i^d (the generalized-Vandermonde
-    argument of GASP, D'Oliveira, El Rouayheb and Karpuk, IEEE T-IT
-    2020).  It is nonzero for every T-subset when no x_i^e0 is 0 (e0 = 0
-    or no point is 0 mod p) and, for T >= 2, the x_i^d are pairwise
-    distinct over all the points.  ``points`` holds canonical entries.
-    """
-    present = set(exps)
-    has_zero = not points.all()
-    starts = [e0 for e0 in present if e0 == 0 or not has_zero]
-    if t == 1:
-        return bool(starts)
-    for d in sorted({b - a for a in present for b in present if b > a}):
-        if (any(all(e0 + j * d in present for j in range(1, t)) for e0 in starts)
-                and len(set(_powers(points, [d], p).ravel().tolist())) == len(points)):
-            return True
-    return False
-
-
 def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
                   cap: int = 10_000, rng: np.random.Generator | None = None) -> AuditReport:
     """Rank check that noise acts as a one-time pad on any T server views.
 
     For every T-subset of servers the noise-exponent power matrix must
     have full row rank, separately for the alpha and beta sides, so a
-    side with fewer than T noise exponents fails every subset.  When
-    each side holds an arithmetic progression of T exponents that
-    ``_progression_proves`` accepts for these points, that holds for
-    all C(N, T) subsets at once: the report is a proof with
-    ``checked = C(N, T)``, whatever the cap, and draws nothing from
-    ``rng``.  Otherwise subsets are ranked: all of them in
+    side with fewer than T noise exponents fails every subset.  A side's
+    progression (d, e0) in ``plan.noise_progressions`` gives any T points
+    the minor prod x^e0 * V(x^d) (GASP's generalized-Vandermonde argument,
+    D'Oliveira, El Rouayheb, Karpuk, IEEE T-IT 2020), nonzero when no x^e0
+    is 0 and the x^d are distinct.  If a step passes on each side, the
+    report is a proof with ``checked = C(N, T)``, whatever the cap, and
+    draws nothing from ``rng``.  Otherwise subsets are ranked: all of them in
     ``itertools.combinations`` order when C(N, T) <= cap, else the
     distinct ones among cap seeded draws, in first-draw order (all cap
     draws are made either way).  Subsets are checked in chunks that
@@ -565,14 +544,15 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
         raise ValueError(f"privacy audit needs at least T = {t} points, got {n}")
     if t == 0:
         return AuditReport(ok=True, checked=0, exhaustive=True)
-    sides = (plan.noise_alpha, plan.noise_beta)
     total = math.comb(n, t)
     points = np.array([operator.index(x) % ctx.p for x in points], dtype=np.int64)
-    if all(_progression_proves(exps, points, t, ctx.p) for exps in sides):
+    if all(any((e0 == 0 or points.all()) and (d == 0 or len(set(
+            _powers(points, [d], ctx.p).ravel().tolist())) == n) for d, e0 in side)
+           for side in plan.noise_progressions):
         return AuditReport(ok=True, checked=total, exhaustive=True, method="proof")
     # Unchecked powers rather than FieldContext.vandermonde: a repeated or
     # zero point must show up as a failing subset, not raise before the audit.
-    powers = [_powers(points, exps, ctx.p) for exps in sides]
+    powers = [_powers(points, exps, ctx.p) for exps in (plan.noise_alpha, plan.noise_beta)]
     exhaustive = total <= cap
     if exhaustive:
         subsets = combinations(range(n), t)

@@ -261,6 +261,7 @@ def test_cat_y_solves_its_congruence_on_grid():
                     continue
                 k_star = K + 1 + plan.param("kappa")
                 x, y = plan.param("x"), plan.param("y")
+                assert x == 1  # the default multiplier
                 assert (x * (T - 1) + y * k_star) % plan.modulus_q == 0, (K, L, T)
                 built += 1
     assert (built, rejected) == (1859, 2201)
@@ -433,6 +434,13 @@ def test_best_classical_plan():
     assert outer_sum(best_classical_plan(3, 2, 2)).n_servers <= 14
 
 
+def test_best_classical_plan_skips_a_cat_that_cannot_cover():
+    with pytest.raises(NoSolutionError, match="covers 22 of 29 residues"):
+        build_cat(3, 3, 3)
+    best = best_classical_plan(3, 3, 3)
+    assert (best.family, best.param("r"), best.table.n_servers) == ("gasp_r", 2, 22)
+
+
 # One plan from every builder family.
 EVERY_FAMILY = [
     build_gasp_r(2, 2, 3, 2), build_gasp_rs(2, 2, 2, 1, 1), build_dog(2, 2, 2, 1, 1),
@@ -472,6 +480,19 @@ def test_plan_refuses_a_negative_exponent(side):
         ExponentPlan(**{**fields, side: (0, -3)})
 
 
+@pytest.mark.parametrize("change, message", [
+    (dict(info_alpha=(0,)), "info index sets must have sizes K and L"),
+    (dict(info_beta=(2,)), "info index out of range"),
+    (dict(alpha=(1, 1, 2)), "info exponents must be pairwise distinct"),
+])
+def test_plan_refuses_bad_info_index_sets(change, message):
+    fields = dict(family="hand", K=2, L=1, T=1, alpha=(0, 1, 2), beta=(0, 1),
+                  info_alpha=(0, 1), info_beta=(0,))
+    ExponentPlan(**fields)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExponentPlan(**{**fields, **change})
+
+
 def test_plan_record_roundtrip():
     for plan in (build_gasp_r(2, 2, 3, 2), build_cat(2, 2, 2),
                  build_low_privacy(4, 4, 3), build_qf_square(2)):
@@ -493,6 +514,10 @@ GASP223_RECORD = "gasp_r r=2 2 2 3 | 0 1 4 5 6 | 0 2 4 5 6 | 0 1 | 0 1 | -"
     (GASP223_RECORD.replace("| 0 1 | -", "| 0 z | -"), "field info_beta must be an integer"),
     (GASP223_RECORD.replace("| -", "| q"), "field modulus_q must be an integer, got 'q'"),
     (GASP223_RECORD.replace("| 0 2 4", "| 0 -2 4"), "beta exponents must be non-negative, got -2"),
+    (GASP223_RECORD.replace("| 0 1 | 0 1 |", "| 0 | 0 1 |"), "info index sets must have sizes K and L"),
+    (GASP223_RECORD.replace("| 0 1 | -", "| 0 5 | -"), "info index out of range"),
+    (GASP223_RECORD.replace("| 0 1 4", "| 0 0 4"), "info exponents must be pairwise distinct"),
+    (GASP223_RECORD + " | 7", "expected 6 |-separated fields, got 7"),
     (GASP223_RECORD.replace("r=2 2 2 3", "2 2"), "head must be 'family params K L T'"),
     (GASP223_RECORD.replace("gasp_r r=2 2 2 3", ""), "head must be 'family params K L T', got ''"),
 ])

@@ -516,6 +516,13 @@ def test_prime_helpers():
         element_of_order(7, 11)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_element_of_order_refuses_a_composite_modulus(order):
+    # both orders divide 9 - 1, but Z/9 is no field: 7 has order 3 there, not 2
+    with pytest.raises(ValueError, match="p = 9 is not prime"):
+        element_of_order(order, 9)
+
+
 def test_element_of_order_matches_field_scan():
     def scan(order, p):
         """Reference: the smallest g in 2..p-1 of exact multiplicative order."""

@@ -6,12 +6,16 @@ side, an empty side failing every subset, with ``checked`` counting
 the subsets it iterated (above the cap, the distinct ones among the
 cap draws, in first-draw order).  It stays here as the reference that
 ``privacy_audit`` must match report for report.  ``privacy_audit``
-also proves some sides without ranking; ``enumerated_audit`` runs it
-with that proof switched off, so it ranks every subset.
+also proves some sides without ranking, from the plan fact
+``ExponentPlan.noise_progressions``; ``enumerated_audit`` runs it with
+that fact emptied, so it ranks every subset.  ``progressions_oracle``
+works the fact out by brute force over ``itertools.combinations``.
 """
 
 import dataclasses
 import math
+import random
+import sys
 from itertools import combinations, product
 
 import numpy as np
@@ -37,7 +41,7 @@ from pdmm.degree_tables import (
     outer_sum,
 )
 from pdmm.gf import FieldContext, next_prime
-from pdmm.protocol import AuditReport, privacy_audit
+from pdmm.protocol import AuditReport, ProtocolConfig, privacy_audit, sample_frame
 
 
 def loop_audit(plan, ctx, points, cap=10_000, rng=None):
@@ -165,6 +169,17 @@ def test_sampled_audit_matches_loop_and_rng_state(name, cap):
     assert rng_new.integers(1 << 62) == rng_old.integers(1 << 62)
 
 
+def test_sampled_audit_without_a_generator_draws_from_seed_zero():
+    plan, p = GENERAL["gasp_r(3,2,3)"]
+    ctx = FieldContext(p)
+    pts = frames(plan, p)[0]
+    report = privacy_audit(plan, ctx, pts, cap=300)
+    assert report.method == "sampled"
+    assert report == privacy_audit(plan, ctx, pts, cap=300, rng=np.random.default_rng(0))
+    # negative control: another seed draws other subsets
+    assert report != privacy_audit(plan, ctx, pts, cap=300, rng=np.random.default_rng(1))
+
+
 def test_sampled_audit_that_stops_early_counts_draws_up_to_tenth_failure():
     plan, p = PLANS["gasp_r(3,3,3)"]
     ctx = FieldContext(p)
@@ -199,10 +214,25 @@ def test_sampled_audit_ranks_each_distinct_draw_once():
 
 
 def enumerated_audit(plan, ctx, points):
-    """``privacy_audit`` ranking every T-subset, with the progression proof off."""
+    """``privacy_audit`` ranking every T-subset: the plan fact lists no progression."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_progression_proves", lambda *args: False)
+        mp.setattr(ExponentPlan, "noise_progressions", property(lambda plan: ((), ())))
         return privacy_audit(plan, ctx, points, cap=math.comb(len(points), plan.T))
+
+
+def noise_sides(plan):
+    return plan.noise_alpha, plan.noise_beta
+
+
+def progressions_oracle(exps, t):
+    """(d, e0) per step d of the equally spaced t-combinations of the distinct
+    exponents, ascending, e0 the least start; a lone exponent has step 0."""
+    found = {}
+    for combo in combinations(sorted(set(exps)), t):  # least start first
+        steps = {b - a for a, b in zip(combo, combo[1:])}
+        if len(steps) <= 1:
+            found.setdefault(steps.pop() if steps else 0, combo[0])
+    return tuple(sorted(found.items()))
 
 
 def builder_plans():
@@ -290,13 +320,108 @@ def test_progression_proof_matches_enumeration_on_builder_plans():
 
 
 def test_differential_check_catches_proof_of_any_distinct_exponents(monkeypatch):
-    def loose(exps, points, t, p):
-        """Wrong: takes distinct exponents and points for a proof, AP or not."""
-        xs = [int(x) % p for x in points]
-        return len(set(exps)) == len(exps) and 0 not in xs and len(set(xs)) == len(xs)
+    def loose(plan):
+        """Wrong: any two exponents d apart pass for a progression of T, AP or not."""
+        return tuple(progressions_oracle(side, min(plan.T, 2)) for side in noise_sides(plan))
 
-    monkeypatch.setattr(protocol, "_progression_proves", loose)
+    monkeypatch.setattr(ExponentPlan, "noise_progressions", property(loose))
     assert any(ref is not None and got != ref for *_, got, ref in audit_cases())
+
+
+def random_plans(count=400, seed=5):
+    """Hand plans with seeded random noise sides, duplicates and empty ones
+    included, at T = 1 to 5."""
+    rng = random.Random(seed)
+    plans = []
+    for _ in range(count):
+        t = rng.randint(1, 5)
+        hi = rng.choice((8, 20, 60))
+        a, b = ([rng.randint(0, hi) for _ in range(rng.randint(0, 9))] for _ in range(2))
+        plans.append(ExponentPlan(family="hand", K=1, L=1, T=t, alpha=(0, *a), beta=(0, *b),
+                                  info_alpha=(0,), info_beta=(0,)))
+    return plans
+
+
+def progression_mismatches(fact, plans):
+    """Plans where ``fact(plan)`` differs from the brute-force oracle."""
+    return [plan for plan in plans
+            if fact(plan) != tuple(progressions_oracle(s, plan.T) for s in noise_sides(plan))]
+
+
+# Alpha noise (0, 3, 5, 6, 10) at T = 3 has the steps 3 and 5, both from 0;
+# beta noise (1, 2, 3) has step 1.  On points 1, 2, 3, 4 of F_7 the cubes
+# collide (1, 1, 6, 1) and the fifth powers (1, 4, 5, 2) do not.
+TWO_STEPS = ExponentPlan(family="hand", K=1, L=1, T=3, alpha=(1, 0, 3, 5, 6, 10),
+                         beta=(0, 1, 2, 3), info_alpha=(0,), info_beta=(0,))
+TWO_STEPS_POINTS = [1, 2, 3, 4]
+
+
+def test_noise_progressions_match_brute_force_oracle():
+    # steps come from the gaps between exponents, so a 2^30 span costs no 2^30 loop
+    wide = ExponentPlan(family="hand", K=1, L=1, T=3, alpha=(1, 0, 1 << 30, 1 << 31),
+                        beta=(0, 5, 9, 13), info_alpha=(0,), info_beta=(0,))
+    assert wide.noise_progressions == (((1 << 30, 0),), ((4, 5),))
+    plans = builder_plans() + random_plans() + [TWO_STEPS, wide]
+    assert {1, 2, 3, 4, 5} <= {plan.T for plan in plans}
+    assert not progression_mismatches(lambda plan: plan.noise_progressions, plans)
+    assert TWO_STEPS.noise_progressions == (((3, 0), (5, 0)), ((1, 1),))
+    # T = 1 needs no step, so a repeated point does not stop the proof
+    lone = dataclasses.replace(TWO_STEPS, T=1)
+    assert lone.noise_progressions == (((0, 0),), ((0, 1),))
+    assert privacy_audit(lone, FieldContext(7), [1, 1, 2]).method == "proof"
+    # an empty side has no progression
+    assert dataclasses.replace(lone, beta=(0,)).noise_progressions == (((0, 0),), ())
+
+
+def test_every_step_is_kept_so_a_later_one_can_prove_the_side():
+    ctx = FieldContext(7)
+    report = privacy_audit(TWO_STEPS, ctx, TWO_STEPS_POINTS, cap=1)
+    # ``method`` plays no part in equality
+    assert report == AuditReport(ok=True, checked=4, exhaustive=True) and report.method == "proof"
+
+
+def test_oracle_check_catches_a_fact_with_only_the_smallest_step(monkeypatch):
+    def smallest(plan):
+        """Wrong: keeps one (d, e0) per side, the smallest step's."""
+        return tuple(progressions_oracle(s, plan.T)[:1] for s in noise_sides(plan))
+
+    assert progression_mismatches(smallest, [TWO_STEPS]) == [TWO_STEPS]
+    monkeypatch.setattr(ExponentPlan, "noise_progressions", property(smallest))
+    # the cubes collide, so the audit no longer proves the plan and samples 1 subset
+    report = privacy_audit(TWO_STEPS, FieldContext(7), TWO_STEPS_POINTS, cap=1)
+    assert report.method == "sampled" and report.checked == 1 and not report.exhaustive
+
+
+def test_noise_progressions_are_worked_out_on_first_audit_by_plain_python():
+    plan = build_gasp_r(2, 2, 3, 2)
+    assert "noise_progressions" not in vars(plan)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and "pdmm" in frame.f_code.co_filename:
+            called.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fact = plan.noise_progressions
+    finally:
+        sys.setprofile(None)
+    assert vars(plan)["noise_progressions"] == fact == (((1, 4),), ((1, 4),))
+    # no public pdmm function runs, so traced call counts do not depend on the cache
+    assert called <= {"noise_progressions", "noise_alpha", "noise_beta",
+                      "<genexpr>", "<setcomp>", "<listcomp>"}
+    # a run works the fact out in its first audit, not before
+    cfg = ProtocolConfig(plan=build_gasp_r(2, 2, 3, 2), seed=3)
+    known = []
+
+    def audit(plan, *args, **kwargs):
+        known.append("noise_progressions" in vars(plan))
+        return privacy_audit(plan, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "privacy_audit", audit)
+        sample_frame(cfg, np.random.default_rng(cfg.seed))
+    assert known == [False] and vars(cfg.plan)["noise_progressions"] == fact
 
 
 # T = 2 and no beta noise: the alpha noise (1, 2) alone is a progression.

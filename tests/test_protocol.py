@@ -557,6 +557,13 @@ def test_quantum_run_derives_its_layout_twice(monkeypatch):
     assert len(calls) == 2  # the quantum gate, then the transfer matrix
 
 
+def test_quantum_transfer_refuses_a_classical_frame():
+    _, frame, _ = make_frame(GASP223)
+    assert frame.v is None
+    with pytest.raises(ValueError, match="sample in quantum mode"):
+        quantum_transfer(frame)
+
+
 def test_quantum_requires_feasibility():
     want = r"interference run 3 < 4 for gasp_r\(2,2,1\); quantum mode unavailable"
     with pytest.raises(NotFeasibleError, match=want):
@@ -696,6 +703,15 @@ def test_audit_needs_at_least_t_points():
     with pytest.raises(ValueError, match="T = 3 points, got 2"):
         privacy_audit(plan, ctx, [1, 2])
     assert privacy_audit(plan, ctx, [1, 2, 3]).checked == 1
+
+
+def test_audit_at_t_zero_passes_without_working_out_progressions():
+    plan = ExponentPlan(family="gasp_r", K=1, L=1, T=0,
+                        alpha=(2,), beta=(3,), info_alpha=(0,), info_beta=(0,))
+    for points in ([], [4]):
+        report = privacy_audit(plan, FieldContext(11), points)
+        assert report == AuditReport(ok=True, checked=0, exhaustive=True)
+    assert "noise_progressions" not in vars(plan)
 
 
 def test_audit_sampling_above_cap():
