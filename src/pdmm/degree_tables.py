@@ -26,6 +26,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "ExponentPlan",
     "DegreeTable",
@@ -67,19 +69,26 @@ class SideConditionViolatedError(ParamOutOfRangeError):
     """The low-privacy construction's side condition fails."""
 
 
+_INT64_MAX = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class ExponentPlan:
     """Exponent layout of one code, with its degree table.
 
     ``info_alpha`` / ``info_beta`` index into ``alpha`` / ``beta`` and mark
     the K (resp. L) positions that carry data blocks; the remaining
-    positions carry noise.  Exponents are polynomial degrees, so a
-    negative one raises ``ValueError`` naming its side.  ``modulus_q``
-    is set only for cyclic (CAT) plans, whose exponent arithmetic wraps
-    mod q.  ``table`` is the plan's ``outer_sum``, built once when the
-    plan is built; it is not an argument and plays no part in equality,
-    hashing or ``repr``.  The privacy proof's ``noise_progressions`` is
-    worked out on first use: most plans built are never audited.
+    positions carry noise.  K < 1, L < 1 or T < 0 raises
+    ``ParamOutOfRangeError`` naming the field.  Exponents are polynomial
+    degrees, so a negative one raises ``ValueError`` naming its side, and
+    so does one whose degree-table sums would not fit in int64, the dtype
+    ``outer_sum`` adds in.  ``modulus_q`` is set only for cyclic (CAT)
+    plans, whose exponent arithmetic wraps mod q; one beyond int64 raises
+    ``ValueError``.  ``table`` is the plan's ``outer_sum``, built once
+    when the plan is built; it is not an argument and plays no part in
+    equality, hashing or ``repr``.  The privacy proof's
+    ``noise_progressions`` is worked out on first use: most plans built
+    are never audited.
     """
 
     family: str
@@ -95,10 +104,19 @@ class ExponentPlan:
     table: DegreeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_positive(K=self.K, L=self.L)
+        _require(self.T >= 0, f"need T >= 0, got T={self.T}")
         for side, vec in (("alpha", self.alpha), ("beta", self.beta)):
             negative = [e for e in vec if e < 0]
             if negative:
                 raise ValueError(f"{side} exponents must be non-negative, got {negative[0]}")
+        top_a, top_b = max(self.alpha, default=0), max(self.beta, default=0)
+        if top_a + top_b > _INT64_MAX:
+            side, top = ("alpha", top_a) if top_a >= top_b else ("beta", top_b)
+            raise ValueError(f"{side} exponent {top} makes a degree-table sum exceed "
+                             f"2**63 - 1, got sum {top_a + top_b}")
+        if self.modulus_q is not None and abs(self.modulus_q) > _INT64_MAX:
+            raise ValueError(f"modulus_q must fit in int64, got {self.modulus_q}")
         if len(self.info_alpha) != self.K or len(self.info_beta) != self.L:
             raise ValueError("info index sets must have sizes K and L")
         for idx, vec in ((self.info_alpha, self.alpha), (self.info_beta, self.beta)):
@@ -412,14 +430,16 @@ def build_low_privacy(K: int, L: int, T: int) -> ExponentPlan:
 def outer_sum(plan: ExponentPlan) -> DegreeTable:
     """Build the degree table alpha(i) + beta(j) (mod q for cyclic plans).
 
-    ``ExponentPlan`` calls this once, when the plan is built, and keeps the
-    result as ``plan.table``; read that instead of calling this again.
+    The sums are one ``np.add.outer``, in int64 for integer exponents, and
+    are read back as Python ints; ``ExponentPlan`` refuses exponents and
+    moduli that would not fit, so no sum wraps.  ``ExponentPlan`` calls
+    this once, when the plan is built, and keeps the result as
+    ``plan.table``; read that instead of calling this again.
     """
-    q = plan.modulus_q
-    if q:
-        rows = tuple(tuple((a + b) % q for b in plan.beta) for a in plan.alpha)
-    else:
-        rows = tuple(tuple(a + b for b in plan.beta) for a in plan.alpha)
+    sums = np.add.outer(plan.alpha, plan.beta)
+    if plan.modulus_q:
+        sums %= plan.modulus_q
+    rows = tuple(map(tuple, sums.tolist()))
     info = tuple(rows[i][j] for i in plan.info_alpha for j in plan.info_beta)
     everything = frozenset().union(*rows)
     return DegreeTable(table=rows, info=info,
@@ -433,8 +453,13 @@ def check_decodable(plan: ExponentPlan) -> DecodabilityReport:
     1. every information sum appears exactly once in the whole table;
     2. noise exponents are pairwise distinct within alpha and within beta;
     3. alpha and beta each hold at least T noise exponents, since T
-       servers see a side's data in the clear otherwise.
+       servers see a side's data in the clear otherwise;
+    4. a cyclic plan's table covers all q residues, since its servers are
+       the q points of order q.
     """
+    q, n = plan.modulus_q, plan.table.n_servers
+    if q and n != q:
+        return DecodabilityReport(False, f"cyclic table has N = {n} servers, not q = {q}")
     for side, noise in (("alpha", plan.noise_alpha), ("beta", plan.noise_beta)):
         if len(set(noise)) != len(noise):
             return DecodabilityReport(False, f"duplicate noise exponent in {side}")

@@ -6,8 +6,9 @@ integers at least half the server count long: the run supplies the
 exponents whose encoded symbols the transfer matrix can stabilize away.
 This module computes that run, the feasibility verdicts, the
 minimum privacy level T_min for GASP layouts (a galloping search over T
-on the gasp_r interference bitmask, capped at ``t_max``), and the
-quadratic regression estimates of that minimum.
+on the gasp_r interference bitmask that starts at the estimate below,
+capped at ``t_max``), and the quadratic regression estimates of that
+minimum.
 """
 
 from __future__ import annotations
@@ -94,18 +95,25 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
     r on ties), matching how the regression estimates below were fitted,
     and read off the gasp_r interference bitmask (``_bitmask_feasible``).
 
-    The search gallops: it probes T = 1, 2, 4, ..., with the last probe
-    clipped to ``t_max``, and answers None if the probe at ``t_max``
-    fails.  Otherwise it bisects between the last failing probe and the
-    first passing one, so the answer T is always a probed pass and, for
-    T > 1, T - 1 is always a probed failure.
+    The search starts at the paper's estimate: its first probe is
+    ``start = min(max(1, round(t_hat_estimate(K, L))), t_max)`` for
+    K >= L, and 1 for K < L.  It then gallops away from ``start`` in the
+    direction that probe's verdict gives.  After a pass it probes
+    start - 1, start - 2, start - 4, ... until a probe fails or would go
+    below 1.  After a failure it probes start + 1, start + 2, start + 4,
+    ..., the last probe clipped to ``t_max``, and answers None if the
+    probe at ``t_max`` fails.  Otherwise it bisects between the nearest
+    failing probe (or 0) and the nearest passing one, so the answer T is
+    always a probed pass and, for T > 1, T - 1 is always a probed failure.
 
     That answer is the smallest feasible T, T_min, whenever every T in
-    [T_min, 2 T_min] is feasible: the first probe at or above T_min is
-    then below 2 T_min and passes, and every bisection probe lies
-    between two probes already made.  Feasibility is not proven monotone
-    in T, since r* moves with T.  The evidence is the test grid alone:
-    ``tests/test_feasibility.py`` checks that window for every K <= 16,
+    [T_min, max(2 T_min, round(T_hat))] is feasible ([T_min, 2 T_min]
+    for K < L, where there is no estimate).  A passing start is at most
+    round(T_hat), so every probe at or above T_min passes; an upward
+    gallop's first probe at or above T_min is below 2 T_min - start; and
+    every bisection probe lies between two probes already made.  Feasibility is not proven monotone in T, since r*
+    moves with T.  The evidence is the test grid alone:
+    ``tests/test_feasibility.py`` checks that window for every K <= 24,
     L <= K, and checks this search against a linear scan over T on the
     same bitmask for every K <= 24, L <= K at t_max = 1000.  It also
     checks the search against a loop of ``check_feasible(optimal_gasp_r
@@ -115,8 +123,8 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
 
     ``t_max`` must be an integer of at least 1; a bool, float or string
     raises ``TypeError`` and a numpy integer is read as an int, so no
-    probe is an int64.  K and L are validated once, as the search's
-    first plan (T = 1).
+    probe is an int64.  K and L are validated once, before the first
+    probe.
     """
     if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
         raise TypeError(f"t_max must be an integer, got t_max={t_max!r}")
@@ -124,25 +132,40 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
     if t_max < 1:
         raise ParamOutOfRangeError(f"need t_max >= 1, got t_max={t_max}")
     _require_positive(K=K, L=L, T=1)
-    fail, probe = 0, 1  # 0 stands for "no failing probe yet"
-    while not _bitmask_feasible(K, L, probe):
-        if probe == t_max:
-            return None
-        fail, probe = probe, min(2 * probe, t_max)
-    while probe - fail > 1:
-        mid = (fail + probe) // 2
+    start = min(max(1, round(t_hat_estimate(K, L))), t_max) if K >= L else 1
+    step = 1
+    if _bitmask_feasible(K, L, start):
+        ok = start
+        while start - step >= 1 and _bitmask_feasible(K, L, start - step):
+            ok, step = start - step, 2 * step
+        fail = max(start - step, 0)  # 0 stands for "no T below 1"
+    else:
+        fail = start
+        while True:
+            if fail == t_max:
+                return None
+            probe = min(start + step, t_max)
+            if _bitmask_feasible(K, L, probe):
+                ok = probe
+                break
+            fail, step = probe, 2 * step
+    while ok - fail > 1:
+        mid = (fail + ok) // 2
         if _bitmask_feasible(K, L, mid):
-            probe = mid
+            ok = mid
         else:
             fail = mid
-    return probe
+    return ok
 
 
 def t_hat_estimate(K: int, L: int) -> float:
     """Regression estimate of the minimum feasible privacy level.
 
     Quadratic fit for K = L, bivariate fit for K > L; both are empirical
-    fits, not bounds.  For K <= 12, 76 of the 78 pairs K >= L have a
+    fits, not bounds.  ``min_feasible_t`` makes round(T_hat), clipped to
+    [1, t_max], its first probe, so a close estimate saves probes; its
+    answer stays exact while feasibility is monotone from T_min up to
+    round(T_hat).  For K <= 12, 76 of the 78 pairs K >= L have a
     T_min <= 64 (not (12, 11) and (12, 12)), and 62 of those 76 lie
     within +/- 1 of round(T_hat).  The misses: for L = 1, T_min is
     always 1, while T_hat gives 3-8 for K >= 5; for L = 3 and K >= 9,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 
 import pytest
@@ -103,6 +104,15 @@ def test_feasibility_below_the_cap_prints_an_empty_t_min(capsys):
     assert code == 0
     [row] = parse_csv(out)
     assert (row["K"], row["L"], row["T_min_bruteforce"], row["delta"]) == ("3", "3", "", "")
+
+
+def test_feasibility_csv_up_to_40_is_pinned(capsys):
+    # digest of the CSV printed by the search that probed T = 1, 2, 4, ... (all 820
+    # pairs, 198 with a T_min at the default cap); checks the search beyond K = 24
+    code, out, err = invoke(capsys, "feasibility", "--k-range", "1:40", "--l-range", "1:40")
+    assert (code, err, out.count("\n")) == (0, "", 821)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ba7232fed9679b73bc29b3fda1b40ff839a5e53ea2773034a5798d6af576ca32"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -8,6 +8,7 @@ import pytest
 import merge_oracle
 import pdmm.degree_tables as dt
 from pdmm.degree_tables import (
+    DecodabilityReport,
     ExponentPlan,
     NoSolutionError,
     ParamOutOfRangeError,
@@ -33,6 +34,7 @@ from pdmm.degree_tables import (
     plan_record,
 )
 from pdmm.feasibility import longest_run
+from pdmm.protocol import ProtocolConfig, run_protocol
 
 
 def enum_servers(plan):
@@ -398,6 +400,17 @@ def test_check_decodable():
     assert not report.ok and "alpha" in report.reason
 
 
+def test_check_decodable_refuses_a_cyclic_table_without_q_servers():
+    # sample_frame draws q points of order q, one per residue; before this check
+    # the run ended in EvalFrame's internal ShapeMismatchError
+    plan = parse_plan_record("x - 1 1 0 | 8 | 2 | 0 | 0 | 11")
+    assert check_decodable(plan) == DecodabilityReport(
+        False, "cyclic table has N = 1 servers, not q = 11")
+    with pytest.raises(ValueError, match="^plan is not decodable: cyclic table has N = 1 servers"):
+        run_protocol(ProtocolConfig(plan=plan))
+    assert check_decodable(build_cat(2, 2, 2)).ok
+
+
 def test_constructor_grid_all_decodable():
     plans = []
     for K, L, T in product(range(1, 5), range(1, 5), range(1, 5)):
@@ -450,6 +463,35 @@ EVERY_FAMILY = [
 ]
 
 
+def outer_sum_oracle(plan, reduce=True):
+    """The degree table from a pure-Python double loop; ``reduce=False`` drops the mod q."""
+    q = plan.modulus_q if reduce else None
+    if q:
+        rows = tuple(tuple((a + b) % q for b in plan.beta) for a in plan.alpha)
+    else:
+        rows = tuple(tuple(a + b for b in plan.beta) for a in plan.alpha)
+    info = tuple(rows[i][j] for i in plan.info_alpha for j in plan.info_beta)
+    everything = frozenset().union(*rows)
+    return dt.DegreeTable(table=rows, info=info, interference=everything.difference(info),
+                          n_servers=len(everything))
+
+
+@pytest.mark.parametrize("plan", EVERY_FAMILY + [parse_plan_record(
+    "cat_x x=1 y=3 kappa=0 lambda=0 3 2 2 | 0 3 6 9 10 | 0 1 12 2 | 0 1 2 | 0 1 | 13")],
+    ids=lambda p: p.family)
+def test_outer_sum_matches_the_python_loop(plan):
+    table = outer_sum(plan)
+    assert table == outer_sum_oracle(plan)
+    assert all(type(v) is int for row in table.table for v in row)
+
+
+def test_outer_sum_oracle_without_the_modulus_misses_a_cat_table():
+    # negative control: the cat plans' sums wrap mod q
+    cat = build_cat(2, 2, 2, x=3)
+    assert outer_sum(cat) != outer_sum_oracle(cat, reduce=False)
+    assert max(outer_sum_oracle(cat, reduce=False).exponents) >= cat.modulus_q
+
+
 @pytest.mark.parametrize("plan", EVERY_FAMILY, ids=lambda p: p.family)
 def test_plan_carries_its_outer_sum(plan):
     assert plan.table == outer_sum(plan)
@@ -480,16 +522,36 @@ def test_plan_refuses_a_negative_exponent(side):
         ExponentPlan(**{**fields, side: (0, -3)})
 
 
+@pytest.mark.parametrize("alpha, beta, side", [
+    ((0, 2**63), (0, 1), "alpha exponent 9223372036854775808"),
+    ((0, 1), (5, 2**63 - 1), "beta exponent 9223372036854775807"),
+    ((0, 2**62), (0, 2**62), "alpha exponent 4611686018427387904"),
+])
+def test_plan_refuses_exponents_whose_sums_overflow_int64(alpha, beta, side):
+    fields = dict(family="hand", K=1, L=1, T=1, info_alpha=(0,), info_beta=(0,))
+    with pytest.raises(ValueError, match=f"^{side} makes a degree-table sum exceed 2"):
+        ExponentPlan(alpha=alpha, beta=beta, **fields)
+    # the largest sum that fits is kept exactly
+    top = ExponentPlan(alpha=(0, 2**62), beta=(0, 2**62 - 1), **fields)
+    assert top.table.table[1][1] == 2**63 - 1 and top.table == outer_sum_oracle(top)
+    with pytest.raises(ValueError, match="^modulus_q must fit in int64, got 9223372036854775808$"):
+        ExponentPlan(alpha=(0, 1), beta=(0, 1), modulus_q=2**63, **fields)
+
+
 @pytest.mark.parametrize("change, message", [
     (dict(info_alpha=(0,)), "info index sets must have sizes K and L"),
     (dict(info_beta=(2,)), "info index out of range"),
     (dict(alpha=(1, 1, 2)), "info exponents must be pairwise distinct"),
+    (dict(K=0, info_alpha=()), "need K, L >= 1, got K=0"),
+    (dict(L=0, info_beta=()), "need K, L >= 1, got L=0"),
+    (dict(T=-1), "need T >= 0, got T=-1"),
 ])
 def test_plan_refuses_bad_info_index_sets(change, message):
     fields = dict(family="hand", K=2, L=1, T=1, alpha=(0, 1, 2), beta=(0, 1),
                   info_alpha=(0, 1), info_beta=(0,))
     ExponentPlan(**fields)
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    error = ParamOutOfRangeError if message.startswith("need") else ValueError
+    with pytest.raises(error, match=f"^{message}$"):
         ExponentPlan(**{**fields, **change})
 
 
@@ -518,6 +580,9 @@ GASP223_RECORD = "gasp_r r=2 2 2 3 | 0 1 4 5 6 | 0 2 4 5 6 | 0 1 | 0 1 | -"
     (GASP223_RECORD.replace("| 0 1 | -", "| 0 5 | -"), "info index out of range"),
     (GASP223_RECORD.replace("| 0 1 4", "| 0 0 4"), "info exponents must be pairwise distinct"),
     (GASP223_RECORD + " | 7", "expected 6 |-separated fields, got 7"),
+    # not ZeroDivisionError in ProtocolConfig.block_dims, nor math.comb's error in the audit
+    ("x - 0 2 1 | 2 4 | 10 5 7 8 |  | 0 1 | -", "need K, L >= 1, got K=0"),
+    (GASP223_RECORD.replace("r=2 2 2 3", "r=2 2 2 -1"), "need T >= 0, got T=-1"),
     (GASP223_RECORD.replace("r=2 2 2 3", "2 2"), "head must be 'family params K L T'"),
     (GASP223_RECORD.replace("gasp_r r=2 2 2 3", ""), "head must be 'family params K L T', got ''"),
 ])

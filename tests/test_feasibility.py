@@ -196,14 +196,84 @@ def test_search_without_bisection_fails_the_linear_scan_comparison(monkeypatch):
     assert len(mismatches) > 1
 
 
+def test_search_that_keeps_a_passing_start_fails_the_linear_scan_comparison(monkeypatch):
+    # negative control: answer a passing first probe round(T_hat) without galloping down
+    search = feasibility.min_feasible_t
+
+    def passing_start_kept(K, L, t_max):
+        start = min(max(1, round(t_hat_estimate(K, L))), t_max)
+        return start if _bitmask_feasible(K, L, start) else search(K, L, t_max)
+
+    monkeypatch.setattr(feasibility, "min_feasible_t", passing_start_kept)
+    mismatches = search_mismatches(12, 1000)
+    assert mismatches[5, 1] == (3, 1)
+    assert {(12, 4), (12, 6)} <= set(mismatches)
+
+
 def test_feasibility_is_monotone_over_the_window_the_search_probes():
-    # every T the search can probe after its first pass lies in [T_min, 2 T_min]
-    for K in range(1, 17):
+    # every T at or above T_min that the search can probe lies in
+    # [T_min, max(2 T_min, round(T_hat))]: a passing start is at most round(T_hat)
+    for K in range(1, 25):
         for L in range(1, K + 1):
             t_min = linear_t_min(K, L, 1000)
-            failing = [T for T in range(t_min, 2 * t_min + 1)
-                       if not _bitmask_feasible(K, L, T)]
+            top = max(2 * t_min, round(t_hat_estimate(K, L)))
+            failing = [T for T in range(t_min, top + 1) if not _bitmask_feasible(K, L, T)]
             assert failing == [], (K, L)
+
+
+def recorded_probes(monkeypatch, K, L, t_max=64):
+    """(answer, every T that min_feasible_t passed to _bitmask_feasible, in order)."""
+    probes = []
+
+    def probe(K, L, T):
+        probes.append(T)
+        return _bitmask_feasible(K, L, T)
+
+    monkeypatch.setattr(feasibility, "_bitmask_feasible", probe)
+    try:
+        return min_feasible_t(K, L, t_max), probes
+    finally:
+        monkeypatch.undo()
+
+
+def test_search_probes_design_sweep_grid_within_its_budget(monkeypatch):
+    # the grid every design_sweep op sweeps; the search from T = 1 made 628 probes
+    total = 0
+    for K in range(2, 13):
+        for L in range(2, K + 1):
+            answer, probes = recorded_probes(monkeypatch, K, L)
+            total += len(probes)
+            assert all(type(T) is int and 1 <= T <= 64 for T in probes), (K, L)
+            if answer is not None:
+                assert _bitmask_feasible(K, L, answer) and answer in probes, (K, L)
+                assert answer == 1 or answer - 1 in probes, (K, L)
+    assert total <= 200
+
+
+def test_search_starts_at_the_estimate_clipped_to_the_cap(monkeypatch):
+    assert round(t_hat_estimate(6, 6)) == 19
+    answer, probes = recorded_probes(monkeypatch, 6, 6)
+    assert (answer, probes[0]) == (19, 19)
+    # a cap below round(T_hat) is the first probe, and a failing cap answers None
+    assert recorded_probes(monkeypatch, 6, 6, 10) == (None, [10])
+    assert recorded_probes(monkeypatch, 6, 6, 18) == (None, [18])
+    answer, probes = recorded_probes(monkeypatch, 6, 6, np.int64(19))
+    assert (answer, probes[0]) == (19, 19) and all(type(T) is int for T in probes)
+    # T_min above round(T_hat) gallops up, below it gallops down, then both bisect
+    assert round(t_hat_estimate(12, 3)) == 20 and round(t_hat_estimate(12, 4)) == 27
+    assert recorded_probes(monkeypatch, 12, 3) == (23, [20, 21, 22, 24, 23])
+    assert recorded_probes(monkeypatch, 12, 4) == (25, [27, 26, 25, 23, 24])
+
+
+def test_search_for_k_below_l_starts_at_one(monkeypatch):
+    # there is no estimate for K < L, so the search gallops up from T = 1
+    with pytest.raises(ParamOutOfRangeError):
+        t_hat_estimate(2, 5)
+    answer, probes = recorded_probes(monkeypatch, 2, 5)
+    assert (answer, probes[0]) == (5, 1)
+    for K in range(1, 9):
+        for L in range(K + 1, 13):
+            assert min_feasible_t(K, L, 1000) == linear_t_min(K, L, 1000), (K, L)
 
 
 @pytest.mark.parametrize("t_max, want", [(4, None), (5, 5), (6, 5), (7, 5), (64, 5)])
