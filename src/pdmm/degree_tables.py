@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -80,11 +82,11 @@ class ExponentPlan:
     the K (resp. L) positions that carry data blocks; the remaining
     positions carry noise.  K < 1, L < 1 or T < 0 raises
     ``ParamOutOfRangeError`` naming the field.  Exponents are polynomial
-    degrees, so a negative one raises ``ValueError`` naming its side, and
-    so does one whose degree-table sums would not fit in int64, the dtype
-    ``outer_sum`` adds in.  ``modulus_q`` is set only for cyclic (CAT)
-    plans, whose exponent arithmetic wraps mod q; one beyond int64 raises
-    ``ValueError``.  ``table`` is the plan's ``outer_sum``, built once
+    degrees, so a non-integer or negative one raises ``ValueError`` naming
+    its side, and so does one whose degree-table sums would not fit in
+    int64, the dtype ``outer_sum`` adds in.  ``modulus_q`` is set only for
+    cyclic (CAT) plans, whose exponent arithmetic wraps mod q; one beyond
+    int64 raises ``ValueError``.  ``table`` is the plan's ``outer_sum``, built once
     when the plan is built; it is not an argument and plays no part in
     equality, hashing or ``repr``.  The privacy proof's
     ``noise_progressions`` is worked out on first use: most plans built
@@ -107,7 +109,11 @@ class ExponentPlan:
         _require_positive(K=self.K, L=self.L)
         _require(self.T >= 0, f"need T >= 0, got T={self.T}")
         for side, vec in (("alpha", self.alpha), ("beta", self.beta)):
-            negative = [e for e in vec if e < 0]
+            try:
+                negative = [e for e in vec if operator.index(e) < 0]
+            except TypeError:
+                fractional = next(e for e in vec if not isinstance(e, numbers.Integral))
+                raise ValueError(f"{side} exponents must be integers, got {fractional!r}") from None
             if negative:
                 raise ValueError(f"{side} exponents must be non-negative, got {negative[0]}")
         top_a, top_b = max(self.alpha, default=0), max(self.beta, default=0)

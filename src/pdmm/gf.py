@@ -36,7 +36,8 @@ Lagrange interpolation gives the inverse when the exponents are 0, ...,
 N - 1, and when g exponents below the top one are missing, a g x g
 system on the master polynomial's coefficients corrects it in
 O(N^2 g + g^3) work.  That g x g matrix is singular exactly when the
-generator is.
+generator is.  The inversion hands back the Lagrange weights it forms,
+from which the protocol's frame derives its dual multipliers.
 
 The context and all arrays it touches are treated as immutable; every
 operation returns fresh arrays and writes none of its inputs, so
@@ -514,8 +515,10 @@ class FieldContext:
             raise ValueError("exponents must be pairwise distinct")
         return _powers(np.array(pts, dtype=np.int64), exps, self.p)
 
-    def _vandermonde_inverse(self, x: np.ndarray, exponents: Sequence[int]) -> np.ndarray:
-        """Inverse of the generator (x_i^(e_j)) on distinct points x and ascending exponents e.
+    def _vandermonde_inverse(self, x: np.ndarray,
+                             exponents: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse of the generator (x_i^(e_j)) on distinct points x and ascending exponents e,
+        and the Lagrange weights w of the points.
 
         The generator takes the coefficients of a polynomial supported on
         the n exponents to its values at the n points, so its inverse
@@ -540,10 +543,15 @@ class FieldContext:
         C h = 0 gives P h, supported on the exponents and zero at every
         point, and a kernel vector of the generator gives such a
         polynomial; then ``mat_inverse`` raises ``SingularMatrixError``.
-        ``x`` holds canonical entries.
+        ``x`` holds canonical entries, as many as there are exponents (else
+        ``ValueError``).  The weights come back too, since a GRS code's dual
+        multipliers are a diagonal scaling of them (see ``protocol.EvalFrame``).
         """
         p = self.p
         n = x.size
+        if len(exponents) != n:
+            raise ValueError(f"a square generator needs as many points as exponents, "
+                             f"got {n} points and {len(exponents)} exponents")
         master = np.zeros(n + 1, dtype=np.int64)  # a_n .. a_0, highest degree first
         master[0] = 1
         for k, xk in enumerate(x.tolist()):
@@ -557,11 +565,12 @@ class FieldContext:
         nodes = _node_products(x, p)
         if n % 2 == 0:
             nodes = (p - nodes) % p
-        lagrange = quotients * self._inverse_all(nodes) % p
+        weights = self._inverse_all(nodes)
+        lagrange = quotients * weights % p
         exps = np.asarray(exponents, dtype=np.int64)
         gaps = _gaps(exps)
         if not gaps.size:
-            return lagrange
+            return lagrange, weights
 
         def multiples(rows):
             """Entry (e, l): a_(e - l), the X^e coefficient of X^l P(X), for l < g."""
@@ -570,7 +579,7 @@ class FieldContext:
 
         lagrange = np.vstack([lagrange, np.zeros((gaps.size, n), dtype=np.int64)])
         h = self.matmul(self.mat_inverse(multiples(gaps)), lagrange[gaps])
-        return (lagrange[exps] - self.matmul(multiples(exps), h)) % p
+        return (lagrange[exps] - self.matmul(multiples(exps), h)) % p, weights
 
 
 def _powers(x: np.ndarray, exponents: Sequence[int], p: int) -> np.ndarray:

@@ -9,8 +9,9 @@ generators block-diagonally yields a symplectic self-orthogonal matrix,
 which is what the transfer-matrix construction consumes.
 
 This module is GRS math over a ``FieldContext`` only.  The protocol's
-evaluation frame, ``protocol.EvalFrame``, takes its dual multipliers
-from ``shifted_dual_multipliers``.
+evaluation frame, ``protocol.EvalFrame``, forms the same dual
+multipliers as ``shifted_dual_multipliers`` from the Lagrange weights
+its generator inverse already has.
 """
 
 from __future__ import annotations

@@ -13,17 +13,19 @@ tolerance anywhere.
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order.
 ``sample_frame`` runs one loop over candidate point sets (a cyclic
-plan's single order-q coset, or up to ``_MAX_RESAMPLE`` random draws).
-Each candidate's generator, on all table exponents, is inverted by
-Lagrange interpolation with a g x g correction for the g gaps in the
-exponents, which rejects a singular generator; then the privacy rank
-audit runs.  The first candidate that passes becomes the run's
-``EvalFrame``, the one kind of frame: complete with the run's field,
-the plan, the generator, built once, and its inverse, and the
-constructor validates it.  No N x N matrix is eliminated or ranked.
-Every later stage works over ``frame.ctx`` and reads the plan from the
-frame: the encoder takes just the frame and the blocks, the decoders
-just the frame and the server products.
+plan's single order-q coset, or up to ``_MAX_RESAMPLE`` random draws)
+and builds each as an ``EvalFrame``, the one kind of frame.  A frame
+computes its point algebra once, from its field, points, plan and
+shift: one power table on every exponent a stage reads, the generator
+as that table's columns at the table exponents, its inverse by Lagrange
+interpolation with a g x g correction for the g gaps in the exponents,
+which rejects a singular generator, and, for a quantum frame, the dual
+multipliers from the same Lagrange weights.  Then the privacy rank
+audit runs, and the first candidate that passes is the run's frame.  No
+N x N matrix is eliminated or ranked.  Every later stage works over
+``frame.ctx`` and reads the plan and the powers from the frame: the
+encoder takes just the frame and the blocks, the decoders just the
+frame and the server products.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from .degree_tables import ExponentPlan, check_decodable, plan_record
 from .feasibility import check_feasible, longest_run
 from .gf import (
+    DuplicatePointError,
     FieldContext,
     SingularMatrixError,
     _admissible_points,
@@ -48,7 +51,7 @@ from .gf import (
     is_prime,
     next_prime,
 )
-from .grs import ShapeMismatchError, shifted_dual_multipliers
+from .grs import ShapeMismatchError
 from .nsumbox import TransferMatrix, apply_box
 
 __all__ = [
@@ -204,53 +207,80 @@ def default_field(plan: ExponentPlan, floor: int | None = None) -> FieldContext:
 
 @dataclass(frozen=True)
 class EvalFrame:
-    """Field, points, plan, generator and inverse fixed for one protocol run.
+    """Field, points and plan of one protocol run, and the point algebra derived from them.
 
     ``sample_frame`` builds a run's frame, and the constructor validates
     it: ``plan`` must be an ``ExponentPlan`` (else ``TypeError``), and
-    the N = ``plan.table.n_servers`` points, stored reduced mod p, must
-    be nonzero and distinct.  ``generator``, on the points and the
-    table exponents in table order, and its ``inverse`` must both be
-    N x N (else ``ShapeMismatchError``); ``sample_frame`` gets the
-    inverse by interpolation, so the run eliminates no N x N matrix.
-    Every stage works over the run's field ``ctx`` and reads the plan,
-    generator and inverse from the frame; they play no part in equality
-    or repr.
-
+    there must be N = ``plan.table.n_servers`` points (else
+    ``ShapeMismatchError``), stored reduced mod p, nonzero and distinct.
     Quantum frames give ``shift``, the start of the plan's interference
-    run.  The first instance's column multipliers are all ones, so ``v``
-    is the one vector that makes the ``shift``-shifted GRS codes on ones
-    and on ``v`` dual, and the frame computes it.  Classical frames
-    leave ``shift`` and ``v`` as None.
+    run; classical frames leave it None.
+
+    Everything else is derived from the points, once, when the frame is
+    built, so ``dataclasses.replace`` re-derives it.  One
+    ``ctx.vandermonde`` call builds the power table x_i^e for every e
+    among the table exponents, ``plan.alpha``, ``plan.beta`` and, for a
+    quantum frame, -2 ``shift``; ``powers`` gathers its columns.
+    ``generator`` is its columns at the table exponents, in table order,
+    and ``inverse`` comes from ``FieldContext._vandermonde_inverse``,
+    which raises ``SingularMatrixError`` for a rank-deficient generator.
+    Neither is eliminated, and neither plays a part in equality or repr.
+
+    The first instance's column multipliers are all ones, so ``v`` is the
+    one vector that makes the ``shift``-shifted GRS codes on ones and on
+    ``v`` dual: v_i = (x_i^(2s) prod_{j != i} (x_j - x_i))^-1, which is
+    (-1)^(N-1) w_i x_i^(-2s) for the Lagrange weights
+    w_i = 1 / prod_{j != i} (x_i - x_j) the inverse already forms
+    (MacWilliams and Sloane, ch. 10).  Classical frames leave ``v`` None.
     """
 
     ctx: FieldContext
     points: tuple[int, ...]
     plan: ExponentPlan = field(compare=False, repr=False)
-    generator: np.ndarray = field(compare=False, repr=False)
-    inverse: np.ndarray = field(compare=False, repr=False)
     shift: int | None = None
     v: tuple[int, ...] | None = field(init=False, default=None)
+    generator: np.ndarray = field(init=False, compare=False, repr=False)
+    inverse: np.ndarray = field(init=False, compare=False, repr=False)
+    _table: np.ndarray = field(init=False, compare=False, repr=False)
+    _column: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.plan, ExponentPlan):
             raise TypeError(f"plan must be an ExponentPlan, got {self.plan!r}")
-        pts = tuple(_admissible_points(self.points, self.ctx.p))
-        n = self.plan.table.n_servers
-        gen_shape, inv_shape = np.shape(self.generator), np.shape(self.inverse)
-        if (len(pts), gen_shape, inv_shape) != (n, (n, n), (n, n)):
-            raise ShapeMismatchError(
-                f"expected {n} points and generator and inverse shaped {(n, n)} for {n} "
-                f"servers, got {len(pts)} points, generator shaped {gen_shape} and inverse "
-                f"shaped {inv_shape}")
-        object.__setattr__(self, "points", pts)
+        ctx, table = self.ctx, self.plan.table
+        pts = tuple(_admissible_points(self.points, ctx.p))
+        n = table.n_servers
+        if len(pts) != n:
+            raise ShapeMismatchError(f"expected {n} points for {n} servers, got {len(pts)} points")
+        # table exponents first, so the generator is a view of the table
+        extra = {*self.plan.alpha, *self.plan.beta}
         if self.shift is not None:
-            v = shifted_dual_multipliers(self.ctx, pts, [1] * n, self.shift, self.shift)
+            extra.add(-2 * self.shift)
+        exps = [*table.exponents, *sorted(extra.difference(table.exponents))]
+        powers = ctx.vandermonde(pts, exps)
+        powers.flags.writeable = False
+        inverse, weights = ctx._vandermonde_inverse(ctx.asarray(pts), table.exponents)
+        for name, value in (("points", pts), ("_table", powers),
+                            ("_column", {e: j for j, e in enumerate(exps)}),
+                            ("generator", powers[:, :n]), ("inverse", inverse)):
+            object.__setattr__(self, name, value)
+        if self.shift is not None:
+            v = weights * self.powers([-2 * self.shift])[:, 0] % ctx.p
+            if n % 2 == 0:  # (-1)^(N-1) = -1
+                v = (ctx.p - v) % ctx.p
             object.__setattr__(self, "v", tuple(v.tolist()))
 
     @property
     def n(self) -> int:
         return len(self.points)
+
+    def powers(self, exponents) -> np.ndarray:
+        """N x len(exponents) matrix x_i^(e_j), gathered from the frame's power table.
+
+        Each exponent must be one the table holds: a table exponent, one
+        of ``plan.alpha`` or ``plan.beta``, or -2 ``shift``.
+        """
+        return self._table[:, [self._column[e] for e in exponents]]
 
 
 # Random frames tried before giving up on a non-cyclic plan.
@@ -268,20 +298,21 @@ def sample_frame(cfg: ProtocolConfig,
     ``frame.ctx``.  A cyclic plan has one candidate point set, the coset
     of an order-q element; any other plan has up to ``_MAX_RESAMPLE``
     seeded draws, each drawn just before its checks.  Both give
-    distinct nonzero points.  Every candidate inverts its N x N
-    generator on all table exponents by interpolation, with a g x g
-    correction for the g exponents missing below the top one (see
-    ``FieldContext._vandermonde_inverse``); a singular correction means
-    a rank-deficient generator and rejects the candidate.  Then the
-    privacy audit runs.  The first to pass becomes the frame, with its
-    inverse and its generator, built once; quantum frames also carry
-    the interference run start as their shift.  If none passes,
-    ``ResampleExhaustedError`` counts the rejections by check.
+    distinct nonzero points.  Every candidate is built as an
+    ``EvalFrame``, quantum ones with the interference run start as their
+    shift: one power table, and the N x N generator on all table
+    exponents inverted by interpolation, with a g x g correction for the
+    g exponents missing below the top one (see
+    ``FieldContext._vandermonde_inverse``).  A singular correction means
+    a rank-deficient generator, and so does a repeated point, which only
+    a caller's own ``rng`` can draw; either rejects the candidate.  Then
+    the privacy audit runs, and the first candidate to pass is the run's
+    frame.  If none passes, ``ResampleExhaustedError`` counts the
+    rejections by check.
     """
     plan = cfg.plan
     ctx = default_field(plan, cfg.prime)
     table = plan.table
-    exps = table.exponents
     n = table.n_servers
     shift = (longest_run(table.interference) or [0])[0] if cfg.mode == "quantum" else None
     if plan.modulus_q:
@@ -293,14 +324,13 @@ def sample_frame(cfg: ProtocolConfig,
     rejected = dict.fromkeys((_RANK_DEFICIENT, _AUDIT_FAILED), 0)
     for points in candidates:
         try:
-            inverse = ctx._vandermonde_inverse(ctx.asarray(points), exps)
-        except SingularMatrixError:
+            frame = EvalFrame(ctx, tuple(points), plan, shift)
+        except (SingularMatrixError, DuplicatePointError):
             rejected[_RANK_DEFICIENT] += 1
             continue
         audit = privacy_audit(plan, ctx, points, cap=cfg.audit_cap, rng=rng)
         if audit.ok:
-            gen = ctx.vandermonde(points, exps)
-            return EvalFrame(ctx, tuple(points), plan, gen, inverse, shift), audit
+            return frame, audit
         rejected[_AUDIT_FAILED] += 1
     tries = sum(rejected.values())
     raise ResampleExhaustedError(
@@ -319,7 +349,9 @@ def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     f_n weights the K blocks a_blocks (ra, inner) by point powers at the
     info alpha exponents and noise_f at ``plan.noise_alpha``; g_n likewise
     over beta, for B blocks shaped (inner, cb).  Other block counts or
-    shapes raise ``ShapeMismatchError``.
+    shapes raise ``ShapeMismatchError``.  The powers are columns of the
+    frame's power table (``EvalFrame.powers``), so every instance of a
+    run encodes without computing a power.
     """
     plan = frame.plan
     sides = []
@@ -343,8 +375,7 @@ def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     shares = []
     for exps, blocks, shape in sides:
         coeffs = np.stack(blocks)  # one side at a time, so both stacks are never alive at once
-        powers = frame.ctx.vandermonde(frame.points, exps)
-        shares.append(frame.ctx.matmul(powers, coeffs.reshape(len(coeffs), -1))
+        shares.append(frame.ctx.matmul(frame.powers(exps), coeffs.reshape(len(coeffs), -1))
                       .reshape(frame.n, *shape))
     return tuple(shares)
 

@@ -522,6 +522,22 @@ def test_plan_refuses_a_negative_exponent(side):
         ExponentPlan(**{**fields, side: (0, -3)})
 
 
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_plan_refuses_a_non_integer_exponent(side):
+    """A fractional exponent is refused where the plan is built, naming its
+    side, not by a bare TypeError from the run it would reach."""
+    fields = dict(family="hand", K=1, L=1, T=1, alpha=(0, 1), beta=(0, 1),
+                  info_alpha=(0,), info_beta=(0,))
+    for bad in (1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match=rf"^{side} exponents must be integers, got {bad!r}$"):
+            ExponentPlan(**{**fields, side: (0, bad)})
+    # a plan record holds text, and its parser names the same side
+    line = {"alpha": "hand - 1 1 1 | 0 1.5 | 0 1 | 0 | 0 | -",
+            "beta": "hand - 1 1 1 | 0 1 | 0 1.5 | 0 | 0 | -"}[side]
+    with pytest.raises(ValueError, match=f"^plan record field {side} must be an integer, got '1.5'$"):
+        parse_plan_record(line)
+
+
 @pytest.mark.parametrize("alpha, beta, side", [
     ((0, 2**63), (0, 1), "alpha exponent 9223372036854775808"),
     ((0, 1), (5, 2**63 - 1), "beta exponent 9223372036854775807"),

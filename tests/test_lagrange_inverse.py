@@ -73,7 +73,7 @@ def lagrange_mismatches():
     bad = []
     for frame in frames():
         ctx = frame.ctx
-        got = ctx._vandermonde_inverse(ctx.asarray(frame.points), frame.plan.table.exponents)
+        got, _ = ctx._vandermonde_inverse(ctx.asarray(frame.points), frame.plan.table.exponents)
         if not np.array_equal(got, ctx.mat_inverse(frame.generator)):
             bad.append((frame.plan.family, frame.n, ctx.p))
     return bad
@@ -96,7 +96,7 @@ def test_lagrange_inverse_matches_elimination():
     for frame in frames():
         ctx = frame.ctx
         assert np.array_equal(frame.inverse, ctx._vandermonde_inverse(
-            ctx.asarray(frame.points), frame.plan.table.exponents))
+            ctx.asarray(frame.points), frame.plan.table.exponents)[0])
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -163,7 +163,8 @@ def gapped_mismatches(cases):
     """Cases whose interpolation inverse differs from elimination's, singular verdict included."""
     bad = []
     for ctx, points, exps, want in cases:
-        got = inverse_or_none(ctx._vandermonde_inverse, ctx.asarray(points), exps)
+        got = inverse_or_none(lambda *args: ctx._vandermonde_inverse(*args)[0],
+                              ctx.asarray(points), exps)
         if (got is None) != (want is None) or (got is not None and not np.array_equal(got, want)):
             bad.append((exps, ctx.p, points))
     return bad
@@ -205,3 +206,16 @@ def test_differential_check_catches_a_wrong_gap_correction(monkeypatch, owner, n
     cases = gapped_cases()[::5]  # elimination's answers, computed before the patch
     monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
     assert len(gapped_mismatches(cases)) >= 0.9 * len(cases)
+
+
+@pytest.mark.parametrize("exponents", [(0, 1), (0, 1, 2, 3, 5, 6)])
+def test_inverse_refuses_a_point_count_other_than_the_exponent_count(exponents):
+    """Not a 4 x 4 "inverse" of a 4 x 2 generator, nor a bare IndexError."""
+    ctx = FieldContext(23)
+    x = ctx.asarray([1, 2, 3, 4])
+    with pytest.raises(ValueError, match=f"^a square generator needs as many points as "
+                                         f"exponents, got 4 points and {len(exponents)} "
+                                         f"exponents$"):
+        ctx._vandermonde_inverse(x, exponents)
+    inverse, _ = ctx._vandermonde_inverse(x, (0, 1, 2, 5))
+    assert np.array_equal(ctx.matmul(inverse, ctx.vandermonde(x, (0, 1, 2, 5))), ctx.identity(4))

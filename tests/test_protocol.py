@@ -71,9 +71,8 @@ def scalar_blocks(values):
 
 
 def hand_frame(ctx, points, plan, shift=None):
-    """A frame on chosen points, with the generator and inverse ``sample_frame`` gives them."""
-    gen = ctx.vandermonde(points, plan.table.exponents)
-    return EvalFrame(ctx, points, plan, gen, ctx.mat_inverse(gen), shift)
+    """A frame on chosen points, built as ``sample_frame`` builds its candidates."""
+    return EvalFrame(ctx, points, plan, shift)
 
 
 # ---------------------------------------------------------------------------
