@@ -67,14 +67,13 @@ from .protocol import (
     decode_classical,
     decode_quantum,
     default_field,
-    encode_shares,
+    encode_and_multiply,
     privacy_audit,
     quantum_transfer,
     rate_ratio,
     rate_report,
     run_protocol,
     sample_frame,
-    server_compute,
     transcript_dump,
 )
 

@@ -85,8 +85,8 @@ class ExponentPlan:
     degrees, so a non-integer or negative one raises ``ValueError`` naming
     its side, and so does one whose degree-table sums would not fit in
     int64, the dtype ``outer_sum`` adds in.  ``modulus_q`` is set only for
-    cyclic (CAT) plans, whose exponent arithmetic wraps mod q; one beyond
-    int64 raises ``ValueError``.  ``table`` is the plan's ``outer_sum``, built once
+    cyclic (CAT) plans, whose exponent arithmetic wraps mod q; one below 1
+    or beyond int64 raises ``ValueError``.  ``table`` is the plan's ``outer_sum``, built once
     when the plan is built; it is not an argument and plays no part in
     equality, hashing or ``repr``.  The privacy proof's
     ``noise_progressions`` is worked out on first use: most plans built
@@ -123,6 +123,8 @@ class ExponentPlan:
                              f"2**63 - 1, got sum {top_a + top_b}")
         if self.modulus_q is not None and abs(self.modulus_q) > _INT64_MAX:
             raise ValueError(f"modulus_q must fit in int64, got {self.modulus_q}")
+        if self.modulus_q is not None and self.modulus_q < 1:
+            raise ValueError(f"modulus_q must be >= 1, got {self.modulus_q}")
         if len(self.info_alpha) != self.K or len(self.info_beta) != self.L:
             raise ValueError("info index sets must have sizes K and L")
         for idx, vec in ((self.info_alpha, self.alpha), (self.info_beta, self.beta)):

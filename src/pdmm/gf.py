@@ -23,10 +23,14 @@ takes k GEMMs combined Horner style, exact while
 d (p - 1)(2^b - 1) + p 2^b + p <= 2^52: two limbs when one such chunk
 holds the whole inner dimension, else three.  Reduction stays in
 floating point until one cast into the int64 result.  A product also
-takes an (S, r, k) stack times an (S, k, c) stack, one per server in the
-protocol, staged in groups of matrices so that small matrices share one
-stacked GEMM instead of one call each.  Products read int64 operands in
-place and copy only what is not yet reduced mod p.
+takes an (S, r, k) stack times an (S, k, c) stack, staged in groups of
+matrices so that small matrices share one stacked GEMM instead of one
+call each.  Products read int64 operands in place and copy only what is
+not yet reduced mod p.  One tiled kernel serves every product: it also
+reads operands that are already exact floats, as they are on their
+tier, and can hand back its reduced float result instead of casting it,
+so the protocol's servers multiply the float shares their encoder just
+formed, one group of servers at a time, with no int64 round trip.
 
 ``mat_inverse`` inverts a square matrix by eliminating [A | I], and
 ``batch_rank`` ranks a whole stack of matrices at once, by one
@@ -202,6 +206,18 @@ _EXACT32 = 1 << 23
 _TILE = 1 << 17
 
 
+def _groups(stack: int, rows: int, cols: int, inner: int) -> list:
+    """Where a stack of ``stack`` (rows, inner) x (inner, cols) products is staged, group by group.
+
+    Each group's operand and output entries together stay within
+    ``_TILE``, so that small matrices share one stacked GEMM.  A group
+    is a slice of the stack; a matrix too large to share its group is
+    staged alone.
+    """
+    group = max(1, _TILE // max(rows * inner + inner * cols + rows * cols, 1))
+    return [slice(s, s + group) for s in range(0, stack, group)]
+
+
 def _swap_rows(stack: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
     """Swap row i[s] with row j[s] of every matrix s in the stack, in place."""
     every = np.arange(len(stack))
@@ -224,15 +240,17 @@ def _limb_geometry(p: int, count: int) -> tuple[int, int]:
 
 
 def _limbs(x: np.ndarray, count: int, bits: int, dtype) -> list[np.ndarray]:
-    """Canonical entries cut into ``count`` limbs of ``bits`` bits, as floats, most significant first.
+    """Canonical entries cut into ``count`` limbs of ``bits`` bits, most significant first.
 
-    One limb is the entries themselves.  Otherwise each limb is at most
-    2^bits - 1, and the entries are the sum of limb j times
-    2^(bits (count - 1 - j)); ``_limb_geometry`` bounds the GEMMs of
-    such limbs with a whole operand.
+    Limbs are floats of ``dtype``.  One limb is the entries themselves,
+    read in place when they already are ``dtype``.  Otherwise each limb
+    is at most 2^bits - 1, and the entries, read as int64, are the sum of
+    limb j times 2^(bits (count - 1 - j)); ``_limb_geometry`` bounds the
+    GEMMs of such limbs with a whole operand.
     """
     if count == 1:
-        return [x.astype(dtype)]
+        return [x.astype(dtype, copy=False)]
+    x = x.astype(np.int64, copy=False)
     mask = (1 << bits) - 1
     return [(x >> shift & mask).astype(dtype) for shift in range(bits * (count - 1), -1, -bits)]
 
@@ -327,7 +345,7 @@ class FieldContext:
         A stack is staged in groups of matrices whose operand and output
         entries together stay within about 1 MiB of float64, each group
         one stacked GEMM per inner chunk; a matrix too large to share
-        its group is staged alone as a 2-D product.  See ``_product``
+        its group is staged alone (see ``_groups``).  See ``_product``
         for the column tiles.
         """
         a, b = self._canonical(a), self._canonical(b)
@@ -338,49 +356,62 @@ class FieldContext:
         if not fits:
             raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
         inner = b.shape[-2] if b.ndim == 3 else b.shape[0]
-        p = self.p
-        if inner * (p - 1) ** 2 + p <= _EXACT32:
-            tier = np.float32, 1, 0, max(inner, 1)
-        elif (p - 1) ** 2 + p <= _EXACT:
-            tier = np.float64, 1, 0, (_EXACT - p) // (p - 1) ** 2
-        else:
-            # two limbs when one chunk of them holds the whole inner dimension, else three
-            count = 2 if _limb_geometry(p, 2)[1] >= inner else 3
-            tier = np.float64, count, *_limb_geometry(p, count)
+        tier = self._tier(inner)
         if b.ndim < 3:
             shape = a.shape[:-1] + b.shape[1:]
             rows, cols = math.prod(a.shape[:-1]), math.prod(b.shape[1:])
             out = np.empty((rows, cols), dtype=np.int64)
-            self._product(a.reshape(rows, inner), b.reshape(inner, cols), out, *tier)
+            self._product(a.reshape(rows, inner), b.reshape(inner, cols), tier, out)
             # [()] turns the 0-d product of two vectors into a scalar, as np.matmul does
             return out.reshape(shape)[()]
-        stack, rows, cols = len(a), a.shape[1], b.shape[2]
-        out = np.empty((stack, rows, cols), dtype=np.int64)
-        group = _TILE // max(rows * inner + inner * cols + rows * cols, 1)
-        for s in range(0, stack, max(group, 1)):
-            part = s if group <= 1 else slice(s, s + group)
-            self._product(a[part], b[part], out[part], *tier)
+        out = np.empty((len(a), a.shape[1], b.shape[2]), dtype=np.int64)
+        for part in _groups(*out.shape, inner):
+            self._product(a[part], b[part], tier, out[part])
         return out
 
-    def _product(self, a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                 dtype, count: int, bits: int, depth: int) -> None:
-        """Write A @ B mod p into ``out``, for 2-D operands or equal-length stacks of them.
+    def _tier(self, inner: int) -> tuple:
+        """(dtype, count, bits, depth) of a product over F_p with this inner dimension.
 
-        ``a`` and ``b`` hold canonical entries.  The left operand is cut
-        into ``count`` limbs of ``bits`` bits when it has fewer entries,
-        else the right one, and the other is read whole, all as ``dtype``.  The output is built in
-        column tiles of about 1 MiB of float64.  Each tile keeps a float
-        accumulator, reduced in place after every inner chunk of
-        ``depth`` indices and cast into ``out`` once, so no output-sized
-        float array is ever live.
+        Float32 when inner * (p - 1)^2 + p <= 2^23, one chunk deep; else
+        float64 entries in chunks of ``depth`` indices when
+        (p - 1)^2 + p <= 2^52; else float64 with the smaller operand cut
+        into ``count`` limbs of ``bits`` bits (see ``matmul``).
         """
+        p = self.p
+        if inner * (p - 1) ** 2 + p <= _EXACT32:
+            return np.float32, 1, 0, max(inner, 1)
+        if (p - 1) ** 2 + p <= _EXACT:
+            return np.float64, 1, 0, (_EXACT - p) // (p - 1) ** 2
+        # two limbs when one chunk of them holds the whole inner dimension, else three
+        count = 2 if _limb_geometry(p, 2)[1] >= inner else 3
+        return np.float64, count, *_limb_geometry(p, count)
+
+    def _product(self, a: np.ndarray, b: np.ndarray, tier: tuple,
+                 out: np.ndarray | None = None, ints: tuple | None = None) -> np.ndarray | None:
+        """A @ B mod p on a ``_tier``, for 2-D operands or equal-length stacks of them.
+
+        ``a`` and ``b`` hold canonical entries, as int64 or as floats,
+        which are exact.  The left operand is cut into ``count`` limbs of
+        ``bits`` bits when it has fewer entries, else the right one, and
+        the other is read whole, all as ``dtype``: a float operand of
+        that dtype is read as it is.  Limbs are cut from int64 entries:
+        those of ``ints``, the same operands as int64, when given, else
+        the operand itself, cast if it is float.  Each inner chunk of
+        ``depth`` indices adds to a float accumulator, reduced in place
+        after every chunk.  Without ``out`` the whole product is one
+        tile, returned as reduced floats.  With an int64 ``out`` it is
+        built in column tiles of about 1 MiB of float64, each cast into
+        ``out`` once, so no output-sized float array is ever live.
+        """
+        dtype, count, bits, depth = tier
+        cut_a, cut_b = ints if ints is not None and count > 1 else (a, b)
         if a.size < b.size:
-            a, b = _limbs(a, count, bits, dtype), [b.astype(dtype)]
+            a, b = _limbs(cut_a, count, bits, dtype), [b.astype(dtype, copy=False)]
         else:
-            a, b = [a.astype(dtype)], _limbs(b, count, bits, dtype)
-        inner = b[0].shape[-2]
-        width = max(1, _TILE // max(math.prod(out.shape[:-1]), 1))
-        for c in range(0, out.shape[-1], width):
+            a, b = [a.astype(dtype, copy=False)], _limbs(cut_b, count, bits, dtype)
+        inner, cols = b[0].shape[-2:]
+        width = max(1, cols if out is None else _TILE // max(math.prod(out.shape[:-1]), 1))
+        for c in range(0, max(cols, 1), width):
             acc = None
             # an empty inner dimension still takes one chunk, whose product is zero
             for k in range(0, max(inner, 1), depth):
@@ -389,6 +420,8 @@ class FieldContext:
                 if acc is not None:
                     part += acc
                 acc = self._reduce(part)
+            if out is None:
+                return acc
             out[..., c:c + width] = acc
 
     def _limb_product(self, a: list[np.ndarray], b: list[np.ndarray], bits: int) -> np.ndarray:

@@ -10,6 +10,13 @@ instances per download).  All arithmetic is exact, so a decoded product
 either equals the true one or the run is reported broken; there is no
 tolerance anywhere.
 
+Encoding and the server products are one pass per group of servers
+(``encode_and_multiply``): each side's blocks become one float operand,
+a group's shares are one GEMM per side, reduced mod p and cast into the
+transcript's share stacks, and the same reduced floats feed the group's
+server GEMM.  A server multiplies the shares its encoder just formed,
+and no share stack is read back from int64.
+
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order.
 ``sample_frame`` runs one loop over candidate point sets (a cyclic
@@ -24,7 +31,7 @@ multipliers from the same Lagrange weights.  Then the privacy rank
 audit runs, and the first candidate that passes is the run's frame.  No
 N x N matrix is eliminated or ranked.  Every later stage works over
 ``frame.ctx`` and reads the plan and the powers from the frame: the
-encoder takes just the frame and the blocks, the decoders just the
+encoding pass takes just the frame and the blocks, the decoders just the
 frame and the server products.
 """
 
@@ -46,6 +53,8 @@ from .gf import (
     FieldContext,
     SingularMatrixError,
     _admissible_points,
+    _groups,
+    _integers,
     _powers,
     element_of_order,
     is_prime,
@@ -64,8 +73,7 @@ __all__ = [
     "NotFeasibleError",
     "default_field",
     "sample_frame",
-    "encode_shares",
-    "server_compute",
+    "encode_and_multiply",
     "decode_classical",
     "decode_quantum",
     "privacy_audit",
@@ -189,20 +197,25 @@ class Transcript:
 def default_field(plan: ExponentPlan, floor: int | None = None) -> FieldContext:
     """Smallest workable prime field for a plan.
 
-    Cyclic plans need a prime p = 1 (mod q) so that order-q points
+    Cyclic plans need an odd prime p = 1 (mod q) so that order-q points
     exist; other plans take the smallest prime >= max(N + 2,
-    largest table exponent + 2, floor).  Either way p - 1 >= N.
+    largest table exponent + 2, floor).  Either way p - 1 >= N.  When
+    that prime is not below 2^31, ``FieldContext``'s bound, a
+    ``ValueError`` names the floor and q.
     """
     table = plan.table
     if plan.modulus_q:
         q = plan.modulus_q
-        p = max(q + 1, floor or 0)
+        p = max(q + 1, 3, floor or 0)
         p += (-(p - 1)) % q  # align to 1 mod q
         while not is_prime(p):
             p += q
-        return FieldContext(p)
-    lo = max(table.n_servers + 2, max(table.exponents) + 2, floor or 0)
-    return FieldContext(next_prime(lo))
+    else:
+        p = next_prime(max(table.n_servers + 2, max(table.exponents) + 2, floor or 0))
+    if p >= 2**31:
+        raise ValueError(f"no field modulus below 2^31 for prime floor {floor} and "
+                         f"q = {plan.modulus_q}: the least candidate is {p}")
+    return FieldContext(p)
 
 
 @dataclass(frozen=True)
@@ -343,17 +356,31 @@ def sample_frame(cfg: ProtocolConfig,
 # encoding, server work, decoding
 # ---------------------------------------------------------------------------
 
-def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
-    """Per-server share pair (f_n, g_n) for one instance, placed by ``frame.plan``.
+def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
+    """Per-server shares (f_n, g_n) of one instance and the servers' products f_n g_n.
 
     f_n weights the K blocks a_blocks (ra, inner) by point powers at the
-    info alpha exponents and noise_f at ``plan.noise_alpha``; g_n likewise
-    over beta, for B blocks shaped (inner, cb).  Other block counts or
-    shapes raise ``ShapeMismatchError``.  The powers are columns of the
-    frame's power table (``EvalFrame.powers``), so every instance of a
-    run encodes without computing a power.
+    info alpha exponents and noise_f at ``plan.noise_alpha``, placed by
+    ``frame.plan``; g_n likewise over beta, for B blocks shaped
+    (inner, cb).  Other block counts or shapes raise
+    ``ShapeMismatchError``.  The powers are columns of the frame's power
+    table (``EvalFrame.powers``), so every instance of a run encodes
+    without computing a power.  Blocks must hold integers (else
+    ``TypeError``), taken mod p.  Returns the (N, ra, inner) and
+    (N, inner, cb) share stacks and the (N, ra, cb) products, as int64.
+
+    One pass per group of servers, the groups ``FieldContext.matmul``
+    stages a stack of these products in.  Each side's blocks are
+    converted once into one float operand of its encode tier, whose
+    inner dimension is its number of blocks.  A group's rows of f and of
+    g are each one GEMM, reduced mod p and cast once into the share
+    stacks, and the same reduced floats are the operands of the group's
+    stacked server GEMM on the tier of ``inner``, reduced and cast into
+    the products.  No share stack is read back from int64.  Both sides'
+    float operands share one allocation, and so do the returned stacks
+    (see ``_one_buffer``).
     """
-    plan = frame.plan
+    plan, ctx = frame.plan, frame.ctx
     sides = []
     for side, exps, info, noise_exps, blocks, noise in (
             ("A", plan.alpha, plan.info_alpha, plan.noise_alpha, a_blocks, noise_f),
@@ -372,29 +399,45 @@ def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
         raise ShapeMismatchError(
             f"inner dimensions differ: A blocks shaped {a_shape} have {a_shape[1]} columns, "
             f"B blocks shaped {b_shape} have {b_shape[0]} rows")
-    shares = []
-    for exps, blocks, shape in sides:
-        coeffs = np.stack(blocks)  # one side at a time, so both stacks are never alive at once
-        shares.append(frame.ctx.matmul(frame.powers(exps), coeffs.reshape(len(coeffs), -1))
-                      .reshape(frame.n, *shape))
-    return tuple(shares)
+    tiers = [ctx._tier(len(blocks)) for _, blocks, _ in sides]
+    operands = _one_buffer(*(((len(blocks), *shape), tier[0])
+                             for (_, blocks, shape), tier in zip(sides, tiers)))
+    encoders = []
+    for (exps, blocks, _), tier, coeffs in zip(sides, tiers, operands):
+        for row, block in zip(coeffs, blocks):
+            row[...] = _integers(block, ctx.p)
+        # every int64 entry in [0, p) stays there as a float, and every other leaves it
+        if coeffs.size and not (coeffs.min() >= 0 and coeffs.max() < ctx.p):
+            for row, block in zip(coeffs, blocks):
+                row[...] = ctx.asarray(block)
+        encoders.append((frame.powers(exps), coeffs.reshape(len(blocks), -1), tier))
+    (ra, inner), cb = a_shape, b_shape[1]
+    *shares, products = _one_buffer(*(((frame.n, *shape), np.int64)
+                                      for shape in ((ra, inner), (inner, cb), (ra, cb))))
+    server = ctx._tier(inner)
+    for part in _groups(frame.n, ra, cb, inner):
+        f, g = (ctx._product(powers[part], coeffs, tier).reshape(out[part].shape)
+                for (powers, coeffs, tier), out in zip(encoders, shares))
+        shares[0][part], shares[1][part] = f, g
+        ctx._product(f, g, server, products[part], ints=(shares[0][part], shares[1][part]))
+    return (*shares, products)
 
 
-def server_compute(ctx: FieldContext, shares_f, shares_g) -> np.ndarray:
-    """Each server multiplies its two shares: response_n = f_n g_n.
+def _one_buffer(*specs) -> list[np.ndarray]:
+    """Arrays of the given (shape, dtype), carved from one allocation, each 8-byte aligned.
 
-    ``shares_f`` is an (N, ra, inner) stack and ``shares_g`` an
-    (N, inner, cb) one, as ``encode_shares`` returns them; all N products
-    are one stacked ``ctx.matmul``, shaped (N, ra, cb).  Stacks of other
-    ranks, or whose counts or inner dimensions differ, raise
-    ``ShapeMismatchError``.
+    numpy asks the kernel for huge pages on an allocation from 4 MiB up.
+    Arrays below that apart but not together would each take a page
+    fault per 4 KiB page whenever they are made, as a run's share stacks
+    and encoder operands are once per instance.
     """
-    f_shape, g_shape = np.shape(shares_f), np.shape(shares_g)
-    if len(f_shape) != 3 or len(g_shape) != 3 or (f_shape[0], f_shape[2]) != g_shape[:2]:
-        raise ShapeMismatchError(
-            f"expected (N, ra, inner) and (N, inner, cb) share stacks, "
-            f"got shapes {f_shape} and {g_shape}")
-    return ctx.matmul(shares_f, shares_g)
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + -(-size // 8) * 8)
+    buffer = np.empty(starts[-1], dtype=np.uint8)
+    return [buffer[at:at + size].view(dtype).reshape(shape)
+            for at, size, (shape, dtype) in zip(starts, sizes, specs)]
 
 
 def _assemble(plan, info_rows, block_shape):
@@ -416,7 +459,7 @@ def _block_shape(frame: EvalFrame, *responses) -> tuple[int, int]:
 def decode_classical(frame: EvalFrame, responses) -> np.ndarray:
     """Assemble the product from the info-sum coefficients of the responses.
 
-    ``responses`` are the server products ``server_compute`` returns,
+    ``responses`` are the server products ``encode_and_multiply`` returns,
     shaped (N, ra, cb); any other shape raises ``ShapeMismatchError``.
     The coefficients are the info-sum rows of ``frame.inverse``, for
     ``frame.plan``, times the responses, so decoding is one product and
@@ -651,9 +694,9 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         b = draw(inner, plan.L * cb)
         noise_f = draw(len(plan.noise_alpha), ra, inner)
         noise_g = draw(len(plan.noise_beta), inner, cb)
-        f, g = encode_shares(frame, a.reshape(plan.K, ra, inner),
-                             b.reshape(inner, plan.L, cb).swapaxes(0, 1), noise_f, noise_g)
-        return a, b, noise_f, noise_g, f, g, server_compute(ctx, f, g)
+        return a, b, noise_f, noise_g, *encode_and_multiply(
+            frame, a.reshape(plan.K, ra, inner), b.reshape(inner, plan.L, cb).swapaxes(0, 1),
+            noise_f, noise_g)
 
     # Each instance draws all its inputs and noise before the next one
     # starts; the transcript fixes that order of rng draws.

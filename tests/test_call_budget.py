@@ -1,4 +1,4 @@
-"""A run computes its point algebra once: a budget of point-kernel calls.
+"""A run computes its point algebra once, and no share stack reaches ``matmul``.
 
 One qf_klt(5,3) quantum run (N = 35, the benchmark's ``audit_bound``
 plan, proved private by a progression) builds one frame.  Its power table
@@ -8,15 +8,22 @@ multipliers come too; the points are checked by the frame and by the one
 ``vandermonde`` call.  The counts are deterministic, so a stage that goes
 back to recomputing powers, node products or point checks shows here
 even where its time would hide in the noise.
+
+Servers multiply the float shares their encoder just formed, so no stage
+of a run hands ``FieldContext.matmul`` a stack of shares: in a small
+cat(2,2,2) quantum run only the quantum decode and the final A B check
+reach it, with 2-D operands, and nothing calls ``np.stack``.
 """
 
 import collections
 import sys
 
+import numpy as np
 import pytest
 
+import share_oracle
 from pdmm import gf, protocol
-from pdmm.degree_tables import build_qf_klt
+from pdmm.degree_tables import build_cat, build_qf_klt
 from pdmm.protocol import ProtocolConfig, run_protocol
 
 BUDGET = {"_powers": 3, "_node_products": 1, "_admissible_points": 2}
@@ -79,3 +86,56 @@ def test_every_budgeted_kernel_is_counted(monkeypatch, name):
 
     monkeypatch.setattr(protocol, "privacy_audit", audit_then_call)
     assert over_budget(kernel_calls(monkeypatch)) == {name: BUDGET[name] + 1}
+
+
+def matmul_calls(monkeypatch):
+    """(operand ranks, stage) of each ``matmul`` call in one small cat(2,2,2) quantum run,
+    and the number of ``np.stack`` calls.
+
+    A call's stage is the tuple of ``pdmm`` functions between it and
+    ``run_protocol``, innermost first; the final check is a generator
+    expression in ``run_protocol`` itself.
+    """
+    calls, stacks = [], []
+    real_matmul, real_stack = gf.FieldContext.matmul, np.stack
+
+    def matmul(self, a, b):
+        frame, stage = sys._getframe(1), []
+        while frame.f_code is not run_protocol.__code__:
+            if frame.f_globals["__name__"].startswith("pdmm"):
+                stage.append(frame.f_code.co_name)
+            frame = frame.f_back
+        calls.append(((np.ndim(a), np.ndim(b)), tuple(stage)))
+        return real_matmul(self, a, b)
+
+    monkeypatch.setattr(gf.FieldContext, "matmul", matmul)
+    monkeypatch.setattr(np, "stack", lambda *args, **kwargs: stacks.append(1) or real_stack(
+        *args, **kwargs))
+    t = run_protocol(ProtocolConfig(plan=build_cat(2, 2, 2), dims=(4, 6, 4), mode="quantum"))
+    assert t.decode_ok and t.rate.instances == 2
+    return calls, len(stacks)
+
+
+FINAL_CHECK = ("<genexpr>",)
+
+
+def test_no_stage_multiplies_a_share_stack(monkeypatch):
+    calls, stacks = matmul_calls(monkeypatch)
+    assert stacks == 0
+    assert {ranks for ranks, _ in calls} == {(2, 2)}
+    assert all(stage == FINAL_CHECK or "decode_quantum" in stage for _, stage in calls)
+    assert [stage for _, stage in calls].count(FINAL_CHECK) == 2  # one per instance
+
+
+def test_the_pin_catches_the_old_encoder_and_server_pair(monkeypatch):
+    """Stacking the blocks, encoding them by ``matmul`` and multiplying the
+    int64 share stacks, as before the fused pass, trips every part of the pin."""
+    def old_pair(frame, *blocks):
+        f, g = share_oracle.encode_shares(frame, *blocks)
+        return f, g, share_oracle.server_compute(frame.ctx, f, g)
+
+    monkeypatch.setattr(protocol, "encode_and_multiply", old_pair)
+    calls, stacks = matmul_calls(monkeypatch)
+    assert stacks == 4  # one per side and instance
+    encoder = [ranks for ranks, stage in calls if "instance" in stage]
+    assert encoder.count((3, 3)) == 2 and len(encoder) == 6

@@ -552,6 +552,10 @@ def test_plan_refuses_exponents_whose_sums_overflow_int64(alpha, beta, side):
     assert top.table.table[1][1] == 2**63 - 1 and top.table == outer_sum_oracle(top)
     with pytest.raises(ValueError, match="^modulus_q must fit in int64, got 9223372036854775808$"):
         ExponentPlan(alpha=(0, 1), beta=(0, 1), modulus_q=2**63, **fields)
+    # a cyclic modulus below 1 would send default_field's search for p = 1 mod q down forever
+    for q in (0, -5):
+        with pytest.raises(ValueError, match=f"^modulus_q must be >= 1, got {q}$"):
+            ExponentPlan(alpha=(0, 1), beta=(0, 1), modulus_q=q, **fields)
 
 
 @pytest.mark.parametrize("change, message", [

@@ -1,7 +1,7 @@
 """A frame's point algebra, derived once, against the computations it replaces.
 
 ``EvalFrame`` builds one power table per frame and reads everything else
-off it and off its generator inverse: the generator and ``encode_shares``'s
+off it and off its generator inverse: the generator and the encoder's
 powers are columns of the table, and the dual multipliers are
 v = (-1)^(N-1) w x^(-2s), w the Lagrange weights the inverse forms.  These
 tests check v against ``shifted_dual_multipliers`` and ``frame.powers``

@@ -218,7 +218,7 @@ def test_a_run_inverts_once_per_attempt_and_builds_one_generator(
         monkeypatch, mode, plan, prime, seed, attempts):
     """Every attempt builds one power table, whose columns at the table
     exponents are its generator, and inverts that generator by interpolation;
-    after sampling, a run builds no power matrix, since ``encode_shares``
+    after sampling, a run builds no power matrix, since ``encode_and_multiply``
     gathers both instances' powers from the accepted frame's table."""
     calls = collections.Counter()
     for name in ("vandermonde", "_vandermonde_inverse"):

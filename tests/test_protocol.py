@@ -43,16 +43,16 @@ from pdmm.protocol import (
     decode_classical,
     decode_quantum,
     default_field,
-    encode_shares,
+    encode_and_multiply,
     privacy_audit,
     quantum_layout,
     quantum_transfer,
     rate_report,
     run_protocol,
     sample_frame,
-    server_compute,
     transcript_dump,
 )
+from share_oracle import server_compute
 from test_grs import assert_full_duality
 
 GASP223 = build_gasp_r(2, 2, 3, 2)
@@ -246,10 +246,10 @@ def test_encode_no_noise_is_plain_evaluation():
     # the one table exponent 2 + 3 makes a one-server plan; evaluate it at 2, then at 3
     for x, f_want, g_want, resp_want in ((2, 5 * 4, 4 * 8, 20 * 32), (3, 5 * 9, 4 * 27, 45 * 108)):
         frame = hand_frame(ctx, (x,), plan)
-        f, g = encode_shares(frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
+        f, g, resp = encode_and_multiply(frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
         assert f.ravel().tolist() == [f_want % 11]
         assert g.ravel().tolist() == [g_want % 11]
-        assert server_compute(ctx, f, g).ravel().tolist() == [resp_want % 11]
+        assert resp.ravel().tolist() == [resp_want % 11]
 
 
 def test_encode_single_block_single_noise():
@@ -257,8 +257,8 @@ def test_encode_single_block_single_noise():
                         alpha=(0, 1), beta=(0, 1), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(13)
     frame = hand_frame(ctx, (5, 2, 3), plan)  # table exponents 0, 1, 2: three servers
-    f, _ = encode_shares(frame, scalar_blocks([7]),
-                         scalar_blocks([2]), scalar_blocks([3]), scalar_blocks([0]))
+    f, *_ = encode_and_multiply(frame, scalar_blocks([7]),
+                                scalar_blocks([2]), scalar_blocks([3]), scalar_blocks([0]))
     assert f.ravel().tolist() == [(7 + 3 * x) % 13 for x in (5, 2, 3)]
 
 
@@ -267,8 +267,9 @@ def test_encode_matches_hand_expanded_polynomial():
     a = [9, 17]
     nf = [30, 40, 50]
     for plan in (GASP223, GASP223_SWAPPED):
-        f, _ = encode_shares(dataclasses.replace(frame, plan=plan), scalar_blocks(a),
-                             scalar_blocks([1, 2]), scalar_blocks(nf), scalar_blocks([0, 0, 0]))
+        f, *_ = encode_and_multiply(dataclasses.replace(frame, plan=plan), scalar_blocks(a),
+                                    scalar_blocks([1, 2]), scalar_blocks(nf),
+                                    scalar_blocks([0, 0, 0]))
         e0, e1 = (plan.alpha[i] for i in plan.info_alpha)  # A_k rides on these
         for srv, x in enumerate(frame.points):
             direct = (a[0] * pow(x, e0, 131) + a[1] * pow(x, e1, 131)
@@ -280,15 +281,14 @@ def test_encode_matches_hand_expanded_polynomial():
 def test_response_exponent_support():
     # with 1x1 blocks the response is a polynomial supported exactly on
     # the degree table; check coefficients against a convolution oracle
-    ctx, frame, _ = make_frame(GASP223, prime=131, seed=5)
+    _, frame, _ = make_frame(GASP223, prime=131, seed=5)
     rng = np.random.default_rng(2)
     a = rng.integers(0, 131, size=2).tolist()
     b = rng.integers(0, 131, size=2).tolist()
     nf = rng.integers(0, 131, size=3).tolist()
     ng = rng.integers(0, 131, size=3).tolist()
-    f, g = encode_shares(frame, scalar_blocks(a), scalar_blocks(b),
-                         scalar_blocks(nf), scalar_blocks(ng))
-    resp = server_compute(ctx, f, g)
+    *_, resp = encode_and_multiply(frame, scalar_blocks(a), scalar_blocks(b),
+                                   scalar_blocks(nf), scalar_blocks(ng))
     coeff_a = dict(zip(GASP223.alpha, [a[0], a[1], nf[0], nf[1], nf[2]]))
     coeff_b = dict(zip(GASP223.beta, [b[0], b[1], ng[0], ng[1], ng[2]]))
     conv = {}
@@ -301,6 +301,8 @@ def test_response_exponent_support():
         assert resp[srv, 0, 0] == want
 
 
+# ``server_compute`` is the oracle of the fused pass's server step, and keeps
+# its stack checks, so a malformed stack never reaches a differential test.
 @pytest.mark.parametrize("f_shape, g_shape", [
     ((13, 1, 2), (12, 2, 13)),     # share counts differ
     ((13, 1, 2), (13, 3, 13)),     # inner dimensions differ
@@ -324,6 +326,16 @@ def test_server_compute_refuses_non_integer_shares(x):
 
 
 @pytest.mark.parametrize("x", [1.5, float("nan"), "3"])
+def test_encode_refuses_non_integer_blocks(x):
+    # a float cast would read a block of 1.5 as 1.5 and encode garbage
+    _, frame, _ = make_frame(GASP223, prime=131)
+    ints, bad = scalar_blocks([1, 2, 3]), [np.full((1, 1), x)]
+    for a, b in ((bad + ints[:1], ints[:2]), (ints[:2], ints[1:2] + bad)):
+        with pytest.raises(TypeError, match="field elements must be integers"):
+            encode_and_multiply(frame, a, b, ints, ints)
+
+
+@pytest.mark.parametrize("x", [1.5, float("nan"), "3"])
 def test_decoders_refuse_non_integer_responses(x):
     _, frame, _ = make_frame(GASP223, prime=131)
     bad = np.full((13, 1, 13), x)
@@ -337,18 +349,18 @@ def test_decoders_refuse_non_integer_responses(x):
 
 
 def test_zero_inputs_zero_response():
-    ctx, frame, _ = make_frame(GASP223, prime=131)
+    _, frame, _ = make_frame(GASP223, prime=131)
     zeros = scalar_blocks([0, 0])
     nf = scalar_blocks([0, 0, 0])
-    f, g = encode_shares(frame, zeros, zeros, nf, nf)
-    assert not server_compute(ctx, f, g).any()
+    f, g, resp = encode_and_multiply(frame, zeros, zeros, nf, nf)
+    assert not f.any() and not g.any() and not resp.any()
 
 
 def test_encode_reads_the_plan_from_the_frame():
     _, frame, _ = make_frame(GASP223, prime=131)
     blocks, noise = scalar_blocks([1, 2]), scalar_blocks([3, 4, 5])
     with pytest.raises(TypeError, match="^plan must be an ExponentPlan, got None$"):
-        encode_shares(dataclasses.replace(frame, plan=None), blocks, blocks, noise, noise)
+        encode_and_multiply(dataclasses.replace(frame, plan=None), blocks, blocks, noise, noise)
 
 
 # gasp_r(2,2,3,2) takes 2 data and 3 noise blocks per side, all of one shape.
@@ -366,7 +378,7 @@ def test_encode_refuses_wrong_block_counts_and_shapes(a, nf, ng, message):
         return [v if isinstance(v, np.ndarray) else np.array([[v]]) for v in values]
 
     with pytest.raises(ShapeMismatchError, match="^expected " + message):
-        encode_shares(frame, blocks(a), blocks([1, 2]), blocks(nf), blocks(ng))
+        encode_and_multiply(frame, blocks(a), blocks([1, 2]), blocks(nf), blocks(ng))
 
 
 def test_encode_refuses_blocks_whose_inner_dimensions_differ():
@@ -375,9 +387,9 @@ def test_encode_refuses_blocks_whose_inner_dimensions_differ():
     want = (r"^inner dimensions differ: A blocks shaped \(1, 2\) have 2 columns, "
             r"B blocks shaped \(3, 1\) have 3 rows$")
     with pytest.raises(ShapeMismatchError, match=want):
-        encode_shares(frame, a[:2], b[:2], a[2:], b[2:])
+        encode_and_multiply(frame, a[:2], b[:2], a[2:], b[2:])
     with pytest.raises(ShapeMismatchError, match=r"^expected 2-D blocks, got A blocks shaped \(2,\)"):
-        encode_shares(frame, a[:2, 0], b[:2, 0], a[2:, 0], b[2:, 0])
+        encode_and_multiply(frame, a[:2, 0], b[:2, 0], a[2:, 0], b[2:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +414,14 @@ def test_classical_decode_blocks():
 
 def test_classical_decode_zero_matrix():
     plan = build_gasp_r(2, 2, 1, 1)
-    ctx, frame, _ = make_frame(plan, prime=131, seed=9)
+    _, frame, _ = make_frame(plan, prime=131, seed=9)
     rng = np.random.default_rng(4)
     a_blocks = scalar_blocks([0, 0])
     b_blocks = scalar_blocks(rng.integers(0, 131, size=2).tolist())
     nf = scalar_blocks(rng.integers(0, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(0, 131, size=1).tolist())
-    f, g = encode_shares(frame, a_blocks, b_blocks, nf, ng)
-    decoded = decode_classical(frame, server_compute(ctx, f, g))
-    assert not decoded.any()
+    *_, resp = encode_and_multiply(frame, a_blocks, b_blocks, nf, ng)
+    assert not decode_classical(frame, resp).any()
 
 
 # Server products for gasp_r(2,2,3,2), N = 13, must be shaped (13, ra, cb).
@@ -607,8 +618,8 @@ def test_undecodable_plan_refused_and_actually_breaks():
     b = scalar_blocks(rng.integers(1, 131, size=2).tolist())
     nf = scalar_blocks(rng.integers(1, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(1, 131, size=1).tolist())
-    f, g = encode_shares(frame, a, b, nf, ng)
-    decoded = decode_classical(frame, server_compute(ctx, f, g))
+    *_, resp = encode_and_multiply(frame, a, b, nf, ng)
+    decoded = decode_classical(frame, resp)
     direct = np.block([[a[0] @ b[0], a[0] @ b[1]],
                        [a[1] @ b[0], a[1] @ b[1]]]) % 131
     assert not np.array_equal(decoded, direct)
@@ -758,15 +769,15 @@ def test_noise_masks_shares_uniformly():
     rng = np.random.default_rng(123)
     trials = 10_000
     noise = rng.integers(0, prime, size=(trials, 2))
-    # vectorized share of servers 0 and 1, validated against encode_shares
+    # vectorized share of servers 0 and 1, validated against encode_and_multiply
     powers = np.array([[pow(x, e, prime) for e in plan.noise_alpha]
                        for x in frame.points[:2]])
     base = np.array([(a_blocks[0][0, 0] + a_blocks[1][0, 0] * x) % prime
                      for x in frame.points[:2]])
     tuples = (base[None, :] + noise @ powers.T) % prime
     for row in range(3):
-        f, _ = encode_shares(frame, a_blocks, b_blocks,
-                             scalar_blocks(noise[row].tolist()), scalar_blocks([0, 0]))
+        f, *_ = encode_and_multiply(frame, a_blocks, b_blocks,
+                                    scalar_blocks(noise[row].tolist()), scalar_blocks([0, 0]))
         assert f[:2, 0, 0].tolist() == tuples[row].tolist()
     counts = np.bincount(tuples[:, 0] * prime + tuples[:, 1], minlength=prime * prime)
     assert scipy.stats.chisquare(counts).pvalue > 0.01
