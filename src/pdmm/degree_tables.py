@@ -83,14 +83,16 @@ class ExponentPlan:
     positions carry noise.  K < 1, L < 1 or T < 0 raises
     ``ParamOutOfRangeError`` naming the field.  Exponents are polynomial
     degrees, so a non-integer or negative one raises ``ValueError`` naming
-    its side, and so does one whose degree-table sums would not fit in
-    int64, the dtype ``outer_sum`` adds in.  ``modulus_q`` is set only for
-    cyclic (CAT) plans, whose exponent arithmetic wraps mod q; one below 1
-    or beyond int64 raises ``ValueError``.  ``table`` is the plan's ``outer_sum``, built once
-    when the plan is built; it is not an argument and plays no part in
-    equality, hashing or ``repr``.  The privacy proof's
-    ``noise_progressions`` is worked out on first use: most plans built
-    are never audited.
+    its side and the first such value (each side is read in one
+    ``operator.index`` pass that keeps its least exponent), and so does
+    one whose degree-table sums would not fit in int64, the dtype
+    ``outer_sum`` adds in.  ``modulus_q`` is set only for cyclic (CAT)
+    plans, whose exponent arithmetic wraps mod q; one below 1 or beyond
+    int64 raises ``ValueError``.  ``table`` is the plan's ``outer_sum``,
+    built once when the plan is built; it is not an argument and plays
+    no part in equality, hashing or ``repr``.  Its row tuples and the
+    privacy proof's ``noise_progressions`` are worked out on first use:
+    most plans built are never printed, decoded or audited.
     """
 
     family: str
@@ -110,12 +112,13 @@ class ExponentPlan:
         _require(self.T >= 0, f"need T >= 0, got T={self.T}")
         for side, vec in (("alpha", self.alpha), ("beta", self.beta)):
             try:
-                negative = [e for e in vec if operator.index(e) < 0]
+                least = min(map(operator.index, vec), default=0)
             except TypeError:
                 fractional = next(e for e in vec if not isinstance(e, numbers.Integral))
                 raise ValueError(f"{side} exponents must be integers, got {fractional!r}") from None
-            if negative:
-                raise ValueError(f"{side} exponents must be non-negative, got {negative[0]}")
+            if least < 0:
+                negative = next(e for e in vec if e < 0)
+                raise ValueError(f"{side} exponents must be non-negative, got {negative}")
         top_a, top_b = max(self.alpha, default=0), max(self.beta, default=0)
         if top_a + top_b > _INT64_MAX:
             side, top = ("alpha", top_a) if top_a >= top_b else ("beta", top_b)
@@ -172,26 +175,43 @@ class ExponentPlan:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeTable:
     """Outer-sum table of a plan with its information/interference split.
 
-    ``info`` lists the information sums in row-major (k, l) order: the
-    sum carrying block product A_k B_l sits at position k * L + l.
+    ``sums`` is the plan's read-only int64 outer sum alpha(i) + beta(j),
+    mod q for cyclic plans, and ``outer_sum`` reads every other fact off
+    it.  ``exponents`` holds the distinct sums, ascending: this fixed
+    total order is the indexing every other module uses, and
+    ``n_servers`` is their number.  ``info`` lists the information sums
+    in row-major (k, l) order: the sum carrying block product A_k B_l
+    sits at position k * L + l.  ``interference`` holds every other
+    distinct sum.  ``table``, the sums as row tuples of Python ints, is
+    built on first read.  Two tables are equal when their sums and their
+    facts are.
     """
 
-    table: tuple[tuple[int, ...], ...]
+    sums: np.ndarray = field(repr=False)
     info: tuple[int, ...]
     interference: frozenset[int]
     n_servers: int
+    exponents: tuple[int, ...]
 
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        """All distinct table entries, sorted ascending.
+    @functools.cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The sums as row tuples: ``table[i][j]`` is alpha(i) + beta(j)."""
+        return tuple(map(tuple, self.sums.tolist()))
 
-        This fixed total order is the indexing every other module uses.
-        """
-        return tuple(sorted(self.interference.union(self.info)))
+    def _facts(self):
+        return self.info, self.interference, self.n_servers, self.exponents
+
+    def __eq__(self, other):
+        if not isinstance(other, DegreeTable):
+            return NotImplemented
+        return self._facts() == other._facts() and np.array_equal(self.sums, other.sums)
+
+    def __hash__(self):
+        return hash(self._facts())
 
 
 @dataclass(frozen=True)
@@ -438,21 +458,37 @@ def build_low_privacy(K: int, L: int, T: int) -> ExponentPlan:
 def outer_sum(plan: ExponentPlan) -> DegreeTable:
     """Build the degree table alpha(i) + beta(j) (mod q for cyclic plans).
 
-    The sums are one ``np.add.outer``, in int64 for integer exponents, and
-    are read back as Python ints; ``ExponentPlan`` refuses exponents and
-    moduli that would not fit, so no sum wraps.  ``ExponentPlan`` calls
-    this once, when the plan is built, and keeps the result as
-    ``plan.table``; read that instead of calling this again.
+    The sums are one ``np.add.outer`` in int64; ``ExponentPlan`` refuses
+    exponents and moduli that would not fit, so no sum wraps.  Every fact
+    comes from one sorted pass over a flat copy: each sum that differs
+    from its left neighbour is a distinct one, so these are the sorted
+    ``exponents`` and their count is N.  ``info`` is a gather at the flat
+    indices of the info positions, and ``interference`` is the distinct
+    sums less those.  Facts are Python ints; the row tuples are left to
+    ``DegreeTable.table``, which builds them when first read.
+    ``ExponentPlan`` calls this once, when the plan is built, and keeps
+    the result as ``plan.table``; read that instead of calling this again.
     """
     sums = np.add.outer(plan.alpha, plan.beta)
     if plan.modulus_q:
         sums %= plan.modulus_q
-    rows = tuple(map(tuple, sums.tolist()))
-    info = tuple(rows[i][j] for i in plan.info_alpha for j in plan.info_beta)
-    everything = frozenset().union(*rows)
-    return DegreeTable(table=rows, info=info,
-                       interference=everything.difference(info),
-                       n_servers=len(everything))
+    sums.flags.writeable = False
+    distinct = _sorted_distinct(sums)
+    at_a, at_b = (np.array(idx, dtype=np.intp) for idx in (plan.info_alpha, plan.info_beta))
+    info = tuple(sums.take(np.add.outer(at_a * len(plan.beta), at_b).ravel()).tolist())
+    return DegreeTable(sums=sums, info=info,
+                       interference=frozenset(distinct).difference(info),
+                       n_servers=len(distinct), exponents=tuple(distinct))
+
+
+def _sorted_distinct(sums: np.ndarray) -> list[int]:
+    """The distinct entries of ``sums`` ascending, as Python ints: one sort of a
+    flat copy, keeping each value that differs from its left neighbour."""
+    flat = np.sort(sums, axis=None)
+    first = np.empty(flat.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    return flat[first].tolist()
 
 
 def check_decodable(plan: ExponentPlan) -> DecodabilityReport:

@@ -7,7 +7,8 @@ exponents whose encoded symbols the transfer matrix can stabilize away.
 This module computes that run, the feasibility verdicts, the
 minimum privacy level T_min for GASP layouts (a galloping search over T
 on the gasp_r interference bitmask that starts at the estimate below,
-capped at ``t_max``), and the quadratic regression estimates of that
+capped at ``t_max``, each answer confirmed on the degree table of the
+plan the search ranked), and the quadratic regression estimates of that
 minimum.
 """
 
@@ -22,7 +23,7 @@ from .degree_tables import (
     ParamOutOfRangeError,
     _best_gasp_r,
     _require_positive,
-    optimal_gasp_r,
+    build_gasp_r,
 )
 
 __all__ = [
@@ -43,18 +44,19 @@ class FeasibilityReport:
 
 
 def longest_run(values: Iterable[int]) -> list[int]:
-    """Longest run of consecutive integers; ties go to the smallest start."""
-    present = set(values)
-    best: list[int] = []
-    for v in sorted(present):
-        if v - 1 in present:
-            continue
-        end = v
-        while end + 1 in present:
-            end += 1
-        if end - v + 1 > len(best):
-            best = list(range(v, end + 1))
-    return best
+    """Longest run of consecutive integers; ties go to the smallest start.
+
+    One pass over ``sorted(set(values))`` that tracks where the current
+    run starts; a run replaces the best only when strictly longer.
+    """
+    ordered = sorted(set(values))
+    best_start = best_end = start = 0
+    for end in range(1, len(ordered) + 1):
+        if end == len(ordered) or ordered[end] != ordered[end - 1] + 1:
+            if end - start > best_end - best_start:
+                best_start, best_end = start, end
+            start = end
+    return ordered[best_start:best_end]
 
 
 def _covers_half(run_len: int, n_servers: int) -> tuple[bool, int]:
@@ -76,16 +78,17 @@ def check_feasible(plan: ExponentPlan) -> FeasibilityReport:
     return FeasibilityReport(feasible, tuple(run), threshold)
 
 
-def _bitmask_feasible(K: int, L: int, T: int) -> bool:
-    """Quantum feasibility of gasp_r(K, L, T) at r*, read off its interference bitmask.
+def _bitmask_feasible(K: int, L: int, T: int) -> tuple[int, int] | None:
+    """(r*, N) of gasp_r(K, L, T) if that plan is quantum feasible, else None,
+    read off its interference bitmask.
 
-    N and the interference set come from ``_best_gasp_r``, which ranks
-    each r by the bitmask's set bits alone; the interference run is the
-    bitmask's longest run of ones, so no plan or degree table is built.
+    r* and N come from ``_best_gasp_r``, which ranks each r by the
+    bitmask's set bits alone; the interference run is the bitmask's
+    longest run of ones, so no plan or degree table is built.
     The caller validates K, L and T.
     """
-    _, n, mask = _best_gasp_r(K, L, T)
-    return _covers_half(max(map(len, bin(mask)[2:].split("0"))), n)[0]
+    r, n, mask = _best_gasp_r(K, L, T)
+    return (r, n) if _covers_half(max(map(len, bin(mask)[2:].split("0"))), n)[0] else None
 
 
 def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
@@ -94,6 +97,8 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
     Feasibility is judged at the r* plan (minimal server count, smallest
     r on ties), matching how the regression estimates below were fitted,
     and read off the gasp_r interference bitmask (``_bitmask_feasible``).
+    This is the T of ``_search_t_min``, which also hands over the r* and
+    N of its last passing probe.
 
     The search starts at the paper's estimate: its first probe is
     ``start = min(max(1, round(t_hat_estimate(K, L))), t_max)`` for
@@ -126,6 +131,17 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
     probe is an int64.  K and L are validated once, before the first
     probe.
     """
+    found = _search_t_min(K, L, t_max)
+    return None if found is None else found[0]
+
+
+def _search_t_min(K: int, L: int, t_max: int) -> tuple[int, int, int] | None:
+    """(T_min, r*, N) by ``min_feasible_t``'s search, or None past ``t_max``.
+
+    r* and N are those of the probe that passed at T_min, so nothing is
+    ranked again.  Validates ``t_max``, K and L as ``min_feasible_t``
+    documents.
+    """
     if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
         raise TypeError(f"t_max must be an integer, got t_max={t_max!r}")
     t_max = int(t_max)
@@ -134,10 +150,10 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
     _require_positive(K=K, L=L, T=1)
     start = min(max(1, round(t_hat_estimate(K, L))), t_max) if K >= L else 1
     step = 1
-    if _bitmask_feasible(K, L, start):
+    if passed := _bitmask_feasible(K, L, start):
         ok = start
-        while start - step >= 1 and _bitmask_feasible(K, L, start - step):
-            ok, step = start - step, 2 * step
+        while start - step >= 1 and (below := _bitmask_feasible(K, L, start - step)):
+            ok, passed, step = start - step, below, 2 * step
         fail = max(start - step, 0)  # 0 stands for "no T below 1"
     else:
         fail = start
@@ -145,17 +161,17 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
             if fail == t_max:
                 return None
             probe = min(start + step, t_max)
-            if _bitmask_feasible(K, L, probe):
+            if passed := _bitmask_feasible(K, L, probe):
                 ok = probe
                 break
             fail, step = probe, 2 * step
     while ok - fail > 1:
         mid = (fail + ok) // 2
-        if _bitmask_feasible(K, L, mid):
-            ok = mid
+        if at_mid := _bitmask_feasible(K, L, mid):
+            ok, passed = mid, at_mid
         else:
             fail = mid
-    return ok
+    return ok, *passed
 
 
 def t_hat_estimate(K: int, L: int) -> float:
@@ -188,9 +204,12 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
     minimum, not an estimate.  The column keeps its old name because the
     CSV header, the pinned CLI output and the benchmark's reference rows
     all use it.  Every T_min found is
-    confirmed by ``check_feasible`` on the materialized r* plan,
-    ``optimal_gasp_r(K, L, T_min)``, so no row rests on the bitmask
-    alone; a disagreement raises ``RuntimeError``.
+    confirmed on the materialized r* plan, ``build_gasp_r(K, L, T_min,
+    r*)``, with r* handed over by the search: ``check_feasible`` must
+    pass on its degree table, and that table's N must equal the N the
+    search ranked r* by.  Neither verdict reads the bitmask, so no row
+    rests on it alone; a disagreement raises ``RuntimeError``.  The
+    plan's row tuples are never built.
     """
     l_values = None if l_values is None else tuple(l_values)  # every K reads all of it
     rows = []
@@ -198,11 +217,10 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
         for L in (l_values if l_values is not None else [K]):
             if L > K:
                 continue
-            t_min = min_feasible_t(K, L, t_max=t_max)
-            if t_min is not None and not check_feasible(optimal_gasp_r(K, L, t_min)).feasible:
-                raise RuntimeError(
-                    f"interference bitmask and degree table disagree: T={t_min} is not "
-                    f"feasible for (K, L) = ({K}, {L})")
+            t_min = None
+            if found := _search_t_min(K, L, t_max):
+                t_min = found[0]
+                _confirm(K, L, *found)
             t_hat = t_hat_estimate(K, L)
             rows.append({
                 "K": K,
@@ -212,3 +230,16 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
                 "delta": None if t_min is None else t_min - round(t_hat),
             })
     return rows
+
+
+def _confirm(K: int, L: int, T: int, r: int, n: int) -> None:
+    """Raise ``RuntimeError`` unless gasp_r(K, L, T, r)'s degree table is feasible with N = n."""
+    plan = build_gasp_r(K, L, T, r)
+    if not check_feasible(plan).feasible:
+        raise RuntimeError(
+            f"interference bitmask and degree table disagree: T={T} is not "
+            f"feasible for (K, L) = ({K}, {L})")
+    if plan.table.n_servers != n:
+        raise RuntimeError(
+            f"interference bitmask and degree table disagree: gasp_r({K}, {L}, {T}, {r}) "
+            f"has N = {plan.table.n_servers} servers, but the search ranked it at N = {n}")

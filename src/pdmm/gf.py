@@ -548,8 +548,8 @@ class FieldContext:
             raise ValueError("exponents must be pairwise distinct")
         return _powers(np.array(pts, dtype=np.int64), exps, self.p)
 
-    def _vandermonde_inverse(self, x: np.ndarray,
-                             exponents: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    def _vandermonde_inverse(self, x: np.ndarray, exponents: Sequence[int],
+                             nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Inverse of the generator (x_i^(e_j)) on distinct points x and ascending exponents e,
         and the Lagrange weights w of the points.
 
@@ -579,6 +579,9 @@ class FieldContext:
         ``x`` holds canonical entries, as many as there are exponents (else
         ``ValueError``).  The weights come back too, since a GRS code's dual
         multipliers are a diagonal scaling of them (see ``protocol.EvalFrame``).
+        A caller that keeps the node products prod_{k != i} (x_k - x_i),
+        as ``_node_products`` gives them, passes them as ``nodes``;
+        otherwise they are formed here.
         """
         p = self.p
         n = x.size
@@ -595,7 +598,8 @@ class FieldContext:
             quotients[j] = row
             row = (master[n - j] + x * row) % p  # master[n - j] is a_j
         # prod_{k != i} (x_i - x_k) = (-1)^(n-1) prod_{k != i} (x_k - x_i)
-        nodes = _node_products(x, p)
+        if nodes is None:
+            nodes = _node_products(x, p)
         if n % 2 == 0:
             nodes = (p - nodes) % p
         weights = self._inverse_all(nodes)

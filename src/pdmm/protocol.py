@@ -27,12 +27,12 @@ shift: one power table on every exponent a stage reads, the generator
 as that table's columns at the table exponents, its inverse by Lagrange
 interpolation with a g x g correction for the g gaps in the exponents,
 which rejects a singular generator, and, for a quantum frame, the dual
-multipliers from the same Lagrange weights.  Then the privacy rank
-audit runs, and the first candidate that passes is the run's frame.  No
-N x N matrix is eliminated or ranked.  Every later stage works over
-``frame.ctx`` and reads the plan and the powers from the frame: the
-encoding pass takes just the frame and the blocks, the decoders just the
-frame and the server products.
+multipliers and their inverses from the same node products.  Then the
+privacy rank audit runs, and the first candidate that passes is the
+run's frame.  No N x N matrix is eliminated or ranked.  Every later
+stage works over ``frame.ctx`` and reads the plan and the powers from
+the frame: the encoding pass takes just the frame and the blocks, the
+decoders just the frame and the server products.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .gf import (
     _admissible_points,
     _groups,
     _integers,
+    _node_products,
     _powers,
     element_of_order,
     is_prime,
@@ -233,7 +234,8 @@ class EvalFrame:
     built, so ``dataclasses.replace`` re-derives it.  One
     ``ctx.vandermonde`` call builds the power table x_i^e for every e
     among the table exponents, ``plan.alpha``, ``plan.beta`` and, for a
-    quantum frame, -2 ``shift``; ``powers`` gathers its columns.
+    quantum frame, -2 ``shift`` and 2 ``shift``; ``powers`` gathers its
+    columns.
     ``generator`` is its columns at the table exponents, in table order,
     and ``inverse`` comes from ``FieldContext._vandermonde_inverse``,
     which raises ``SingularMatrixError`` for a rank-deficient generator.
@@ -244,7 +246,11 @@ class EvalFrame:
     ``v`` dual: v_i = (x_i^(2s) prod_{j != i} (x_j - x_i))^-1, which is
     (-1)^(N-1) w_i x_i^(-2s) for the Lagrange weights
     w_i = 1 / prod_{j != i} (x_i - x_j) the inverse already forms
-    (MacWilliams and Sloane, ch. 10).  Classical frames leave ``v`` None.
+    (MacWilliams and Sloane, ch. 10).  Its inverse, which
+    ``quantum_transfer`` reads, needs no inversion:
+    v_i^-1 = x_i^(2s) prod_{j != i} (x_j - x_i), the node products the
+    inverse's weights come from times the table's 2s column.  Classical
+    frames leave ``v`` and ``_v_inv`` None.
     """
 
     ctx: FieldContext
@@ -256,6 +262,7 @@ class EvalFrame:
     inverse: np.ndarray = field(init=False, compare=False, repr=False)
     _table: np.ndarray = field(init=False, compare=False, repr=False)
     _column: dict[int, int] = field(init=False, compare=False, repr=False)
+    _v_inv: np.ndarray | None = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.plan, ExponentPlan):
@@ -268,11 +275,13 @@ class EvalFrame:
         # table exponents first, so the generator is a view of the table
         extra = {*self.plan.alpha, *self.plan.beta}
         if self.shift is not None:
-            extra.add(-2 * self.shift)
+            extra.update((-2 * self.shift, 2 * self.shift))
         exps = [*table.exponents, *sorted(extra.difference(table.exponents))]
         powers = ctx.vandermonde(pts, exps)
         powers.flags.writeable = False
-        inverse, weights = ctx._vandermonde_inverse(ctx.asarray(pts), table.exponents)
+        x = ctx.asarray(pts)
+        nodes = _node_products(x, ctx.p)
+        inverse, weights = ctx._vandermonde_inverse(x, table.exponents, nodes)
         for name, value in (("points", pts), ("_table", powers),
                             ("_column", {e: j for j, e in enumerate(exps)}),
                             ("generator", powers[:, :n]), ("inverse", inverse)):
@@ -282,6 +291,7 @@ class EvalFrame:
             if n % 2 == 0:  # (-1)^(N-1) = -1
                 v = (ctx.p - v) % ctx.p
             object.__setattr__(self, "v", tuple(v.tolist()))
+            object.__setattr__(self, "_v_inv", nodes * self.powers([2 * self.shift])[:, 0] % ctx.p)
 
     @property
     def n(self) -> int:
@@ -291,7 +301,7 @@ class EvalFrame:
         """N x len(exponents) matrix x_i^(e_j), gathered from the frame's power table.
 
         Each exponent must be one the table holds: a table exponent, one
-        of ``plan.alpha`` or ``plan.beta``, or -2 ``shift``.
+        of ``plan.alpha`` or ``plan.beta``, or -2 ``shift`` or 2 ``shift``.
         """
         return self._table[:, [self._column[e] for e in exponents]]
 
@@ -503,8 +513,9 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     indices.  Each of g, h and M is built from the matching column or
     row slices of Q, D_v Q, Q^-1 and Q^-1 D_v^-1, with zeros elsewhere.
     Q and Q^-1 are ``frame.generator`` and ``frame.inverse`` with their
-    columns and rows permuted, and D_v^-1 takes one vectorised Fermat
-    inversion, so M needs no elimination and no new generator;
+    columns and rows permuted, and D_v^-1 is the frame's v^-1, formed
+    with v and with no inversion (see ``EvalFrame``), so M needs no
+    elimination, no inversion and no new generator;
     ``TransferMatrix`` checks its laws.  A classical frame, which has no
     dual multipliers, raises ``ValueError``.
     """
@@ -516,14 +527,12 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     position = {e: i for i, e in enumerate(plan.table.exponents)}
     perm = [position[e] for e in quantum_layout(plan)]
     q, q_inv = frame.generator[:, perm], frame.inverse[perm]
-    v = ctx.asarray(frame.v)
-    vq = v[:, None] * q % ctx.p
-    v_inv = ctx._inverse_all(v)
+    vq = ctx.asarray(frame.v)[:, None] * q % ctx.p
     fl, ce = n // 2, -(-n // 2)
     g, h, m = (np.zeros(shape, dtype=np.int64) for shape in ((2 * n, n), (2 * n, n), (n, 2 * n)))
     g[:n, :fl], g[n:, fl:] = q[:, :fl], vq[:, :ce]
     h[:n, :ce], h[n:, ce:] = q[:, fl:], vq[:, ce:]
-    m[:ce, :n], m[ce:, n:] = q_inv[fl:], q_inv[ce:] * v_inv % ctx.p
+    m[:ce, :n], m[ce:, n:] = q_inv[fl:], q_inv[ce:] * frame._v_inv % ctx.p
     return TransferMatrix(ctx, m, g, h)
 
 

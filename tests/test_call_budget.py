@@ -4,7 +4,8 @@ One qf_klt(5,3) quantum run (N = 35, the benchmark's ``audit_bound``
 plan, proved private by a progression) builds one frame.  Its power table
 is one ``_powers`` pass and the audit's progression check two more; the
 generator inverse forms the only node products, from which the dual
-multipliers come too; the points are checked by the frame and by the one
+multipliers and their inverses come too, and its Lagrange weights are
+the run's one Fermat inversion; the points are checked by the frame and by the one
 ``vandermonde`` call.  The counts are deterministic, so a stage that goes
 back to recomputing powers, node products or point checks shows here
 even where its time would hide in the noise.
@@ -86,6 +87,18 @@ def test_every_budgeted_kernel_is_counted(monkeypatch, name):
 
     monkeypatch.setattr(protocol, "privacy_audit", audit_then_call)
     assert over_budget(kernel_calls(monkeypatch)) == {name: BUDGET[name] + 1}
+
+
+def test_a_quantum_run_inverts_by_fermat_once(monkeypatch):
+    """The Lagrange weights are the run's one Fermat pass: the transfer
+    matrix reads v^-1 off the frame, formed with v from the node products."""
+    calls = []
+    real = gf.FieldContext._inverse_all
+    monkeypatch.setattr(gf.FieldContext, "_inverse_all",
+                        lambda self, x: calls.append(x.shape) or real(self, x))
+    t = run_protocol(ProtocolConfig(plan=build_qf_klt(5, 3), mode="quantum"))
+    assert t.decode_ok and t.rate.instances == 2
+    assert calls == [(35,)]
 
 
 def matmul_calls(monkeypatch):

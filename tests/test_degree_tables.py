@@ -3,6 +3,7 @@ import inspect
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 import merge_oracle
@@ -464,7 +465,10 @@ EVERY_FAMILY = [
 
 
 def outer_sum_oracle(plan, reduce=True):
-    """The degree table from a pure-Python double loop; ``reduce=False`` drops the mod q."""
+    """The degree table from a pure-Python double loop; ``reduce=False`` drops the mod q.
+
+    Every fact is worked out from the row tuples here, not read off ``outer_sum``'s pass.
+    """
     q = plan.modulus_q if reduce else None
     if q:
         rows = tuple(tuple((a + b) % q for b in plan.beta) for a in plan.alpha)
@@ -472,17 +476,34 @@ def outer_sum_oracle(plan, reduce=True):
         rows = tuple(tuple(a + b for b in plan.beta) for a in plan.alpha)
     info = tuple(rows[i][j] for i in plan.info_alpha for j in plan.info_beta)
     everything = frozenset().union(*rows)
-    return dt.DegreeTable(table=rows, info=info, interference=everything.difference(info),
-                          n_servers=len(everything))
+    return dt.DegreeTable(sums=np.array(rows, dtype=np.int64), info=info,
+                          interference=everything.difference(info),
+                          n_servers=len(everything), exponents=tuple(sorted(everything)))
 
 
-@pytest.mark.parametrize("plan", EVERY_FAMILY + [parse_plan_record(
-    "cat_x x=1 y=3 kappa=0 lambda=0 3 2 2 | 0 3 6 9 10 | 0 1 12 2 | 0 1 2 | 0 1 | 13")],
-    ids=lambda p: p.family)
+FACTS = ("table", "info", "interference", "n_servers", "exponents")
+
+
+def fact_mismatches(table, oracle):
+    """Names of the facts, row tuples included, on which two degree tables differ."""
+    return [name for name in FACTS if getattr(table, name) != getattr(oracle, name)]
+
+
+# every family, a cat record with its own multiplier, and the largest sum int64 holds
+DIFFERENTIAL_PLANS = EVERY_FAMILY + [
+    parse_plan_record("cat_x x=1 y=3 kappa=0 lambda=0 3 2 2 | 0 3 6 9 10 | 0 1 12 2 | 0 1 2 | 0 1 | 13"),
+    ExponentPlan(family="hand", K=1, L=1, T=1, alpha=(0, 2**62), beta=(0, 2**62 - 1),
+                 info_alpha=(0,), info_beta=(0,)),
+]
+
+
+@pytest.mark.parametrize("plan", DIFFERENTIAL_PLANS, ids=lambda p: p.family)
 def test_outer_sum_matches_the_python_loop(plan):
     table = outer_sum(plan)
+    assert fact_mismatches(table, outer_sum_oracle(plan)) == []
     assert table == outer_sum_oracle(plan)
     assert all(type(v) is int for row in table.table for v in row)
+    assert all(type(v) is int for v in (*table.info, *table.interference, *table.exponents))
 
 
 def test_outer_sum_oracle_without_the_modulus_misses_a_cat_table():
@@ -490,6 +511,25 @@ def test_outer_sum_oracle_without_the_modulus_misses_a_cat_table():
     cat = build_cat(2, 2, 2, x=3)
     assert outer_sum(cat) != outer_sum_oracle(cat, reduce=False)
     assert max(outer_sum_oracle(cat, reduce=False).exponents) >= cat.modulus_q
+    assert set(fact_mismatches(outer_sum(cat), outer_sum_oracle(cat, reduce=False))) == set(FACTS)
+
+
+def test_a_dedup_that_drops_the_last_distinct_sum_fails_the_differential(monkeypatch):
+    # negative control: a distinct-sum pass that loses the largest sum
+    real = dt._sorted_distinct
+    monkeypatch.setattr(dt, "_sorted_distinct", lambda sums: real(sums)[:-1])
+    for plan in DIFFERENTIAL_PLANS:
+        assert {"n_servers", "exponents"} <= set(
+            fact_mismatches(outer_sum(plan), outer_sum_oracle(plan))), plan.family
+
+
+@pytest.mark.parametrize("plan", DIFFERENTIAL_PLANS, ids=lambda p: p.family)
+def test_row_tuples_are_built_on_first_read_only(plan):
+    table = outer_sum(plan)
+    assert "table" not in vars(table)
+    assert table.table == outer_sum_oracle(plan).table
+    assert vars(table)["table"] is table.table  # built once, then kept
+    assert not table.sums.flags.writeable
 
 
 @pytest.mark.parametrize("plan", EVERY_FAMILY, ids=lambda p: p.family)
@@ -520,6 +560,18 @@ def test_plan_refuses_a_negative_exponent(side):
     ExponentPlan(**fields)
     with pytest.raises(ValueError, match=rf"^{side} exponents must be non-negative, got -3$"):
         ExponentPlan(**{**fields, side: (0, -3)})
+
+
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_plan_names_the_first_bad_exponent_of_a_side(side):
+    """The least exponent decides, but the message names the first offender."""
+    fields = dict(family="hand", K=1, L=1, T=1, alpha=(0, 1), beta=(0, 1),
+                  info_alpha=(0,), info_beta=(0,))
+    with pytest.raises(ValueError, match=rf"^{side} exponents must be non-negative, got -1$"):
+        ExponentPlan(**{**fields, side: (0, -1, -5)})
+    with pytest.raises(ValueError, match=rf"^{side} exponents must be integers, got 0.5$"):
+        ExponentPlan(**{**fields, side: (0, -1, 0.5, 2.5)})
+    assert ExponentPlan(**{**fields, side: (np.int64(0), True, 2)}).table.n_servers == 4
 
 
 @pytest.mark.parametrize("side", ["alpha", "beta"])

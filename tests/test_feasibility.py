@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from pdmm import feasibility
 from pdmm.degree_tables import (
     ParamOutOfRangeError,
+    _best_gasp_r,
     build_cat,
     build_gasp_r,
     build_low_privacy,
+    gasp_server_formula,
     optimal_gasp_r,
     outer_sum,
 )
@@ -61,6 +63,51 @@ def test_longest_run_matches_oracle_and_is_maximal(values):
         assert run[0] - 1 not in values
         assert run[-1] + 1 not in values
         assert set(run) <= values
+
+
+def window_longest_run(values):
+    """Oracle: every window [lo, hi] of present values, lo ascending, kept only when longer."""
+    present = set(values)
+    best = []
+    for lo in sorted(present):
+        for hi in sorted(present):
+            if hi - lo + 1 > len(best) and all(v in present for v in range(lo, hi + 1)):
+                best = list(range(lo, hi + 1))
+    return best
+
+
+# each a fresh iterable, since a generator is read once
+RUN_INPUTS = {
+    "empty": lambda: [],
+    "single": lambda: [7],
+    "equal-length runs": lambda: [9, 10, 11, 0, 1, 2, 5, 6, 7],
+    "negatives": lambda: [-5, -4, -3, -1, 0, 1, 2],
+    "negative tie": lambda: [-9, -8, 3, 4],
+    "duplicates": lambda: [3, 3, 4, 4, 4, 5, 0, 0, 1, 2, 2],
+    "frozenset": lambda: frozenset({20, 21, 22, 40, 41, 42, 43, 1}),
+    "generator": lambda: (3 * v // 2 for v in range(6)),  # 0 1 3 4 6 7
+}
+
+
+def run_mismatches(run=longest_run):
+    return [name for name, values in RUN_INPUTS.items()
+            if run(values()) != window_longest_run(values())]
+
+
+def test_longest_run_matches_the_window_oracle():
+    assert run_mismatches() == []
+    assert longest_run(RUN_INPUTS["equal-length runs"]()) == [0, 1, 2]
+    assert longest_run(RUN_INPUTS["generator"]()) == [0, 1]
+
+
+def test_a_run_that_sends_ties_to_the_later_start_fails_the_oracle():
+    # negative control: the longest run of the negated values, negated back,
+    # keeps the tie with the largest start
+    def later(values):
+        return sorted(-v for v in longest_run(-v for v in values))
+
+    assert later([0, 1, 5, 6]) == [5, 6]
+    assert set(run_mismatches(later)) == {"equal-length runs", "negative tie", "generator"}
 
 
 def test_check_feasible_examples():
@@ -364,6 +411,56 @@ def test_feasibility_rows_match_the_design_sweep_reference_rows():
 
 def test_feasibility_rows_refuse_a_t_min_the_degree_table_rejects(monkeypatch):
     # min_feasible_t(3, 3) is 5; a search that answered 1 must not reach a row
-    monkeypatch.setattr("pdmm.feasibility.min_feasible_t", lambda K, L, t_max: 1)
+    monkeypatch.setattr("pdmm.feasibility._search_t_min",
+                        lambda K, L, t_max: (1, 1, gasp_server_formula(K, L, 1, 1)))
     with pytest.raises(RuntimeError, match=r"T=1 is not feasible for \(K, L\) = \(3, 3\)"):
+        feasibility_rows([3])
+
+
+DESIGN_SWEEP_GRID = [(K, L) for K in range(2, 13) for L in range(2, K + 1)]
+
+
+def confirmed_plans(monkeypatch):
+    """The rows of the design_sweep grid, and every plan ``feasibility_rows`` built to confirm them."""
+    plans = []
+
+    def build(*args):
+        plans.append(build_gasp_r(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(feasibility, "build_gasp_r", build)
+    return feasibility_rows(range(2, 13), range(2, 13)), plans
+
+
+def test_the_confirmation_leaves_row_tuples_unbuilt(monkeypatch):
+    rows, plans = confirmed_plans(monkeypatch)
+    assert len(plans) == sum(row["T_min_bruteforce"] is not None for row in rows) == 64
+    assert all("table" not in vars(plan.table) for plan in plans)
+    for plan in plans:
+        assert plan.table.table == tuple(tuple(a + b for b in plan.beta) for a in plan.alpha)
+
+
+def test_the_search_hands_over_the_r_star_it_ranked(monkeypatch):
+    _, plans = confirmed_plans(monkeypatch)
+    confirmed = {(plan.K, plan.L): plan for plan in plans}
+    for K, L in DESIGN_SWEEP_GRID:
+        found = feasibility._search_t_min(K, L, 64)
+        if found is None:
+            assert (K, L) not in confirmed
+            continue
+        T, r, n = found
+        assert (T, (r, n)) == (min_feasible_t(K, L), _best_gasp_r(K, L, T)[:2]), (K, L)
+        plan = confirmed[K, L]
+        assert (plan.T, plan.param("r"), plan.table.n_servers) == (T, r, n)
+
+
+def test_feasibility_rows_refuse_an_r_star_whose_server_count_differs(monkeypatch):
+    # (3, 3): T_min 5 at r* = 3 with N = 27; r = 1 is feasible too, with N = 33
+    search = feasibility._search_t_min
+    assert search(3, 3, 64) == (5, 3, 27)
+    assert check_feasible(build_gasp_r(3, 3, 5, 1)).feasible
+    monkeypatch.setattr(feasibility, "_search_t_min",
+                        lambda K, L, t_max: (lambda T, r, n: (T, 1, n))(*search(K, L, t_max)))
+    with pytest.raises(RuntimeError, match=r"gasp_r\(3, 3, 5, 1\) has N = 33 servers, "
+                                           r"but the search ranked it at N = 27"):
         feasibility_rows([3])

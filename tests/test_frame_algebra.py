@@ -3,11 +3,14 @@
 ``EvalFrame`` builds one power table per frame and reads everything else
 off it and off its generator inverse: the generator and the encoder's
 powers are columns of the table, and the dual multipliers are
-v = (-1)^(N-1) w x^(-2s), w the Lagrange weights the inverse forms.  These
-tests check v against ``shifted_dual_multipliers`` and ``frame.powers``
-against ``FieldContext.vandermonde``, with a negative control that drops
-the sign; check that ``dataclasses.replace`` re-derives the frame; and pin
-one power table per ``sample_frame`` candidate.
+v = (-1)^(N-1) w x^(-2s), w the Lagrange weights the inverse forms, and
+v^-1 = x^(2s) prod_{j != i} (x_j - x_i) is the node products times a table
+column, with no inversion.  These tests check v against
+``shifted_dual_multipliers``, v^-1 against v and against a Fermat
+inversion of it, and ``frame.powers`` against ``FieldContext.vandermonde``,
+with negative controls that drop the sign and the x^(2s) factor; check
+that ``dataclasses.replace`` re-derives the frame; and pin one power table
+per ``sample_frame`` candidate.
 """
 
 import collections
@@ -94,15 +97,49 @@ def test_differential_check_catches_v_without_its_sign():
     assert even and dual_mismatches(unsigned_v) == even
 
 
+def v_inverse_mismatches(frames):
+    """(N, p, shift) of every frame whose v^-1 does not invert v, or differs from
+    inverting v by Fermat."""
+    bad = []
+    for frame in frames:
+        ctx, v_inv = frame.ctx, frame._v_inv
+        v = ctx.asarray(frame.v)
+        if not (v_inv.dtype == np.int64 and np.all(v * v_inv % ctx.p == 1)
+                and np.array_equal(v_inv, ctx._inverse_all(v))):
+            bad.append((frame.n, frame.ctx.p, frame.shift))
+    return bad
+
+
+def test_v_inverse_from_node_products_inverts_v():
+    assert v_inverse_mismatches(quantum_frames()) == []
+
+
+def test_differential_check_catches_v_inverse_without_its_power(monkeypatch):
+    """Node products alone, without x^(2s), invert v only where every x^(2s) is 1."""
+    real = EvalFrame.powers
+    shifted = [(f.n, f.ctx.p, f.shift) for f in quantum_frames()
+               if np.any(real(f, [2 * f.shift]) != 1)]
+
+    def no_positive_shift_column(frame, exponents):
+        if frame.shift and list(exponents) == [2 * frame.shift]:
+            return np.ones((frame.n, 1), dtype=np.int64)
+        return real(frame, exponents)
+
+    monkeypatch.setattr(EvalFrame, "powers", no_positive_shift_column)
+    frames = [dataclasses.replace(frame) for frame in quantum_frames()]
+    assert len(shifted) >= 400 and v_inverse_mismatches(frames) == shifted
+    assert dual_mismatches(lambda frame: dataclasses.replace(frame).v) == []  # v itself is kept
+
+
 def power_mismatches(frames):
     """Frames whose power table gives other columns than ``vandermonde``: at
-    the table exponents, at alpha and beta, and at -2 shift for quantum frames."""
+    the table exponents, at alpha and beta, and at -2 shift and 2 shift for quantum frames."""
     bad = []
     for frame in frames:
         plan, ctx = frame.plan, frame.ctx
         groups = [plan.table.exponents, plan.alpha[::-1], plan.beta]
         if frame.shift is not None:
-            groups.append([-2 * frame.shift])
+            groups.append(sorted({-2 * frame.shift, 2 * frame.shift}))
         wants = [ctx.vandermonde(frame.points, exps) for exps in groups]
         if not (all(got.dtype == want.dtype and np.array_equal(got, want)
                     for got, want in zip(map(frame.powers, groups), wants))

@@ -100,7 +100,7 @@ def test_resample_exhaustion_counts_rejections_by_reason():
 GAPPED = build_dog(2, 2, 2, 1, 1)
 
 
-def _singular(self, x, exponents):
+def _singular(self, x, exponents, nodes=None):
     raise SingularMatrixError("stub")
 
 
