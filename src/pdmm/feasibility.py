@@ -14,7 +14,6 @@ minimum.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,6 +21,7 @@ from .degree_tables import (
     ExponentPlan,
     ParamOutOfRangeError,
     _best_gasp_r,
+    _index,
     _require_positive,
     build_gasp_r,
 )
@@ -126,10 +126,10 @@ def min_feasible_t(K: int, L: int, t_max: int = 64) -> int | None:
     ``tests/test_degree_tables.py`` checks the bitmask against each
     plan's ``table`` and ``longest_run``.
 
-    ``t_max`` must be an integer of at least 1; a bool, float or string
-    raises ``TypeError`` and a numpy integer is read as an int, so no
-    probe is an int64.  K and L are validated once, before the first
-    probe.
+    ``t_max``, K and L must be integers, t_max and K, L at least 1; a
+    bool, float or string raises ``TypeError`` naming the field and a
+    numpy integer is read as an int, so no probe is an int64.  They are
+    validated once, before the first probe.
     """
     found = _search_t_min(K, L, t_max)
     return None if found is None else found[0]
@@ -142,9 +142,7 @@ def _search_t_min(K: int, L: int, t_max: int) -> tuple[int, int, int] | None:
     ranked again.  Validates ``t_max``, K and L as ``min_feasible_t``
     documents.
     """
-    if isinstance(t_max, bool) or not isinstance(t_max, numbers.Integral):
-        raise TypeError(f"t_max must be an integer, got t_max={t_max!r}")
-    t_max = int(t_max)
+    t_max, K, L = _index(t_max=t_max, K=K, L=L)
     if t_max < 1:
         raise ParamOutOfRangeError(f"need t_max >= 1, got t_max={t_max}")
     _require_positive(K=K, L=L, T=1)
@@ -209,26 +207,28 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
     pass on its degree table, and that table's N must equal the N the
     search ranked r* by.  Neither verdict reads the bitmask, so no row
     rests on it alone; a disagreement raises ``RuntimeError``.  The
-    plan's row tuples are never built.
+    plan's row tuples are never built.  K and L are read as ints, as
+    ``min_feasible_t`` reads them, so the rows hold ints and a float
+    T_hat and go into JSON as they are.
     """
     l_values = None if l_values is None else tuple(l_values)  # every K reads all of it
+    pairs = ((K, L) for K in k_values for L in (l_values if l_values is not None else [K]))
     rows = []
-    for K in k_values:
-        for L in (l_values if l_values is not None else [K]):
-            if L > K:
-                continue
-            t_min = None
-            if found := _search_t_min(K, L, t_max):
-                t_min = found[0]
-                _confirm(K, L, *found)
-            t_hat = t_hat_estimate(K, L)
-            rows.append({
-                "K": K,
-                "L": L,
-                "T_min_bruteforce": t_min,
-                "T_hat": t_hat,
-                "delta": None if t_min is None else t_min - round(t_hat),
-            })
+    for K, L in (_index(K=K, L=L) for K, L in pairs):  # so every row holds ints
+        if L > K:
+            continue
+        t_min = None
+        if found := _search_t_min(K, L, t_max):
+            t_min = found[0]
+            _confirm(K, L, *found)
+        t_hat = t_hat_estimate(K, L)
+        rows.append({
+            "K": K,
+            "L": L,
+            "T_min_bruteforce": t_min,
+            "T_hat": t_hat,
+            "delta": None if t_min is None else t_min - round(t_hat),
+        })
     return rows
 
 

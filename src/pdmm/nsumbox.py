@@ -35,7 +35,9 @@ class TransferMatrix:
     """Receiver map m with its stabilizer block g and readout block h.
 
     Invariants (checked exactly at construction): g is SSO, m g = 0 and
-    m h = I.  [g h] must also be invertible, which the checks do not
+    m h = I.  Both laws are read off one product m [g h]: its columns
+    at g must be zero, those at h the identity, and m g = 0 is judged
+    first.  [g h] must also be invertible, which the checks do not
     show: ``protocol.quantum_transfer`` has it because its g, h and m
     are column and row slices of one block-diagonal matrix and its
     inverse, filled in from the sampled frame's generator and that
@@ -51,9 +53,11 @@ class TransferMatrix:
     def __post_init__(self):
         if not sso_check(self.ctx, self.g):
             raise NotSSOError("stabilizer block is not symplectic self-orthogonal")
-        if np.any(self.ctx.matmul(self.m, self.g) != 0):
+        k = np.shape(self.g)[1]
+        laws = self.ctx.matmul(self.m, np.concatenate((self.g, self.h), axis=1))
+        if laws[:, :k].any():
             raise AssertionError("transfer law m g = 0 failed")
-        if np.any(self.ctx.matmul(self.m, self.h) != self.ctx.identity(self.n)):
+        if not np.array_equal(laws[:, k:], self.ctx.identity(self.n)):
             raise AssertionError("transfer law m h = I failed")
 
     @property

@@ -18,7 +18,11 @@ server GEMM.  A server multiplies the shares its encoder just formed,
 and no share stack is read back from int64.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
-inputs, and noise from one seeded generator in a fixed order.
+inputs, and noise from one seeded generator in a fixed order.  Each
+instance draws its inputs and noise with one ``rng.integers`` call, cut
+into A, B, the f noise and the g noise in that order (``_draw``): for a
+field below 2^32 that one call draws the values, and leaves the
+generator in the state, that one call per array would.
 ``sample_frame`` runs one loop over candidate point sets (a cyclic
 plan's single order-q coset, or up to ``_MAX_RESAMPLE`` random draws)
 and builds each as an ``EvalFrame``, the one kind of frame.  A frame
@@ -37,6 +41,7 @@ decoders just the frame and the server products.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -46,7 +51,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .degree_tables import ExponentPlan, check_decodable, plan_record
+from .degree_tables import ExponentPlan, plan_record
 from .feasibility import check_feasible, longest_run
 from .gf import (
     DuplicatePointError,
@@ -235,7 +240,9 @@ class EvalFrame:
     ``ctx.vandermonde`` call builds the power table x_i^e for every e
     among the table exponents, ``plan.alpha``, ``plan.beta`` and, for a
     quantum frame, -2 ``shift`` and 2 ``shift``; ``powers`` gathers its
-    columns.
+    columns through the frame's exponent -> column map, whose entry for a
+    table exponent is also its position in table order, the row of
+    ``inverse`` that ``decode_classical`` and ``quantum_transfer`` read.
     ``generator`` is its columns at the table exponents, in table order,
     and ``inverse`` comes from ``FieldContext._vandermonde_inverse``,
     which raises ``SingularMatrixError`` for a rank-deficient generator.
@@ -379,28 +386,38 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     ``TypeError``), taken mod p.  Returns the (N, ra, inner) and
     (N, inner, cb) share stacks and the (N, ra, cb) products, as int64.
 
+    A side's blocks and its noise blocks each come as an array whose
+    first axis runs over the blocks, read as it is, or as a sequence of
+    blocks, stacked once by ``np.asarray``; the checks read the stacks'
+    shapes, and a ragged sequence raises ``ShapeMismatchError`` listing
+    every block's shape.
+
     One pass per group of servers, the groups ``FieldContext.matmul``
-    stages a stack of these products in.  Each side's blocks are
-    converted once into one float operand of its encode tier, whose
-    inner dimension is its number of blocks.  A group's rows of f and of
-    g are each one GEMM, reduced mod p and cast once into the share
-    stacks, and the same reduced floats are the operands of the group's
-    stacked server GEMM on the tier of ``inner``, reduced and cast into
-    the products.  No share stack is read back from int64.  Both sides'
-    float operands share one allocation, and so do the returned stacks
-    (see ``_one_buffer``).
+    stages a stack of these products in.  Each side's two stacks are
+    converted, with one assignment each, into one float operand of its
+    encode tier, whose inner dimension is its number of blocks.  A
+    group's rows of f and of g are each one GEMM, reduced mod p and cast
+    once into the share stacks, and the same reduced floats are the
+    operands of the group's stacked server GEMM on the tier of
+    ``inner``, reduced and cast into the products.  No share stack is
+    read back from int64.  Both sides' float operands share one
+    allocation, and so do the returned stacks (see ``_one_buffer``).
     """
     plan, ctx = frame.plan, frame.ctx
     sides = []
     for side, exps, info, noise_exps, blocks, noise in (
             ("A", plan.alpha, plan.info_alpha, plan.noise_alpha, a_blocks, noise_f),
             ("B", plan.beta, plan.info_beta, plan.noise_beta, b_blocks, noise_g)):
-        shapes = {np.shape(m) for m in (*blocks, *noise)}
+        stacks = [_stack(blocks, ctx.p), _stack(noise, ctx.p)]
+        if any(stack is None for stack in stacks):  # ragged: name every block's shape
+            shapes = {np.shape(m) for m in (*blocks, *noise)}
+        else:
+            shapes = {stack.shape[1:] for stack in stacks if len(stack)}
         if (len(blocks), len(noise), len(shapes)) != (len(info), len(noise_exps), 1):
             raise ShapeMismatchError(
                 f"expected {len(info)} {side} blocks and {len(noise_exps)} noise blocks of one "
                 f"shape, got {len(blocks)} and {len(noise)} shaped {sorted(shapes)}")
-        sides.append(([*(exps[i] for i in info), *noise_exps], [*blocks, *noise], *shapes))
+        sides.append(([*(exps[i] for i in info), *noise_exps], stacks, *shapes))
     (*_, a_shape), (*_, b_shape) = sides
     if len(a_shape) != 2 or len(b_shape) != 2:
         raise ShapeMismatchError(
@@ -409,18 +426,21 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
         raise ShapeMismatchError(
             f"inner dimensions differ: A blocks shaped {a_shape} have {a_shape[1]} columns, "
             f"B blocks shaped {b_shape} have {b_shape[0]} rows")
-    tiers = [ctx._tier(len(blocks)) for _, blocks, _ in sides]
-    operands = _one_buffer(*(((len(blocks), *shape), tier[0])
-                             for (_, blocks, shape), tier in zip(sides, tiers)))
+    tiers = [ctx._tier(len(exps)) for exps, _, _ in sides]
+    operands = _one_buffer(*(((len(exps), *shape), tier[0])
+                             for (exps, _, shape), tier in zip(sides, tiers)))
     encoders = []
-    for (exps, blocks, _), tier, coeffs in zip(sides, tiers, operands):
-        for row, block in zip(coeffs, blocks):
-            row[...] = _integers(block, ctx.p)
+    for (exps, stacks, _), tier, coeffs in zip(sides, tiers, operands):
+        rows = (coeffs[:len(stacks[0])], coeffs[len(stacks[0]):])
+        for row, stack in zip(rows, stacks):
+            if len(stack):
+                row[...] = _integers(stack, ctx.p)
         # every int64 entry in [0, p) stays there as a float, and every other leaves it
         if coeffs.size and not (coeffs.min() >= 0 and coeffs.max() < ctx.p):
-            for row, block in zip(coeffs, blocks):
-                row[...] = ctx.asarray(block)
-        encoders.append((frame.powers(exps), coeffs.reshape(len(blocks), -1), tier))
+            for row, stack in zip(rows, stacks):
+                if len(stack):
+                    row[...] = ctx.asarray(stack)
+        encoders.append((frame.powers(exps), coeffs.reshape(len(exps), -1), tier))
     (ra, inner), cb = a_shape, b_shape[1]
     *shares, products = _one_buffer(*(((frame.n, *shape), np.int64)
                                       for shape in ((ra, inner), (inner, cb), (ra, cb))))
@@ -431,6 +451,26 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
         shares[0][part], shares[1][part] = f, g
         ctx._product(f, g, server, products[part], ints=(shares[0][part], shares[1][part]))
     return (*shares, products)
+
+
+def _stack(blocks, p: int) -> np.ndarray | None:
+    """Blocks as one array whose first axis runs over them, or None when their shapes differ.
+
+    An array is read as it is; a sequence is stacked by one ``np.asarray``.
+    Where that stack is not of an integer kind, as when an int64 block
+    and a uint64 block promote to float64, each block is read by
+    ``_integers`` (which refuses a non-integer block and reduces a
+    uint64 one mod p) and cast to int64 before stacking.
+    """
+    if isinstance(blocks, np.ndarray):
+        return blocks
+    try:
+        stack = np.asarray(blocks)
+    except ValueError:  # numpy refuses a ragged sequence
+        return None
+    if stack.dtype.kind in "biu" or not stack.size:
+        return stack
+    return np.array([_integers(block, p).astype(np.int64, copy=False) for block in blocks])
 
 
 def _one_buffer(*specs) -> list[np.ndarray]:
@@ -477,8 +517,7 @@ def decode_classical(frame: EvalFrame, responses) -> np.ndarray:
     """
     plan = frame.plan
     block_shape = _block_shape(frame, responses)
-    exps = plan.table.exponents
-    rows = frame.inverse[[exps.index(e) for e in plan.table.info]]
+    rows = frame.inverse[[frame._column[e] for e in plan.table.info]]
     flat = np.reshape(responses, (frame.n, -1))
     return _assemble(plan, frame.ctx.matmul(rows, flat), block_shape)
 
@@ -524,8 +563,7 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
     ctx = frame.ctx
     n = frame.n
-    position = {e: i for i, e in enumerate(plan.table.exponents)}
-    perm = [position[e] for e in quantum_layout(plan)]
+    perm = [frame._column[e] for e in quantum_layout(plan)]
     q, q_inv = frame.generator[:, perm], frame.inverse[perm]
     vq = ctx.asarray(frame.v)[:, None] * q % ctx.p
     fl, ce = n // 2, -(-n // 2)
@@ -603,7 +641,8 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     progression (d, e0) in ``plan.noise_progressions`` gives any T points
     the minor prod x^e0 * V(x^d) (GASP's generalized-Vandermonde argument,
     D'Oliveira, El Rouayheb, Karpuk, IEEE T-IT 2020), nonzero when no x^e0
-    is 0 and the x^d are distinct.  If a step passes on each side, the
+    is 0 and the x^d are distinct; the x^d are formed once per distinct
+    step d over both sides.  If a step passes on each side, the
     report is a proof with ``checked = C(N, T)``, whatever the cap, and
     draws nothing from ``rng``.  Otherwise subsets are ranked: all of them in
     ``itertools.combinations`` order when C(N, T) <= cap, else the
@@ -629,8 +668,13 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
         return AuditReport(ok=True, checked=0, exhaustive=True)
     total = math.comb(n, t)
     points = np.array([operator.index(x) % ctx.p for x in points], dtype=np.int64)
-    if all(any((e0 == 0 or points.all()) and (d == 0 or len(set(
-            _powers(points, [d], ctx.p).ravel().tolist())) == n) for d, e0 in side)
+
+    @functools.cache
+    def distinct(d):
+        """Whether the x^d are pairwise distinct; each step's powers are formed once."""
+        return d == 0 or len(set(_powers(points, [d], ctx.p).ravel().tolist())) == n
+
+    if all(any((e0 == 0 or points.all()) and distinct(d) for d, e0 in side)
            for side in plan.noise_progressions):
         return AuditReport(ok=True, checked=total, exhaustive=True, method="proof")
     # Unchecked powers rather than FieldContext.vandermonde: a repeated or
@@ -684,9 +728,18 @@ def rate_ratio(quantum: RateReport, classical: RateReport) -> Fraction:
 
 
 def run_protocol(cfg: ProtocolConfig) -> Transcript:
-    """Full deterministic run: sample, encode, compute, decode, verify."""
+    """Full deterministic run: sample, encode, compute, decode, verify.
+
+    The plan's decodability is ``plan.decodability``, worked out by the
+    first run on a plan and kept on it, so only a later run on the same
+    plan object skips the check; an undecodable plan raises
+    ``ValueError``.  The quantum gate (``rate_report``), the frame and
+    its audit are per run.  Each instance draws A, B and both noise
+    stacks with one ``rng.integers`` call (see the module docstring)
+    before the next instance draws.
+    """
     plan = cfg.plan
-    report = check_decodable(plan)
+    report = plan.decodability
     if not report.ok:
         raise ValueError(f"plan is not decodable: {report.reason}")
     rate = rate_report(plan, cfg.mode)  # the quantum gate
@@ -695,14 +748,10 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     ctx = frame.ctx
     ra, inner, cb = cfg.block_dims
 
-    def draw(*shape):
-        return rng.integers(0, ctx.p, size=shape, dtype=np.int64)
-
     def instance():
-        a = draw(plan.K * ra, inner)
-        b = draw(inner, plan.L * cb)
-        noise_f = draw(len(plan.noise_alpha), ra, inner)
-        noise_g = draw(len(plan.noise_beta), inner, cb)
+        a, b, noise_f, noise_g = _draw(rng, ctx.p, (plan.K * ra, inner), (inner, plan.L * cb),
+                                       (len(plan.noise_alpha), ra, inner),
+                                       (len(plan.noise_beta), inner, cb))
         return a, b, noise_f, noise_g, *encode_and_multiply(
             frame, a.reshape(plan.K, ra, inner), b.reshape(inner, plan.L, cb).swapaxes(0, 1),
             noise_f, noise_g)
@@ -724,6 +773,23 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         shares_f=sf, shares_g=sg, responses=resp, decoded=decoded,
         decode_ok=ok, audit=audit, rate=rate,
     )
+
+
+def _draw(rng: np.random.Generator, p: int, *shapes) -> list[np.ndarray]:
+    """int64 arrays of the given shapes, uniform on [0, p), cut from one ``rng.integers`` call.
+
+    For a range below 2^32, numpy's bounded int64 draw takes one 32-bit
+    word per accepted value, so the one call gives the values, and leaves
+    the generator in the state, that one call per shape, in order, would.
+    The arrays are views of the one draw.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = rng.integers(0, p, size=sum(sizes), dtype=np.int64)
+    parts, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        parts.append(flat[at:at + size].reshape(shape))
+        at += size
+    return parts
 
 
 def transcript_dump(t: Transcript) -> str:

@@ -2,23 +2,28 @@
 
 A hypothesis search over small plan records (both modes, with and
 without a cyclic modulus q, exponents and indices that may be negative
-or out of range) and ``ProtocolConfig`` fields.  Every example must
+or out of range) and ``ProtocolConfig`` fields, and over the same plans
+built directly with K, L, T or info indices given as floats or numpy
+integers: a float is refused naming its field, and a numpy integer must
+give the outcome the int gives.  Every example must
 either decode, with a passing audit, or raise one of the documented
 refusals below, of exactly that type and with a message that names the
 field or the plan fact at fault.  Any other exception (a
 ``ZeroDivisionError``, an ``IndexError``, a numpy error) fails the gate.
 Uneven block shapes also reach the fused encode-and-product pass here.
-A negative control removes one boundary check and must fail the gate.
+Two negative controls, one removing the K, L >= 1 check and one the
+integer read of K, L and T, must each fail the gate.
 """
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pdmm import degree_tables
-from pdmm.degree_tables import ParamOutOfRangeError, parse_plan_record
+from pdmm.degree_tables import ExponentPlan, ParamOutOfRangeError, parse_plan_record
 from pdmm.grs import ShapeMismatchError
 from pdmm.protocol import (
     NotFeasibleError,
@@ -29,6 +34,8 @@ from pdmm.protocol import (
 
 # (exact error type, message pattern); each names the field or plan fact at fault
 DOCUMENTED = [
+    (TypeError, r"^([KLT]) must be an integer, got \1="),
+    (TypeError, r"^info_(alpha|beta) indices must be integers, got "),
     (ParamOutOfRangeError, r"^need (K, L >= 1|T >= 0), got [KLT]="),
     (ValueError, r"^(alpha|beta) exponents must be non-negative, got "),
     (ValueError, r"^info index sets must have sizes K and L$"),
@@ -44,14 +51,16 @@ DOCUMENTED = [
 ]
 
 
-def outcome(record: str, **fields) -> str:
+def outcome(record: str | dict, **fields) -> str:
     """"decoded", or the name of the documented error the run raised.
 
+    ``record`` is a plan record, or the ``ExponentPlan`` fields of one.
     Raises ``AssertionError`` for an undocumented error, and for a run
     that returns without decoding or with a failed audit.
     """
     try:
-        t = run_protocol(ProtocolConfig(plan=parse_plan_record(record), **fields))
+        plan = ExponentPlan(**record) if isinstance(record, dict) else parse_plan_record(record)
+        t = run_protocol(ProtocolConfig(plan=plan, **fields))
     except Exception as error:
         if not any(type(error) is kind and re.search(pattern, str(error))
                    for kind, pattern in DOCUMENTED):
@@ -62,9 +71,9 @@ def outcome(record: str, **fields) -> str:
 
 
 @st.composite
-def plan_records(draw):
-    """A plan record of small integers; in about half, every field is in range
-    and T is at most either side's noise count."""
+def plan_fields(draw):
+    """``ExponentPlan`` fields of small integers; in about half, every field is
+    in range and T is at most either side's noise count."""
     lo = draw(st.sampled_from([-1, 1]))  # -1: anything goes; 1: fields in range
     K, L = draw(st.integers(lo, 3)), draw(st.integers(lo, 3))
     sides = []
@@ -79,9 +88,34 @@ def plan_records(draw):
     T = draw(st.integers(-1, 3) if lo < 0 else
              st.integers(0, min(len(alpha) - K, len(beta) - L)))
     q = draw(st.one_of(st.none(), st.integers(lo, 12)))
-    fields = [f"x - {K} {L} {T}", alpha, beta, info_alpha, info_beta]
-    return " | ".join(f if isinstance(f, str) else " ".join(map(str, f)) for f in fields) \
-        + f" | {'-' if q is None else q}"
+    return dict(family="x", K=K, L=L, T=T, alpha=tuple(alpha), beta=tuple(beta),
+                info_alpha=tuple(info_alpha), info_beta=tuple(info_beta), modulus_q=q)
+
+
+def record(fields: dict) -> str:
+    """The plan record of ``plan_fields`` output."""
+    head = [f"x - {fields['K']} {fields['L']} {fields['T']}"]
+    q = fields["modulus_q"]
+    return " | ".join(head + [" ".join(map(str, fields[name]))
+                              for name in ("alpha", "beta", "info_alpha", "info_beta")]
+                      + ["-" if q is None else str(q)])
+
+
+plan_records = plan_fields().map(record)
+
+
+@st.composite
+def retyped_plan_fields(draw):
+    """``plan_fields`` output with K, L, T or one side's info indices retyped:
+    (fields, the int fields, the retyped names, whether they became floats)."""
+    fields = draw(plan_fields())
+    names = draw(st.sampled_from([("K",), ("L",), ("T",), ("info_alpha",), ("info_beta",),
+                                  ("K", "L", "T", "info_alpha", "info_beta")]))
+    as_float = draw(st.booleans())
+    kind = float if as_float else np.int64
+    retyped = {name: tuple(map(kind, fields[name])) if name.startswith("info")
+               else kind(fields[name]) for name in names}
+    return {**fields, **retyped}, fields, names, as_float
 
 
 valid_configs = st.fixed_dictionaries({
@@ -103,7 +137,7 @@ configs = st.one_of(valid_configs, st.fixed_dictionaries({
 K_ZERO = "x - 0 2 1 | 2 4 | 10 5 7 8 |  | 0 1 | -"
 
 
-@given(plan_records(), configs)
+@given(plan_records, configs)
 @example(K_ZERO, {})
 @example("gasp_r r=2 2 2 -1 | 0 1 4 5 6 | 0 2 4 5 6 | 0 1 | 0 1 | -", {})  # negative T
 @example("x - 1 1 0 | 8 | 2 | 0 | 0 | 11", {})  # cyclic, N = 1 != q
@@ -112,6 +146,26 @@ K_ZERO = "x - 0 2 1 | 2 4 | 10 5 7 8 |  | 0 1 | -"
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_every_record_and_config_decodes_or_is_refused_at_the_boundary(record, fields):
     event(outcome(record, **fields))
+
+
+@given(retyped_plan_fields(), valid_configs)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_float_and_numpy_integer_plan_fields_are_refused_or_read_as_ints(case, fields):
+    retyped, ints, names, as_float = case
+    got = outcome(retyped, **fields)
+    event(got)
+    if as_float:
+        try:
+            ExponentPlan(**retyped)
+        except TypeError as error:
+            assert re.match(f"^({'|'.join(names)}) ", str(error))
+            return
+        except ValueError:
+            pass
+        # K, L and T are read first; a float index passes only where an earlier
+        # check refuses the plan, or where its side is empty and holds no float
+        assert not {"K", "L", "T"}.intersection(names)
+    assert got == outcome(ints, **fields)
 
 
 @pytest.mark.parametrize("record, fields, want", [
@@ -130,3 +184,14 @@ def test_the_gate_catches_a_removed_boundary_check(monkeypatch):
     monkeypatch.setattr(degree_tables, "_require_positive", lambda **values: None)
     with pytest.raises(AssertionError, match="^undocumented ZeroDivisionError"):
         outcome(K_ZERO)
+
+
+def test_the_gate_catches_a_float_t_read_without_operator_index(monkeypatch):
+    """Without the integer read T = 1.0 is accepted, and the audit's
+    ``math.comb`` fails on it during the run."""
+    fields = dict(family="x", K=1, L=1, T=1.0, alpha=(0, 1), beta=(0, 2),
+                  info_alpha=(0,), info_beta=(0,))
+    assert outcome(fields) == "TypeError"
+    monkeypatch.setattr(degree_tables, "_index", lambda **values: list(values.values()))
+    with pytest.raises(AssertionError, match="^undocumented TypeError: 'float' object"):
+        outcome(fields)

@@ -1,14 +1,20 @@
-"""A run computes its point algebra once, and no share stack reaches ``matmul``.
+"""A run pays its fixed costs once, and no share stack reaches ``matmul``.
 
 One qf_klt(5,3) quantum run (N = 35, the benchmark's ``audit_bound``
 plan, proved private by a progression) builds one frame.  Its power table
-is one ``_powers`` pass and the audit's progression check two more; the
-generator inverse forms the only node products, from which the dual
+is one ``_powers`` pass, and the audit's progression check one more: both
+noise sides have step 1, and the check forms x^d once per distinct step.
+The generator inverse forms the only node products, from which the dual
 multipliers and their inverses come too, and its Lagrange weights are
 the run's one Fermat inversion; the points are checked by the frame and by the one
-``vandermonde`` call.  The counts are deterministic, so a stage that goes
-back to recomputing powers, node products or point checks shows here
-even where its time would hide in the noise.
+``vandermonde`` call.  Each instance draws its inputs and noise with one
+``rng.integers`` call, the transfer matrix's two laws are read off one
+product (five ``matmul`` calls in all), and two runs on one plan check
+its decodability once, since the report is kept on the plan.  The counts
+are deterministic, so a stage that goes back to recomputing powers, node
+products, point checks, draws, law products or plan facts shows here
+even where its time would hide in the noise.  Each pin has a negative
+control that puts the old step back and must go over it.
 
 Servers multiply the float shares their encoder just formed, so no stage
 of a run hands ``FieldContext.matmul`` a stack of shares: in a small
@@ -23,11 +29,20 @@ import numpy as np
 import pytest
 
 import share_oracle
-from pdmm import gf, protocol
-from pdmm.degree_tables import build_cat, build_qf_klt
+from pdmm import degree_tables, gf, protocol
+from pdmm.degree_tables import ExponentPlan, build_cat, build_qf_klt
+from pdmm.grs import sso_check
+from pdmm.nsumbox import NotSSOError, TransferMatrix
 from pdmm.protocol import ProtocolConfig, run_protocol
 
-BUDGET = {"_powers": 3, "_node_products": 1, "_admissible_points": 2}
+BUDGET = {"_powers": 2, "_node_products": 1, "_admissible_points": 2}
+
+
+def quantum_run(seed=0, plan=None):
+    """One qf_klt(5,3) quantum run, its audit proved, both instances decoded."""
+    t = run_protocol(ProtocolConfig(plan=plan or build_qf_klt(5, 3), mode="quantum", seed=seed))
+    assert t.decode_ok and t.audit.method == "proof" and t.rate.instances == 2
+    return t
 
 
 def kernel_calls(monkeypatch):
@@ -48,8 +63,7 @@ def kernel_calls(monkeypatch):
         for module in modules:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
-    t = run_protocol(ProtocolConfig(plan=build_qf_klt(5, 3), mode="quantum"))
-    assert t.decode_ok and t.audit.method == "proof" and t.rate.instances == 2
+    quantum_run()
     return calls
 
 
@@ -71,7 +85,14 @@ def test_budget_catches_per_instance_encoder_powers(monkeypatch):
     calls = kernel_calls(monkeypatch)
     assert over_budget(calls) == {"_powers": calls["_powers"],
                                   "_admissible_points": calls["_admissible_points"]}
-    assert calls["_powers"] >= 3 + 4
+    assert calls["_powers"] >= 2 + 4
+
+
+def test_budget_catches_an_audit_that_forms_a_steps_powers_per_side(monkeypatch):
+    """Without its per-step cache the progression check forms x^1 once per
+    side, as it did, and the run makes 3 ``_powers`` calls."""
+    monkeypatch.setattr(protocol.functools, "cache", lambda function: function)
+    assert over_budget(kernel_calls(monkeypatch)) == {"_powers": 3}
 
 
 @pytest.mark.parametrize("name", sorted(BUDGET))
@@ -96,9 +117,100 @@ def test_a_quantum_run_inverts_by_fermat_once(monkeypatch):
     real = gf.FieldContext._inverse_all
     monkeypatch.setattr(gf.FieldContext, "_inverse_all",
                         lambda self, x: calls.append(x.shape) or real(self, x))
-    t = run_protocol(ProtocolConfig(plan=build_qf_klt(5, 3), mode="quantum"))
-    assert t.decode_ok and t.rate.instances == 2
+    quantum_run()
     assert calls == [(35,)]
+
+
+def generator_calls(monkeypatch):
+    """Method calls on the generator one qf_klt(5,3) quantum run makes, by name,
+    counted through a wrapped ``np.random.default_rng``."""
+    calls = collections.Counter()
+    real = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def __getattr__(self, name):
+            method = getattr(self._rng, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    quantum_run()
+    return calls
+
+
+def test_each_instance_draws_with_one_call(monkeypatch):
+    assert generator_calls(monkeypatch) == {"choice": 1, "integers": 2}
+
+
+def test_draw_pin_catches_one_call_per_array(monkeypatch):
+    """One ``rng.integers`` call per input and noise array, as before, is 8."""
+    monkeypatch.setattr(protocol, "_draw", lambda rng, p, *shapes: [
+        rng.integers(0, p, size=shape, dtype=np.int64) for shape in shapes])
+    assert generator_calls(monkeypatch)["integers"] == 8
+
+
+def matmul_callers(monkeypatch):
+    """The ``pdmm`` function that made each ``matmul`` call of one qf_klt(5,3) quantum run."""
+    callers = collections.Counter()
+    real = gf.FieldContext.matmul
+
+    def matmul(self, a, b):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(gf.FieldContext, "matmul", matmul)
+    quantum_run()
+    return callers
+
+
+def test_the_transfer_laws_take_one_product(monkeypatch):
+    # sso_check, both laws, the box, and the final A B check per instance
+    assert matmul_callers(monkeypatch) == {"sso_check": 1, "__post_init__": 1,
+                                           "apply_box": 1, "<genexpr>": 2}
+
+
+def test_matmul_pin_catches_one_product_per_law(monkeypatch):
+    def two_products(tm):
+        """The laws as they were checked, one product each."""
+        if not sso_check(tm.ctx, tm.g):
+            raise NotSSOError("stabilizer block is not symplectic self-orthogonal")
+        if np.any(tm.ctx.matmul(tm.m, tm.g) != 0):
+            raise AssertionError("transfer law m g = 0 failed")
+        if np.any(tm.ctx.matmul(tm.m, tm.h) != tm.ctx.identity(tm.n)):
+            raise AssertionError("transfer law m h = I failed")
+
+    monkeypatch.setattr(TransferMatrix, "__post_init__", two_products)
+    callers = matmul_callers(monkeypatch)
+    assert callers["two_products"] == 2 and sum(callers.values()) == 6
+
+
+def decodability_checks(monkeypatch):
+    """``check_decodable`` calls over two quantum runs on one plan."""
+    calls = []
+    real = degree_tables.check_decodable
+    monkeypatch.setattr(degree_tables, "check_decodable",
+                        lambda plan: calls.append(plan) or real(plan))
+    plan = build_qf_klt(5, 3)
+    for seed in (0, 1):
+        quantum_run(seed, plan)
+    return len(calls)
+
+
+def test_two_runs_on_one_plan_check_its_decodability_once(monkeypatch):
+    assert decodability_checks(monkeypatch) == 1
+
+
+def test_decodability_pin_catches_a_check_per_run(monkeypatch):
+    """A report worked out on every read, as ``run_protocol`` did, is one check per run."""
+    monkeypatch.setattr(ExponentPlan, "decodability",
+                        property(lambda plan: degree_tables.check_decodable(plan)))
+    assert decodability_checks(monkeypatch) == 2
 
 
 def matmul_calls(monkeypatch):

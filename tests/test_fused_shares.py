@@ -113,6 +113,23 @@ def test_blocks_outside_zero_to_p_are_taken_mod_p(monkeypatch, name):
                                                  for side in blocks)), arrays)
 
 
+@pytest.mark.parametrize("name", ["F11 float32", "F65537 float64", "limbs"])
+def test_a_block_list_may_mix_int64_and_uint64_blocks(monkeypatch, name):
+    """One ``np.asarray`` over such a list promotes it to float64, which must
+    not reach the integer check: each block is read as ``_integers`` reads it."""
+    for frame, blocks, arrays in runs(name, "classical", monkeypatch, gf._TILE):
+        p = np.uint64(frame.ctx.p)
+        mixed = [[x.astype(np.uint64) + p if i % 2 else x for i, x in enumerate(side)]
+                 for side in blocks]
+        assert all(len(side) > 1 for side in mixed)
+        assert np.asarray(mixed[0]).dtype == np.float64
+        assert same(encode_and_multiply(frame, *mixed), arrays)
+        mixed[0][0] = mixed[0][0].astype(np.float64)
+        with pytest.raises(TypeError, match="^field elements must be integers, got an array "
+                                            "of dtype float64$"):
+            encode_and_multiply(frame, *mixed)
+
+
 def test_server_limbs_are_cut_from_the_int64_rows(monkeypatch):
     """In the limb tier the whole operand is the encoder's float tile, and the
     cut one is read from the share rows just written, not cast back from floats."""
