@@ -184,7 +184,10 @@ def t_hat_estimate(K: int, L: int) -> float:
     within +/- 1 of round(T_hat).  The misses: for L = 1, T_min is
     always 1, while T_hat gives 3-8 for K >= 5; for L = 3 and K >= 9,
     T_min exceeds round(T_hat) by 2-3; (12, 4) and (12, 6) fall 2 below.
+    K and L are read with ``operator.index``, as every family function
+    reads them, so a non-integer raises ``TypeError`` naming it.
     """
+    K, L = _index(K=K, L=L)
     if K < L:
         raise ParamOutOfRangeError("estimate requires K >= L")
     if K == L:

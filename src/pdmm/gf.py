@@ -34,14 +34,19 @@ formed, one group of servers at a time, with no int64 round trip.
 
 ``mat_inverse`` inverts a square matrix by eliminating [A | I], and
 ``batch_rank`` ranks a whole stack of matrices at once, by one
-elimination on all of them, for the privacy audit.  A generator
-(x_i^(e_j)) on distinct points is inverted without eliminating it:
-Lagrange interpolation gives the inverse when the exponents are 0, ...,
-N - 1, and when g exponents below the top one are missing, a g x g
-system on the master polynomial's coefficients corrects it in
-O(N^2 g + g^3) work.  That g x g matrix is singular exactly when the
-generator is.  The inversion hands back the Lagrange weights it forms,
-from which the protocol's frame derives its dual multipliers.
+elimination on all of them, for the privacy audit.  Power tables
+(x_i^(e_j)) come from one run x^0, ..., x^top built by doubling, where
+that costs no more products than square-and-multiply, which forms the
+rest.  A generator (x_i^(e_j)) on distinct nonzero points is inverted
+without eliminating it: Lagrange interpolation gives the inverse when
+the exponents are 0, ..., N - 1, read in a fixed number of array steps
+off the power run x^0, ..., x^N with one Fermat pass, and when g
+exponents below the top one are missing, a g x g system on the master
+polynomial's coefficients corrects it in O(N^2 g + g^3) work.  That
+g x g matrix is singular exactly when the generator is.  The inversion
+hands back the derivative of the master polynomial at the points and
+the vector its Fermat pass inverted, from which the protocol's frame
+derives its dual multipliers and their inverses.
 
 The context and all arrays it touches are treated as immutable; every
 operation returns fresh arrays and writes none of its inputs, so
@@ -204,6 +209,11 @@ _EXACT32 = 1 << 23
 # column tiles of this many entries, and stages stacks in groups whose
 # operand and output entries together stay within it.
 _TILE = 1 << 17
+# Entries from which ``_remainder`` reduces int64 by floor division.  In
+# place on a 2-vCPU host, ``%`` against floor division took 0.9 against
+# 2.1 us at 35 entries, about the same at 560, 6.0 against 4.4 us at 1260
+# and 404 against 161 us at 100,000.
+_FLOOR_DIVIDE = 1 << 10
 
 
 def _groups(stack: int, rows: int, cols: int, inner: int) -> list:
@@ -548,21 +558,38 @@ class FieldContext:
             raise ValueError("exponents must be pairwise distinct")
         return _powers(np.array(pts, dtype=np.int64), exps, self.p)
 
+    def _derivative(self, run: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """P'(x_i) = sum_(k>=1) k a_k x_i^(k-1) mod p, for P = sum_k a_k X^k of degree n,
+        read off the power run x^0, ..., x^n: one exact float product of the
+        run's first n columns with the k a_k (see ``_product``).
+        """
+        n = coeffs.size - 1
+        slopes = np.arange(1, n + 1) * coeffs[1:] % self.p
+        return self._product(run[:, :n], slopes[:, None], self._tier(n))[:, 0].astype(np.int64)
+
     def _vandermonde_inverse(self, x: np.ndarray, exponents: Sequence[int],
-                             nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse of the generator (x_i^(e_j)) on distinct points x and ascending exponents e,
-        and the Lagrange weights w of the points.
+                             run: np.ndarray | None = None,
+                             scale: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """Inverse of the generator (x_i^(e_j)) on distinct nonzero points x and ascending
+        exponents e, with the derivative P'(x_i) and the one inverted vector u.
 
         The generator takes the coefficients of a polynomial supported on
         the n exponents to its values at the n points, so its inverse
         interpolates.  Lagrange interpolation gives the interpolant of
         degree < n: column i of L holds the coefficients, lowest degree
         first, of L_i(X) = w_i P(X) / (X - x_i), where
-        P(X) = prod_k (X - x_k) and w_i = 1 / prod_{k != i} (x_i - x_k),
-        since L_i is 1 at x_i and 0 at every other point.  One synthetic
-        division per degree serves every point at once: with P = sum a_j X^j,
-        the quotient by X - x_i has q_(n-1) = 1 and q_(j-1) = a_j + x_i q_j.
-        Exponents exactly 0, ..., n - 1 make L the inverse.
+        P(X) = prod_k (X - x_k) = sum_k a_k X^k and w_i = 1 / P'(x_i), since
+        L_i is 1 at x_i and 0 at every other point.  Everything is read
+        off the power run x^0, ..., x^n (``run``, an n x (n + 1) array;
+        formed here by ``_power_run`` when None).  P'(x_i) is the run times
+        the coefficients k a_k (``_derivative``).  One Fermat pass inverts
+        u = (P'(x) x^n c), c = ``scale`` or 1, from which w = u x^n c and
+        x^-n = u P'(x) c.  The quotient of P by X - x_i has X^j coefficient
+        x_i^-(j+1) sum_(k>j) a_k x_i^k = x_i^(n-1-j) x^-n sum_(k>j) a_k x_i^k,
+        so L is the run reversed, times one reversed cumulative sum of the
+        a_k x_i^k, times x^-n w = u c (``_lagrange``).  Only the master
+        polynomial P is a loop over the points.  Exponents exactly
+        0, ..., n - 1 make L the inverse.
 
         Otherwise g = e_(n-1) + 1 - n exponents below the top one are
         missing, and every interpolant of degree <= e_(n-1) is
@@ -576,38 +603,43 @@ class FieldContext:
         C h = 0 gives P h, supported on the exponents and zero at every
         point, and a kernel vector of the generator gives such a
         polynomial; then ``mat_inverse`` raises ``SingularMatrixError``.
+
         ``x`` holds canonical entries, as many as there are exponents (else
-        ``ValueError``).  The weights come back too, since a GRS code's dual
-        multipliers are a diagonal scaling of them (see ``protocol.EvalFrame``).
-        A caller that keeps the node products prod_{k != i} (x_k - x_i),
-        as ``_node_products`` gives them, passes them as ``nodes``;
-        otherwise they are formed here.
+        ``ValueError``), all nonzero (else ``ZeroPointError``: the quotient
+        table divides by the points).  A frame hands in its own run and,
+        as ``scale``, its x^(2s) column, so that u also gives its dual
+        multipliers (see ``protocol.EvalFrame``).
         """
         p = self.p
         n = x.size
         if len(exponents) != n:
             raise ValueError(f"a square generator needs as many points as exponents, "
                              f"got {n} points and {len(exponents)} exponents")
+        if not x.all():
+            raise ZeroPointError("the interpolation inverse needs nonzero points")
+        # P = prod_k (X + y_k) with y = -x mod p, one factor a step.  A step
+        # multiplies the bound on the entries by p, so they are reduced only
+        # every ``lazy`` steps, when they could next pass p^(lazy + 1) <= 2^62.
+        lazy = 62 // p.bit_length() - 1
         master = np.zeros(n + 1, dtype=np.int64)  # a_n .. a_0, highest degree first
         master[0] = 1
-        for k, xk in enumerate(x.tolist()):
-            master[1:k + 2] = (master[1:k + 2] - xk * master[:k + 1]) % p  # times (X - xk)
-        quotients = np.empty((n, n), dtype=np.int64)  # row j: the X^j coefficients
-        row = np.ones(n, dtype=np.int64)
-        for j in range(n - 1, -1, -1):
-            quotients[j] = row
-            row = (master[n - j] + x * row) % p  # master[n - j] is a_j
-        # prod_{k != i} (x_i - x_k) = (-1)^(n-1) prod_{k != i} (x_k - x_i)
-        if nodes is None:
-            nodes = _node_products(x, p)
-        if n % 2 == 0:
-            nodes = (p - nodes) % p
-        weights = self._inverse_all(nodes)
-        lagrange = quotients * weights % p
+        for k, yk in enumerate((p - x).tolist(), 1):
+            part = master[1:k + 1]
+            part += yk * master[:k]
+            if k % lazy == 0:
+                master %= p
+        master %= p
+        coeffs = master[::-1]  # a_0 .. a_n
+        if run is None:
+            run = _power_run(x, n, p)
+        derivative = self._derivative(run, coeffs)
+        c = 1 if scale is None else scale
+        u = self._inverse_all(derivative * run[:, n] % p * c % p)
+        lagrange = _lagrange(run, coeffs, u * c % p, p)
         exps = np.asarray(exponents, dtype=np.int64)
         gaps = _gaps(exps)
         if not gaps.size:
-            return lagrange, weights
+            return lagrange, derivative, u
 
         def multiples(rows):
             """Entry (e, l): a_(e - l), the X^e coefficient of X^l P(X), for l < g."""
@@ -616,19 +648,53 @@ class FieldContext:
 
         lagrange = np.vstack([lagrange, np.zeros((gaps.size, n), dtype=np.int64)])
         h = self.matmul(self.mat_inverse(multiples(gaps)), lagrange[gaps])
-        return (lagrange[exps] - self.matmul(multiples(exps), h)) % p, weights
+        return (lagrange[exps] - self.matmul(multiples(exps), h)) % p, derivative, u
 
 
 def _powers(x: np.ndarray, exponents: Sequence[int], p: int) -> np.ndarray:
     """Matrix with entry (i, j) = x[i] ** exponents[j] mod p, for canonical x.
 
-    Square-and-multiply on all entries at once, one pass per bit of the
-    largest exponent.  A negative exponent is taken mod p - 1, which
-    for every nonzero entry gives what Python's ``pow`` gives (a power
-    of the inverse).  No check on the points: ``vandermonde`` makes them
-    admissible, and the privacy audit must see zero and repeated points.
+    When every exponent is >= 0 and the run x^0, ..., x^top of the
+    largest one costs no more products than square-and-multiply
+    (top + 1 <= |E| bitlen(top)), the columns are gathered from that run
+    (``_power_run``); otherwise, for a negative exponent, a lone one such
+    as the audit's x^d, or a sparse set, square-and-multiply forms them
+    (``_square_and_multiply``).  No check on the points: ``vandermonde``
+    makes them admissible, and the privacy audit must see zero and
+    repeated points, where both give what Python's ``pow`` gives.
     """
     e = np.array(exponents, dtype=np.int64)
+    top = int(e.max(initial=0))
+    if e.min(initial=0) >= 0 and top + 1 <= e.size * top.bit_length():
+        return _power_run(x, top, p)[:, e]
+    return _square_and_multiply(x, e, p)
+
+
+def _power_run(x: np.ndarray, top: int, p: int) -> np.ndarray:
+    """The run x[i] ** k mod p for k = 0, ..., top, as an (x.size, top + 1) array.
+
+    By doubling: with columns [0, w) done, columns [w, 2w) are those
+    times x^w, and x^w squared is x^(2w), so log2(top) + 1 steps of
+    array products build the run.
+    """
+    run = np.empty((top + 1, x.size), dtype=np.int64)  # built a power per row, read transposed
+    run[0] = 1
+    step, width = x, 1  # step = x^width
+    while width <= top:
+        end = min(2 * width, top + 1)
+        np.multiply(run[:end - width], step, out=run[width:end])
+        _remainder(run[width:end], p)
+        step = step * step % p
+        width *= 2
+    return run.T
+
+
+def _square_and_multiply(x: np.ndarray, e: np.ndarray, p: int) -> np.ndarray:
+    """x[i] ** e[j] mod p by square-and-multiply on all entries at once, one pass per bit
+    of the largest exponent.  A negative exponent is taken mod p - 1, which
+    for every nonzero entry gives what Python's ``pow`` gives (a power of
+    the inverse).
+    """
     e = np.where(e < 0, e % (p - 1), e)
     base = x[:, None]
     out = np.ones((x.size, e.size), dtype=np.int64)
@@ -637,6 +703,54 @@ def _powers(x: np.ndarray, exponents: Sequence[int], p: int) -> np.ndarray:
         out %= p
         base = base * base % p
     return out
+
+
+def _lagrange(run: np.ndarray, coeffs: np.ndarray, factor: np.ndarray, p: int) -> np.ndarray:
+    """The n x n table whose entry (j, i) is x_i^(n-1-j) factor_i sum_(k>j) a_k x_i^k mod p,
+    for P = sum_k a_k X^k of degree n and the power run x^0, ..., x^n.
+
+    With ``factor`` = x^-n w it is the Lagrange basis L, since the quotient
+    of P by X - x_i has X^j coefficient x_i^-(j+1) sum_(k>j) a_k x_i^k.
+    The sums over k > j are one reversed cumulative sum of the terms
+    a_k x_i^k, each reduced below p.  It runs in blocks of rows, from the
+    top degree down, each taking the reduced sum of the rows above it, so
+    a block's arrays stay within ``_TILE`` entries and every sum within
+    (rows + 1) p < 2^63.
+    """
+    n, m = coeffs.size - 1, run.shape[0]
+    powers = run.T  # row k: x^k
+    table = np.empty((n, m), dtype=np.int64)
+    above = np.zeros(m, dtype=np.int64)  # sum over k > hi of a_k x^k, reduced
+    rows = max(1, _TILE // max(m, 1))
+    for hi in range(n, 0, -rows):  # rows lo <= j < hi
+        lo = max(hi - rows, 0)
+        terms = _remainder(powers[lo + 1:hi + 1] * coeffs[lo + 1:hi + 1, None], p)
+        block = table[lo:hi]
+        np.cumsum(terms[::-1], axis=0, out=block[::-1])
+        block += above
+        above = _remainder(block, p)[0].copy()
+        block *= powers[n - hi:n - lo][::-1]
+        _remainder(block, p)
+        block *= factor
+        _remainder(block, p)
+    return table
+
+
+def _remainder(x: np.ndarray, p: int) -> np.ndarray:
+    """int64 x reduced mod p in place, and returned.
+
+    From ``_FLOOR_DIVIDE`` entries up as x - floor(x / p) p, which gives
+    the values of ``x % p`` faster, since numpy's floor division of int64
+    by a scalar runs through libdivide while its remainder does not; on
+    smaller arrays, where its three passes cost more calls than they save,
+    as ``x % p``.
+    """
+    if x.size < _FLOOR_DIVIDE:
+        return np.remainder(x, p, out=x)
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def _node_products(x: np.ndarray, p: int) -> np.ndarray:

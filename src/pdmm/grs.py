@@ -10,8 +10,8 @@ which is what the transfer-matrix construction consumes.
 
 This module is GRS math over a ``FieldContext`` only.  The protocol's
 evaluation frame, ``protocol.EvalFrame``, forms the same dual
-multipliers as ``shifted_dual_multipliers`` from the Lagrange weights
-its generator inverse already has.
+multipliers as ``shifted_dual_multipliers`` from the Fermat pass its
+generator inverse already makes, with no node products.
 """
 
 from __future__ import annotations

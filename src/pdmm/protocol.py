@@ -27,13 +27,17 @@ generator in the state, that one call per array would.
 plan's single order-q coset, or up to ``_MAX_RESAMPLE`` random draws)
 and builds each as an ``EvalFrame``, the one kind of frame.  A frame
 computes its point algebra once, from its field, points, plan and
-shift: one power table on every exponent a stage reads, the generator
-as that table's columns at the table exponents, its inverse by Lagrange
-interpolation with a g x g correction for the g gaps in the exponents,
+shift: one power table on every exponent a stage reads and the degrees
+0, ..., N, the generator as that table's columns at the table
+exponents, its inverse by Lagrange interpolation read off the power run
+x^0, ..., x^N, with a g x g correction for the g gaps in the exponents,
 which rejects a singular generator, and, for a quantum frame, the dual
-multipliers and their inverses from the same node products.  Then the
-privacy rank audit runs, and the first candidate that passes is the
-run's frame.  No N x N matrix is eliminated or ranked.  Every later
+multipliers and their inverses from the inverse's one Fermat pass.
+Then the privacy rank audit runs, and the first candidate that passes
+is the run's frame.  No N x N matrix is eliminated or ranked.  A
+quantum run derives its interference run once: ``sample_frame`` gates
+quantum mode with ``quantum_layout`` before it picks the field, and the
+frame carries that layout to ``quantum_transfer``.  Every later
 stage works over ``frame.ctx`` and reads the plan and the powers from
 the frame: the encoding pass takes just the frame and the blocks, the
 decoders just the frame and the server products.
@@ -45,14 +49,15 @@ import functools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
 
 from .degree_tables import ExponentPlan, plan_record
-from .feasibility import check_feasible, longest_run
+# benchmarks/test_bench.py reads protocol's binding of longest_run, which runs inside check_feasible
+from .feasibility import check_feasible, longest_run  # noqa: F401
 from .gf import (
     DuplicatePointError,
     FieldContext,
@@ -60,8 +65,8 @@ from .gf import (
     _admissible_points,
     _groups,
     _integers,
-    _node_products,
     _powers,
+    _remainder,
     element_of_order,
     is_prime,
     next_prime,
@@ -233,45 +238,51 @@ class EvalFrame:
     there must be N = ``plan.table.n_servers`` points (else
     ``ShapeMismatchError``), stored reduced mod p, nonzero and distinct.
     Quantum frames give ``shift``, the start of the plan's interference
-    run; classical frames leave it None.
+    run; classical frames leave it None.  ``sample_frame`` also hands a
+    quantum frame the plan's ``quantum_layout``, which ``quantum_transfer``
+    reads; it is not a field, so ``dataclasses.replace`` leaves it out and
+    ``quantum_transfer`` derives the layout again.
 
     Everything else is derived from the points, once, when the frame is
     built, so ``dataclasses.replace`` re-derives it.  One
     ``ctx.vandermonde`` call builds the power table x_i^e for every e
-    among the table exponents, ``plan.alpha``, ``plan.beta`` and, for a
-    quantum frame, -2 ``shift`` and 2 ``shift``; ``powers`` gathers its
-    columns through the frame's exponent -> column map, whose entry for a
-    table exponent is also its position in table order, the row of
-    ``inverse`` that ``decode_classical`` and ``quantum_transfer`` read.
-    ``generator`` is its columns at the table exponents, in table order,
-    and ``inverse`` comes from ``FieldContext._vandermonde_inverse``,
-    which raises ``SingularMatrixError`` for a rank-deficient generator.
-    Neither is eliminated, and neither plays a part in equality or repr.
+    among the table exponents, the degrees 0, ..., N, ``plan.alpha``,
+    ``plan.beta`` and, for a quantum frame, 2 ``shift``; ``powers``
+    gathers its columns through the frame's exponent -> column map, whose
+    entry for a table exponent is also its position in table order, the
+    row of ``inverse`` that ``decode_classical`` and ``quantum_transfer``
+    read.  ``generator`` is its columns at the table exponents, in table
+    order.  The run x^0, ..., x^N, a view of the table when the table
+    exponents are 0, ..., N - 1, feeds ``FieldContext._vandermonde_inverse``,
+    which gives ``inverse`` and raises ``SingularMatrixError`` for a
+    rank-deficient generator.  Neither is eliminated, and neither plays a
+    part in equality or repr.
 
     The first instance's column multipliers are all ones, so ``v`` is the
     one vector that makes the ``shift``-shifted GRS codes on ones and on
-    ``v`` dual: v_i = (x_i^(2s) prod_{j != i} (x_j - x_i))^-1, which is
-    (-1)^(N-1) w_i x_i^(-2s) for the Lagrange weights
-    w_i = 1 / prod_{j != i} (x_i - x_j) the inverse already forms
-    (MacWilliams and Sloane, ch. 10).  Its inverse, which
-    ``quantum_transfer`` reads, needs no inversion:
-    v_i^-1 = x_i^(2s) prod_{j != i} (x_j - x_i), the node products the
-    inverse's weights come from times the table's 2s column.  Classical
-    frames leave ``v`` and ``_v_inv`` None.
+    ``v`` dual: v_i = (x_i^(2s) prod_{j != i} (x_j - x_i))^-1
+    (MacWilliams and Sloane, ch. 10), where
+    prod_{j != i} (x_j - x_i) = (-1)^(N-1) P'(x_i) for P = prod_j (X - x_j).
+    The inverse's one Fermat pass inverts u = (P'(x) x^N x^(2s)) for a
+    quantum frame, so v = (-1)^(N-1) u x^N, and its inverse, which
+    ``quantum_transfer`` reads, is v^-1 = (-1)^(N-1) P'(x) x^(2s), with
+    no second inversion.  Classical frames leave ``v`` and ``_v_inv`` None.
     """
 
     ctx: FieldContext
     points: tuple[int, ...]
     plan: ExponentPlan = field(compare=False, repr=False)
     shift: int | None = None
+    layout: InitVar[list[int] | None] = None
     v: tuple[int, ...] | None = field(init=False, default=None)
     generator: np.ndarray = field(init=False, compare=False, repr=False)
     inverse: np.ndarray = field(init=False, compare=False, repr=False)
     _table: np.ndarray = field(init=False, compare=False, repr=False)
     _column: dict[int, int] = field(init=False, compare=False, repr=False)
+    _layout: list[int] | None = field(init=False, default=None, compare=False, repr=False)
     _v_inv: np.ndarray | None = field(init=False, default=None, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, layout):
         if not isinstance(self.plan, ExponentPlan):
             raise TypeError(f"plan must be an ExponentPlan, got {self.plan!r}")
         ctx, table = self.ctx, self.plan.table
@@ -280,25 +291,26 @@ class EvalFrame:
         if len(pts) != n:
             raise ShapeMismatchError(f"expected {n} points for {n} servers, got {len(pts)} points")
         # table exponents first, so the generator is a view of the table
-        extra = {*self.plan.alpha, *self.plan.beta}
+        extra = {*range(n + 1), *self.plan.alpha, *self.plan.beta}
         if self.shift is not None:
-            extra.update((-2 * self.shift, 2 * self.shift))
+            extra.add(2 * self.shift)
         exps = [*table.exponents, *sorted(extra.difference(table.exponents))]
         powers = ctx.vandermonde(pts, exps)
         powers.flags.writeable = False
-        x = ctx.asarray(pts)
-        nodes = _node_products(x, ctx.p)
-        inverse, weights = ctx._vandermonde_inverse(x, table.exponents, nodes)
         for name, value in (("points", pts), ("_table", powers),
                             ("_column", {e: j for j, e in enumerate(exps)}),
-                            ("generator", powers[:, :n]), ("inverse", inverse)):
+                            ("_layout", layout), ("generator", powers[:, :n])):
             object.__setattr__(self, name, value)
-        if self.shift is not None:
-            v = weights * self.powers([-2 * self.shift])[:, 0] % ctx.p
+        run = powers[:, :n + 1] if exps[:n + 1] == [*range(n + 1)] else self.powers(range(n + 1))
+        scale = None if self.shift is None else self.powers([2 * self.shift])[:, 0]
+        inverse, derivative, u = ctx._vandermonde_inverse(run[:, 1], table.exponents, run, scale)
+        object.__setattr__(self, "inverse", inverse)
+        if scale is not None:
+            v, v_inv = u * run[:, n] % ctx.p, derivative * scale % ctx.p
             if n % 2 == 0:  # (-1)^(N-1) = -1
-                v = (ctx.p - v) % ctx.p
+                v, v_inv = (ctx.p - v) % ctx.p, (ctx.p - v_inv) % ctx.p
             object.__setattr__(self, "v", tuple(v.tolist()))
-            object.__setattr__(self, "_v_inv", nodes * self.powers([2 * self.shift])[:, 0] % ctx.p)
+            object.__setattr__(self, "_v_inv", v_inv)
 
     @property
     def n(self) -> int:
@@ -307,8 +319,9 @@ class EvalFrame:
     def powers(self, exponents) -> np.ndarray:
         """N x len(exponents) matrix x_i^(e_j), gathered from the frame's power table.
 
-        Each exponent must be one the table holds: a table exponent, one
-        of ``plan.alpha`` or ``plan.beta``, or -2 ``shift`` or 2 ``shift``.
+        Each exponent must be one the table holds: a table exponent, a
+        degree 0, ..., N, one of ``plan.alpha`` or ``plan.beta``, or
+        2 ``shift``.
         """
         return self._table[:, [self._column[e] for e in exponents]]
 
@@ -324,13 +337,16 @@ def sample_frame(cfg: ProtocolConfig,
                  rng: np.random.Generator) -> tuple[EvalFrame, AuditReport]:
     """Pick the run's field and return the first candidate frame that passes every check.
 
-    The field is ``default_field(cfg.plan, cfg.prime)`` and becomes
+    In quantum mode ``quantum_layout`` gates the plan first, so an
+    infeasible plan raises ``NotFeasibleError`` before any field is
+    chosen or any point drawn; the layout's head is the frames' shift,
+    and each quantum frame carries the layout.  The field is
+    ``default_field(cfg.plan, cfg.prime)`` and becomes
     ``frame.ctx``.  A cyclic plan has one candidate point set, the coset
     of an order-q element; any other plan has up to ``_MAX_RESAMPLE``
     seeded draws, each drawn just before its checks.  Both give
     distinct nonzero points.  Every candidate is built as an
-    ``EvalFrame``, quantum ones with the interference run start as their
-    shift: one power table, and the N x N generator on all table
+    ``EvalFrame``: one power table, and the N x N generator on all table
     exponents inverted by interpolation, with a g x g correction for the
     g exponents missing below the top one (see
     ``FieldContext._vandermonde_inverse``).  A singular correction means
@@ -341,10 +357,10 @@ def sample_frame(cfg: ProtocolConfig,
     rejections by check.
     """
     plan = cfg.plan
+    layout = quantum_layout(plan) if cfg.mode == "quantum" else None  # the quantum gate
+    shift = None if layout is None else layout[0]
     ctx = default_field(plan, cfg.prime)
-    table = plan.table
-    n = table.n_servers
-    shift = (longest_run(table.interference) or [0])[0] if cfg.mode == "quantum" else None
+    n = plan.table.n_servers
     if plan.modulus_q:
         omega = element_of_order(plan.modulus_q, ctx.p)
         candidates = [[pow(omega, i, ctx.p) for i in range(plan.modulus_q)]]
@@ -354,7 +370,7 @@ def sample_frame(cfg: ProtocolConfig,
     rejected = dict.fromkeys((_RANK_DEFICIENT, _AUDIT_FAILED), 0)
     for points in candidates:
         try:
-            frame = EvalFrame(ctx, tuple(points), plan, shift)
+            frame = EvalFrame(ctx, tuple(points), plan, shift, layout)
         except (SingularMatrixError, DuplicatePointError):
             rejected[_RANK_DEFICIENT] += 1
             continue
@@ -543,8 +559,10 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
     """Transfer matrix for a quantum frame: dual-scaled run columns stabilized.
 
     With Q the frame's generator in ``quantum_layout(frame.plan)``
-    column order, the stabilizer block g pairs Q's first floor(N/2)
-    columns (the first instance's multipliers are all ones) with the
+    column order (the layout the frame carries from ``sample_frame``, or
+    derived here for a frame built without it), the stabilizer block g
+    pairs Q's first floor(N/2) columns (the first instance's multipliers
+    are all ones) with the
     first ceil(N/2) columns of D_v Q, D_v = diag of the frame's dual
     multipliers; the readout block h holds the remaining columns.  So g
     and h are columns of B = blockdiag(Q, D_v Q), and M = [0 I] [g h]^-1
@@ -563,7 +581,8 @@ def quantum_transfer(frame: EvalFrame) -> TransferMatrix:
         raise ValueError("frame carries no dual multipliers; sample in quantum mode")
     ctx = frame.ctx
     n = frame.n
-    perm = [frame._column[e] for e in quantum_layout(plan)]
+    layout = quantum_layout(plan) if frame._layout is None else frame._layout
+    perm = [frame._column[e] for e in layout]
     q, q_inv = frame.generator[:, perm], frame.inverse[perm]
     vq = ctx.asarray(frame.v)[:, None] * q % ctx.p
     fl, ce = n // 2, -(-n // 2)
@@ -598,7 +617,7 @@ def decode_quantum(frame: EvalFrame, responses_pair) -> tuple[np.ndarray, np.nda
     ops = np.empty((2 * n, r1.shape[1]), dtype=np.int64)
     ops[:n] = r1
     np.multiply(ctx.asarray(frame.v)[:, None], r2, out=ops[n:])
-    ops[n:] %= ctx.p
+    _remainder(ops[n:], ctx.p)
     y = apply_box(tm, ops)
     return (_assemble(frame.plan, y[ce - fl:], block_shape),
             _assemble(frame.plan, y[ce:], block_shape))
@@ -716,6 +735,11 @@ def rate_report(plan: ExponentPlan, mode: str) -> RateReport:
     _check_mode(mode)
     if mode == "quantum":
         quantum_layout(plan)
+    return _rate(plan, mode)
+
+
+def _rate(plan: ExponentPlan, mode: str) -> RateReport:
+    """``rate_report`` without its gate, for a run whose frame has passed it."""
     n = plan.table.n_servers
     instances = 2 if mode == "quantum" else 1
     return RateReport(rate=Fraction(instances * plan.K * plan.L, n),
@@ -733,8 +757,9 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     The plan's decodability is ``plan.decodability``, worked out by the
     first run on a plan and kept on it, so only a later run on the same
     plan object skips the check; an undecodable plan raises
-    ``ValueError``.  The quantum gate (``rate_report``), the frame and
-    its audit are per run.  Each instance draws A, B and both noise
+    ``ValueError``.  The quantum gate (``sample_frame``'s
+    ``quantum_layout`` call), the frame and its audit are per run, and the
+    rate is ``rate_report``'s without a second gate.  Each instance draws A, B and both noise
     stacks with one ``rng.integers`` call (see the module docstring)
     before the next instance draws.
     """
@@ -742,9 +767,9 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     report = plan.decodability
     if not report.ok:
         raise ValueError(f"plan is not decodable: {report.reason}")
-    rate = rate_report(plan, cfg.mode)  # the quantum gate
     rng = np.random.default_rng(cfg.seed)
-    frame, audit = sample_frame(cfg, rng)
+    frame, audit = sample_frame(cfg, rng)  # gates quantum mode first
+    rate = _rate(plan, cfg.mode)
     ctx = frame.ctx
     ra, inner, cb = cfg.block_dims
 

@@ -4,10 +4,11 @@ One qf_klt(5,3) quantum run (N = 35, the benchmark's ``audit_bound``
 plan, proved private by a progression) builds one frame.  Its power table
 is one ``_powers`` pass, and the audit's progression check one more: both
 noise sides have step 1, and the check forms x^d once per distinct step.
-The generator inverse forms the only node products, from which the dual
-multipliers and their inverses come too, and its Lagrange weights are
-the run's one Fermat inversion; the points are checked by the frame and by the one
-``vandermonde`` call.  Each instance draws its inputs and noise with one
+The generator inverse reads P'(x) off the table's power run, so the run
+forms no node products, and inverts u = (P'(x) x^N x^(2s)) as the run's
+one Fermat inversion, from which the Lagrange weights, the dual
+multipliers and their inverses all come; the points are checked by the
+frame and by the one ``vandermonde`` call.  Each instance draws its inputs and noise with one
 ``rng.integers`` call, the transfer matrix's two laws are read off one
 product (five ``matmul`` calls in all), and two runs on one plan check
 its decodability once, since the report is kept on the plan.  The counts
@@ -35,7 +36,7 @@ from pdmm.grs import sso_check
 from pdmm.nsumbox import NotSSOError, TransferMatrix
 from pdmm.protocol import ProtocolConfig, run_protocol
 
-BUDGET = {"_powers": 2, "_node_products": 1, "_admissible_points": 2}
+BUDGET = {"_powers": 2, "_node_products": 0, "_admissible_points": 2}
 
 
 def quantum_run(seed=0, plan=None):
@@ -74,7 +75,19 @@ def over_budget(calls):
 def test_a_quantum_run_stays_within_its_kernel_budget(monkeypatch):
     calls = kernel_calls(monkeypatch)
     assert over_budget(calls) == {}
-    assert all(calls[name] for name in BUDGET)  # each kernel was seen
+    assert {name for name in BUDGET if calls[name]} == {name for name in BUDGET if BUDGET[name]}
+
+
+def test_budget_catches_node_products_in_the_frame(monkeypatch):
+    """P'(x) from the node products prod_{k != i} (x_k - x_i), as the frame
+    formed its weights before it read them off the power run."""
+    def from_node_products(self, run, coeffs):
+        x, n = run[:, 1], coeffs.size - 1
+        nodes = gf._node_products(x, self.p)
+        return nodes if n % 2 else (self.p - nodes) % self.p  # (-1)^(N-1)
+
+    monkeypatch.setattr(gf.FieldContext, "_derivative", from_node_products)
+    assert over_budget(kernel_calls(monkeypatch)) == {"_node_products": 1}
 
 
 def test_budget_catches_per_instance_encoder_powers(monkeypatch):
@@ -111,8 +124,8 @@ def test_every_budgeted_kernel_is_counted(monkeypatch, name):
 
 
 def test_a_quantum_run_inverts_by_fermat_once(monkeypatch):
-    """The Lagrange weights are the run's one Fermat pass: the transfer
-    matrix reads v^-1 off the frame, formed with v from the node products."""
+    """u = (P'(x) x^N x^(2s))^-1 is the run's one Fermat pass: the Lagrange
+    weights, v and the v^-1 the transfer matrix reads all come from it."""
     calls = []
     real = gf.FieldContext._inverse_all
     monkeypatch.setattr(gf.FieldContext, "_inverse_all",

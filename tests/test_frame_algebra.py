@@ -2,15 +2,15 @@
 
 ``EvalFrame`` builds one power table per frame and reads everything else
 off it and off its generator inverse: the generator and the encoder's
-powers are columns of the table, and the dual multipliers are
-v = (-1)^(N-1) w x^(-2s), w the Lagrange weights the inverse forms, and
-v^-1 = x^(2s) prod_{j != i} (x_j - x_i) is the node products times a table
-column, with no inversion.  These tests check v against
-``shifted_dual_multipliers``, v^-1 against v and against a Fermat
-inversion of it, and ``frame.powers`` against ``FieldContext.vandermonde``,
-with negative controls that drop the sign and the x^(2s) factor; check
-that ``dataclasses.replace`` re-derives the frame; and pin one power table
-per ``sample_frame`` candidate.
+powers are columns of the table, and with u = (P'(x) x^N x^(2s))^-1, the
+inverse's one Fermat pass, the dual multipliers are v = (-1)^(N-1) u x^N
+and v^-1 = (-1)^(N-1) P'(x) x^(2s), with no second inversion.  These tests
+check v against ``shifted_dual_multipliers``, v^-1 against v and against
+a Fermat inversion of it, and ``frame.powers`` against
+``FieldContext.vandermonde``, with negative controls that drop the sign
+and the x^(2s) factor and misorder the column map; check that
+``dataclasses.replace`` re-derives the frame; and pin one power table per
+``sample_frame`` candidate.
 """
 
 import collections
@@ -22,8 +22,9 @@ import re
 import numpy as np
 import pytest
 
+import lagrange_oracle
 from pdmm.degree_tables import ExponentPlan, build_dog
-from pdmm.gf import FieldContext
+from pdmm.gf import FieldContext, _node_products
 from pdmm.grs import shifted_dual_multipliers
 from pdmm.protocol import EvalFrame, ProtocolConfig, ResampleExhaustedError, sample_frame
 from test_generator_inverse import sampled
@@ -71,10 +72,12 @@ def dual_mismatches(derive=lambda frame: frame.v):
 
 
 def unsigned_v(frame):
-    """v without the (-1)^(N-1) sign: w_i x_i^(-2s)."""
+    """v without the (-1)^(N-1) sign: w_i x_i^(-2s), from the oracle's Lagrange weights."""
     ctx = frame.ctx
-    _, weights = ctx._vandermonde_inverse(ctx.asarray(frame.points), frame.plan.table.exponents)
-    return tuple((weights * frame.powers([-2 * frame.shift])[:, 0] % ctx.p).tolist())
+    _, weights = lagrange_oracle.vandermonde_inverse(ctx, ctx.asarray(frame.points),
+                                                     frame.plan.table.exponents)
+    x_shift = ctx.vandermonde(frame.points, [-2 * frame.shift])[:, 0]
+    return tuple((weights * x_shift % ctx.p).tolist())
 
 
 def test_grid_covers_odd_and_even_n_and_every_shift():
@@ -114,32 +117,48 @@ def test_v_inverse_from_node_products_inverts_v():
     assert v_inverse_mismatches(quantum_frames()) == []
 
 
-def test_differential_check_catches_v_inverse_without_its_power(monkeypatch):
-    """Node products alone, without x^(2s), invert v only where every x^(2s) is 1."""
-    real = EvalFrame.powers
-    shifted = [(f.n, f.ctx.p, f.shift) for f in quantum_frames()
-               if np.any(real(f, [2 * f.shift]) != 1)]
+def shifted_frames():
+    """(N, p, shift) of every quantum frame with some x_i^(2s) other than 1."""
+    return [(f.n, f.ctx.p, f.shift) for f in quantum_frames()
+            if np.any(f.ctx.vandermonde(f.points, [2 * f.shift]) != 1)]
 
-    def no_positive_shift_column(frame, exponents):
+
+def test_differential_check_catches_v_inverse_without_its_power():
+    """Node products alone, without x^(2s), invert v only where every x^(2s) is 1."""
+    frames = [copy.copy(frame) for frame in quantum_frames()]
+    for frame in frames:
+        object.__setattr__(frame, "_v_inv", _node_products(frame.ctx.asarray(frame.points),
+                                                           frame.ctx.p))
+    shifted = shifted_frames()
+    assert len(shifted) >= 400 and v_inverse_mismatches(frames) == shifted
+
+
+def test_differential_check_catches_duals_without_the_shift_power(monkeypatch):
+    """Without the x^(2s) column, u = (P'(x) x^N)^-1 gives the unshifted duals:
+    v and v^-1 still invert each other, so only the check of v against
+    ``shifted_dual_multipliers`` sees it, on exactly the shifted frames."""
+    real = EvalFrame.powers
+
+    def no_shift_column(frame, exponents):
         if frame.shift and list(exponents) == [2 * frame.shift]:
             return np.ones((frame.n, 1), dtype=np.int64)
         return real(frame, exponents)
 
-    monkeypatch.setattr(EvalFrame, "powers", no_positive_shift_column)
-    frames = [dataclasses.replace(frame) for frame in quantum_frames()]
-    assert len(shifted) >= 400 and v_inverse_mismatches(frames) == shifted
-    assert dual_mismatches(lambda frame: dataclasses.replace(frame).v) == []  # v itself is kept
+    monkeypatch.setattr(EvalFrame, "powers", no_shift_column)
+    assert v_inverse_mismatches([dataclasses.replace(frame) for frame in quantum_frames()]) == []
+    assert dual_mismatches(lambda frame: dataclasses.replace(frame).v) == shifted_frames()
 
 
 def power_mismatches(frames):
     """Frames whose power table gives other columns than ``vandermonde``: at
-    the table exponents, at alpha and beta, and at -2 shift and 2 shift for quantum frames."""
+    the table exponents, at alpha and beta, at the degrees 0, ..., N, and
+    at 2 shift for quantum frames."""
     bad = []
     for frame in frames:
         plan, ctx = frame.plan, frame.ctx
-        groups = [plan.table.exponents, plan.alpha[::-1], plan.beta]
+        groups = [plan.table.exponents, plan.alpha[::-1], plan.beta, range(frame.n + 1)]
         if frame.shift is not None:
-            groups.append(sorted({-2 * frame.shift, 2 * frame.shift}))
+            groups.append([2 * frame.shift])
         wants = [ctx.vandermonde(frame.points, exps) for exps in groups]
         if not (all(got.dtype == want.dtype and np.array_equal(got, want)
                     for got, want in zip(map(frame.powers, groups), wants))
@@ -168,11 +187,13 @@ def test_powers_match_vandermonde_on_every_builder_plan():
 
 
 def test_differential_check_catches_a_misordered_column_map():
-    """A column map in ascending exponent order, while the table puts the
-    table exponents first, reads -2 shift's column as exponent 0's and so on."""
-    frames = [copy.copy(frame) for _, frame in sampled() if frame.shift]
+    """A column map rotated by one reads each exponent's column as the next one's."""
+    frames = [copy.copy(frame) for _, frame in sampled()] + \
+        [copy.copy(frame) for frame in gapped_frames()]
     for frame in frames:
-        object.__setattr__(frame, "_column", {e: j for j, e in enumerate(sorted(frame._column))})
+        width = len(frame._column)
+        object.__setattr__(frame, "_column",
+                           {e: (j + 1) % width for e, j in frame._column.items()})
     assert frames and len(power_mismatches(frames)) == len(frames)
 
 

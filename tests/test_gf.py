@@ -633,3 +633,23 @@ def test_unchecked_powers_match_pow_oracle(p, data):
     got = gf._powers(np.array(points, dtype=np.int64), exps, p)
     assert got.shape == (len(points), len(exps))
     assert got.tolist() == pow_oracle(points, exps, p)
+
+
+def remainder_mismatches(reduce):
+    """Primes at which ``reduce(x, p)`` differs from ``x % p`` on int64 entries
+    from 0 to (p - 1)^2, the products of two canonical entries."""
+    bad = []
+    for p in PROPERTY_PRIMES:
+        x = np.random.default_rng(p).integers(0, (p - 1) ** 2, size=1000, endpoint=True)
+        x[:2] = 0, (p - 1) ** 2
+        if not np.array_equal(reduce(x.copy(), p), x % p):
+            bad.append(p)
+    return bad
+
+
+def test_floor_division_remainder_matches_mod():
+    assert remainder_mismatches(gf._remainder) == []
+
+
+def test_remainder_check_catches_a_reduction_by_p_minus_1():
+    assert remainder_mismatches(lambda x, p: gf._remainder(x, p - 1)) == PROPERTY_PRIMES

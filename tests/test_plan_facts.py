@@ -39,7 +39,7 @@ from pdmm.degree_tables import (
     gasp_server_formula,
     optimal_gasp_r,
 )
-from pdmm.feasibility import feasibility_rows, min_feasible_t
+from pdmm.feasibility import feasibility_rows, min_feasible_t, t_hat_estimate
 
 # Undecodable by hand: an information sum collides (3 + 0 = 1 + 2), a
 # side has fewer than T noise exponents, and a repeated noise exponent.
@@ -183,7 +183,7 @@ CALLS = [
     (build_qf_additive, (2, 1, 1)), (build_qf_klt, (3, 2)), (build_qf_kt, (2, 2, 1)),
     (build_qf_kt_shift, (2, 1, 1)), (build_low_privacy, (3, 3, 2)),
     (gasp_server_formula, (2, 2, 3, 1)), (optimal_gasp_r, (2, 2, 3)),
-    (best_classical_plan, (2, 2, 2)), (min_feasible_t, (3, 2, 64)),
+    (best_classical_plan, (2, 2, 2)), (min_feasible_t, (3, 2, 64)), (t_hat_estimate, (3, 2)),
 ]
 BAD = {"float": float, "string": str, "bool": lambda v: True}
 
@@ -223,6 +223,9 @@ def test_the_refusal_check_catches_a_dropped_integer_read(monkeypatch):
     for call, args in [(min_feasible_t, (3, 2, 64)), (gasp_server_formula, (2, 2, 3, 1)),
                        (build_gasp_r, (2, 2, 3, 1))]:
         assert not all(refusal(call, args, at, float) for at in range(len(args)))
+    # t_hat_estimate answers for bools and floats, and a string reaches its arithmetic
+    for args in [(True, True), (2.5, 2.5), ("3", "2")]:
+        assert not refusal(t_hat_estimate, args, 0, lambda value: value)
 
 
 def test_feasibility_rows_read_k_and_l_as_ints():

@@ -100,7 +100,7 @@ def test_resample_exhaustion_counts_rejections_by_reason():
 GAPPED = build_dog(2, 2, 2, 1, 1)
 
 
-def _singular(self, x, exponents, nodes=None):
+def _singular(self, *args):
     raise SingularMatrixError("stub")
 
 
@@ -476,6 +476,32 @@ def test_quantum_decode_reads_responses_mod_p():
     assert all(np.array_equal(r, k) for r, k in zip(shifted, kept))
 
 
+def z_half_mismatches(monkeypatch, prime):
+    """Rows of the Z half ``decode_quantum`` hands the box that differ from
+    v r2 mod p, for responses r2 of entries up to p - 1, so products up to (p - 1)^2."""
+    _, frame, _ = make_frame(GASP223, mode="quantum", prime=prime)
+    ctx, n = frame.ctx, frame.n
+    rng = np.random.default_rng(prime)
+    r1, r2 = (rng.integers(0, ctx.p, size=(n, 3, 4)) for _ in range(2))
+    r2[:, 0] = ctx.p - 1
+    seen = []
+    monkeypatch.setattr(protocol, "apply_box", lambda tm, ops: seen.append(ops.copy()) or ops)
+    decode_quantum(frame, (r1, r2))
+    want = ctx.asarray(frame.v)[:, None] * r2.reshape(n, -1) % ctx.p
+    return [i for i in range(n) if not np.array_equal(seen[0][n + i], want[i])]
+
+
+@pytest.mark.parametrize("prime", [131, 2_000_000_011])
+def test_quantum_decode_reduces_the_scaled_z_half(monkeypatch, prime):
+    assert z_half_mismatches(monkeypatch, prime) == []
+
+
+def test_z_half_check_catches_a_reduction_by_p_minus_1(monkeypatch):
+    real = protocol._remainder
+    monkeypatch.setattr(protocol, "_remainder", lambda x, p: real(x, p - 1))
+    assert z_half_mismatches(monkeypatch, 131) == list(range(13))
+
+
 def test_classical_decode_cat():
     t = run(build_cat(2, 2, 2), "classical", seed=2)
     assert t.modulus == 11 and t.rate.n_servers == 10 and t.decode_ok
@@ -559,12 +585,33 @@ def test_quantum_layout_of_gasp_puts_the_run_tail_last():
     assert quantum_layout(GASP223_SWAPPED) == [4, 5, 6, 7, 8, 9, 10, 1, 3, 0, 2, 11, 12]
 
 
-def test_quantum_run_derives_its_layout_twice(monkeypatch):
+def layout_derivations(monkeypatch):
+    """``check_feasible`` calls, and so interference-run derivations, in one quantum run."""
     calls = []
     real = protocol.check_feasible
     monkeypatch.setattr(protocol, "check_feasible", lambda plan: calls.append(plan) or real(plan))
     assert run(GASP223, "quantum", seed=7, prime=131).decode_ok
-    assert len(calls) == 2  # the quantum gate, then the transfer matrix
+    return len(calls)
+
+
+def test_quantum_run_derives_its_layout_once(monkeypatch):
+    """``sample_frame``'s gate derives the layout, and the frame carries it
+    to ``quantum_transfer``; ``run_protocol`` forms its rate without a gate."""
+    assert layout_derivations(monkeypatch) == 1
+
+
+def test_layout_pin_catches_a_second_gate_and_an_uncarried_layout(monkeypatch):
+    """The run's own gate and a transfer matrix that derives the layout
+    again, as before the frame carried it, make three derivations."""
+    real_sample = protocol.sample_frame
+
+    def gated_then_dropped(cfg, rng):
+        rate_report(cfg.plan, cfg.mode)
+        frame, audit = real_sample(cfg, rng)
+        return dataclasses.replace(frame), audit  # the replaced frame carries no layout
+
+    monkeypatch.setattr(protocol, "sample_frame", gated_then_dropped)
+    assert layout_derivations(monkeypatch) == 3
 
 
 def test_quantum_transfer_refuses_a_classical_frame():
