@@ -98,9 +98,9 @@ def _cmd_construct(args) -> int:
               + (f" q={plan.modulus_q}" if plan.modulus_q else ""))
         print("alpha:", " ".join(map(str, plan.alpha)))
         print("beta: ", " ".join(map(str, plan.beta)))
-        width = len(str(max(max(row) for row in table.table)))
+        width = len(str(table.sums.max()))
         print("degree table:")
-        for row in table.table:
+        for row in table.sums.tolist():
             print("  " + " ".join(str(v).rjust(width) for v in row))
         print(f"servers: {table.n_servers}")
         print("info sums:   ", " ".join(map(str, sorted(table.info))))

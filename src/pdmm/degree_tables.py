@@ -93,18 +93,14 @@ class ExponentPlan:
     plans, whose exponent arithmetic wraps mod q; one below 1 or beyond
     int64 raises ``ValueError``.  ``table`` is the plan's ``outer_sum``,
     built once when the plan is built; it is not an argument and plays
-    no part in equality, hashing or ``repr``.  The table's row tuples,
-    the plan's noise sides ``noise_alpha`` and ``noise_beta`` and the
-    privacy proof's ``noise_progressions`` are worked out on first use
-    and kept (``functools.cached_property``): most plans built are never
-    printed, decoded or audited, and one run reads each noise side
-    several times.  ``decodability``, the report of ``check_decodable``,
-    is kept the same way, which saves work only when one plan object is
-    run more than once (as the benchmark's protocol workloads do, one
-    seed per op); a plan built for one run, as ``pdmm simulate`` builds
-    it, checks once either way.  None of these facts calls a function
-    that ``benchmarks/tracer.py`` counts, so a run's traced counts do
-    not depend on whether an earlier run read them.
+    no part in equality, hashing or ``repr``.  The plan's noise sides
+    ``noise_alpha`` and ``noise_beta`` and the privacy proof's
+    ``noise_progressions`` are worked out on first use and kept
+    (``functools.cached_property``): most plans built are never decoded
+    or audited, and one run reads each noise side several times.  No
+    kept fact calls a function that ``benchmarks/tracer.py`` counts, so
+    a run's traced counts do not depend on whether an earlier run read
+    them.  Decodability is not kept: each run checks it.
     """
 
     family: str
@@ -174,15 +170,6 @@ class ExponentPlan:
         return tuple(e for i, e in enumerate(self.beta) if i not in keep)
 
     @functools.cached_property
-    def decodability(self) -> DecodabilityReport:
-        """``check_decodable(self)``, evaluated on first read and kept.
-
-        ``run_protocol`` reads it, so a plan run many times is checked
-        once; the first run on a plan pays the whole check.
-        """
-        return check_decodable(self)
-
-    @functools.cached_property
     def noise_progressions(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per noise side (alpha, beta), each (d, e0) with T exponents e0 + j*d, j < T.
 
@@ -215,27 +202,24 @@ class DegreeTable:
     mod q for cyclic plans, and ``outer_sum`` reads every other fact off
     it.  ``exponents`` holds the distinct sums, ascending: this fixed
     total order is the indexing every other module uses, and
-    ``n_servers`` is their number.  ``info`` lists the information sums
-    in row-major (k, l) order: the sum carrying block product A_k B_l
-    sits at position k * L + l.  ``interference`` holds every other
-    distinct sum.  ``table``, the sums as row tuples of Python ints, is
-    built on first read.  Two tables are equal when their sums and their
-    facts are.
+    ``n_servers``, the server count N, is their number.  ``info`` lists
+    the information sums in row-major (k, l) order: the sum carrying
+    block product A_k B_l sits at position k * L + l.  ``interference``
+    holds every other distinct sum.  Two tables are equal when their
+    sums and their facts are.
     """
 
     sums: np.ndarray = field(repr=False)
     info: tuple[int, ...]
     interference: frozenset[int]
-    n_servers: int
     exponents: tuple[int, ...]
 
-    @functools.cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The sums as row tuples: ``table[i][j]`` is alpha(i) + beta(j)."""
-        return tuple(map(tuple, self.sums.tolist()))
+    @property
+    def n_servers(self) -> int:
+        return len(self.exponents)
 
     def _facts(self):
-        return self.info, self.interference, self.n_servers, self.exponents
+        return self.info, self.interference, self.exponents
 
     def __eq__(self, other):
         if not isinstance(other, DegreeTable):
@@ -505,8 +489,7 @@ def outer_sum(plan: ExponentPlan) -> DegreeTable:
     from its left neighbour is a distinct one, so these are the sorted
     ``exponents`` and their count is N.  ``info`` is a gather at the flat
     indices of the info positions, and ``interference`` is the distinct
-    sums less those.  Facts are Python ints; the row tuples are left to
-    ``DegreeTable.table``, which builds them when first read.
+    sums less those.  Facts are Python ints.
     ``ExponentPlan`` calls this once, when the plan is built, and keeps
     the result as ``plan.table``; read that instead of calling this again.
     """
@@ -519,7 +502,7 @@ def outer_sum(plan: ExponentPlan) -> DegreeTable:
     info = tuple(sums.take(np.add.outer(at_a * len(plan.beta), at_b).ravel()).tolist())
     return DegreeTable(sums=sums, info=info,
                        interference=frozenset(distinct).difference(info),
-                       n_servers=len(distinct), exponents=tuple(distinct))
+                       exponents=tuple(distinct))
 
 
 def _sorted_distinct(sums: np.ndarray) -> list[int]:
@@ -541,6 +524,11 @@ def check_decodable(plan: ExponentPlan) -> DecodabilityReport:
        servers see a side's data in the clear otherwise;
     4. a cyclic plan's table covers all q residues, since its servers are
        the q points of order q.
+
+    Condition 1 counts the flat sums once and walks ``table.info``, whose
+    position k * L + l is the pair (info_alpha[k], info_beta[l]) that a
+    collision names as ``violation``.  Nothing is kept: ``run_protocol``
+    checks once per run.
     """
     q, n = plan.modulus_q, plan.table.n_servers
     if q and n != q:
@@ -551,15 +539,12 @@ def check_decodable(plan: ExponentPlan) -> DecodabilityReport:
         if len(noise) < plan.T:
             return DecodabilityReport(
                 False, f"{side} has {len(noise)} noise exponents, fewer than T = {plan.T}")
-    rows = plan.table.table
-    counts = Counter(v for row in rows for v in row)
-    for i in plan.info_alpha:
-        for j in plan.info_beta:
-            v = rows[i][j]
-            if counts[v] != 1:
-                return DecodabilityReport(
-                    False, f"information sum {v} collides with another table entry",
-                    violation=(i, j))
+    counts = Counter(plan.table.sums.ravel().tolist())
+    for at, v in enumerate(plan.table.info):
+        if counts[v] != 1:
+            return DecodabilityReport(
+                False, f"information sum {v} collides with another table entry",
+                violation=(plan.info_alpha[at // plan.L], plan.info_beta[at % plan.L]))
     return DecodabilityReport(True)
 
 

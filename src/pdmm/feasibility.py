@@ -209,10 +209,9 @@ def feasibility_rows(k_values: Iterable[int], l_values: Iterable[int] | None = N
     r*)``, with r* handed over by the search: ``check_feasible`` must
     pass on its degree table, and that table's N must equal the N the
     search ranked r* by.  Neither verdict reads the bitmask, so no row
-    rests on it alone; a disagreement raises ``RuntimeError``.  The
-    plan's row tuples are never built.  K and L are read as ints, as
-    ``min_feasible_t`` reads them, so the rows hold ints and a float
-    T_hat and go into JSON as they are.
+    rests on it alone; a disagreement raises ``RuntimeError``.  K and L
+    are read as ints, as ``min_feasible_t`` reads them, so the rows hold
+    ints and a float T_hat and go into JSON as they are.
     """
     l_values = None if l_values is None else tuple(l_values)  # every K reads all of it
     pairs = ((K, L) for K in k_values for L in (l_values if l_values is not None else [K]))

@@ -269,8 +269,8 @@ def _limbs(x: np.ndarray, count: int, bits: int, dtype) -> list[np.ndarray]:
 class FieldContext:
     """Prime field F_p with exact matrix algebra.
 
-    The modulus must be an integer (else ``TypeError``) and an odd
-    prime with p < 2^31 (else ``ValueError``) so that single
+    The modulus must be an integer (else ``TypeError``), kept as an
+    int, and an odd prime with p < 2^31 (else ``ValueError``) so that single
     products fit comfortably in int64.  Matrix products are float GEMMs
     reduced mod p in floating point (see ``matmul``): float32 when
     inner * (p - 1)^2 + p <= 2^23, else float64 over inner chunks that
@@ -283,6 +283,7 @@ class FieldContext:
     def __post_init__(self):
         if not isinstance(self.p, numbers.Integral):
             raise TypeError(f"modulus p must be an integer, got {self.p!r}")
+        object.__setattr__(self, "p", operator.index(self.p))
         if self.p < 3 or self.p % 2 == 0:
             raise ValueError(f"modulus must be an odd prime >= 3, got {self.p}")
         if self.p >= 2**31:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -55,7 +54,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .degree_tables import ExponentPlan, plan_record
+from .degree_tables import ExponentPlan, _index, check_decodable, plan_record
 # benchmarks/test_bench.py reads protocol's binding of longest_run, which runs inside check_feasible
 from .feasibility import check_feasible, longest_run  # noqa: F401
 from .gf import (
@@ -114,7 +113,8 @@ class ProtocolConfig:
     default picks the smallest usable prime).  Quantum mode requires the
     plan's feasibility check to pass.  ``seed`` must be non-negative and
     ``audit_cap`` at least 1, so that the privacy audit always checks
-    some subsets.
+    some subsets.  Integer fields refuse a bool and are stored as ints
+    (``operator.index``), and ``dims`` as a tuple.
     """
 
     plan: ExponentPlan
@@ -128,18 +128,21 @@ class ProtocolConfig:
         if not isinstance(self.plan, ExponentPlan):
             raise TypeError(f"plan must be an ExponentPlan, got {self.plan!r}")
         _check_mode(self.mode)
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        seed, prime = _integer(self.seed), _integer(self.prime)
+        if seed is None or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.prime is not None and not (
-                isinstance(self.prime, numbers.Integral) and self.prime >= 2):
+        if self.prime is not None and (prime is None or prime < 2):
             raise ValueError(f"prime must be an integer >= 2 or None, got {self.prime!r}")
-        _check_audit_cap(self.audit_cap)
+        cap = _check_audit_cap(self.audit_cap)
+        dims = tuple(map(_integer, self.dims)) if isinstance(self.dims, (tuple, list)) else ()
         if self.dims is not None and not (
-                isinstance(self.dims, (tuple, list)) and len(self.dims) == 3
-                and all(isinstance(d, numbers.Integral) and d > 0 for d in self.dims)):
+                len(dims) == 3 and all(d is not None and d > 0 for d in dims)):
             raise ShapeMismatchError(
                 f"dims must be three positive integers (rows_a, inner, cols_b), "
                 f"got {self.dims!r}")
+        for name, value in (("seed", seed), ("prime", prime), ("audit_cap", cap),
+                            ("dims", None if self.dims is None else dims)):
+            object.__setattr__(self, name, value)
         self.block_dims  # validates divisibility eagerly
 
     @property
@@ -645,9 +648,19 @@ def _check_mode(mode) -> None:
         raise ValueError(f"mode must be classical or quantum, got {mode!r}")
 
 
-def _check_audit_cap(cap) -> None:
-    if not (isinstance(cap, numbers.Integral) and cap >= 1):
+def _integer(value) -> int | None:
+    """``value`` read as the plan's fields are (``degree_tables._index``), or None
+    for a bool or a non-integer."""
+    try:
+        return _index(value=value)[0]
+    except TypeError:
+        return None
+
+
+def _check_audit_cap(cap) -> int:
+    if (read := _integer(cap)) is None or read < 1:
         raise ValueError(f"audit_cap must be an integer >= 1, got {cap!r}")
+    return read
 
 
 def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
@@ -678,7 +691,7 @@ def privacy_audit(plan: ExponentPlan, ctx: FieldContext, points,
     repeated ones included; a non-integer point raises ``TypeError`` and
     fewer than T points raise ``ValueError``.
     """
-    _check_audit_cap(cap)
+    cap = _check_audit_cap(cap)
     t = plan.T
     n = len(points)
     if n < t:
@@ -754,17 +767,16 @@ def rate_ratio(quantum: RateReport, classical: RateReport) -> Fraction:
 def run_protocol(cfg: ProtocolConfig) -> Transcript:
     """Full deterministic run: sample, encode, compute, decode, verify.
 
-    The plan's decodability is ``plan.decodability``, worked out by the
-    first run on a plan and kept on it, so only a later run on the same
-    plan object skips the check; an undecodable plan raises
-    ``ValueError``.  The quantum gate (``sample_frame``'s
-    ``quantum_layout`` call), the frame and its audit are per run, and the
-    rate is ``rate_report``'s without a second gate.  Each instance draws A, B and both noise
-    stacks with one ``rng.integers`` call (see the module docstring)
-    before the next instance draws.
+    Each run first calls ``check_decodable`` once, so an undecodable
+    plan raises ``ValueError`` before the quantum gate and before any
+    draw.  The quantum gate (``sample_frame``'s ``quantum_layout``
+    call), the frame and its audit are per run too, and the rate is
+    ``rate_report``'s without a second gate.  Each instance draws A, B
+    and both noise stacks with one ``rng.integers`` call (see the module
+    docstring) before the next instance draws.
     """
     plan = cfg.plan
-    report = plan.decodability
+    report = check_decodable(plan)
     if not report.ok:
         raise ValueError(f"plan is not decodable: {report.reason}")
     rng = np.random.default_rng(cfg.seed)

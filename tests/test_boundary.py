@@ -5,16 +5,20 @@ without a cyclic modulus q, exponents and indices that may be negative
 or out of range) and ``ProtocolConfig`` fields, and over the same plans
 built directly with K, L, T or info indices given as floats or numpy
 integers: a float is refused naming its field, and a numpy integer must
-give the outcome the int gives.  Every example must
+give the outcome the int gives.  ``ProtocolConfig``'s seed, prime,
+audit_cap and dims entries are retyped too: a numpy integer must give the
+int outcome, and a bool is refused naming its field.  Every example must
 either decode, with a passing audit, or raise one of the documented
 refusals below, of exactly that type and with a message that names the
 field or the plan fact at fault.  Any other exception (a
 ``ZeroDivisionError``, an ``IndexError``, a numpy error) fails the gate.
 Uneven block shapes also reach the fused encode-and-product pass here.
-Two negative controls, one removing the K, L >= 1 check and one the
-integer read of K, L and T, must each fail the gate.
+Three negative controls, one removing the K, L >= 1 check, one the
+integer read of K, L and T and one reading config fields as
+``numbers.Integral`` (which admits a bool), must each fail the gate.
 """
 
+import numbers
 import re
 
 import numpy as np
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from pdmm import degree_tables
+from pdmm import degree_tables, protocol
 from pdmm.degree_tables import ExponentPlan, ParamOutOfRangeError, parse_plan_record
 from pdmm.grs import ShapeMismatchError
 from pdmm.protocol import (
@@ -134,6 +138,46 @@ configs = st.one_of(valid_configs, st.fixed_dictionaries({
     "dims": st.one_of(st.none(), st.tuples(*[st.integers(0, 6)] * 3), st.just((1, 1))),
 }))
 
+
+@st.composite
+def retyped_configs(draw):
+    """``valid_configs`` output with seed, audit_cap, a given prime or one dims entry
+    retyped to a numpy integer or a bool: (fields, the int fields, the retyped name,
+    whether it became a bool)."""
+    ints = draw(valid_configs)
+    name = draw(st.sampled_from([name for name in ("seed", "prime", "audit_cap", "dims")
+                                 if ints[name] is not None]))
+    as_bool = draw(st.booleans())
+    kind = (lambda value: draw(st.booleans())) if as_bool else np.int64
+    if name == "dims":
+        at = draw(st.integers(0, 2))
+        value = tuple(kind(d) if i == at else d for i, d in enumerate(ints["dims"]))
+    else:
+        value = kind(ints[name])
+    return {**ints, name: value}, ints, name, as_bool
+
+
+def check_retyped_config(record, case) -> str:
+    """The run's outcome; a numpy field must give the int outcome, and a bool
+    must be refused by ``ProtocolConfig``, naming its field, wherever the plan parses."""
+    retyped, ints, name, as_bool = case
+    got = outcome(record, **retyped)
+    if not as_bool:
+        assert got == outcome(record, **ints)
+        return got
+    try:
+        plan = parse_plan_record(record)
+    except (TypeError, ValueError):
+        return got  # refused before any config field is read
+    try:
+        ProtocolConfig(plan=plan, **retyped)
+    except ValueError as error:
+        assert type(error) is (ShapeMismatchError if name == "dims" else ValueError)
+        assert str(error).startswith(f"{name} must be ")
+        return got
+    raise AssertionError(f"bool {name} accepted")
+
+
 K_ZERO = "x - 0 2 1 | 2 4 | 10 5 7 8 |  | 0 1 | -"
 
 
@@ -168,6 +212,12 @@ def test_float_and_numpy_integer_plan_fields_are_refused_or_read_as_ints(case, f
     assert got == outcome(ints, **fields)
 
 
+@given(plan_records, retyped_configs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_numpy_integer_config_fields_read_as_ints_and_bools_are_refused(record, case):
+    event(check_retyped_config(record, case))
+
+
 @pytest.mark.parametrize("record, fields, want", [
     (K_ZERO, {}, "ParamOutOfRangeError"),
     ("x - 1 1 0 | 0 | 0 | 0 | 0 | 1", {}, "decoded"),
@@ -195,3 +245,16 @@ def test_the_gate_catches_a_float_t_read_without_operator_index(monkeypatch):
     monkeypatch.setattr(degree_tables, "_index", lambda **values: list(values.values()))
     with pytest.raises(AssertionError, match="^undocumented TypeError: 'float' object"):
         outcome(fields)
+
+
+def test_the_gate_catches_a_bool_config_field_read_as_an_integer(monkeypatch):
+    """With the ``numbers.Integral`` read restored, ``seed=True`` is accepted
+    and the run decodes."""
+    record = "x - 1 1 1 | 0 1 | 0 1 | 0 | 0 | -"
+    case = ({"seed": True}, {"seed": 1}, "seed", True)
+    assert check_retyped_config(record, case) == "ValueError"
+    monkeypatch.setattr(protocol, "_integer",
+                        lambda value: value if isinstance(value, numbers.Integral) else None)
+    assert outcome(record, seed=True) == "decoded"
+    with pytest.raises(AssertionError, match="^bool seed accepted$"):
+        check_retyped_config(record, case)

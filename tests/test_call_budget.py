@@ -10,12 +10,12 @@ one Fermat inversion, from which the Lagrange weights, the dual
 multipliers and their inverses all come; the points are checked by the
 frame and by the one ``vandermonde`` call.  Each instance draws its inputs and noise with one
 ``rng.integers`` call, the transfer matrix's two laws are read off one
-product (five ``matmul`` calls in all), and two runs on one plan check
-its decodability once, since the report is kept on the plan.  The counts
+product (five ``matmul`` calls in all), and each run checks its plan's
+decodability once, since no report is kept on the plan.  The counts
 are deterministic, so a stage that goes back to recomputing powers, node
-products, point checks, draws, law products or plan facts shows here
-even where its time would hide in the noise.  Each pin has a negative
-control that puts the old step back and must go over it.
+products, point checks, draws or law products, or to keeping a per-run
+check, shows here even where its time would hide in the noise.  Each pin
+has a negative control that puts the old step back and must miss it.
 
 Servers multiply the float shares their encoder just formed, so no stage
 of a run hands ``FieldContext.matmul`` a stack of shares: in a small
@@ -24,6 +24,7 @@ reach it, with 2-D operands, and nothing calls ``np.stack``.
 """
 
 import collections
+import functools
 import sys
 
 import numpy as np
@@ -31,7 +32,7 @@ import pytest
 
 import share_oracle
 from pdmm import degree_tables, gf, protocol
-from pdmm.degree_tables import ExponentPlan, build_cat, build_qf_klt
+from pdmm.degree_tables import build_cat, build_qf_klt
 from pdmm.grs import sso_check
 from pdmm.nsumbox import NotSSOError, TransferMatrix
 from pdmm.protocol import ProtocolConfig, run_protocol
@@ -203,27 +204,27 @@ def test_matmul_pin_catches_one_product_per_law(monkeypatch):
     assert callers["two_products"] == 2 and sum(callers.values()) == 6
 
 
-def decodability_checks(monkeypatch):
-    """``check_decodable`` calls over two quantum runs on one plan."""
+def decodability_checks(monkeypatch, keep=lambda check: check):
+    """``check_decodable`` calls over two quantum runs on one plan; ``keep``
+    wraps the counted check at protocol's binding."""
     calls = []
-    real = degree_tables.check_decodable
-    monkeypatch.setattr(degree_tables, "check_decodable",
-                        lambda plan: calls.append(plan) or real(plan))
+    real = protocol.check_decodable
+    monkeypatch.setattr(protocol, "check_decodable",
+                        keep(lambda plan: calls.append(plan) or real(plan)))
     plan = build_qf_klt(5, 3)
     for seed in (0, 1):
         quantum_run(seed, plan)
     return len(calls)
 
 
-def test_two_runs_on_one_plan_check_its_decodability_once(monkeypatch):
-    assert decodability_checks(monkeypatch) == 1
-
-
-def test_decodability_pin_catches_a_check_per_run(monkeypatch):
-    """A report worked out on every read, as ``run_protocol`` did, is one check per run."""
-    monkeypatch.setattr(ExponentPlan, "decodability",
-                        property(lambda plan: degree_tables.check_decodable(plan)))
+def test_each_run_checks_its_plans_decodability_once(monkeypatch):
+    assert protocol.check_decodable is degree_tables.check_decodable
     assert decodability_checks(monkeypatch) == 2
+
+
+def test_decodability_pin_catches_a_kept_report(monkeypatch):
+    """A report cached per plan, as ``ExponentPlan.decodability`` kept it, is one check."""
+    assert decodability_checks(monkeypatch, keep=functools.cache) == 1
 
 
 def matmul_calls(monkeypatch):

@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import decodability_oracle
 import merge_oracle
 import pdmm.degree_tables as dt
 from pdmm.degree_tables import (
@@ -383,7 +384,7 @@ def test_outer_sum_examples():
     single = ExponentPlan(family="gasp_r", K=1, L=1, T=0,
                           alpha=(0,), beta=(0,), info_alpha=(0,), info_beta=(0,))
     assert outer_sum(single).n_servers == 1
-    assert outer_sum(single).table == ((0,),)
+    assert outer_sum(single).sums.tolist() == [[0]]
 
 
 def test_check_decodable():
@@ -478,15 +479,17 @@ def outer_sum_oracle(plan, reduce=True):
     everything = frozenset().union(*rows)
     return dt.DegreeTable(sums=np.array(rows, dtype=np.int64), info=info,
                           interference=everything.difference(info),
-                          n_servers=len(everything), exponents=tuple(sorted(everything)))
+                          exponents=tuple(sorted(everything)))
 
 
-FACTS = ("table", "info", "interference", "n_servers", "exponents")
+FACTS = ("sums", "info", "interference", "n_servers", "exponents")
 
 
 def fact_mismatches(table, oracle):
-    """Names of the facts, row tuples included, on which two degree tables differ."""
-    return [name for name in FACTS if getattr(table, name) != getattr(oracle, name)]
+    """Names of the facts, the sums included, on which two degree tables differ."""
+    def read(t, name):
+        return t.sums.tolist() if name == "sums" else getattr(t, name)
+    return [name for name in FACTS if read(table, name) != read(oracle, name)]
 
 
 # every family, a cat record with its own multiplier, and the largest sum int64 holds
@@ -502,8 +505,22 @@ def test_outer_sum_matches_the_python_loop(plan):
     table = outer_sum(plan)
     assert fact_mismatches(table, outer_sum_oracle(plan)) == []
     assert table == outer_sum_oracle(plan)
-    assert all(type(v) is int for row in table.table for v in row)
+    assert all(type(v) is int for row in table.sums.tolist() for v in row)
     assert all(type(v) is int for v in (*table.info, *table.interference, *table.exponents))
+    assert not table.sums.flags.writeable
+
+
+@pytest.mark.parametrize("plan", DIFFERENTIAL_PLANS, ids=lambda p: p.family)
+def test_check_decodable_equals_the_row_tuple_check(plan):
+    """The flat-sum check gives the row-tuple report on the plan, and on the plan
+    with a noise exponent repeating an information exponent on either side, where
+    the repeated row or column makes its first information sum collide."""
+    i, j = plan.info_alpha[-1], plan.info_beta[0]
+    variants = (plan, dataclasses.replace(plan, alpha=plan.alpha + (plan.alpha[i],)),
+                dataclasses.replace(plan, beta=plan.beta + (plan.beta[j],)))
+    reports = [check_decodable(p) for p in variants]
+    assert reports == [decodability_oracle.check(p) for p in variants]
+    assert [r.violation for r in reports] == [None, (i, j), (plan.info_alpha[0], j)]
 
 
 def test_outer_sum_oracle_without_the_modulus_misses_a_cat_table():
@@ -523,13 +540,14 @@ def test_a_dedup_that_drops_the_last_distinct_sum_fails_the_differential(monkeyp
             fact_mismatches(outer_sum(plan), outer_sum_oracle(plan))), plan.family
 
 
-@pytest.mark.parametrize("plan", DIFFERENTIAL_PLANS, ids=lambda p: p.family)
-def test_row_tuples_are_built_on_first_read_only(plan):
-    table = outer_sum(plan)
-    assert "table" not in vars(table)
-    assert table.table == outer_sum_oracle(plan).table
-    assert vars(table)["table"] is table.table  # built once, then kept
-    assert not table.sums.flags.writeable
+def test_the_server_count_is_read_off_the_exponents():
+    table = build_gasp_r(2, 2, 3, 2).table
+    assert table.n_servers == len(table.exponents) == 13
+    with pytest.raises(TypeError, match="n_servers"):
+        dt.DegreeTable(sums=table.sums, info=table.info, interference=table.interference,
+                       n_servers=13, exponents=table.exponents)
+    with pytest.raises(AttributeError):
+        table.n_servers = 12
 
 
 @pytest.mark.parametrize("plan", EVERY_FAMILY, ids=lambda p: p.family)
@@ -601,7 +619,7 @@ def test_plan_refuses_exponents_whose_sums_overflow_int64(alpha, beta, side):
         ExponentPlan(alpha=alpha, beta=beta, **fields)
     # the largest sum that fits is kept exactly
     top = ExponentPlan(alpha=(0, 2**62), beta=(0, 2**62 - 1), **fields)
-    assert top.table.table[1][1] == 2**63 - 1 and top.table == outer_sum_oracle(top)
+    assert top.table.sums.tolist()[1][1] == 2**63 - 1 and top.table == outer_sum_oracle(top)
     with pytest.raises(ValueError, match="^modulus_q must fit in int64, got 9223372036854775808$"):
         ExponentPlan(alpha=(0, 1), beta=(0, 1), modulus_q=2**63, **fields)
     # a cyclic modulus below 1 would send default_field's search for p = 1 mod q down forever

@@ -432,16 +432,9 @@ def confirmed_plans(monkeypatch):
     return feasibility_rows(range(2, 13), range(2, 13)), plans
 
 
-def test_the_confirmation_leaves_row_tuples_unbuilt(monkeypatch):
+def test_the_search_hands_over_the_r_star_it_ranked(monkeypatch):
     rows, plans = confirmed_plans(monkeypatch)
     assert len(plans) == sum(row["T_min_bruteforce"] is not None for row in rows) == 64
-    assert all("table" not in vars(plan.table) for plan in plans)
-    for plan in plans:
-        assert plan.table.table == tuple(tuple(a + b for b in plan.beta) for a in plan.alpha)
-
-
-def test_the_search_hands_over_the_r_star_it_ranked(monkeypatch):
-    _, plans = confirmed_plans(monkeypatch)
     confirmed = {(plan.K, plan.L): plan for plan in plans}
     for K, L in DESIGN_SWEEP_GRID:
         found = feasibility._search_t_min(K, L, 64)
@@ -452,6 +445,7 @@ def test_the_search_hands_over_the_r_star_it_ranked(monkeypatch):
         assert (T, (r, n)) == (min_feasible_t(K, L), _best_gasp_r(K, L, T)[:2]), (K, L)
         plan = confirmed[K, L]
         assert (plan.T, plan.param("r"), plan.table.n_servers) == (T, r, n)
+        assert plan.table.sums.tolist() == [[a + b for b in plan.beta] for a in plan.alpha]
 
 
 def test_feasibility_rows_refuse_an_r_star_whose_server_count_differs(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import elimination_oracle as oracle
 from pdmm import gf
+from pdmm.degree_tables import build_gasp_r
 from pdmm.gf import (
     DuplicatePointError,
     FieldContext,
@@ -16,6 +17,7 @@ from pdmm.gf import (
     is_prime,
     next_prime,
 )
+from pdmm.protocol import EvalFrame
 
 F5 = FieldContext(5)
 F11 = FieldContext(11)
@@ -50,6 +52,40 @@ def test_modulus_of_an_integer_type_keeps_its_value_errors():
     assert FieldContext(np.int64(7)).p == 7
     with pytest.raises(ValueError, match=r"^modulus 9 is not prime$"):
         FieldContext(np.int64(9))
+
+
+def numpy_modulus_mismatches():
+    """Primes at which a gasp_r(2,2,2,1) frame over ``FieldContext(np.int64(p))``
+    differs from the frame over ``FieldContext(p)``, in its modulus type, points,
+    generator or inverse."""
+    plan = build_gasp_r(2, 2, 2, 1)
+    points = tuple(range(1, plan.table.n_servers + 1))
+    bad = []
+    for p in (17, 2_000_000_011):
+        got, want = (EvalFrame(FieldContext(m), points, plan) for m in (np.int64(p), p))
+        if not (type(got.ctx.p) is int and got == want
+                and np.array_equal(got.generator, want.generator)
+                and np.array_equal(got.inverse, want.inverse)):
+            bad.append(p)
+    return bad
+
+
+def test_a_frame_over_a_numpy_modulus_equals_the_int_one():
+    assert numpy_modulus_mismatches() == []
+
+
+def test_the_frame_check_catches_a_modulus_kept_as_a_numpy_integer(monkeypatch):
+    """Kept unconverted, p reaches ``int.bit_length`` in the generator inverse."""
+    real = gf.FieldContext.__post_init__
+
+    def unconverted(self):
+        p = self.p
+        real(self)
+        object.__setattr__(self, "p", p)
+
+    monkeypatch.setattr(gf.FieldContext, "__post_init__", unconverted)
+    with pytest.raises(AttributeError, match="has no attribute 'bit_length'"):
+        numpy_modulus_mismatches()
 
 
 # Each call reads one non-integer entry x, which an int64 cast would

@@ -101,5 +101,5 @@ def test_info_sums_row_major_and_reduced_mod_q():
     table = outer_sum(plan)
     # (k, l) = (0, 0), (0, 1), (1, 0), (1, 1); the last sum 9 + 3 wraps
     assert table.info == (0, 3, 9, 2)
-    assert table.info == tuple(table.table[i][j]
-                               for i in plan.info_alpha for j in plan.info_beta)
+    rows = table.sums.tolist()
+    assert table.info == tuple(rows[i][j] for i in plan.info_alpha for j in plan.info_beta)

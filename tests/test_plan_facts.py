@@ -1,10 +1,12 @@
 """Facts a run reads off its plan, the one draw per instance, and integer parameters.
 
-A plan keeps its decodability report and noise sides, each worked out
-on first read.  Every builder plan with N <= 60 (and a few hand plans that fail
-``check_decodable``) must give the kept facts that a fresh computation
-gives, and reading them must not change the plan's equality, hash or
-repr.  ``run_protocol`` cuts each instance's inputs and noise from one
+A plan keeps its noise sides, worked out on first read.  Every builder
+plan with N <= 60 (and a few hand plans that fail ``check_decodable``)
+must give the kept facts that a fresh computation gives, and reading
+them must not change the plan's equality, hash or repr.  Decodability
+is checked per run, off the flat sums, and must give the whole report
+(ok, reason, violation) that the row-tuple check gives on every one of
+those plans.  ``run_protocol`` cuts each instance's inputs and noise from one
 ``rng.integers`` call, which must give the values and leave the
 generator state that one call per array gives.  Family parameters are
 read with ``operator.index``: numpy integers pass as ints, and a bool,
@@ -12,6 +14,7 @@ float or string is refused with a ``TypeError`` that names the field.
 Each check has a negative control that must fail it.
 """
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -20,6 +23,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import decodability_oracle
 from pdmm import degree_tables, feasibility, protocol
 from pdmm.degree_tables import (
     ExponentPlan,
@@ -42,7 +46,9 @@ from pdmm.degree_tables import (
 from pdmm.feasibility import feasibility_rows, min_feasible_t, t_hat_estimate
 
 # Undecodable by hand: an information sum collides (3 + 0 = 1 + 2), a
-# side has fewer than T noise exponents, and a repeated noise exponent.
+# side has fewer than T noise exponents, a repeated noise exponent, and
+# two information sums collide off the diagonal, with the info indices
+# after the noise (alpha[1] + beta[2] = alpha[2] + beta[1] = 3).
 HAND_PLANS = [
     ExponentPlan(family="hand", K=1, L=1, T=1, alpha=(3, 1), beta=(0, 2),
                  info_alpha=(0,), info_beta=(0,)),
@@ -50,6 +56,8 @@ HAND_PLANS = [
                  info_alpha=(0,), info_beta=(0,)),
     ExponentPlan(family="hand", K=1, L=1, T=1, alpha=(0, 7, 7), beta=(0, 9),
                  info_alpha=(0,), info_beta=(0,)),
+    ExponentPlan(family="hand", K=2, L=2, T=1, alpha=(5, 0, 1), beta=(0, 2, 3),
+                 info_alpha=(1, 2), info_beta=(1, 2)),
 ]
 
 FIELDS = list(inspect.signature(ExponentPlan).parameters)
@@ -86,14 +94,13 @@ def builder_plans():
 
 
 def kept_facts(plan):
-    return plan.decodability, (plan.noise_alpha, plan.noise_beta)
+    return plan.noise_alpha, plan.noise_beta
 
 
 def fresh_facts(plan):
-    """The same facts from the plan's fields and ``check_decodable``, nothing kept."""
-    sides = tuple(tuple(e for i, e in enumerate(vec) if i not in info)
-                  for vec, info in ((plan.alpha, plan.info_alpha), (plan.beta, plan.info_beta)))
-    return check_decodable(plan), sides
+    """The same facts from the plan's fields, nothing kept."""
+    return tuple(tuple(e for i, e in enumerate(vec) if i not in info)
+                 for vec, info in ((plan.alpha, plan.info_alpha), (plan.beta, plan.info_beta)))
 
 
 def fact_mismatches(plans):
@@ -103,12 +110,11 @@ def fact_mismatches(plans):
 def test_kept_facts_equal_fresh_ones_on_every_builder_plan():
     plans = builder_plans()
     assert len(plans) >= 300 and 55 <= max(p.table.n_servers for p in plans) <= 60
-    assert {not plan.decodability.ok for plan in plans} == {False, True}
     for plan in plans:
         twin = rebuilt(plan)
         shown, hashed = repr(plan), hash(plan)
         kept_facts(plan)
-        assert {"decodability", "noise_alpha", "noise_beta"} <= vars(plan).keys()
+        assert {"noise_alpha", "noise_beta"} <= vars(plan).keys()
         assert plan == twin and hash(plan) == hashed == hash(twin)
         assert repr(plan) == shown == repr(twin) and plan.table == twin.table
     assert fact_mismatches(plans) == []
@@ -118,19 +124,42 @@ def test_kept_facts_are_the_same_objects_on_every_read():
     plan = build_qf_klt(5, 3)
 
     def read():
-        return plan.decodability, plan.noise_alpha, plan.noise_beta
+        return plan.noise_alpha, plan.noise_beta
 
     assert all(a is b for a, b in zip(read(), read(), strict=True))
 
 
 @pytest.mark.parametrize("name, wrong", [
     ("noise_alpha", lambda plan: plan.alpha[len(plan.info_alpha):]),
-    ("decodability", lambda plan: degree_tables.DecodabilityReport(True)),
+    ("noise_beta", lambda plan: plan.beta[len(plan.info_beta):]),
 ])
 def test_the_comparison_catches_a_wrong_kept_fact(monkeypatch, name, wrong):
     monkeypatch.setattr(ExponentPlan, name, functools.cached_property(wrong), raising=True)
     getattr(ExponentPlan, name).__set_name__(ExponentPlan, name)
     assert fact_mismatches(builder_plans())
+
+
+def report_mismatches(check):
+    """Builder plans on which ``check`` and the row-tuple check give different reports."""
+    return [plan for plan in builder_plans() if check(plan) != decodability_oracle.check(plan)]
+
+
+def test_check_decodable_equals_the_row_tuple_check_on_every_builder_plan():
+    plans = builder_plans()
+    reports = [check_decodable(plan) for plan in plans]
+    assert {report.ok for report in reports} == {False, True}
+    assert (1, 2) in {report.violation for report in reports}
+    assert report_mismatches(check_decodable) == []
+
+
+def test_the_report_comparison_catches_a_swapped_violation():
+    """A violation reported as (j, i) instead of (i, j) differs on some collision."""
+    def swapped(plan):
+        report = check_decodable(plan)
+        return dataclasses.replace(report, violation=report.violation[::-1]) \
+            if report.violation else report
+
+    assert report_mismatches(swapped)
 
 
 # -- one draw per instance ---------------------------------------------------

@@ -637,6 +637,24 @@ def test_quantum_requires_feasibility():
         run(collide, "quantum")
 
 
+def test_an_undecodable_plan_is_refused_before_any_draw(monkeypatch):
+    """No generator is made and no frame sampled for a plan that cannot decode;
+    the decodable plan, the control, reaches both."""
+    calls = []
+    real_rng, real_sample = np.random.default_rng, protocol.sample_frame
+    monkeypatch.setattr(protocol.np.random, "default_rng",
+                        lambda seed: calls.append("rng") or real_rng(seed))
+    monkeypatch.setattr(protocol, "sample_frame",
+                        lambda cfg, rng: calls.append("frame") or real_sample(cfg, rng))
+    collide = ExponentPlan(family="gasp_r", K=2, L=2, T=1, alpha=(0, 1, 1), beta=(0, 2, 4),
+                           info_alpha=(0, 1), info_beta=(0, 1))
+    for mode in ("classical", "quantum"):
+        with pytest.raises(ValueError, match="^plan is not decodable: "):
+            run(collide, mode)
+    assert calls == []
+    assert run(GASP223, "classical").audit.ok and calls == ["rng", "frame"]
+
+
 def test_a_noise_side_shorter_than_t_is_refused_up_front():
     """With T = 1 and no beta noise, every server's g share would be B itself."""
     bare = ExponentPlan(family="hand", K=1, L=1, T=1, alpha=(0, 1), beta=(0,),
@@ -723,6 +741,29 @@ def test_audit_cap_must_be_positive(cap):
     ctx = FieldContext(131)
     with pytest.raises(ValueError, match="audit_cap"):
         privacy_audit(GASP223, ctx, list(range(1, 14)), cap=cap)
+
+
+def test_integer_config_fields_are_stored_as_ints():
+    """numpy integers and a dims list are read as ints and a tuple: the config
+    hashes, and a numpy prime floor reaches the field search as an int."""
+    cfg = ProtocolConfig(plan=GASP223, dims=[2, np.int64(1), 2], seed=np.int64(3),
+                         prime=np.int64(2_000_000_000), audit_cap=np.int64(5))
+    want = ProtocolConfig(plan=GASP223, dims=(2, 1, 2), seed=3, prime=2_000_000_000,
+                          audit_cap=5)
+    assert cfg == want and hash(cfg) == hash(want)
+    assert all(type(v) is int for v in (cfg.seed, cfg.prime, cfg.audit_cap, *cfg.dims))
+    assert transcript_dump(run_protocol(cfg)) == transcript_dump(run_protocol(want))
+
+
+@pytest.mark.parametrize("field", ["seed", "prime", "audit_cap", "dims"])
+def test_a_bool_config_field_is_refused(field):
+    value = (True, 1, True) if field == "dims" else True
+    with pytest.raises(ShapeMismatchError if field == "dims" else ValueError,
+                       match=f"^{field} must be "):
+        ProtocolConfig(plan=GASP223, **{field: value})
+    if field == "audit_cap":
+        with pytest.raises(ValueError, match="^audit_cap must be "):
+            privacy_audit(GASP223, FieldContext(131), list(range(1, 14)), cap=True)
 
 
 # ---------------------------------------------------------------------------
