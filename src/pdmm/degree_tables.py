@@ -80,22 +80,22 @@ class ExponentPlan:
 
     ``info_alpha`` / ``info_beta`` index into ``alpha`` / ``beta`` and mark
     the K (resp. L) positions that carry data blocks; the remaining
-    positions carry noise.  K, L and T are read with ``operator.index``
-    and kept as ints, so a numpy integer is stored as an int; a bool or
-    a non-integer raises ``TypeError`` naming the field, and so does a
-    non-integer info index.  K < 1, L < 1 or T < 0 raises
-    ``ParamOutOfRangeError`` naming the field.  Exponents are polynomial
-    degrees, so a non-integer or negative one raises ``ValueError`` naming
-    its side and the first such value (each side is read in one
-    ``operator.index`` pass that keeps its least exponent), and so does
-    one whose degree-table sums would not fit in int64, the dtype
-    ``outer_sum`` adds in.  ``modulus_q`` is set only for cyclic (CAT)
-    plans, whose exponent arithmetic wraps mod q; one below 1 or beyond
-    int64 raises ``ValueError``.  ``table`` is the plan's ``outer_sum``,
-    built once when the plan is built; it is not an argument and plays
-    no part in equality, hashing or ``repr``.  The plan's noise sides
-    ``noise_alpha`` and ``noise_beta`` and the privacy proof's
-    ``noise_progressions`` are worked out on first use and kept
+    positions carry noise.  K, L, T and a given ``modulus_q`` are read
+    with ``operator.index`` and kept as ints, so a numpy integer is
+    stored as an int; a bool or a non-integer raises ``TypeError``
+    naming the field, and so does a non-integer info index.  K < 1,
+    L < 1 or T < 0 raises ``ParamOutOfRangeError`` naming the field.
+    Exponents are polynomial degrees, so a non-integer or negative one
+    raises ``ValueError`` naming its side and the first such value (each
+    side is read in one ``operator.index`` pass that keeps its least
+    exponent), and so does one whose degree-table sums would not fit in
+    int64, the dtype ``outer_sum`` adds in.  ``modulus_q`` is set only
+    for cyclic (CAT) plans, whose exponent arithmetic wraps mod q; one
+    below 1 or beyond int64 raises ``ValueError``.  ``table`` is the
+    plan's ``outer_sum``, built once when the plan is built; it is not an
+    argument and plays no part in equality, hashing or ``repr``.  The
+    plan's noise sides ``noise_alpha`` and ``noise_beta`` and the privacy
+    proof's ``noise_progressions`` are worked out on first use and kept
     (``functools.cached_property``): most plans built are never decoded
     or audited, and one run reads each noise side several times.  No
     kept fact calls a function that ``benchmarks/tracer.py`` counts, so
@@ -117,7 +117,8 @@ class ExponentPlan:
 
     def __post_init__(self):
         K, L, T = _index(K=self.K, L=self.L, T=self.T)
-        for name, value in (("K", K), ("L", L), ("T", T)):
+        q = None if self.modulus_q is None else _index(modulus_q=self.modulus_q)[0]
+        for name, value in (("K", K), ("L", L), ("T", T), ("modulus_q", q)):
             object.__setattr__(self, name, value)
         _require_positive(K=K, L=L)
         if T < 0:

@@ -28,9 +28,8 @@ matrices so that small matrices share one stacked GEMM instead of one
 call each.  Products read int64 operands in place and copy only what is
 not yet reduced mod p.  One tiled kernel serves every product: it also
 reads operands that are already exact floats, as they are on their
-tier, and can hand back its reduced float result instead of casting it,
-so the protocol's servers multiply the float shares their encoder just
-formed, one group of servers at a time, with no int64 round trip.
+tier, so the protocol's encoder forms all its servers' shares of one
+side in one product, a cache-sized column tile at a time.
 
 ``mat_inverse`` inverts a square matrix by eliminating [A | I], and
 ``batch_rank`` ranks a whole stack of matrices at once, by one
@@ -205,10 +204,16 @@ def _admissible_points(points, p: int) -> list[int]:
 # the integers up to 2^(t - 1); every sum ``matmul`` forms stays there.
 _EXACT = 1 << 52
 _EXACT32 = 1 << 23
-# Entries of 1 MiB of float64: ``FieldContext.matmul`` builds its output in
-# column tiles of this many entries, and stages stacks in groups whose
-# operand and output entries together stay within it.
+# Entries of 1 MiB of float64: ``FieldContext.matmul`` stages stacks in
+# groups whose operand and output entries together stay within it.
 _TILE = 1 << 17
+# Entries of a column tile of a product's int64 output, over all its
+# rows; the tile's accumulator, GEMM result and reduction quotient each
+# take this many floats.  gasp_r(2,2,3)'s shares at 128x512x128 over
+# p = 2000000011 (13 servers, limb tier) took op_p50 17.2-17.4 ms at
+# 2^13, 15.4-17.2 ms from 2^14 to 2^16 and 19.7-19.8 ms, with 1.7 MB
+# more peak RSS, at 2^17 (6 s runs, 2-vCPU host).
+_COLUMN_TILE = 1 << 15
 # Entries from which ``_remainder`` reduces int64 by floor division.  In
 # place on a 2-vCPU host, ``%`` against floor division took 0.9 against
 # 2.1 us at 35 entries, about the same at 560, 6.0 against 4.4 us at 1260
@@ -398,30 +403,28 @@ class FieldContext:
         return np.float64, count, *_limb_geometry(p, count)
 
     def _product(self, a: np.ndarray, b: np.ndarray, tier: tuple,
-                 out: np.ndarray | None = None, ints: tuple | None = None) -> np.ndarray | None:
+                 out: np.ndarray | None = None) -> np.ndarray | None:
         """A @ B mod p on a ``_tier``, for 2-D operands or equal-length stacks of them.
 
         ``a`` and ``b`` hold canonical entries, as int64 or as floats,
         which are exact.  The left operand is cut into ``count`` limbs of
         ``bits`` bits when it has fewer entries, else the right one, and
         the other is read whole, all as ``dtype``: a float operand of
-        that dtype is read as it is.  Limbs are cut from int64 entries:
-        those of ``ints``, the same operands as int64, when given, else
-        the operand itself, cast if it is float.  Each inner chunk of
-        ``depth`` indices adds to a float accumulator, reduced in place
-        after every chunk.  Without ``out`` the whole product is one
-        tile, returned as reduced floats.  With an int64 ``out`` it is
-        built in column tiles of about 1 MiB of float64, each cast into
-        ``out`` once, so no output-sized float array is ever live.
+        that dtype is read as it is, any other is cast once.  Limbs are
+        cut from int64 entries, cast first when the operand is float.
+        Each inner chunk of ``depth`` indices adds to a float
+        accumulator, reduced in place after every chunk.  Without ``out``
+        the whole product is one tile, returned as reduced floats.  With
+        an int64 ``out`` it is built in column tiles of ``_COLUMN_TILE``
+        entries, each cast into ``out`` once.
         """
         dtype, count, bits, depth = tier
-        cut_a, cut_b = ints if ints is not None and count > 1 else (a, b)
         if a.size < b.size:
-            a, b = _limbs(cut_a, count, bits, dtype), [b.astype(dtype, copy=False)]
+            a, b = _limbs(a, count, bits, dtype), [b.astype(dtype, copy=False)]
         else:
-            a, b = [a.astype(dtype, copy=False)], _limbs(cut_b, count, bits, dtype)
+            a, b = [a.astype(dtype, copy=False)], _limbs(b, count, bits, dtype)
         inner, cols = b[0].shape[-2:]
-        width = max(1, cols if out is None else _TILE // max(math.prod(out.shape[:-1]), 1))
+        width = max(1, cols if out is None else _COLUMN_TILE // max(math.prod(out.shape[:-1]), 1))
         for c in range(0, max(cols, 1), width):
             acc = None
             # an empty inner dimension still takes one chunk, whose product is zero
@@ -658,16 +661,19 @@ def _powers(x: np.ndarray, exponents: Sequence[int], p: int) -> np.ndarray:
     When every exponent is >= 0 and the run x^0, ..., x^top of the
     largest one costs no more products than square-and-multiply
     (top + 1 <= |E| bitlen(top)), the columns are gathered from that run
-    (``_power_run``); otherwise, for a negative exponent, a lone one such
-    as the audit's x^d, or a sparse set, square-and-multiply forms them
-    (``_square_and_multiply``).  No check on the points: ``vandermonde``
-    makes them admissible, and the privacy audit must see zero and
-    repeated points, where both give what Python's ``pow`` gives.
+    (``_power_run``), which is returned itself, with no gathered copy,
+    when the exponents are 0, ..., top in order; otherwise, for a
+    negative exponent, a lone one such as the audit's x^d, or a sparse
+    set, square-and-multiply forms them (``_square_and_multiply``).
+    No check on the points: ``vandermonde`` makes them admissible, and
+    the privacy audit must see zero and repeated points, where both give
+    what Python's ``pow`` gives.
     """
     e = np.array(exponents, dtype=np.int64)
     top = int(e.max(initial=0))
     if e.min(initial=0) >= 0 and top + 1 <= e.size * top.bit_length():
-        return _power_run(x, top, p)[:, e]
+        run = _power_run(x, top, p)
+        return run if np.array_equal(e, np.arange(top + 1)) else run[:, e]
     return _square_and_multiply(x, e, p)
 
 
@@ -761,13 +767,13 @@ def _node_products(x: np.ndarray, p: int) -> np.ndarray:
     step multiplies its left half by its right half (an odd last column
     goes into the first), so there are about log2(n) steps.
     """
-    diffs = (x[None, :] - x[:, None]) % p  # diffs[i, j] = x[j] - x[i]
+    diffs = _remainder(x[None, :] - x[:, None], p)  # diffs[i, j] = x[j] - x[i]
     np.fill_diagonal(diffs, 1)
     while (width := diffs.shape[1]) > 1:
         half = width // 2
-        head = diffs[:, :half] * diffs[:, half:2 * half] % p
+        head = _remainder(diffs[:, :half] * diffs[:, half:2 * half], p)
         if width % 2:
-            head[:, 0] = head[:, 0] * diffs[:, -1] % p
+            head[:, 0] = _remainder(head[:, 0] * diffs[:, -1], p)
         diffs = head
     return diffs.prod(axis=1)  # one column left, or none when x is empty
 

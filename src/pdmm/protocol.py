@@ -10,12 +10,12 @@ instances per download).  All arithmetic is exact, so a decoded product
 either equals the true one or the run is reported broken; there is no
 tolerance anywhere.
 
-Encoding and the server products are one pass per group of servers
-(``encode_and_multiply``): each side's blocks become one float operand,
-a group's shares are one GEMM per side, reduced mod p and cast into the
-transcript's share stacks, and the same reduced floats feed the group's
-server GEMM.  A server multiplies the shares its encoder just formed,
-and no share stack is read back from int64.
+Encoding and the server products are two stages (``encode_and_multiply``):
+each side's blocks become one float operand, and all N servers' shares
+of that side are one product with the frame's powers, built in
+cache-sized column tiles and cast into the transcript's share stacks,
+so each side's blocks are read once.  Then each group of servers
+multiplies its rows of the two share stacks in one stacked GEMM.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order.  Each
@@ -411,16 +411,18 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     shapes, and a ragged sequence raises ``ShapeMismatchError`` listing
     every block's shape.
 
-    One pass per group of servers, the groups ``FieldContext.matmul``
-    stages a stack of these products in.  Each side's two stacks are
-    converted, with one assignment each, into one float operand of its
-    encode tier, whose inner dimension is its number of blocks.  A
-    group's rows of f and of g are each one GEMM, reduced mod p and cast
-    once into the share stacks, and the same reduced floats are the
-    operands of the group's stacked server GEMM on the tier of
-    ``inner``, reduced and cast into the products.  No share stack is
-    read back from int64.  Both sides' float operands share one
-    allocation, and so do the returned stacks (see ``_one_buffer``).
+    Two stages.  First each side's two stacks are converted, with one
+    assignment each, into one float operand of its encode tier, whose
+    inner dimension is its number of blocks, and one
+    ``FieldContext._product`` multiplies the (N, blocks) powers by it,
+    column tile by column tile over all N servers, reduced mod p and
+    cast into the share stack viewed as (N, ra inner) or (N, inner cb):
+    the operand is read once, not once per server.  Then each group of
+    servers that ``FieldContext.matmul`` would stage a stack of these
+    products in multiplies its rows of the two int64 share stacks in one
+    stacked GEMM on the tier of ``inner``, reduced and cast into the
+    products.  Both sides' float operands share one allocation, and so
+    do the returned stacks (see ``_one_buffer``).
     """
     plan, ctx = frame.plan, frame.ctx
     sides = []
@@ -448,27 +450,18 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     tiers = [ctx._tier(len(exps)) for exps, _, _ in sides]
     operands = _one_buffer(*(((len(exps), *shape), tier[0])
                              for (exps, _, shape), tier in zip(sides, tiers)))
-    encoders = []
-    for (exps, stacks, _), tier, coeffs in zip(sides, tiers, operands):
-        rows = (coeffs[:len(stacks[0])], coeffs[len(stacks[0]):])
-        for row, stack in zip(rows, stacks):
-            if len(stack):
-                row[...] = _integers(stack, ctx.p)
-        # every int64 entry in [0, p) stays there as a float, and every other leaves it
-        if coeffs.size and not (coeffs.min() >= 0 and coeffs.max() < ctx.p):
-            for row, stack in zip(rows, stacks):
-                if len(stack):
-                    row[...] = ctx.asarray(stack)
-        encoders.append((frame.powers(exps), coeffs.reshape(len(exps), -1), tier))
     (ra, inner), cb = a_shape, b_shape[1]
     *shares, products = _one_buffer(*(((frame.n, *shape), np.int64)
                                       for shape in ((ra, inner), (inner, cb), (ra, cb))))
+    for (exps, stacks, _), tier, coeffs, out in zip(sides, tiers, operands, shares):
+        for row, stack in zip((coeffs[:len(stacks[0])], coeffs[len(stacks[0]):]), stacks):
+            if len(stack):
+                row[...] = ctx._canonical(stack)
+        ctx._product(frame.powers(exps), coeffs.reshape(len(exps), -1), tier,
+                     out.reshape(frame.n, -1))
     server = ctx._tier(inner)
     for part in _groups(frame.n, ra, cb, inner):
-        f, g = (ctx._product(powers[part], coeffs, tier).reshape(out[part].shape)
-                for (powers, coeffs, tier), out in zip(encoders, shares))
-        shares[0][part], shares[1][part] = f, g
-        ctx._product(f, g, server, products[part], ints=(shares[0][part], shares[1][part]))
+        ctx._product(shares[0][part], shares[1][part], server, products[part])
     return (*shares, products)
 
 

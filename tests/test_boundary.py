@@ -12,10 +12,11 @@ either decode, with a passing audit, or raise one of the documented
 refusals below, of exactly that type and with a message that names the
 field or the plan fact at fault.  Any other exception (a
 ``ZeroDivisionError``, an ``IndexError``, a numpy error) fails the gate.
-Uneven block shapes also reach the fused encode-and-product pass here.
-Three negative controls, one removing the K, L >= 1 check, one the
-integer read of K, L and T and one reading config fields as
-``numbers.Integral`` (which admits a bool), must each fail the gate.
+Uneven block shapes also reach ``encode_and_multiply`` here.
+Four negative controls, one removing the K, L >= 1 check, one the
+integer read of K, L and T, one storing ``modulus_q`` unread and one
+reading config fields as ``numbers.Integral`` (which admits a bool),
+must each fail the gate.
 """
 
 import numbers
@@ -27,7 +28,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pdmm import degree_tables, protocol
-from pdmm.degree_tables import ExponentPlan, ParamOutOfRangeError, parse_plan_record
+from pdmm.degree_tables import ExponentPlan, ParamOutOfRangeError, parse_plan_record, plan_record
 from pdmm.grs import ShapeMismatchError
 from pdmm.protocol import (
     NotFeasibleError,
@@ -38,7 +39,7 @@ from pdmm.protocol import (
 
 # (exact error type, message pattern); each names the field or plan fact at fault
 DOCUMENTED = [
-    (TypeError, r"^([KLT]) must be an integer, got \1="),
+    (TypeError, r"^([KLT]|modulus_q) must be an integer, got \1="),
     (TypeError, r"^info_(alpha|beta) indices must be integers, got "),
     (ParamOutOfRangeError, r"^need (K, L >= 1|T >= 0), got [KLT]="),
     (ValueError, r"^(alpha|beta) exponents must be non-negative, got "),
@@ -258,3 +259,42 @@ def test_the_gate_catches_a_bool_config_field_read_as_an_integer(monkeypatch):
     assert outcome(record, seed=True) == "decoded"
     with pytest.raises(AssertionError, match="^bool seed accepted$"):
         check_retyped_config(record, case)
+
+
+ONE_BY_ONE = dict(family="x", K=1, L=1, T=0, alpha=(0,), beta=(0,), info_alpha=(0,),
+                  info_beta=(0,))
+
+
+def modulus_q_reads() -> dict:
+    """What ``ExponentPlan`` makes of a bool, a float and a numpy integer ``modulus_q``:
+    the error's type name, or the stored value's type name and the record's last field."""
+    reads = {}
+    for q in (True, 1.5, np.int64(5)):
+        try:
+            plan = ExponentPlan(**ONE_BY_ONE, modulus_q=q)
+        except Exception as error:
+            reads[repr(q)] = type(error).__name__
+        else:
+            reads[repr(q)] = (type(plan.modulus_q).__name__, plan_record(plan).rsplit("| ", 1)[1])
+    return reads
+
+
+def test_modulus_q_is_read_like_k_l_and_t():
+    assert modulus_q_reads() == {"True": "TypeError", "1.5": "TypeError",
+                                 "np.int64(5)": ("int", "5")}
+    assert outcome({**ONE_BY_ONE, "modulus_q": True}) == "TypeError"
+    with pytest.raises(TypeError, match=r"^modulus_q must be an integer, got modulus_q=1\.5$"):
+        ExponentPlan(**ONE_BY_ONE, modulus_q=1.5)
+
+
+def test_the_gate_catches_modulus_q_stored_as_given(monkeypatch):
+    """With ``modulus_q`` stored unread, a bool builds a plan whose record
+    ends in True, a numpy integer stays one, and a float reaches
+    ``outer_sum``, where numpy refuses it with an undocumented error."""
+    real = degree_tables._index
+    monkeypatch.setattr(degree_tables, "_index", lambda **values: (
+        list(values.values()) if list(values) == ["modulus_q"] else real(**values)))
+    reads = modulus_q_reads()
+    assert reads.pop("True") == ("bool", "True") and reads.pop("np.int64(5)") == ("int64", "5")
+    with pytest.raises(AssertionError, match="^undocumented .*UFunc"):
+        outcome({**ONE_BY_ONE, "modulus_q": 1.5})

@@ -1,20 +1,29 @@
-"""The fused encode-and-product pass against the encoder and server step it replaces.
+"""The two-stage encoder against the encoder and server step it replaces.
 
-``encode_and_multiply`` forms a group of servers' shares by one GEMM per
-side, casts them into the share stacks, and hands the same reduced floats
-to the group's server GEMM.  ``share_oracle`` multiplies int64 stacks with
+``encode_and_multiply`` forms all N servers' shares of a side with one
+``FieldContext._product`` of the frame's powers by that side's blocks,
+built in column tiles of ``gf._COLUMN_TILE`` entries and cast into the
+share stacks, then multiplies each group of servers' int64 share rows in
+one stacked GEMM.  ``share_oracle`` multiplies int64 stacks with
 ``FieldContext.matmul`` as the library did before.  Both must give the
 same shares and products, exactly, on every tier an encode or a server
-stage can take, for groups of one server, of several and of all servers,
-in both modes.  Two negative controls break the pass, one by leaving the
-encoder's accumulator unreduced and one by skipping the limb split, and
-each must make the comparison fail.
+stage can take, for groups of one server, of several and of all
+servers, and at column tiles of one column, of a width that divides
+neither side's rows and of whole rows, in both modes.  A call-budget pin
+holds the encoder to two products a call, one per side, whatever N and
+the group count; per-group encoding goes over it.  Four negative
+controls break the pass: the encoder's accumulator left unreduced, the
+limb split skipped, the last column tile dropped and a tile shifted by
+one column; each must make the comparison fail.
 """
+
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
 
-from pdmm import gf
+from pdmm import gf, protocol
 from pdmm.degree_tables import build_cat, build_gasp_r
 from pdmm.gf import FieldContext
 from pdmm.protocol import ProtocolConfig, encode_and_multiply, run_protocol, sample_frame
@@ -35,8 +44,15 @@ CASES = {
     "float64 encode, float32 server": (build_gasp_r(2, 2, 6, 2), 1030, None,
                                        (("float64", 1), ("float32", 1))),
     "limbs, 1x1 blocks": (GASP223, 2_000_000_000, None, (("float64", 2), ("float64", 2))),
+    # 32 blocks a side, more than one two-limb chunk (31 deep at this p) holds
+    "limbs, three in the encoder": (build_gasp_r(1, 1, 31, 1), 2**31 - 1, (3, 40, 2),
+                                    (("float64", 3), ("float64", 3))),
 }
-# _TILE values: one server per group (and one column per tile), a few per group, the default
+# one case per encode tier; a side's shares are rows of 3 * 40 and 40 * 2 entries in each
+EDGES = ["F11 float32", "F65537 float64", "limbs", "limbs, three in the encoder"]
+# columns per tile of a side's shares: one, seven (which divides neither 120 nor 80), all
+WIDTHS = {"one column": 1, "seven columns": 7, "one tile": 10**6}
+# _TILE values: one server per group, a few per group, the default
 TILES = {"one server": 1, "four servers": 1000, "default": gf._TILE}
 
 
@@ -130,30 +146,94 @@ def test_a_block_list_may_mix_int64_and_uint64_blocks(monkeypatch, name):
             encode_and_multiply(frame, *mixed)
 
 
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("name", EDGES)
+def test_column_tiles_match_the_oracle_at_their_edges(monkeypatch, name, width, mode):
+    for frame, blocks, arrays in runs(name, mode, monkeypatch, gf._TILE):
+        assert [side[0].size for side in blocks[:2]] == [120, 80]
+        want = oracle(frame, blocks)
+        with monkeypatch.context() as tiles:
+            tiles.setattr(gf, "_COLUMN_TILE", frame.n * WIDTHS[width])
+            assert same(encode_and_multiply(frame, *blocks), want)
+
+
+def product_calls(monkeypatch) -> list:
+    """The operand rank of each ``FieldContext._product`` call from here on:
+    2 for an encoder product, 3 for a server group's stacks."""
+    calls, real = [], FieldContext._product
+    monkeypatch.setattr(FieldContext, "_product",
+                        lambda self, a, *rest: calls.append(a.ndim) or real(self, a, *rest))
+    return calls
+
+
+def per_group_encoding(monkeypatch, groups):
+    """Each side's shares formed by one product per server group, each
+    re-reading the side's blocks."""
+    real = FieldContext._product
+
+    def product(self, a, b, tier, out=None):
+        if a.ndim == 3:  # a server stage
+            return real(self, a, b, tier, out)
+        for part in groups:
+            real(self, a[part], b, tier, out[part])
+
+    monkeypatch.setattr(FieldContext, "_product", product)
+
+
+@pytest.mark.parametrize("name, tile, groups", [
+    ("F11 float32", gf._TILE, 1),
+    ("F11 float32", 1000, 3),
+    ("limbs", 1000, 4),
+    ("limbs", 1, 13),
+    ("limbs, three in the encoder", 1000, 16),
+])
+def test_each_call_encodes_with_two_products(monkeypatch, name, tile, groups):
+    for frame, blocks, arrays in runs(name, "quantum", monkeypatch, tile):
+        (_, ra, inner), (_, _, cb) = blocks[0].shape, blocks[1].shape
+        parts = gf._groups(frame.n, ra, cb, inner)
+        assert len(parts) == groups
+        with monkeypatch.context() as counted:
+            calls = product_calls(counted)
+            assert same(encode_and_multiply(frame, *blocks), arrays)
+            assert (calls.count(2), calls.count(3)) == (2, groups)
+        with monkeypatch.context() as counted:  # negative control: encoding per group
+            calls = product_calls(counted)
+            per_group_encoding(counted, parts)
+            assert same(encode_and_multiply(frame, *blocks), arrays)
+            assert calls.count(2) == 2 * groups  # over the pin wherever groups > 1
+
+
 def test_server_limbs_are_cut_from_the_int64_rows(monkeypatch):
-    """In the limb tier the whole operand is the encoder's float tile, and the
-    cut one is read from the share rows just written, not cast back from floats."""
+    """In the limb tier each side's powers are cut once for all N servers, and
+    the server stage cuts its limbs from the int64 share rows the encoder
+    wrote, not from floats."""
     cut = []
     real = gf._limbs
-    monkeypatch.setattr(gf, "_limbs", lambda x, *args: cut.append(x.dtype) or real(x, *args))
-    for name in ("limbs", "limbs, f cut"):
+    monkeypatch.setattr(gf, "_limbs", lambda x, *args: cut.append(x) or real(x, *args))
+    for name, stack in (("limbs", 1), ("limbs, f cut", 0)):
         for frame, blocks, arrays in runs(name, "classical", monkeypatch, gf._TILE):
             cut.clear()
-            assert same(encode_and_multiply(frame, *blocks), arrays)
-            assert cut == [np.int64] * 3  # the powers of each side, then one share stack
+            got = encode_and_multiply(frame, *blocks)
+            assert same(got, arrays)
+            # the powers of each side, then one share stack
+            assert [x.dtype for x in cut] == [np.int64] * 3
+            assert [x.shape for x in cut[:2]] == [(frame.n, len(frame.plan.alpha)),
+                                                  (frame.n, len(frame.plan.beta))]
+            assert np.shares_memory(cut[2], got[stack])
 
 
 def unreduced(monkeypatch):
-    """The encoder hands on its GEMMs' accumulator without reducing it."""
+    """The encoder casts its GEMMs' accumulator into the shares without reducing it."""
     real = FieldContext._product
 
-    def product(self, a, b, tier, out=None, ints=None):
-        if out is not None:  # a server stage
-            return real(self, a, b, tier, out, ints)
+    def product(self, a, b, tier, out=None):
+        if a.ndim == 3:  # a server stage
+            return real(self, a, b, tier, out)
         reduce = FieldContext._reduce
         FieldContext._reduce = lambda self, x: x
         try:
-            return real(self, a, b, tier)
+            return real(self, a, b, tier, out)
         finally:
             FieldContext._reduce = reduce
 
@@ -168,7 +248,7 @@ def no_limb_split(monkeypatch):
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("mutant, names", [
     (unreduced, list(CASES)),
-    (no_limb_split, ["limbs", "limbs, f cut", "limbs, 1x1 blocks"]),
+    (no_limb_split, ["limbs", "limbs, f cut", "limbs, 1x1 blocks", "limbs, three in the encoder"]),
 ])
 def test_the_comparison_catches_a_broken_pass(monkeypatch, mutant, names):
     for name in names:
@@ -178,3 +258,49 @@ def test_the_comparison_catches_a_broken_pass(monkeypatch, mutant, names):
                 with monkeypatch.context() as broken:
                     mutant(broken)
                     assert not same(encode_and_multiply(frame, *blocks), arrays), (name, tile)
+
+
+PRODUCT_SOURCE = textwrap.dedent(inspect.getsource(FieldContext._product))
+
+
+def tiled_product(old, new):
+    """``FieldContext._product`` with one source fragment replaced, reading
+    ``gf``'s globals as they are when it is made."""
+    assert PRODUCT_SOURCE.count(old) == 1
+    namespace = dict(vars(gf))
+    exec(PRODUCT_SOURCE.replace(old, new), namespace)
+    return namespace["_product"]
+
+
+def poisoned(monkeypatch):
+    """Every array ``_one_buffer`` carves starts filled with -1, which is no
+    field element, so an entry the pass never writes shows."""
+    real = protocol._one_buffer
+
+    def one_buffer(*specs):
+        arrays = real(*specs)
+        for x in arrays:
+            x.fill(-1)
+        return arrays
+
+    monkeypatch.setattr(protocol, "_one_buffer", one_buffer)
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param("range(0, max(cols, 1), width)", "range(0, max(cols, 1) - width, width)",
+                 id="last_tile_dropped"),
+    pytest.param("out[..., c:c + width] = acc", "out[..., c:c + width] = np.roll(acc, 1, -1)",
+                 id="tile_shifted_by_one_column"),
+])
+def test_the_tile_edges_catch_a_dropped_or_shifted_tile(monkeypatch, old, new):
+    for name in EDGES:
+        for width in ("seven columns", "one tile"):
+            for frame, blocks, arrays in runs(name, "classical", monkeypatch, gf._TILE):
+                with monkeypatch.context() as broken:
+                    broken.setattr(gf, "_COLUMN_TILE", frame.n * WIDTHS[width])
+                    poisoned(broken)
+                    # the unmutated copy passes, so the mutation is what fails
+                    for fragment, caught in ((old, False), (new, True)):
+                        broken.setattr(FieldContext, "_product", tiled_product(old, fragment))
+                        got = encode_and_multiply(frame, *blocks)
+                        assert same(got[:2], arrays[:2]) != caught, (name, width, fragment)

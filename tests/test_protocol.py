@@ -301,7 +301,7 @@ def test_response_exponent_support():
         assert resp[srv, 0, 0] == want
 
 
-# ``server_compute`` is the oracle of the fused pass's server step, and keeps
+# ``server_compute`` is the oracle of ``encode_and_multiply``'s server stage, and keeps
 # its stack checks, so a malformed stack never reaches a differential test.
 @pytest.mark.parametrize("f_shape, g_shape", [
     ((13, 1, 2), (12, 2, 13)),     # share counts differ
