@@ -28,8 +28,9 @@ matrices so that small matrices share one stacked GEMM instead of one
 call each.  Products read int64 operands in place and copy only what is
 not yet reduced mod p.  One tiled kernel serves every product: it also
 reads operands that are already exact floats, as they are on their
-tier, so the protocol's encoder forms all its servers' shares of one
-side in one product, a cache-sized column tile at a time.
+tier, and can hand back its reduced float result instead of casting it,
+so the protocol's float-tier servers multiply the shares their encoder
+just formed, with no int64 round trip.
 
 ``mat_inverse`` inverts a square matrix by eliminating [A | I], and
 ``batch_rank`` ranks a whole stack of matrices at once, by one
@@ -207,13 +208,12 @@ _EXACT32 = 1 << 23
 # Entries of 1 MiB of float64: ``FieldContext.matmul`` stages stacks in
 # groups whose operand and output entries together stay within it.
 _TILE = 1 << 17
-# Entries of a column tile of a product's int64 output, over all its
-# rows; the tile's accumulator, GEMM result and reduction quotient each
-# take this many floats.  gasp_r(2,2,3)'s shares at 128x512x128 over
-# p = 2000000011 (13 servers, limb tier) took op_p50 17.2-17.4 ms at
-# 2^13, 15.4-17.2 ms from 2^14 to 2^16 and 19.7-19.8 ms, with 1.7 MB
-# more peak RSS, at 2^17 (6 s runs, 2-vCPU host).
-_COLUMN_TILE = 1 << 15
+# Bytes of each of a column tile's floats (accumulator, GEMM, quotient),
+# over all its rows.  gasp_r(2,2,3)'s 13 servers' shares at 128x512x128
+# over p = 2000000011 took op_p50 17.2-17.4 ms at 2^16 bytes, 15.4-17.2
+# ms at 2^17-2^19, and 19.7-19.8 ms with 1.7 MB more peak RSS at 2^20
+# (6 s runs, 2-vCPU host).
+_COLUMN_BYTES = 1 << 18
 # Entries from which ``_remainder`` reduces int64 by floor division.  In
 # place on a 2-vCPU host, ``%`` against floor division took 0.9 against
 # 2.1 us at 35 entries, about the same at 560, 6.0 against 4.4 us at 1260
@@ -415,8 +415,8 @@ class FieldContext:
         Each inner chunk of ``depth`` indices adds to a float
         accumulator, reduced in place after every chunk.  Without ``out``
         the whole product is one tile, returned as reduced floats.  With
-        an int64 ``out`` it is built in column tiles of ``_COLUMN_TILE``
-        entries, each cast into ``out`` once.
+        an int64 ``out`` it is built in column tiles of ``_COLUMN_BYTES``
+        bytes of ``dtype``, each cast into ``out`` once.
         """
         dtype, count, bits, depth = tier
         if a.size < b.size:
@@ -424,7 +424,8 @@ class FieldContext:
         else:
             a, b = [a.astype(dtype, copy=False)], _limbs(b, count, bits, dtype)
         inner, cols = b[0].shape[-2:]
-        width = max(1, cols if out is None else _COLUMN_TILE // max(math.prod(out.shape[:-1]), 1))
+        width = max(1, cols if out is None else _COLUMN_BYTES // np.dtype(dtype).itemsize
+                    // max(math.prod(out.shape[:-1]), 1))
         for c in range(0, max(cols, 1), width):
             acc = None
             # an empty inner dimension still takes one chunk, whose product is zero
@@ -661,19 +662,16 @@ def _powers(x: np.ndarray, exponents: Sequence[int], p: int) -> np.ndarray:
     When every exponent is >= 0 and the run x^0, ..., x^top of the
     largest one costs no more products than square-and-multiply
     (top + 1 <= |E| bitlen(top)), the columns are gathered from that run
-    (``_power_run``), which is returned itself, with no gathered copy,
-    when the exponents are 0, ..., top in order; otherwise, for a
-    negative exponent, a lone one such as the audit's x^d, or a sparse
-    set, square-and-multiply forms them (``_square_and_multiply``).
-    No check on the points: ``vandermonde`` makes them admissible, and
-    the privacy audit must see zero and repeated points, where both give
-    what Python's ``pow`` gives.
+    (``_power_run``); otherwise, for a negative exponent, a lone one such
+    as the audit's x^d, or a sparse set, square-and-multiply forms them
+    (``_square_and_multiply``).  No check on the points: ``vandermonde``
+    makes them admissible, and the privacy audit must see zero and
+    repeated points, where both give what Python's ``pow`` gives.
     """
     e = np.array(exponents, dtype=np.int64)
     top = int(e.max(initial=0))
     if e.min(initial=0) >= 0 and top + 1 <= e.size * top.bit_length():
-        run = _power_run(x, top, p)
-        return run if np.array_equal(e, np.arange(top + 1)) else run[:, e]
+        return _power_run(x, top, p)[:, e]
     return _square_and_multiply(x, e, p)
 
 

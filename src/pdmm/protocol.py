@@ -10,12 +10,12 @@ instances per download).  All arithmetic is exact, so a decoded product
 either equals the true one or the run is reported broken; there is no
 tolerance anywhere.
 
-Encoding and the server products are two stages (``encode_and_multiply``):
-each side's blocks become one float operand, and all N servers' shares
-of that side are one product with the frame's powers, built in
-cache-sized column tiles and cast into the transcript's share stacks,
-so each side's blocks are read once.  Then each group of servers
-multiplies its rows of the two share stacks in one stacked GEMM.
+Encoding and the server products (``encode_and_multiply``): each side's
+blocks become one float operand, and a group of servers multiplies its
+shares in one stacked GEMM.  Where that GEMM cuts limbs, from int64,
+all N servers' shares of a side are one product, in cache-sized column
+tiles, so a side's blocks are read once; where it reads whole floats,
+a group's shares are one GEMM a side whose reduced floats it reads.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order.  Each
@@ -411,18 +411,17 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     shapes, and a ragged sequence raises ``ShapeMismatchError`` listing
     every block's shape.
 
-    Two stages.  First each side's two stacks are converted, with one
-    assignment each, into one float operand of its encode tier, whose
-    inner dimension is its number of blocks, and one
-    ``FieldContext._product`` multiplies the (N, blocks) powers by it,
-    column tile by column tile over all N servers, reduced mod p and
-    cast into the share stack viewed as (N, ra inner) or (N, inner cb):
-    the operand is read once, not once per server.  Then each group of
+    Each side's two stacks become, with one assignment each, one float
+    operand of its encode tier, which the powers multiply.  Each group of
     servers that ``FieldContext.matmul`` would stage a stack of these
-    products in multiplies its rows of the two int64 share stacks in one
-    stacked GEMM on the tier of ``inner``, reduced and cast into the
-    products.  Both sides' float operands share one allocation, and so
-    do the returned stacks (see ``_one_buffer``).
+    products in multiplies its f and g in one stacked GEMM on the tier
+    of ``inner``.  When that tier cuts limbs, which it does from int64,
+    all N servers' shares of a side are first one ``FieldContext._product``,
+    cast into their stack column tile by column tile, so the operand is
+    read once.  Otherwise a group's shares are one product a side, cast
+    into the stacks, and its GEMM reads their reduced floats.  Both sides'
+    float operands share one allocation, and so do the returned stacks
+    (see ``_one_buffer``).
     """
     plan, ctx = frame.plan, frame.ctx
     sides = []
@@ -453,15 +452,22 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     (ra, inner), cb = a_shape, b_shape[1]
     *shares, products = _one_buffer(*(((frame.n, *shape), np.int64)
                                       for shape in ((ra, inner), (inner, cb), (ra, cb))))
+    server = ctx._tier(inner)
+    encoders = []
     for (exps, stacks, _), tier, coeffs, out in zip(sides, tiers, operands, shares):
         for row, stack in zip((coeffs[:len(stacks[0])], coeffs[len(stacks[0]):]), stacks):
             if len(stack):
                 row[...] = ctx._canonical(stack)
-        ctx._product(frame.powers(exps), coeffs.reshape(len(exps), -1), tier,
-                     out.reshape(frame.n, -1))
-    server = ctx._tier(inner)
+        encoders.append((frame.powers(exps), coeffs.reshape(len(exps), -1), tier))
+        if server[1] > 1:  # the server stage cuts its limbs from the int64 shares
+            ctx._product(*encoders[-1], out.reshape(frame.n, -1))
     for part in _groups(frame.n, ra, cb, inner):
-        ctx._product(shares[0][part], shares[1][part], server, products[part])
+        f, g = shares[0][part], shares[1][part]
+        if server[1] == 1:  # it reads whole floats: a group's encoded floats, uncast
+            f, g = (ctx._product(powers[part], coeffs, tier).reshape(out[part].shape)
+                    for (powers, coeffs, tier), out in zip(encoders, shares))
+            shares[0][part], shares[1][part] = f, g
+        ctx._product(f, g, server, products[part])
     return (*shares, products)
 
 

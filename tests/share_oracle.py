@@ -4,8 +4,8 @@
 them by the frame's powers with one ``FieldContext.matmul``, and
 ``server_compute`` multiplies the two int64 share stacks with one stacked
 ``matmul``.  ``protocol.encode_and_multiply`` forms the same shares and
-products in two stages, one product per side for all servers and then
-one per server group; this pair is the oracle its differential test
+products, encoding a side for all servers in one product or one server
+group at a time; this pair is the oracle its differential test
 compares it with.
 """
 

@@ -1,17 +1,21 @@
-"""The two-stage encoder against the encoder and server step it replaces.
+"""The encoder and server stage against the int64 oracle they replace.
 
-``encode_and_multiply`` forms all N servers' shares of a side with one
-``FieldContext._product`` of the frame's powers by that side's blocks,
-built in column tiles of ``gf._COLUMN_TILE`` entries and cast into the
-share stacks, then multiplies each group of servers' int64 share rows in
-one stacked GEMM.  ``share_oracle`` multiplies int64 stacks with
-``FieldContext.matmul`` as the library did before.  Both must give the
-same shares and products, exactly, on every tier an encode or a server
-stage can take, for groups of one server, of several and of all
-servers, and at column tiles of one column, of a width that divides
-neither side's rows and of whole rows, in both modes.  A call-budget pin
-holds the encoder to two products a call, one per side, whatever N and
-the group count; per-group encoding goes over it.  Four negative
+Where the server stage cuts limbs, ``encode_and_multiply`` forms all N
+servers' shares of a side with one ``FieldContext._product`` of the
+frame's powers by that side's blocks, built in column tiles of
+``gf._COLUMN_BYTES`` bytes and cast into the share stacks, then
+multiplies each group of servers' int64 share rows in one stacked GEMM.
+Where it reads whole floats, a group's shares are one product a side
+whose reduced floats its GEMM reads.  ``share_oracle`` multiplies int64
+stacks with ``FieldContext.matmul`` as the library did before.  Both
+must give the same shares and products, exactly, on every tier an
+encode or a server stage can take, for groups of one server, of several
+and of all servers, and at column tiles of one column, of a width that
+divides neither side's rows and of whole rows, in both modes.  A
+call-budget pin holds a limb-tier encoder to two products a call, one
+per side, whatever N and the group count, and per-group encoding goes
+over it; on a float tier each group's server GEMM reads its encoder's
+floats, which the limb tier's path would not give it.  Four negative
 controls break the pass: the encoder's accumulator left unreduced, the
 limb split skipped, the last column tile dropped and a tile shifted by
 one column; each must make the comparison fail.
@@ -73,6 +77,12 @@ def runs(name, mode, monkeypatch, tile):
         blocks = (a.reshape(plan.K, ra, inner), b.reshape(inner, plan.L, cb).swapaxes(0, 1),
                   nf, ng)
         yield frame, blocks, arrays
+
+
+def column_bytes(frame, columns):
+    """``_COLUMN_BYTES`` for tiles of ``columns`` columns of a side's shares
+    over all N servers, in the case's encode dtype."""
+    return frame.n * columns * np.dtype(frame.ctx._tier(len(frame.plan.alpha))[0]).itemsize
 
 
 def oracle(frame, blocks):
@@ -154,16 +164,16 @@ def test_column_tiles_match_the_oracle_at_their_edges(monkeypatch, name, width, 
         assert [side[0].size for side in blocks[:2]] == [120, 80]
         want = oracle(frame, blocks)
         with monkeypatch.context() as tiles:
-            tiles.setattr(gf, "_COLUMN_TILE", frame.n * WIDTHS[width])
+            tiles.setattr(gf, "_COLUMN_BYTES", column_bytes(frame, WIDTHS[width]))
             assert same(encode_and_multiply(frame, *blocks), want)
 
 
 def product_calls(monkeypatch) -> list:
-    """The operand rank of each ``FieldContext._product`` call from here on:
-    2 for an encoder product, 3 for a server group's stacks."""
+    """The left operand of each ``FieldContext._product`` call from here on:
+    2-D for an encoder product, 3-D for a server group's stacks."""
     calls, real = [], FieldContext._product
     monkeypatch.setattr(FieldContext, "_product",
-                        lambda self, a, *rest: calls.append(a.ndim) or real(self, a, *rest))
+                        lambda self, a, *rest: calls.append(a) or real(self, a, *rest))
     return calls
 
 
@@ -182,13 +192,12 @@ def per_group_encoding(monkeypatch, groups):
 
 
 @pytest.mark.parametrize("name, tile, groups", [
-    ("F11 float32", gf._TILE, 1),
-    ("F11 float32", 1000, 3),
+    ("limbs", gf._TILE, 1),
     ("limbs", 1000, 4),
     ("limbs", 1, 13),
     ("limbs, three in the encoder", 1000, 16),
 ])
-def test_each_call_encodes_with_two_products(monkeypatch, name, tile, groups):
+def test_each_limb_tier_call_encodes_with_two_products(monkeypatch, name, tile, groups):
     for frame, blocks, arrays in runs(name, "quantum", monkeypatch, tile):
         (_, ra, inner), (_, _, cb) = blocks[0].shape, blocks[1].shape
         parts = gf._groups(frame.n, ra, cb, inner)
@@ -196,12 +205,49 @@ def test_each_call_encodes_with_two_products(monkeypatch, name, tile, groups):
         with monkeypatch.context() as counted:
             calls = product_calls(counted)
             assert same(encode_and_multiply(frame, *blocks), arrays)
-            assert (calls.count(2), calls.count(3)) == (2, groups)
+            assert [a.ndim for a in calls].count(2) == 2
+            assert [a.ndim for a in calls].count(3) == groups
         with monkeypatch.context() as counted:  # negative control: encoding per group
             calls = product_calls(counted)
             per_group_encoding(counted, parts)
             assert same(encode_and_multiply(frame, *blocks), arrays)
-            assert calls.count(2) == 2 * groups  # over the pin wherever groups > 1
+            assert [a.ndim for a in calls].count(2) == 2 * groups  # over the pin if groups > 1
+
+
+ENCODE_SOURCE = textwrap.dedent(inspect.getsource(protocol.encode_and_multiply))
+
+
+def all_servers_encoded_first(monkeypatch):
+    """``encode_and_multiply`` taking the limb tier's path on every tier."""
+    assert ENCODE_SOURCE.count("server[1] > 1") == ENCODE_SOURCE.count("server[1] == 1") == 1
+    namespace = dict(vars(protocol))
+    exec(ENCODE_SOURCE.replace("server[1] > 1", "True").replace("server[1] == 1", "False"),
+         namespace)
+    monkeypatch.setattr(protocol, "encode_and_multiply", namespace["encode_and_multiply"])
+
+
+@pytest.mark.parametrize("name, tile, groups", [
+    ("F11 float32", gf._TILE, 1),
+    ("F11 float32", 1000, 3),
+    ("F65537 float64", 1, 13),
+    ("float32 encode, float64 server", 1000, 4),
+])
+def test_a_float_tier_server_reads_the_floats_its_group_encoded(monkeypatch, name, tile,
+                                                                 groups):
+    for frame, blocks, arrays in runs(name, "quantum", monkeypatch, tile):
+        (_, ra, inner), (_, _, cb) = blocks[0].shape, blocks[1].shape
+        assert len(gf._groups(frame.n, ra, cb, inner)) == groups
+        # the negative control takes the limb tier's path: two encoder products,
+        # then int64 rows of the share stacks in each server GEMM
+        for broken, encoders, kind in ((False, 2 * groups, "f"), (True, 2, "i")):
+            with monkeypatch.context() as counted:
+                if broken:
+                    all_servers_encoded_first(counted)
+                calls = product_calls(counted)
+                assert same(protocol.encode_and_multiply(frame, *blocks), arrays)
+                servers = [a for a in calls if a.ndim == 3]
+                assert (len(calls) - len(servers), len(servers)) == (encoders, groups)
+                assert {a.dtype.kind for a in servers} == {kind}, broken
 
 
 def test_server_limbs_are_cut_from_the_int64_rows(monkeypatch):
@@ -287,7 +333,8 @@ def poisoned(monkeypatch):
 
 
 @pytest.mark.parametrize("old, new", [
-    pytest.param("range(0, max(cols, 1), width)", "range(0, max(cols, 1) - width, width)",
+    pytest.param("range(0, max(cols, 1), width)",
+                 "range(0, max(cols, 1) - width * (out is not None), width)",
                  id="last_tile_dropped"),
     pytest.param("out[..., c:c + width] = acc", "out[..., c:c + width] = np.roll(acc, 1, -1)",
                  id="tile_shifted_by_one_column"),
@@ -297,10 +344,10 @@ def test_the_tile_edges_catch_a_dropped_or_shifted_tile(monkeypatch, old, new):
         for width in ("seven columns", "one tile"):
             for frame, blocks, arrays in runs(name, "classical", monkeypatch, gf._TILE):
                 with monkeypatch.context() as broken:
-                    broken.setattr(gf, "_COLUMN_TILE", frame.n * WIDTHS[width])
+                    broken.setattr(gf, "_COLUMN_BYTES", column_bytes(frame, WIDTHS[width]))
                     poisoned(broken)
                     # the unmutated copy passes, so the mutation is what fails
                     for fragment, caught in ((old, False), (new, True)):
                         broken.setattr(FieldContext, "_product", tiled_product(old, fragment))
                         got = encode_and_multiply(frame, *blocks)
-                        assert same(got[:2], arrays[:2]) != caught, (name, width, fragment)
+                        assert same(got, arrays) != caught, (name, width, fragment)

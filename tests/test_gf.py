@@ -407,6 +407,8 @@ def test_stacked_matmul_matches_the_per_matrix_loop(monkeypatch, p, shape_a, sha
     ctx = FieldContext(p)
     rng = np.random.default_rng(p % 991)
     monkeypatch.setattr(gf, "_TILE", tile)
+    # a column tile of ``tile`` entries of the tier's dtype, whatever its size
+    monkeypatch.setattr(gf, "_COLUMN_BYTES", tile * np.dtype(ctx._tier(shape_a[1])[0]).itemsize)
     for stack in (0, 1, 2, 35):
         # unreduced and negative entries are taken mod p first
         a = rng.integers(-3 * p, 3 * p, size=(stack, *shape_a))

@@ -10,8 +10,7 @@ w = u x^N c, x^-N = u P'(x) c, v and v^-1 with ``lagrange_oracle``, the
 synthetic-division implementation they replace, on every builder plan
 with N <= 60, gapped and gapless, odd and even N, classical and with
 shifts 0, 1 and 3; and both branches of ``_powers`` with Python's
-``pow`` on zero and repeated points, the run handed back itself, with
-no gathered copy, exactly when the exponents are 0, ..., top in order.  Each negative control must fail:
+``pow`` on zero and repeated points.  Each negative control must fail:
 a suffix sum that starts at k = j, v without (-1)^(N-1), a doubling step
 that multiplies by x^(w-1), and a zero point that gets past the
 inverse's guard.
@@ -186,23 +185,6 @@ def test_powers_takes_the_run_only_where_it_costs_no_more(monkeypatch, exponents
     got = gf._powers(x, exponents, 11)
     assert taken == [branch]
     assert got.tolist() == [[pow(int(v), e, 11) for e in exponents] for v in x]
-
-
-@pytest.mark.parametrize("exponents, returned", [
-    (range(36), True),  # 0, ..., top in order: the run itself
-    ([*range(10), 70], False),
-    ([1, 0, *range(2, 36)], False),  # 0, ..., top out of order
-    ([0, 1, 1, 2], False),  # a repeated exponent
-])
-def test_powers_returns_the_run_itself_only_for_exponents_zero_to_top(monkeypatch, exponents,
-                                                                      returned):
-    runs = []
-    real = gf._power_run
-    monkeypatch.setattr(gf, "_power_run", lambda *args: runs.append(real(*args)) or runs[-1])
-    points = [0, 1, 2, 2, 5, 10]
-    got = gf._powers(np.array(points, dtype=np.int64), exponents, 11)
-    assert len(runs) == 1 and (got is runs[0]) == returned
-    assert got.tolist() == pow_table(points, exponents, 11)
 
 
 # -- the zero-point guard ------------------------------------------------------
