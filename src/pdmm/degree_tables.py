@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gf import _index
+
 __all__ = [
     "ExponentPlan",
     "DegreeTable",
@@ -547,23 +549,6 @@ def check_decodable(plan: ExponentPlan) -> DecodabilityReport:
                 False, f"information sum {v} collides with another table entry",
                 violation=(plan.info_alpha[at // plan.L], plan.info_beta[at % plan.L]))
     return DecodabilityReport(True)
-
-
-def _index(**values) -> list[int]:
-    """Each value read with ``operator.index``, so a numpy integer comes back an int.
-
-    A bool, float, string or other non-integer raises ``TypeError``
-    naming the field.  Builders, ``ExponentPlan`` and the feasibility
-    search read their parameters with it before any check compares them.
-    """
-    read = []
-    for name, value in values.items():
-        if type(value) is not int:  # a plain int is read as it is
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise TypeError(f"{name} must be an integer, got {name}={value!r}")
-            value = operator.index(value)
-        read.append(value)
-    return read
 
 
 def _require_positive(**values: int):

@@ -30,7 +30,10 @@ not yet reduced mod p.  One tiled kernel serves every product: it also
 reads operands that are already exact floats, as they are on their
 tier, and can hand back its reduced float result instead of casting it,
 so the protocol's float-tier servers multiply the shares their encoder
-just formed, with no int64 round trip.
+just formed, with no int64 round trip.  The protocol's limb-tier encoder
+cuts its blocks into limbs itself and folds the limb weights into the
+powers, so the kernel reads both whole at the Horner depth: one GEMM
+and one reduction a column tile instead of k of each.
 
 ``mat_inverse`` inverts a square matrix by eliminating [A | I], and
 ``batch_rank`` ranks a whole stack of matrices at once, by one
@@ -91,8 +94,27 @@ class ZeroPointError(ValueError):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _index(**values) -> list[int]:
+    """Each value read with ``operator.index``, so a numpy integer comes back an int.
+
+    A bool, float, string or other non-integer raises ``TypeError``
+    naming the field.  The scalar entry points here, the builders,
+    ``ExponentPlan`` and the feasibility search read their integers with
+    it before any check compares them.
+    """
+    read = []
+    for name, value in values.items():
+        if type(value) is not int:  # a plain int is read as it is
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise TypeError(f"{name} must be an integer, got {name}={value!r}")
+            value = operator.index(value)
+        read.append(value)
+    return read
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
+    n, = _index(n=n)
     if n < 2:
         return False
     for small in _MR_WITNESSES:
@@ -118,7 +140,7 @@ def is_prime(n: int) -> bool:
 
 def next_prime(n: int) -> int:
     """Smallest prime >= n."""
-    n = max(n, 2)
+    n = max(*_index(n=n), 2)
     while not is_prime(n):
         n += 1
     return n
@@ -148,6 +170,7 @@ def element_of_order(order: int, p: int) -> int:
     A large order is found by testing g = 2, 3, ... directly, where
     about one g in (p - 1) / order lies in the subgroup.
     """
+    order, p = _index(order=order, p=p)
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if order < 1 or (p - 1) % order != 0:
@@ -254,20 +277,30 @@ def _limb_geometry(p: int, count: int) -> tuple[int, int]:
     return bits, (_EXACT - (p << bits) - p) // ((p - 1) * ((1 << bits) - 1))
 
 
-def _limbs(x: np.ndarray, count: int, bits: int, dtype) -> list[np.ndarray]:
+def _limbs(x: np.ndarray, count: int, bits: int, dtype,
+           out: np.ndarray | None = None) -> Sequence[np.ndarray]:
     """Canonical entries cut into ``count`` limbs of ``bits`` bits, most significant first.
 
-    Limbs are floats of ``dtype``.  One limb is the entries themselves,
-    read in place when they already are ``dtype``.  Otherwise each limb
-    is at most 2^bits - 1, and the entries, read as int64, are the sum of
-    limb j times 2^(bits (count - 1 - j)); ``_limb_geometry`` bounds the
-    GEMMs of such limbs with a whole operand.
+    Limbs are floats of ``dtype``, written into ``out`` of shape
+    (count, *x.shape) when it is given.  Else one limb is the entries
+    themselves, read in place when they already are ``dtype``.  Each of
+    several limbs is at most 2^bits - 1, and the entries, read as int64,
+    are the sum of limb j times 2^(bits (count - 1 - j)); ``_limb_geometry``
+    bounds the GEMMs of such limbs with a whole operand.
     """
     if count == 1:
-        return [x.astype(dtype, copy=False)]
+        if out is None:
+            return [x.astype(dtype, copy=False)]
+        out[0] = x
+        return out
+    if out is None:
+        out = [np.empty(x.shape, dtype) for _ in range(count)]
     x = x.astype(np.int64, copy=False)
-    mask = (1 << bits) - 1
-    return [(x >> shift & mask).astype(dtype) for shift in range(bits * (count - 1), -1, -bits)]
+    # each ufunc casts into its float limb as it goes; the top limb needs no mask
+    np.right_shift(x, bits * (count - 1), out=out[0], casting="unsafe")
+    for limb, shift in zip(out[1:], range(bits * (count - 2), -1, -bits)):
+        np.bitwise_and(x >> shift if shift else x, (1 << bits) - 1, out=limb, casting="unsafe")
+    return out
 
 
 @dataclass(frozen=True)
@@ -299,7 +332,7 @@ class FieldContext:
     # -- scalar arithmetic -------------------------------------------------
 
     def inv(self, x: int) -> int:
-        x %= self.p
+        x = _index(x=x)[0] % self.p
         if x == 0:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(x, -1, self.p)

@@ -13,9 +13,10 @@ tolerance anywhere.
 Encoding and the server products (``encode_and_multiply``): each side's
 blocks become one float operand, and a group of servers multiplies its
 shares in one stacked GEMM.  Where that GEMM cuts limbs, from int64,
-all N servers' shares of a side are one product, in cache-sized column
-tiles, so a side's blocks are read once; where it reads whole floats,
-a group's shares are one GEMM a side whose reduced floats it reads.
+the operand holds the blocks' limbs and the powers the limb weights, so
+all N servers' shares of a side are one product, one GEMM a cache-sized
+column tile, and a side's blocks are read once; where it reads whole
+floats, a group's shares are one GEMM a side whose reduced floats it reads.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order.  Each
@@ -64,6 +65,7 @@ from .gf import (
     _admissible_points,
     _groups,
     _integers,
+    _limbs,
     _powers,
     _remainder,
     element_of_order,
@@ -411,17 +413,20 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     shapes, and a ragged sequence raises ``ShapeMismatchError`` listing
     every block's shape.
 
-    Each side's two stacks become, with one assignment each, one float
-    operand of its encode tier, which the powers multiply.  Each group of
-    servers that ``FieldContext.matmul`` would stage a stack of these
-    products in multiplies its f and g in one stacked GEMM on the tier
-    of ``inner``.  When that tier cuts limbs, which it does from int64,
-    all N servers' shares of a side are first one ``FieldContext._product``,
-    cast into their stack column tile by column tile, so the operand is
-    read once.  Otherwise a group's shares are one product a side, cast
-    into the stacks, and its GEMM reads their reduced floats.  Both sides'
-    float operands share one allocation, and so do the returned stacks
-    (see ``_one_buffer``).
+    Each side's two stacks become one float operand of its encode tier,
+    which the powers multiply.  Each group of servers that
+    ``FieldContext.matmul`` would stage a stack of these products in
+    multiplies its f and g in one stacked GEMM on the tier of ``inner``.
+    When that tier cuts limbs, which it does from int64, the operand
+    holds the c limbs of b bits of every block, most significant first,
+    and the powers P become [P 2^(b (c - 1)) mod p | ... | P], so all N
+    servers' shares of a side are one ``FieldContext._product`` read on
+    one limb at the c-limb depth: one GEMM and one reduction a column
+    tile, cast into the stack, and the operand, read once, is freed
+    before the other side's is made.  Otherwise a group's shares are
+    one product a side, cast into the stacks, whose reduced floats its
+    GEMM reads; both sides' operands then share one allocation, made
+    before the returned stacks', which share another (see ``_one_buffer``).
     """
     plan, ctx = frame.plan, frame.ctx
     sides = []
@@ -447,23 +452,30 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
             f"inner dimensions differ: A blocks shaped {a_shape} have {a_shape[1]} columns, "
             f"B blocks shaped {b_shape} have {b_shape[0]} rows")
     tiers = [ctx._tier(len(exps)) for exps, _, _ in sides]
-    operands = _one_buffer(*(((len(exps), *shape), tier[0])
-                             for (exps, _, shape), tier in zip(sides, tiers)))
     (ra, inner), cb = a_shape, b_shape[1]
+    server = ctx._tier(inner)
+    cut = server[1] > 1  # the server stage cuts its limbs from the int64 shares
+    specs = [((count * len(exps), math.prod(shape)), dtype)
+             for (exps, _, shape), (dtype, count, _, _) in zip(sides, tiers)]
+    operands = None if cut else _one_buffer(*specs)  # every server group reads both
     *shares, products = _one_buffer(*(((frame.n, *shape), np.int64)
                                       for shape in ((ra, inner), (inner, cb), (ra, cb))))
-    server = ctx._tier(inner)
     encoders = []
-    for (exps, stacks, _), tier, coeffs, out in zip(sides, tiers, operands, shares):
-        for row, stack in zip((coeffs[:len(stacks[0])], coeffs[len(stacks[0]):]), stacks):
-            if len(stack):
-                row[...] = ctx._canonical(stack)
-        encoders.append((frame.powers(exps), coeffs.reshape(len(exps), -1), tier))
-        if server[1] > 1:  # the server stage cuts its limbs from the int64 shares
-            ctx._product(*encoders[-1], out.reshape(frame.n, -1))
+    for i, ((exps, stacks, _), (dtype, count, bits, depth), out) in enumerate(
+            zip(sides, tiers, shares)):
+        powers = frame.powers(exps)
+        coeffs = _operand(ctx, *stacks, bits, np.empty(*specs[i]) if cut else operands[i])
+        if cut:
+            # limb j's weight 2^(bits (count - 1 - j)) folded into the powers: one GEMM a tile
+            folded = np.hstack([powers * pow(2, bits * j, ctx.p) % ctx.p
+                                for j in reversed(range(count))])
+            ctx._product(folded, coeffs, (dtype, 1, 0, depth), out.reshape(frame.n, -1))
+            del coeffs  # freed before the next side's operand is made
+        else:
+            encoders.append((powers, coeffs, (dtype, count, bits, depth)))
     for part in _groups(frame.n, ra, cb, inner):
         f, g = shares[0][part], shares[1][part]
-        if server[1] == 1:  # it reads whole floats: a group's encoded floats, uncast
+        if not cut:  # the server reads whole floats: a group's encoded floats, uncast
             f, g = (ctx._product(powers[part], coeffs, tier).reshape(out[part].shape)
                     for (powers, coeffs, tier), out in zip(encoders, shares))
             shares[0][part], shares[1][part] = f, g
@@ -491,13 +503,30 @@ def _stack(blocks, p: int) -> np.ndarray | None:
     return np.array([_integers(block, p).astype(np.int64, copy=False) for block in blocks])
 
 
+def _operand(ctx: FieldContext, data, noise, bits: int, out: np.ndarray) -> np.ndarray:
+    """A side's data and noise stacks written into ``out``, its (count * blocks, entries) floats.
+
+    Rows j * blocks, ..., (j + 1) * blocks - 1 hold limb j of every
+    block's canonical entries, most significant first, as ``gf._limbs``
+    cuts them; one limb is the entries themselves.  No view of ``out``
+    outlives the call, so the caller can free it.
+    """
+    blocks = len(data) + len(noise)
+    limbs = out.reshape(-1, blocks, *data.shape[1:])
+    for part, stack in zip((limbs[:, :len(data)], limbs[:, len(data):]), (data, noise)):
+        if len(stack):
+            _limbs(ctx._canonical(stack), len(limbs), bits, out.dtype, part)
+    return out
+
+
 def _one_buffer(*specs) -> list[np.ndarray]:
     """Arrays of the given (shape, dtype), carved from one allocation, each 8-byte aligned.
 
     numpy asks the kernel for huge pages on an allocation from 4 MiB up.
     Arrays below that apart but not together would each take a page
     fault per 4 KiB page whenever they are made, as a run's share stacks
-    and encoder operands are once per instance.
+    and products are once per instance, and so are the float-tier
+    encoder's operands.
     """
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
     starts = [0]

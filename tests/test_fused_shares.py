@@ -1,28 +1,33 @@
 """The encoder and server stage against the int64 oracle they replace.
 
-Where the server stage cuts limbs, ``encode_and_multiply`` forms all N
-servers' shares of a side with one ``FieldContext._product`` of the
-frame's powers by that side's blocks, built in column tiles of
-``gf._COLUMN_BYTES`` bytes and cast into the share stacks, then
+Where the server stage cuts limbs, ``encode_and_multiply`` cuts each
+side's data and noise blocks once into the limbs of its encode tier,
+folds the limb weights into the frame's powers, and forms all N
+servers' shares of the side with one ``FieldContext._product`` of the
+folded powers by the limbs, read whole, built in column tiles of
+``gf._COLUMN_BYTES`` bytes and cast into the share stacks; then it
 multiplies each group of servers' int64 share rows in one stacked GEMM.
 Where it reads whole floats, a group's shares are one product a side
 whose reduced floats its GEMM reads.  ``share_oracle`` multiplies int64
 stacks with ``FieldContext.matmul`` as the library did before.  Both
 must give the same shares and products, exactly, on every tier an
-encode or a server stage can take, for groups of one server, of several
-and of all servers, and at column tiles of one column, of a width that
-divides neither side's rows and of whole rows, in both modes.  A
-call-budget pin holds a limb-tier encoder to two products a call, one
-per side, whatever N and the group count, and per-group encoding goes
-over it; on a float tier each group's server GEMM reads its encoder's
-floats, which the limb tier's path would not give it.  Four negative
-controls break the pass: the encoder's accumulator left unreduced, the
-limb split skipped, the last column tile dropped and a tile shifted by
-one column; each must make the comparison fail.
+encode or a server stage can take, with folded rows in one chunk and in
+two, for groups of one server, of several and of all servers, and at
+column tiles of one column, of a width that divides neither side's rows
+and of whole rows, in both modes.  A call-budget pin holds a limb-tier
+encoder to two products a call, one per side, whatever N and the group
+count, and per-group encoding goes over it; on a float tier each
+group's server GEMM reads its encoder's floats, which the limb tier's
+path would not give it.  Six negative controls break the pass: the
+encoder's accumulator left unreduced, the limb split skipped, the limb
+rows stacked least significant first, the folded powers left unreduced
+mod p, the last column tile dropped and a tile shifted by one column;
+each must make the comparison fail.
 """
 
 import inspect
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -51,9 +56,15 @@ CASES = {
     # 32 blocks a side, more than one two-limb chunk (31 deep at this p) holds
     "limbs, three in the encoder": (build_gasp_r(1, 1, 31, 1), 2**31 - 1, (3, 40, 2),
                                     (("float64", 3), ("float64", 3))),
+    # 17 blocks a side: 34 folded two-limb rows, more than one chunk (33 deep at this p) holds
+    "limbs, folded rows in two chunks": (build_gasp_r(1, 1, 16, 1), 2_000_000_000, (3, 40, 2),
+                                         (("float64", 2), ("float64", 3))),
 }
-# one case per encode tier; a side's shares are rows of 3 * 40 and 40 * 2 entries in each
-EDGES = ["F11 float32", "F65537 float64", "limbs", "limbs, three in the encoder"]
+LIMB_CASES = [name for name in CASES if name.startswith("limbs")]
+# one case per encode tier, and two folded chunks; a side's shares are rows
+# of 3 * 40 and 40 * 2 entries in each
+EDGES = ["F11 float32", "F65537 float64", "limbs", "limbs, three in the encoder",
+         "limbs, folded rows in two chunks"]
 # columns per tile of a side's shares: one, seven (which divides neither 120 nor 80), all
 WIDTHS = {"one column": 1, "seven columns": 7, "one tile": 10**6}
 # _TILE values: one server per group, a few per group, the default
@@ -105,6 +116,13 @@ def test_fused_pass_matches_the_oracle_on_every_tier(monkeypatch, name, tile, mo
         assert same(encode_and_multiply(frame, *blocks), want)
         count += 1
     assert count == (2 if mode == "quantum" else 1)
+
+
+def test_the_two_chunk_case_folds_more_rows_than_one_chunk_holds(monkeypatch):
+    for frame, _, _ in runs("limbs, folded rows in two chunks", "classical", monkeypatch, gf._TILE):
+        blocks = len(frame.plan.alpha)
+        _, count, _, depth = frame.ctx._tier(blocks)
+        assert (blocks, count, depth) == (17, 2, 33) and count * blocks > depth
 
 
 @pytest.mark.parametrize("tile, groups", [(1, 13), (1000, 4), (gf._TILE, 1)])
@@ -217,13 +235,22 @@ def test_each_limb_tier_call_encodes_with_two_products(monkeypatch, name, tile, 
 ENCODE_SOURCE = textwrap.dedent(inspect.getsource(protocol.encode_and_multiply))
 
 
-def all_servers_encoded_first(monkeypatch):
-    """``encode_and_multiply`` taking the limb tier's path on every tier."""
-    assert ENCODE_SOURCE.count("server[1] > 1") == ENCODE_SOURCE.count("server[1] == 1") == 1
+def encoder_with(monkeypatch, *replacements):
+    """``encode_and_multiply`` with each (old, new) source fragment replaced,
+    each found once, reading ``protocol``'s globals."""
+    source = ENCODE_SOURCE
+    for old, new in replacements:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
     namespace = dict(vars(protocol))
-    exec(ENCODE_SOURCE.replace("server[1] > 1", "True").replace("server[1] == 1", "False"),
-         namespace)
+    exec(source, namespace)
     monkeypatch.setattr(protocol, "encode_and_multiply", namespace["encode_and_multiply"])
+
+
+def all_servers_encoded_first(monkeypatch):
+    """``encode_and_multiply`` taking the limb tier's path on every tier,
+    where its encode tier has one limb, so the fold leaves the powers as they are."""
+    encoder_with(monkeypatch, ("server[1] > 1", "True"))
 
 
 @pytest.mark.parametrize("name, tile, groups", [
@@ -251,22 +278,54 @@ def test_a_float_tier_server_reads_the_floats_its_group_encoded(monkeypatch, nam
 
 
 def test_server_limbs_are_cut_from_the_int64_rows(monkeypatch):
-    """In the limb tier each side's powers are cut once for all N servers, and
-    the server stage cuts its limbs from the int64 share rows the encoder
-    wrote, not from floats."""
+    """In the limb tier each side's data and noise stacks are cut once into
+    two limbs, and the powers, with the limb weights folded in, are read
+    whole; the server stage cuts its limbs from the int64 share rows the
+    encoder wrote, not from floats."""
     cut = []
-    real = gf._limbs
-    monkeypatch.setattr(gf, "_limbs", lambda x, *args: cut.append(x) or real(x, *args))
+    for module in (gf, protocol):
+        monkeypatch.setattr(module, "_limbs", lambda x, count, *rest, real=module._limbs,
+                            at=module.__name__: cut.append((at, x, count)) or real(x, count, *rest))
     for name, stack in (("limbs", 1), ("limbs, f cut", 0)):
         for frame, blocks, arrays in runs(name, "classical", monkeypatch, gf._TILE):
             cut.clear()
             got = encode_and_multiply(frame, *blocks)
             assert same(got, arrays)
-            # the powers of each side, then one share stack
-            assert [x.dtype for x in cut] == [np.int64] * 3
-            assert [x.shape for x in cut[:2]] == [(frame.n, len(frame.plan.alpha)),
-                                                  (frame.n, len(frame.plan.beta))]
-            assert np.shares_memory(cut[2], got[stack])
+            p, plan, (a, b, nf, ng) = frame.ctx.p, frame.plan, blocks
+            # per side its data and noise stacks, then its folded powers; then one share stack
+            assert [(at, count) for at, _, count in cut] == (
+                [("pdmm.protocol", 2)] * 2 + [("pdmm.gf", 1)]) * 2 + [("pdmm.gf", 3)]
+            assert [x.dtype for _, x, _ in cut] == [np.int64] * 7
+            assert [x.shape for _, x, _ in cut[:6]] == [
+                a.shape, nf.shape, (frame.n, 2 * len(plan.alpha)),
+                b.shape, ng.shape, (frame.n, 2 * len(plan.beta))]
+            for (_, folded, _), exps, info, noise in (
+                    (cut[2], plan.alpha, plan.info_alpha, plan.noise_alpha),
+                    (cut[5], plan.beta, plan.info_beta, plan.noise_beta)):
+                powers = frame.powers([*(exps[i] for i in info), *noise])
+                assert np.array_equal(folded, np.hstack([powers * 2**16 % p, powers]))
+            assert np.shares_memory(cut[6][1], got[stack])
+
+
+def test_a_limb_tier_encoder_frees_each_side_operand_before_the_next(monkeypatch):
+    """A limb-tier side's operand, c times its blocks, is freed before the
+    other side's is made, so at most one is alive; the control keeps a
+    reference to the first and must see it alive at the second."""
+    (frame, blocks, arrays), = runs("limbs", "classical", monkeypatch, gf._TILE)
+    real = protocol._operand
+    for keep in (False, True):
+        refs, kept, alive = [], [], []
+
+        def operand(ctx, data, noise, bits, out):
+            alive.append([ref() is not None for ref in refs])
+            refs.append(weakref.ref(out))
+            kept.extend([out] * keep)
+            return real(ctx, data, noise, bits, out)
+
+        with monkeypatch.context() as watched:
+            watched.setattr(protocol, "_operand", operand)
+            assert same(encode_and_multiply(frame, *blocks), arrays)
+        assert alive == [[], [keep]]
 
 
 def unreduced(monkeypatch):
@@ -287,14 +346,32 @@ def unreduced(monkeypatch):
 
 
 def no_limb_split(monkeypatch):
-    """Every operand is read whole, whatever the tier."""
+    """Every operand of a product is read whole, whatever the tier."""
     monkeypatch.setattr(gf, "_limbs", lambda x, count, bits, dtype: [x.astype(dtype)])
+
+
+def least_significant_first(monkeypatch):
+    """The encoder stacks its limb rows least significant first."""
+    real = protocol._limbs
+
+    def cut(x, count, bits, dtype, out):
+        out[...] = real(x, count, bits, dtype, out)[::-1].copy()
+        return out
+
+    monkeypatch.setattr(protocol, "_limbs", cut)
+
+
+def unreduced_fold(monkeypatch):
+    """The encoder leaves its folded powers P 2^(b j) unreduced mod p."""
+    encoder_with(monkeypatch, ("pow(2, bits * j, ctx.p) % ctx.p", "pow(2, bits * j, ctx.p)"))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @pytest.mark.parametrize("mutant, names", [
     (unreduced, list(CASES)),
-    (no_limb_split, ["limbs", "limbs, f cut", "limbs, 1x1 blocks", "limbs, three in the encoder"]),
+    (no_limb_split, LIMB_CASES),
+    (least_significant_first, LIMB_CASES),
+    (unreduced_fold, LIMB_CASES),
 ])
 def test_the_comparison_catches_a_broken_pass(monkeypatch, mutant, names):
     for name in names:
@@ -303,7 +380,7 @@ def test_the_comparison_catches_a_broken_pass(monkeypatch, mutant, names):
                 assert same(arrays, oracle(frame, blocks))
                 with monkeypatch.context() as broken:
                     mutant(broken)
-                    assert not same(encode_and_multiply(frame, *blocks), arrays), (name, tile)
+                    assert not same(protocol.encode_and_multiply(frame, *blocks), arrays), (name, tile)
 
 
 PRODUCT_SOURCE = textwrap.dedent(inspect.getsource(FieldContext._product))

@@ -396,6 +396,47 @@ def test_limb_products_of_stacks_vectors_and_views(p):
             assert got.shape == want.shape and got.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("p", LIMB_PRIMES)
+@pytest.mark.parametrize("count", [2, 3])
+def test_one_limb_products_of_largest_folded_rows_and_limbs(p, count):
+    """The limb tier's encoder product at its worst: folded powers all p - 1
+    times limb columns all 2^b - 1, read whole on one limb at the Horner
+    depth of ``count`` limbs, in one chunk and in two."""
+    ctx = FieldContext(p)
+    bits, depth = limb_geometry(p, count)
+    assert gf._limb_geometry(p, count) == (bits, depth)
+    for inner in (depth, 2 * depth):
+        a = np.full((2, inner), p - 1)
+        b = np.full((inner, 3), 2.0**bits - 1)
+        out = np.empty((2, 3), dtype=np.int64)
+        ctx._product(a, b, (np.float64, 1, 0, depth), out)
+        assert out.tolist() == [[inner * (p - 1) * (2**bits - 1) % p] * 3] * 2
+
+
+def test_a_one_limb_chunk_past_2_to_the_54_is_wrong():
+    """Negative control: one chunk of 131 indices at p = 2^31 - 1 and 16-bit
+    limbs.  p - 1 = 2 (2^30 - 1) and 2^16 - 1 are twice an odd number and odd,
+    so the all-max sum, 131 (p - 1)(2^16 - 1), is twice an odd number above
+    2^54, where float64 holds only multiples of 4; each of the float64 values
+    2 or 6 away reduces to another residue, whichever way the GEMM rounds."""
+    p = 2**31 - 1
+    ctx = FieldContext(p)
+    bits, depth = limb_geometry(p, 2)
+    inner = 131
+    total = inner * (p - 1) * (2**bits - 1)
+    assert (bits, depth) == (16, 31) and total > 2**54 and total % 4 == 2
+    for near in (total - 6, total - 2, total + 2, total + 6):
+        x = np.float64(near)
+        assert int(x) == near and int(x - np.floor(x / p) * p) != total % p
+    a = np.full((2, inner), p - 1)
+    b = np.full((inner, 3), 2.0**bits - 1)
+    want = [[total % p] * 3] * 2
+    for chunk, right in ((depth, True), (inner, False)):
+        out = np.empty((2, 3), dtype=np.int64)
+        ctx._product(a, b, (np.float64, 1, 0, chunk), out)
+        assert (out.tolist() == want) == right
+
+
 @pytest.mark.parametrize("p", MATMUL_PRIMES)
 @pytest.mark.parametrize("shape_a, shape_b, tile", [
     # 3*4 + 4*2 + 3*2 = 26 entries a matrix: groups of 2, and 35 ends on a group of 1
@@ -542,6 +583,43 @@ def test_matmul_with_two_limbs_at_the_three_limb_depth_is_wrong(monkeypatch):
     real = gf._limb_geometry
     monkeypatch.setattr(gf, "_limb_geometry", lambda p, count: (real(p, count)[0], depth))
     assert ctx.matmul(a, b).tolist() != [[depth]]
+
+
+# gf's scalar entry points, each with an int it takes and its answer
+SCALAR_CALLS = {
+    "inv": (lambda x: FieldContext(37).inv(x), 5, 15),
+    "is_prime": (is_prime, 101, True),
+    "next_prime": (next_prime, 100, 101),
+    "element_of_order, order": (lambda order: element_of_order(order, 11), 10, 2),
+    "element_of_order, p": (lambda p: element_of_order(10, p), 11, 2),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_scalar_entry_points_read_numpy_integers(name):
+    call, arg, want = SCALAR_CALLS[name]
+    for x in (arg, np.int64(arg), np.uint32(arg), np.int8(arg)):
+        got = call(x)
+        assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+@pytest.mark.parametrize("bad", [2.0, 101.0, "7", None])
+def test_scalar_entry_points_refuse_non_integers_by_name(name, bad):
+    call, _, _ = SCALAR_CALLS[name]
+    field = name.split(", ")[-1] if "," in name else {"inv": "x"}.get(name, "n")
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {field}=" + re.escape(repr(bad))):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_the_scalar_check_catches_a_numpy_integer_passed_through(monkeypatch, name):
+    """Negative control: without ``gf._index`` a numpy integer reaches ``pow``."""
+    call, arg, want = SCALAR_CALLS[name]
+    assert call(np.int64(arg)) == want
+    monkeypatch.setattr(gf, "_index", lambda **values: list(values.values()))
+    with pytest.raises(TypeError, match=re.escape("unsupported operand type(s) for ** or pow()")):
+        call(np.int64(arg))
 
 
 def test_prime_helpers():
