@@ -10,13 +10,17 @@ instances per download).  All arithmetic is exact, so a decoded product
 either equals the true one or the run is reported broken; there is no
 tolerance anywhere.
 
-Encoding and the server products (``encode_and_multiply``): each side's
-blocks become one float operand, and a group of servers multiplies its
-shares in one stacked GEMM.  Where that GEMM cuts limbs, from int64,
-the operand holds the blocks' limbs and the powers the limb weights, so
-all N servers' shares of a side are one product, one GEMM a cache-sized
-column tile, and a side's blocks are read once; where it reads whole
-floats, a group's shares are one GEMM a side whose reduced floats it reads.
+Encoding and the server products: one encoder, ``_encode``, yields each
+server group's shares.  Each side's blocks become one float operand,
+and ``encode_and_multiply`` multiplies a group's shares in one stacked
+GEMM and keeps only the products.  Where that GEMM cuts limbs, from
+int64, the operand holds the blocks' limbs and the powers the limb
+weights, so all N servers' shares of a side are one product, one GEMM a
+cache-sized column tile, and a side's blocks are read once; where it
+reads whole floats, a group's shares are one GEMM a side whose reduced
+floats it reads.  A run stores no share stacks: ``Transcript.shares_f``
+and ``shares_g`` derive them on read, through ``_shares``, from the
+stored inputs and noise over a frame rebuilt from the transcript.
 
 Runs are deterministic functions of the seed.  Sampling draws points,
 inputs, and noise from one seeded generator in a fixed order.  Each
@@ -186,7 +190,14 @@ class RateReport:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Everything one run produced, enough to replay or dump it."""
+    """Everything one run produced, enough to replay or dump it.
+
+    A run stores no share stacks.  ``shares_f`` and ``shares_g`` are
+    derived on each read: the run's frame is rebuilt from ``plan``,
+    ``modulus``, ``points`` and ``mode`` (a quantum frame's shift is the
+    head of ``quantum_layout(plan)``), and ``_shares`` encodes the
+    stored inputs and noise again, so the fields alone determine them.
+    """
 
     plan: ExponentPlan
     modulus: int
@@ -197,13 +208,30 @@ class Transcript:
     b_inputs: tuple[np.ndarray, ...]
     noise_f: tuple[np.ndarray, ...]
     noise_g: tuple[np.ndarray, ...]
-    shares_f: tuple[np.ndarray, ...]
-    shares_g: tuple[np.ndarray, ...]
     responses: tuple[np.ndarray, ...]
     decoded: tuple[np.ndarray, ...]
     decode_ok: bool
     audit: AuditReport
     rate: RateReport
+
+    @property
+    def shares_f(self) -> tuple[np.ndarray, ...]:
+        """Each instance's (N, ra, inner) int64 f share stack, derived on read."""
+        return tuple(f for f, _ in self._share_stacks())
+
+    @property
+    def shares_g(self) -> tuple[np.ndarray, ...]:
+        """Each instance's (N, inner, cb) int64 g share stack, derived on read."""
+        return tuple(g for _, g in self._share_stacks())
+
+    def _share_stacks(self):
+        """Yield each instance's (f, g) share stacks, encoded over one rebuilt frame."""
+        plan = self.plan
+        shift = quantum_layout(plan)[0] if self.mode == "quantum" else None
+        frame = EvalFrame(FieldContext(self.modulus), self.points, plan, shift)
+        for a, b, noise_f, noise_g in zip(self.a_inputs, self.b_inputs,
+                                          self.noise_f, self.noise_g):
+            yield _shares(frame, *_bands(plan, a, b), noise_f, noise_g)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +422,41 @@ def sample_frame(cfg: ProtocolConfig,
 # encoding, server work, decoding
 # ---------------------------------------------------------------------------
 
-def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
-    """Per-server shares (f_n, g_n) of one instance and the servers' products f_n g_n.
+def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g) -> np.ndarray:
+    """The servers' products f_n g_n of one instance, an (N, ra, cb) int64 array.
+
+    Each server group's shares (f_n, g_n), as ``_encode`` yields them
+    (and with its errors for bad blocks), meet in one stacked GEMM on
+    the tier of ``inner``, and only the products are kept: on the float
+    tiers the GEMM reads the group's reduced floats, on the limb tier it
+    cuts its limbs from the group's int64 rows.
+    """
+    ctx, products = frame.ctx, None
+    for part, f, g in _encode(frame, a_blocks, b_blocks, noise_f, noise_g):
+        if products is None:  # the first group gives (ra, inner, cb)
+            (_, ra, inner), cb = f.shape, g.shape[2]
+            products, = _one_buffer(((frame.n, ra, cb), np.int64))
+            server = ctx._tier(inner)
+        ctx._product(f, g, server, products[part])
+    return products
+
+
+def _shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g) -> tuple[np.ndarray, ...]:
+    """Each server's shares (f_n, g_n) of one instance: (N, ra, inner) and (N, inner, cb) int64.
+
+    The groups ``_encode`` yields, cast into two stacks.  No run calls
+    it: ``Transcript.shares_f`` and ``shares_g`` derive their stacks by it.
+    """
+    stacks = None
+    for part, f, g in _encode(frame, a_blocks, b_blocks, noise_f, noise_g):
+        if stacks is None:
+            stacks = [np.empty((frame.n, *x.shape[1:]), dtype=np.int64) for x in (f, g)]
+        stacks[0][part], stacks[1][part] = f, g
+    return tuple(stacks)
+
+
+def _encode(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
+    """Per-server shares (f_n, g_n) of one instance, yielded one server group at a time.
 
     f_n weights the K blocks a_blocks (ra, inner) by point powers at the
     info alpha exponents and noise_f at ``plan.noise_alpha``, placed by
@@ -404,8 +465,10 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     ``ShapeMismatchError``.  The powers are columns of the frame's power
     table (``EvalFrame.powers``), so every instance of a run encodes
     without computing a power.  Blocks must hold integers (else
-    ``TypeError``), taken mod p.  Returns the (N, ra, inner) and
-    (N, inner, cb) share stacks and the (N, ra, cb) products, as int64.
+    ``TypeError``), taken mod p.  Yields (part, f, g) for each group
+    ``FieldContext.matmul`` would stage a stack of the servers' products
+    in: ``part`` slices the N servers, and f and g are the group's
+    (group, ra, inner) and (group, inner, cb) shares, canonical.
 
     A side's blocks and its noise blocks each come as an array whose
     first axis runs over the blocks, read as it is, or as a sequence of
@@ -414,19 +477,18 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     every block's shape.
 
     Each side's two stacks become one float operand of its encode tier,
-    which the powers multiply.  Each group of servers that
-    ``FieldContext.matmul`` would stage a stack of these products in
-    multiplies its f and g in one stacked GEMM on the tier of ``inner``.
-    When that tier cuts limbs, which it does from int64, the operand
-    holds the c limbs of b bits of every block, most significant first,
-    and the powers P become [P 2^(b (c - 1)) mod p | ... | P], so all N
+    which the powers multiply.  Where the server GEMM on the tier of
+    ``inner`` cuts limbs, which it does from int64, the operand holds
+    the c limbs of b bits of every block, most significant first, and
+    the powers P become [P 2^(b (c - 1)) mod p | ... | P], so all N
     servers' shares of a side are one ``FieldContext._product`` read on
     one limb at the c-limb depth: one GEMM and one reduction a column
-    tile, cast into the stack, and the operand, read once, is freed
-    before the other side's is made.  Otherwise a group's shares are
-    one product a side, cast into the stacks, whose reduced floats its
-    GEMM reads; both sides' operands then share one allocation, made
-    before the returned stacks', which share another (see ``_one_buffer``).
+    tile, cast into an int64 stack, and the operand, read once, is freed
+    before the other side's is made; each group's f and g are rows of
+    the two stacks.  Otherwise a group's f and g are one product a side,
+    the reduced floats the group's server GEMM reads whole, and no stack
+    is made; both sides' operands, which every group reads, share one
+    allocation (see ``_one_buffer``).
     """
     plan, ctx = frame.plan, frame.ctx
     sides = []
@@ -453,34 +515,28 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
             f"B blocks shaped {b_shape} have {b_shape[0]} rows")
     tiers = [ctx._tier(len(exps)) for exps, _, _ in sides]
     (ra, inner), cb = a_shape, b_shape[1]
-    server = ctx._tier(inner)
-    cut = server[1] > 1  # the server stage cuts its limbs from the int64 shares
+    parts = _groups(frame.n, ra, cb, inner)
     specs = [((count * len(exps), math.prod(shape)), dtype)
              for (exps, _, shape), (dtype, count, _, _) in zip(sides, tiers)]
-    operands = None if cut else _one_buffer(*specs)  # every server group reads both
-    *shares, products = _one_buffer(*(((frame.n, *shape), np.int64)
-                                      for shape in ((ra, inner), (inner, cb), (ra, cb))))
-    encoders = []
-    for i, ((exps, stacks, _), (dtype, count, bits, depth), out) in enumerate(
-            zip(sides, tiers, shares)):
-        powers = frame.powers(exps)
-        coeffs = _operand(ctx, *stacks, bits, np.empty(*specs[i]) if cut else operands[i])
-        if cut:
+    if ctx._tier(inner)[1] > 1:  # the server GEMM cuts its limbs from int64 shares
+        shares = _one_buffer(*(((frame.n, *shape), np.int64) for *_, shape in sides))
+        for (exps, stacks, _), (dtype, count, bits, depth), spec, out in zip(
+                sides, tiers, specs, shares):
+            powers = frame.powers(exps)
+            coeffs = _operand(ctx, *stacks, bits, np.empty(*spec))
             # limb j's weight 2^(bits (count - 1 - j)) folded into the powers: one GEMM a tile
             folded = np.hstack([powers * pow(2, bits * j, ctx.p) % ctx.p
                                 for j in reversed(range(count))])
             ctx._product(folded, coeffs, (dtype, 1, 0, depth), out.reshape(frame.n, -1))
             del coeffs  # freed before the next side's operand is made
-        else:
-            encoders.append((powers, coeffs, (dtype, count, bits, depth)))
-    for part in _groups(frame.n, ra, cb, inner):
-        f, g = shares[0][part], shares[1][part]
-        if not cut:  # the server reads whole floats: a group's encoded floats, uncast
-            f, g = (ctx._product(powers[part], coeffs, tier).reshape(out[part].shape)
-                    for (powers, coeffs, tier), out in zip(encoders, shares))
-            shares[0][part], shares[1][part] = f, g
-        ctx._product(f, g, server, products[part])
-    return (*shares, products)
+        for part in parts:
+            yield part, shares[0][part], shares[1][part]
+        return
+    encoders = [(frame.powers(exps), _operand(ctx, *stacks, tier[2], operand), tier, shape)
+                for (exps, stacks, shape), tier, operand in zip(sides, tiers, _one_buffer(*specs))]
+    for part in parts:  # a group's encoded floats, uncast
+        yield part, *(ctx._product(powers[part], coeffs, tier).reshape(-1, *shape)
+                      for powers, coeffs, tier, shape in encoders)
 
 
 def _stack(blocks, p: int) -> np.ndarray | None:
@@ -524,9 +580,11 @@ def _one_buffer(*specs) -> list[np.ndarray]:
 
     numpy asks the kernel for huge pages on an allocation from 4 MiB up.
     Arrays below that apart but not together would each take a page
-    fault per 4 KiB page whenever they are made, as a run's share stacks
-    and products are once per instance, and so are the float-tier
-    encoder's operands.
+    fault per 4 KiB page whenever they are made, as the float-tier
+    encoder's two operands and the limb tier's two share stacks are
+    once per instance.  The products, which ``encode_and_multiply``
+    keeps alone, come from here too, so every share stack and product
+    array has one source.
     """
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
     starts = [0]
@@ -817,13 +875,12 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         a, b, noise_f, noise_g = _draw(rng, ctx.p, (plan.K * ra, inner), (inner, plan.L * cb),
                                        (len(plan.noise_alpha), ra, inner),
                                        (len(plan.noise_beta), inner, cb))
-        return a, b, noise_f, noise_g, *encode_and_multiply(
-            frame, a.reshape(plan.K, ra, inner), b.reshape(inner, plan.L, cb).swapaxes(0, 1),
-            noise_f, noise_g)
+        return a, b, noise_f, noise_g, encode_and_multiply(
+            frame, *_bands(plan, a, b), noise_f, noise_g)
 
     # Each instance draws all its inputs and noise before the next one
     # starts; the transcript fixes that order of rng draws.
-    a_in, b_in, nf, ng, sf, sg, resp = zip(*(instance() for _ in range(rate.instances)))
+    a_in, b_in, nf, ng, resp = zip(*(instance() for _ in range(rate.instances)))
 
     if cfg.mode == "classical":
         decoded = (decode_classical(frame, resp[0]),)
@@ -835,9 +892,15 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
         plan=plan, modulus=ctx.p, mode=cfg.mode, seed=cfg.seed,
         points=frame.points,
         a_inputs=a_in, b_inputs=b_in, noise_f=nf, noise_g=ng,
-        shares_f=sf, shares_g=sg, responses=resp, decoded=decoded,
+        responses=resp, decoded=decoded,
         decode_ok=ok, audit=audit, rate=rate,
     )
+
+
+def _bands(plan: ExponentPlan, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of A's K row bands, shaped (K, ra, inner), and B's L column bands, (L, inner, cb)."""
+    inner = a.shape[1]
+    return a.reshape(plan.K, -1, inner), b.reshape(inner, plan.L, -1).swapaxes(0, 1)
 
 
 def _draw(rng: np.random.Generator, p: int, *shapes) -> list[np.ndarray]:
@@ -858,7 +921,11 @@ def _draw(rng: np.random.Generator, p: int, *shapes) -> list[np.ndarray]:
 
 
 def transcript_dump(t: Transcript) -> str:
-    """Line-oriented text dump suitable for regression snapshots."""
+    """Line-oriented text dump suitable for regression snapshots.
+
+    Both sides' share lines of an instance come from one derivation,
+    over one rebuilt frame (see ``Transcript``).
+    """
     lines = [
         f"modulus {t.modulus}",
         f"mode {t.mode}",
@@ -869,7 +936,7 @@ def transcript_dump(t: Transcript) -> str:
     for m, (a, b) in enumerate(zip(t.a_inputs, t.b_inputs), start=1):
         lines.append(f"input A {m} " + " ".join(map(str, a.ravel())))
         lines.append(f"input B {m} " + " ".join(map(str, b.ravel())))
-    for m, (f, g) in enumerate(zip(t.shares_f, t.shares_g), start=1):
+    for m, (f, g) in enumerate(t._share_stacks(), start=1):
         for srv in range(f.shape[0]):
             lines.append(f"share f {m} {srv + 1} " + " ".join(map(str, f[srv].ravel())))
             lines.append(f"share g {m} {srv + 1} " + " ".join(map(str, g[srv].ravel())))

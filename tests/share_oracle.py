@@ -3,10 +3,12 @@
 ``encode_shares`` stacks each side's data and noise blocks and multiplies
 them by the frame's powers with one ``FieldContext.matmul``, and
 ``server_compute`` multiplies the two int64 share stacks with one stacked
-``matmul``.  ``protocol.encode_and_multiply`` forms the same shares and
-products, encoding a side for all servers in one product or one server
-group at a time; this pair is the oracle its differential test
-compares it with.
+``matmul``.  The library's one encoder, ``protocol._encode``, forms the
+same shares, for all servers in one product or one server group at a
+time; ``protocol.encode_and_multiply`` multiplies them into the same
+products, and ``Transcript.shares_f`` and ``shares_g`` derive the same
+stacks.  This pair is the oracle their differential test compares them
+with.
 """
 
 import numpy as np

@@ -21,6 +21,12 @@ Servers multiply the float shares their encoder just formed, so no stage
 of a run hands ``FieldContext.matmul`` a stack of shares: in a small
 cat(2,2,2) quantum run only the quantum decode and the final A B check
 reach it, with 2-D operands, and nothing calls ``np.stack``.
+
+A transcript stores no share stacks, and ``transcript_dump`` derives
+them once: one frame rebuilt per dump and one encoding per instance.
+The negative control reads ``shares_f`` and ``shares_g`` per server, as
+the dump read stored stacks, and rebuilds a frame and encodes every
+instance on each read.
 """
 
 import collections
@@ -270,11 +276,53 @@ def test_the_pin_catches_the_old_encoder_and_server_pair(monkeypatch):
     """Stacking the blocks, encoding them by ``matmul`` and multiplying the
     int64 share stacks, as before the fused pass, trips every part of the pin."""
     def old_pair(frame, *blocks):
-        f, g = share_oracle.encode_shares(frame, *blocks)
-        return f, g, share_oracle.server_compute(frame.ctx, f, g)
+        return share_oracle.server_compute(frame.ctx, *share_oracle.encode_shares(frame, *blocks))
 
     monkeypatch.setattr(protocol, "encode_and_multiply", old_pair)
     calls, stacks = matmul_calls(monkeypatch)
     assert stacks == 4  # one per side and instance
     encoder = [ranks for ranks, stage in calls if "instance" in stage]
     assert encoder.count((3, 3)) == 2 and len(encoder) == 6
+
+
+def small_cat_run():
+    return run_protocol(ProtocolConfig(plan=build_cat(2, 2, 2), dims=(4, 6, 4), mode="quantum"))
+
+
+def dump_derivations(monkeypatch, share_lines):
+    """(frames built, share encodings run) while ``share_lines`` reads the
+    shares of one small cat(2,2,2) quantum run (N = 10, two instances),
+    and the lines it returns."""
+    t = small_cat_run()
+    counts = collections.Counter()
+    build, encode = protocol.EvalFrame.__post_init__, protocol._shares
+    monkeypatch.setattr(protocol.EvalFrame, "__post_init__",
+                        lambda frame, layout: counts.update(["frames"]) or build(frame, layout))
+    monkeypatch.setattr(protocol, "_shares",
+                        lambda *args: counts.update(["encodings"]) or encode(*args))
+    return counts, share_lines(t)
+
+
+def dumped_share_lines(t):
+    return [line for line in protocol.transcript_dump(t).splitlines() if line.startswith("share")]
+
+
+def share_lines_read_per_server(t):
+    """The dump's share lines from ``t.shares_f`` and ``t.shares_g`` read
+    per server, as the dump read the stored stacks."""
+    return [f"share {side} {m + 1} {srv + 1} " + " ".join(map(str, stacks[m][srv].ravel()))
+            for m in range(len(t.a_inputs)) for srv in range(len(t.points))
+            for side, stacks in (("f", t.shares_f), ("g", t.shares_g))]
+
+
+def test_a_dump_derives_each_instances_shares_once(monkeypatch):
+    counts, lines = dump_derivations(monkeypatch, dumped_share_lines)
+    assert counts == {"frames": 1, "encodings": 2}
+    assert len(lines) == 2 * 2 * 10
+
+
+def test_the_dump_pin_catches_a_property_read_per_server_and_side(monkeypatch):
+    want = dumped_share_lines(small_cat_run())
+    counts, lines = dump_derivations(monkeypatch, share_lines_read_per_server)
+    assert lines == want
+    assert counts == {"frames": 2 * 2 * 10, "encodings": 2 * 2 * 10 * 2}

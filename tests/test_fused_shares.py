@@ -1,30 +1,37 @@
-"""The encoder and server stage against the int64 oracle they replace.
+"""The encoder and server stage, and the shares a transcript derives, against the int64 oracle.
 
-Where the server stage cuts limbs, ``encode_and_multiply`` cuts each
-side's data and noise blocks once into the limbs of its encode tier,
-folds the limb weights into the frame's powers, and forms all N
-servers' shares of the side with one ``FieldContext._product`` of the
-folded powers by the limbs, read whole, built in column tiles of
-``gf._COLUMN_BYTES`` bytes and cast into the share stacks; then it
-multiplies each group of servers' int64 share rows in one stacked GEMM.
-Where it reads whole floats, a group's shares are one product a side
-whose reduced floats its GEMM reads.  ``share_oracle`` multiplies int64
-stacks with ``FieldContext.matmul`` as the library did before.  Both
-must give the same shares and products, exactly, on every tier an
-encode or a server stage can take, with folded rows in one chunk and in
-two, for groups of one server, of several and of all servers, and at
-column tiles of one column, of a width that divides neither side's rows
-and of whole rows, in both modes.  A call-budget pin holds a limb-tier
-encoder to two products a call, one per side, whatever N and the group
-count, and per-group encoding goes over it; on a float tier each
-group's server GEMM reads its encoder's floats, which the limb tier's
-path would not give it.  Six negative controls break the pass: the
-encoder's accumulator left unreduced, the limb split skipped, the limb
-rows stacked least significant first, the folded powers left unreduced
-mod p, the last column tile dropped and a tile shifted by one column;
-each must make the comparison fail.
+One encoder, ``protocol._encode``, yields each server group's shares;
+``encode_and_multiply`` multiplies them and keeps only the products,
+and ``protocol._shares`` casts them into the int64 stacks that
+``Transcript.shares_f`` and ``shares_g`` derive on read.  Where the
+server stage cuts limbs, the encoder cuts each side's data and noise
+blocks once into the limbs of its encode tier, folds the limb weights
+into the frame's powers, and forms all N servers' shares of the side
+with one ``FieldContext._product`` of the folded powers by the limbs,
+read whole, built in column tiles of ``gf._COLUMN_BYTES`` bytes and cast
+into two share stacks; each group of servers' int64 share rows then
+meet in one stacked GEMM.  Where it reads whole floats, a group's
+shares are one product a side whose reduced floats its GEMM reads.
+``share_oracle`` multiplies int64 stacks with ``FieldContext.matmul`` as
+the library did before.  Both must give the same shares and products,
+exactly, on every tier an encode or a server stage can take, with
+folded rows in one chunk and in two, for groups of one server, of
+several and of all servers, and at column tiles of one column, of a
+width that divides neither side's rows and of whole rows, in both
+modes; the derived shares of a transcript must equal the oracle's, and
+a transcript with one noise stack rolled by a block, or its instances'
+noise swapped, must not.  A call-budget pin holds a limb-tier encoder
+to two products a call, one per side, whatever N and the group count,
+and per-group encoding goes over it; on a float tier each group's
+server GEMM reads its encoder's floats, which the limb tier's path
+would not give it.  Six negative controls break the pass: the encoder's
+accumulator left unreduced, the limb split skipped, the limb rows
+stacked least significant first, the folded powers left unreduced mod
+p, the last column tile dropped and a tile shifted by one column; each
+must make the comparison fail.
 """
 
+import dataclasses
 import inspect
 import textwrap
 import weakref
@@ -105,6 +112,12 @@ def same(got, want):
     return all(x.dtype == np.int64 and np.array_equal(x, y) for x, y in zip(got, want))
 
 
+def encoded(frame, blocks):
+    """The share stacks ``protocol._shares`` derives and the products of
+    ``protocol.encode_and_multiply``, both from the one encoder."""
+    return (*protocol._shares(frame, *blocks), protocol.encode_and_multiply(frame, *blocks))
+
+
 @pytest.mark.parametrize("mode", ["classical", "quantum"])
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("name", CASES)
@@ -112,10 +125,33 @@ def test_fused_pass_matches_the_oracle_on_every_tier(monkeypatch, name, tile, mo
     count = 0
     for frame, blocks, arrays in runs(name, mode, monkeypatch, TILES[tile]):
         want = oracle(frame, blocks)
-        assert same(arrays, want)
-        assert same(encode_and_multiply(frame, *blocks), want)
+        assert same(arrays, want)  # the transcript's derived shares and its responses
+        assert same(encoded(frame, blocks), want)
         count += 1
     assert count == (2 if mode == "quantum" else 1)
+
+
+@pytest.mark.parametrize("mode", ["classical", "quantum"])
+@pytest.mark.parametrize("name", CASES)
+def test_derived_shares_catch_a_replaced_noise_stack(monkeypatch, name, mode):
+    """Negative control of the differential test: a transcript whose first
+    instance's f noise is rolled by one block, or, in a quantum run, whose
+    instances' g noise is swapped, derives shares the oracle does not give."""
+    wants = [oracle(frame, blocks)[:2] for frame, blocks, _ in runs(name, mode, monkeypatch,
+                                                                      gf._TILE)]
+    plan, prime, dims, _ = CASES[name]
+    t = run_protocol(ProtocolConfig(plan=plan, dims=dims, mode=mode, seed=5, prime=prime))
+    assert [same(pair, want) for *pair, want in zip(t.shares_f, t.shares_g, wants)] == (
+        [True] * len(wants))
+    rolled = np.roll(t.noise_f[0], 1, axis=0)
+    assert not np.array_equal(rolled, t.noise_f[0])
+    bad = dataclasses.replace(t, noise_f=(rolled, *t.noise_f[1:]))
+    assert not same(bad.shares_f[:1], [wants[0][0]])
+    assert same(bad.shares_g, [g for _, g in wants])  # only the replaced side moves
+    if mode == "quantum":
+        bad = dataclasses.replace(t, noise_g=t.noise_g[::-1])
+        assert not np.array_equal(*bad.noise_g)
+        assert [same([g], [want]) for g, (_, want) in zip(bad.shares_g, wants)] == [False] * 2
 
 
 def test_the_two_chunk_case_folds_more_rows_than_one_chunk_holds(monkeypatch):
@@ -152,9 +188,9 @@ def test_blocks_outside_zero_to_p_are_taken_mod_p(monkeypatch, name):
         shifted = [[x.copy() for x in side] for side in blocks]
         shifted[0][0][0, 0] += 3 * p
         shifted[3][-1][-1, -1] -= p * 2**30
-        assert same(encode_and_multiply(frame, *shifted), arrays)
-        assert same(encode_and_multiply(frame, *(np.asarray(side, dtype=np.uint64) + p
-                                                 for side in blocks)), arrays)
+        assert same(encoded(frame, shifted), arrays)
+        assert same(encoded(frame, [np.asarray(side, dtype=np.uint64) + p
+                                    for side in blocks]), arrays)
 
 
 @pytest.mark.parametrize("name", ["F11 float32", "F65537 float64", "limbs"])
@@ -167,7 +203,7 @@ def test_a_block_list_may_mix_int64_and_uint64_blocks(monkeypatch, name):
                  for side in blocks]
         assert all(len(side) > 1 for side in mixed)
         assert np.asarray(mixed[0]).dtype == np.float64
-        assert same(encode_and_multiply(frame, *mixed), arrays)
+        assert same(encoded(frame, mixed), arrays)
         mixed[0][0] = mixed[0][0].astype(np.float64)
         with pytest.raises(TypeError, match="^field elements must be integers, got an array "
                                             "of dtype float64$"):
@@ -183,7 +219,7 @@ def test_column_tiles_match_the_oracle_at_their_edges(monkeypatch, name, width, 
         want = oracle(frame, blocks)
         with monkeypatch.context() as tiles:
             tiles.setattr(gf, "_COLUMN_BYTES", column_bytes(frame, WIDTHS[width]))
-            assert same(encode_and_multiply(frame, *blocks), want)
+            assert same(encoded(frame, blocks), want)
 
 
 def product_calls(monkeypatch) -> list:
@@ -222,35 +258,38 @@ def test_each_limb_tier_call_encodes_with_two_products(monkeypatch, name, tile, 
         assert len(parts) == groups
         with monkeypatch.context() as counted:
             calls = product_calls(counted)
-            assert same(encode_and_multiply(frame, *blocks), arrays)
+            got = encode_and_multiply(frame, *blocks)
             assert [a.ndim for a in calls].count(2) == 2
             assert [a.ndim for a in calls].count(3) == groups
+            assert same((*protocol._shares(frame, *blocks), got), arrays)
         with monkeypatch.context() as counted:  # negative control: encoding per group
             calls = product_calls(counted)
             per_group_encoding(counted, parts)
-            assert same(encode_and_multiply(frame, *blocks), arrays)
+            got = encode_and_multiply(frame, *blocks)
             assert [a.ndim for a in calls].count(2) == 2 * groups  # over the pin if groups > 1
+            assert same((*protocol._shares(frame, *blocks), got), arrays)
 
 
-ENCODE_SOURCE = textwrap.dedent(inspect.getsource(protocol.encode_and_multiply))
+ENCODE_SOURCE = textwrap.dedent(inspect.getsource(protocol._encode))
 
 
 def encoder_with(monkeypatch, *replacements):
-    """``encode_and_multiply`` with each (old, new) source fragment replaced,
-    each found once, reading ``protocol``'s globals."""
+    """``protocol._encode``, which both of its consumers read, with each
+    (old, new) source fragment replaced, each found once, reading
+    ``protocol``'s globals."""
     source = ENCODE_SOURCE
     for old, new in replacements:
         assert source.count(old) == 1
         source = source.replace(old, new)
     namespace = dict(vars(protocol))
     exec(source, namespace)
-    monkeypatch.setattr(protocol, "encode_and_multiply", namespace["encode_and_multiply"])
+    monkeypatch.setattr(protocol, "_encode", namespace["_encode"])
 
 
 def all_servers_encoded_first(monkeypatch):
-    """``encode_and_multiply`` taking the limb tier's path on every tier,
-    where its encode tier has one limb, so the fold leaves the powers as they are."""
-    encoder_with(monkeypatch, ("server[1] > 1", "True"))
+    """The encoder taking the limb tier's path on every tier, where its
+    encode tier has one limb, so the fold leaves the powers as they are."""
+    encoder_with(monkeypatch, ("ctx._tier(inner)[1] > 1", "True"))
 
 
 @pytest.mark.parametrize("name, tile, groups", [
@@ -271,10 +310,11 @@ def test_a_float_tier_server_reads_the_floats_its_group_encoded(monkeypatch, nam
                 if broken:
                     all_servers_encoded_first(counted)
                 calls = product_calls(counted)
-                assert same(protocol.encode_and_multiply(frame, *blocks), arrays)
+                got = protocol.encode_and_multiply(frame, *blocks)
                 servers = [a for a in calls if a.ndim == 3]
                 assert (len(calls) - len(servers), len(servers)) == (encoders, groups)
                 assert {a.dtype.kind for a in servers} == {kind}, broken
+                assert same((*protocol._shares(frame, *blocks), got), arrays)
 
 
 def test_server_limbs_are_cut_from_the_int64_rows(monkeypatch):
@@ -282,15 +322,18 @@ def test_server_limbs_are_cut_from_the_int64_rows(monkeypatch):
     two limbs, and the powers, with the limb weights folded in, are read
     whole; the server stage cuts its limbs from the int64 share rows the
     encoder wrote, not from floats."""
-    cut = []
+    cut, carved = [], []
     for module in (gf, protocol):
         monkeypatch.setattr(module, "_limbs", lambda x, count, *rest, real=module._limbs,
                             at=module.__name__: cut.append((at, x, count)) or real(x, count, *rest))
+    monkeypatch.setattr(protocol, "_one_buffer", lambda *specs, real=protocol._one_buffer:
+                        carved.append(real(*specs)) or carved[-1])
     for name, stack in (("limbs", 1), ("limbs, f cut", 0)):
         for frame, blocks, arrays in runs(name, "classical", monkeypatch, gf._TILE):
             cut.clear()
+            carved.clear()
             got = encode_and_multiply(frame, *blocks)
-            assert same(got, arrays)
+            assert same([got], arrays[2:])
             p, plan, (a, b, nf, ng) = frame.ctx.p, frame.plan, blocks
             # per side its data and noise stacks, then its folded powers; then one share stack
             assert [(at, count) for at, _, count in cut] == (
@@ -304,7 +347,10 @@ def test_server_limbs_are_cut_from_the_int64_rows(monkeypatch):
                     (cut[5], plan.beta, plan.info_beta, plan.noise_beta)):
                 powers = frame.powers([*(exps[i] for i in info), *noise])
                 assert np.array_equal(folded, np.hstack([powers * 2**16 % p, powers]))
-            assert np.shares_memory(cut[6][1], got[stack])
+            (shares, (products,)) = carved  # the two share stacks, then the products
+            assert np.shares_memory(cut[6][1], shares[stack])
+            assert not np.shares_memory(products, shares[0]) and products is got
+            assert same(protocol._shares(frame, *blocks), arrays)
 
 
 def test_a_limb_tier_encoder_frees_each_side_operand_before_the_next(monkeypatch):
@@ -324,8 +370,9 @@ def test_a_limb_tier_encoder_frees_each_side_operand_before_the_next(monkeypatch
 
         with monkeypatch.context() as watched:
             watched.setattr(protocol, "_operand", operand)
-            assert same(encode_and_multiply(frame, *blocks), arrays)
-        assert alive == [[], [keep]]
+            got = encode_and_multiply(frame, *blocks)
+            assert alive == [[], [keep]]
+            assert same((*protocol._shares(frame, *blocks), got), arrays)
 
 
 def unreduced(monkeypatch):
@@ -380,7 +427,7 @@ def test_the_comparison_catches_a_broken_pass(monkeypatch, mutant, names):
                 assert same(arrays, oracle(frame, blocks))
                 with monkeypatch.context() as broken:
                     mutant(broken)
-                    assert not same(protocol.encode_and_multiply(frame, *blocks), arrays), (name, tile)
+                    assert not same(encoded(frame, blocks), arrays), (name, tile)
 
 
 PRODUCT_SOURCE = textwrap.dedent(inspect.getsource(FieldContext._product))
@@ -395,18 +442,21 @@ def tiled_product(old, new):
     return namespace["_product"]
 
 
-def poisoned(monkeypatch):
+def poisoned(monkeypatch) -> list:
     """Every array ``_one_buffer`` carves starts filled with -1, which is no
-    field element, so an entry the pass never writes shows."""
-    real = protocol._one_buffer
+    field element, so an entry the pass never writes shows.  Returns the
+    (shape, dtype) of each array carved from here on."""
+    real, carved = protocol._one_buffer, []
 
     def one_buffer(*specs):
         arrays = real(*specs)
         for x in arrays:
             x.fill(-1)
+            carved.append((x.shape, x.dtype))
         return arrays
 
     monkeypatch.setattr(protocol, "_one_buffer", one_buffer)
+    return carved
 
 
 @pytest.mark.parametrize("old, new", [
@@ -422,9 +472,12 @@ def test_the_tile_edges_catch_a_dropped_or_shifted_tile(monkeypatch, old, new):
             for frame, blocks, arrays in runs(name, "classical", monkeypatch, gf._TILE):
                 with monkeypatch.context() as broken:
                     broken.setattr(gf, "_COLUMN_BYTES", column_bytes(frame, WIDTHS[width]))
-                    poisoned(broken)
+                    carved = poisoned(broken)
                     # the unmutated copy passes, so the mutation is what fails
                     for fragment, caught in ((old, False), (new, True)):
                         broken.setattr(FieldContext, "_product", tiled_product(old, fragment))
-                        got = encode_and_multiply(frame, *blocks)
+                        got = encoded(frame, blocks)
                         assert same(got, arrays) != caught, (name, width, fragment)
+                    # the poison reaches the limb tier's share stacks; a float tier makes none
+                    stacks = {(x.shape, x.dtype) for x in arrays[:2]}
+                    assert (stacks <= set(carved)) == name.startswith("limbs"), name

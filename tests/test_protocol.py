@@ -246,7 +246,8 @@ def test_encode_no_noise_is_plain_evaluation():
     # the one table exponent 2 + 3 makes a one-server plan; evaluate it at 2, then at 3
     for x, f_want, g_want, resp_want in ((2, 5 * 4, 4 * 8, 20 * 32), (3, 5 * 9, 4 * 27, 45 * 108)):
         frame = hand_frame(ctx, (x,), plan)
-        f, g, resp = encode_and_multiply(frame, scalar_blocks([5]), scalar_blocks([4]), [], [])
+        blocks = (scalar_blocks([5]), scalar_blocks([4]), [], [])
+        (f, g), resp = protocol._shares(frame, *blocks), encode_and_multiply(frame, *blocks)
         assert f.ravel().tolist() == [f_want % 11]
         assert g.ravel().tolist() == [g_want % 11]
         assert resp.ravel().tolist() == [resp_want % 11]
@@ -257,8 +258,8 @@ def test_encode_single_block_single_noise():
                         alpha=(0, 1), beta=(0, 1), info_alpha=(0,), info_beta=(0,))
     ctx = FieldContext(13)
     frame = hand_frame(ctx, (5, 2, 3), plan)  # table exponents 0, 1, 2: three servers
-    f, *_ = encode_and_multiply(frame, scalar_blocks([7]),
-                                scalar_blocks([2]), scalar_blocks([3]), scalar_blocks([0]))
+    f, _ = protocol._shares(frame, scalar_blocks([7]),
+                            scalar_blocks([2]), scalar_blocks([3]), scalar_blocks([0]))
     assert f.ravel().tolist() == [(7 + 3 * x) % 13 for x in (5, 2, 3)]
 
 
@@ -267,9 +268,9 @@ def test_encode_matches_hand_expanded_polynomial():
     a = [9, 17]
     nf = [30, 40, 50]
     for plan in (GASP223, GASP223_SWAPPED):
-        f, *_ = encode_and_multiply(dataclasses.replace(frame, plan=plan), scalar_blocks(a),
-                                    scalar_blocks([1, 2]), scalar_blocks(nf),
-                                    scalar_blocks([0, 0, 0]))
+        f, _ = protocol._shares(dataclasses.replace(frame, plan=plan), scalar_blocks(a),
+                                scalar_blocks([1, 2]), scalar_blocks(nf),
+                                scalar_blocks([0, 0, 0]))
         e0, e1 = (plan.alpha[i] for i in plan.info_alpha)  # A_k rides on these
         for srv, x in enumerate(frame.points):
             direct = (a[0] * pow(x, e0, 131) + a[1] * pow(x, e1, 131)
@@ -287,8 +288,8 @@ def test_response_exponent_support():
     b = rng.integers(0, 131, size=2).tolist()
     nf = rng.integers(0, 131, size=3).tolist()
     ng = rng.integers(0, 131, size=3).tolist()
-    *_, resp = encode_and_multiply(frame, scalar_blocks(a), scalar_blocks(b),
-                                   scalar_blocks(nf), scalar_blocks(ng))
+    resp = encode_and_multiply(frame, scalar_blocks(a), scalar_blocks(b),
+                               scalar_blocks(nf), scalar_blocks(ng))
     coeff_a = dict(zip(GASP223.alpha, [a[0], a[1], nf[0], nf[1], nf[2]]))
     coeff_b = dict(zip(GASP223.beta, [b[0], b[1], ng[0], ng[1], ng[2]]))
     conv = {}
@@ -352,7 +353,8 @@ def test_zero_inputs_zero_response():
     _, frame, _ = make_frame(GASP223, prime=131)
     zeros = scalar_blocks([0, 0])
     nf = scalar_blocks([0, 0, 0])
-    f, g, resp = encode_and_multiply(frame, zeros, zeros, nf, nf)
+    (f, g), resp = (protocol._shares(frame, zeros, zeros, nf, nf),
+                    encode_and_multiply(frame, zeros, zeros, nf, nf))
     assert not f.any() and not g.any() and not resp.any()
 
 
@@ -420,7 +422,7 @@ def test_classical_decode_zero_matrix():
     b_blocks = scalar_blocks(rng.integers(0, 131, size=2).tolist())
     nf = scalar_blocks(rng.integers(0, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(0, 131, size=1).tolist())
-    *_, resp = encode_and_multiply(frame, a_blocks, b_blocks, nf, ng)
+    resp = encode_and_multiply(frame, a_blocks, b_blocks, nf, ng)
     assert not decode_classical(frame, resp).any()
 
 
@@ -683,7 +685,7 @@ def test_undecodable_plan_refused_and_actually_breaks():
     b = scalar_blocks(rng.integers(1, 131, size=2).tolist())
     nf = scalar_blocks(rng.integers(1, 131, size=1).tolist())
     ng = scalar_blocks(rng.integers(1, 131, size=1).tolist())
-    *_, resp = encode_and_multiply(frame, a, b, nf, ng)
+    resp = encode_and_multiply(frame, a, b, nf, ng)
     decoded = decode_classical(frame, resp)
     direct = np.block([[a[0] @ b[0], a[0] @ b[1]],
                        [a[1] @ b[0], a[1] @ b[1]]]) % 131
@@ -857,15 +859,15 @@ def test_noise_masks_shares_uniformly():
     rng = np.random.default_rng(123)
     trials = 10_000
     noise = rng.integers(0, prime, size=(trials, 2))
-    # vectorized share of servers 0 and 1, validated against encode_and_multiply
+    # vectorized share of servers 0 and 1, validated against the encoder's shares
     powers = np.array([[pow(x, e, prime) for e in plan.noise_alpha]
                        for x in frame.points[:2]])
     base = np.array([(a_blocks[0][0, 0] + a_blocks[1][0, 0] * x) % prime
                      for x in frame.points[:2]])
     tuples = (base[None, :] + noise @ powers.T) % prime
     for row in range(3):
-        f, *_ = encode_and_multiply(frame, a_blocks, b_blocks,
-                                    scalar_blocks(noise[row].tolist()), scalar_blocks([0, 0]))
+        f, _ = protocol._shares(frame, a_blocks, b_blocks,
+                                scalar_blocks(noise[row].tolist()), scalar_blocks([0, 0]))
         assert f[:2, 0, 0].tolist() == tuples[row].tolist()
     counts = np.bincount(tuples[:, 0] * prime + tuples[:, 1], minlength=prime * prime)
     assert scipy.stats.chisquare(counts).pvalue > 0.01

@@ -1,5 +1,8 @@
+import dataclasses
 import inspect
 import sys
+
+import numpy as np
 
 import pdmm
 
@@ -22,3 +25,22 @@ def test_every_all_entry_is_bound_and_reexported():
     stale = [f"{module.__name__}.{name}" for module in modules for name in module.__all__
              if not hasattr(module, name) or getattr(pdmm, name, None) is not getattr(module, name)]
     assert not stale
+
+
+# The next change to either pin has to be made on purpose, with a CHANGES.md note.
+def test_transcript_fields_are_pinned():
+    assert [field.name for field in dataclasses.fields(pdmm.Transcript)] == [
+        "plan", "modulus", "mode", "seed", "points", "a_inputs", "b_inputs", "noise_f",
+        "noise_g", "responses", "decoded", "decode_ok", "audit", "rate"]
+    assert {"shares_f", "shares_g"} <= {name for name, value in vars(pdmm.Transcript).items()
+                                        if isinstance(value, property)}
+
+
+def test_encode_and_multiply_returns_one_array():
+    t = pdmm.run_protocol(pdmm.ProtocolConfig(plan=pdmm.build_cat(2, 2, 2), dims=(4, 6, 4)))
+    frame, _ = pdmm.sample_frame(pdmm.ProtocolConfig(plan=t.plan, dims=(4, 6, 4)),
+                                 np.random.default_rng(t.seed))
+    a, b = t.a_inputs[0].reshape(2, 2, 6), t.b_inputs[0].reshape(6, 2, 2).swapaxes(0, 1)
+    products = pdmm.encode_and_multiply(frame, a, b, t.noise_f[0], t.noise_g[0])
+    assert type(products) is np.ndarray and products.dtype == np.int64
+    assert np.array_equal(products, t.responses[0])
