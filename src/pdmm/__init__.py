@@ -1,8 +1,9 @@
 """Private distributed matrix multiplication codes over prime fields.
 
 Degree-table constructions for the classical and quantum settings,
-generalized Reed-Solomon duality, transfer-matrix assembly, and exact
-end-to-end protocol simulation with privacy auditing and rate reports.
+transfer-matrix assembly on the generalized Reed-Solomon dual pair of a
+run's evaluation frame, and exact end-to-end protocol simulation with
+privacy auditing and rate reports.
 """
 
 from .gf import (
@@ -49,12 +50,7 @@ from .feasibility import (
     min_feasible_t,
     t_hat_estimate,
 )
-from .grs import (
-    ShapeMismatchError,
-    grs_generator,
-    shifted_dual_multipliers,
-    sso_check,
-)
+from .grs import ShapeMismatchError, sso_check
 from .nsumbox import NotSSOError, TransferMatrix, apply_box
 from .protocol import (
     AuditReport,

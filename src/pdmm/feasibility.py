@@ -21,10 +21,10 @@ from .degree_tables import (
     ExponentPlan,
     ParamOutOfRangeError,
     _best_gasp_r,
-    _index,
     _require_positive,
     build_gasp_r,
 )
+from .gf import _index
 
 __all__ = [
     "FeasibilityReport",

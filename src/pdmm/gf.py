@@ -791,24 +791,6 @@ def _remainder(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
-def _node_products(x: np.ndarray, p: int) -> np.ndarray:
-    """prod_{j != i} (x[j] - x[i]) mod p for every i, for canonical x.
-
-    The row products of the difference matrix, diagonal set to 1: each
-    step multiplies its left half by its right half (an odd last column
-    goes into the first), so there are about log2(n) steps.
-    """
-    diffs = _remainder(x[None, :] - x[:, None], p)  # diffs[i, j] = x[j] - x[i]
-    np.fill_diagonal(diffs, 1)
-    while (width := diffs.shape[1]) > 1:
-        half = width // 2
-        head = _remainder(diffs[:, :half] * diffs[:, half:2 * half], p)
-        if width % 2:
-            head[:, 0] = _remainder(head[:, 0] * diffs[:, -1], p)
-        diffs = head
-    return diffs.prod(axis=1)  # one column left, or none when x is empty
-
-
 def _gaps(exponents: np.ndarray) -> np.ndarray:
     """The non-negative integers below the largest exponent that are not exponents, ascending.
 

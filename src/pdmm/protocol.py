@@ -59,7 +59,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .degree_tables import ExponentPlan, _index, check_decodable, plan_record
+from .degree_tables import ExponentPlan, check_decodable, plan_record
 # benchmarks/test_bench.py reads protocol's binding of longest_run, which runs inside check_feasible
 from .feasibility import check_feasible, longest_run  # noqa: F401
 from .gf import (
@@ -68,6 +68,7 @@ from .gf import (
     SingularMatrixError,
     _admissible_points,
     _groups,
+    _index,
     _integers,
     _limbs,
     _powers,
@@ -735,7 +736,7 @@ def _check_mode(mode) -> None:
 
 
 def _integer(value) -> int | None:
-    """``value`` read as the plan's fields are (``degree_tables._index``), or None
+    """``value`` read as the plan's fields are (``gf._index``), or None
     for a bool or a non-integer."""
     try:
         return _index(value=value)[0]

@@ -4,17 +4,18 @@
 interpolation the way ``FieldContext._vandermonde_inverse`` did: the
 quotient table by synthetic division (Horner's rule, one step per
 degree), the weights w_i = 1 / prod_{k != i} (x_i - x_k) by a Fermat
-pass over the node products, and the g x g correction for the g gaps in
-the exponents.  ``dual_pair`` gives the frame's dual multipliers as
-``EvalFrame`` formed them, v = (-1)^(N-1) w x^(-2s) and
-v^-1 = x^(2s) prod_{k != i} (x_k - x_i).  The frame now reads all of it
+pass over the node products (``grs_oracle.node_products``), and the
+g x g correction for the g gaps in the exponents.  ``dual_pair`` gives
+the frame's dual multipliers as ``EvalFrame`` formed them,
+v = (-1)^(N-1) w x^(-2s) and v^-1 = x^(2s) prod_{k != i} (x_k - x_i).  The frame now reads all of it
 off its power run x^0, ..., x^N with one Fermat pass; these are the
 oracles its differential tests compare it with.
 """
 
 import numpy as np
 
-from pdmm.gf import FieldContext, _gaps, _node_products
+from grs_oracle import node_products
+from pdmm.gf import FieldContext, _gaps
 
 
 def vandermonde_inverse(ctx: FieldContext, x: np.ndarray, exponents) -> tuple:
@@ -32,7 +33,7 @@ def vandermonde_inverse(ctx: FieldContext, x: np.ndarray, exponents) -> tuple:
         quotients[j] = row
         row = (master[n - j] + x * row) % p  # master[n - j] is a_j
     # prod_{k != i} (x_i - x_k) = (-1)^(n-1) prod_{k != i} (x_k - x_i)
-    nodes = _node_products(x, p)
+    nodes = node_products(x, p)
     if n % 2 == 0:
         nodes = (p - nodes) % p
     weights = ctx._inverse_all(nodes)
@@ -58,4 +59,4 @@ def dual_pair(ctx: FieldContext, points, weights: np.ndarray, shift: int) -> tup
     v = weights * ctx.vandermonde(points, [-2 * shift])[:, 0] % p
     if x.size % 2 == 0:  # (-1)^(N-1) = -1
         v = (p - v) % p
-    return v, _node_products(x, p) * ctx.vandermonde(points, [2 * shift])[:, 0] % p
+    return v, node_products(x, p) * ctx.vandermonde(points, [2 * shift])[:, 0] % p

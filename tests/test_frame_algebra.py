@@ -5,12 +5,13 @@ off it and off its generator inverse: the generator and the encoder's
 powers are columns of the table, and with u = (P'(x) x^N x^(2s))^-1, the
 inverse's one Fermat pass, the dual multipliers are v = (-1)^(N-1) u x^N
 and v^-1 = (-1)^(N-1) P'(x) x^(2s), with no second inversion.  These tests
-check v against ``shifted_dual_multipliers``, v^-1 against v and against
-a Fermat inversion of it, and ``frame.powers`` against
+check v against the closed-form dual multipliers of ``grs_oracle``, on
+every quantum-feasible builder plan with N <= 60 too, v^-1 against v and
+against a Fermat inversion of it, and ``frame.powers`` against
 ``FieldContext.vandermonde``, with negative controls that drop the sign
-and the x^(2s) factor and misorder the column map; check that
-``dataclasses.replace`` re-derives the frame; and pin one power table per
-``sample_frame`` candidate.
+and the x^(2s) factor, take the wrong shift and misorder the column map;
+check that ``dataclasses.replace`` re-derives the frame; and pin one power
+table per ``sample_frame`` candidate.
 """
 
 import collections
@@ -22,10 +23,10 @@ import re
 import numpy as np
 import pytest
 
+import grs_oracle
 import lagrange_oracle
 from pdmm.degree_tables import ExponentPlan, build_dog
-from pdmm.gf import FieldContext, _node_products
-from pdmm.grs import shifted_dual_multipliers
+from pdmm.gf import FieldContext
 from pdmm.protocol import EvalFrame, ProtocolConfig, ResampleExhaustedError, sample_frame
 from test_generator_inverse import sampled
 from test_lagrange_inverse import gapped_plans
@@ -57,18 +58,19 @@ def quantum_frames():
     return hand_frames() + tuple(frame for _, frame in sampled() if frame.n <= 40)
 
 
-def dual_multipliers(frame):
-    """The frame's v recomputed by ``shifted_dual_multipliers``, from its own node products."""
-    ones = [1] * frame.n
-    return tuple(shifted_dual_multipliers(frame.ctx, frame.points, ones, frame.shift,
-                                          frame.shift).tolist())
+def dual_multipliers(frame, offset=0):
+    """The frame's v recomputed by ``grs_oracle`` at its shift plus ``offset``,
+    from its own node products."""
+    shift = frame.shift + offset
+    return tuple(grs_oracle.dual_multipliers(frame.ctx, frame.points, [1] * frame.n, shift,
+                                             shift).tolist())
 
 
-def dual_mismatches(derive=lambda frame: frame.v):
-    """(N, p, shift) of every quantum frame whose ``derive(frame)`` differs from
-    ``shifted_dual_multipliers``."""
-    return [(frame.n, frame.ctx.p, frame.shift) for frame in quantum_frames()
-            if derive(frame) != dual_multipliers(frame)]
+def dual_mismatches(derive=lambda frame: frame.v, frames=None, offset=0):
+    """(N, p, shift) of every frame, the quantum frames by default, whose
+    ``derive(frame)`` differs from the oracle's v at its shift plus ``offset``."""
+    return [(frame.n, frame.ctx.p, frame.shift) for frame in frames or quantum_frames()
+            if derive(frame) != dual_multipliers(frame, offset)]
 
 
 def unsigned_v(frame):
@@ -93,6 +95,26 @@ def test_grid_covers_odd_and_even_n_and_every_shift():
 
 def test_v_from_lagrange_weights_matches_shifted_dual_multipliers():
     assert dual_mismatches() == []
+
+
+def builder_frames():
+    """The seeded frame of every quantum-feasible builder plan with N <= 60, per floor."""
+    frames = [frame for _, frame in sampled()]
+    assert 55 <= max(f.n for f in frames) <= 60 and len(frames) >= 500
+    return frames
+
+
+def test_v_matches_the_oracle_on_every_builder_plan():
+    assert dual_mismatches(frames=builder_frames()) == []
+
+
+def test_differential_check_catches_the_wrong_shift():
+    """v at shift s + 1 is v at s times x^-2, the same only where every x_i^2 = 1,
+    which holds for at most two points, so every frame with N >= 3 mismatches."""
+    frames = builder_frames()
+    wide = [(f.n, f.ctx.p, f.shift) for f in frames if f.n >= 3]
+    assert len(wide) == len(frames)
+    assert dual_mismatches(frames=frames, offset=1) == wide
 
 
 def test_differential_check_catches_v_without_its_sign():
@@ -127,8 +149,8 @@ def test_differential_check_catches_v_inverse_without_its_power():
     """Node products alone, without x^(2s), invert v only where every x^(2s) is 1."""
     frames = [copy.copy(frame) for frame in quantum_frames()]
     for frame in frames:
-        object.__setattr__(frame, "_v_inv", _node_products(frame.ctx.asarray(frame.points),
-                                                           frame.ctx.p))
+        object.__setattr__(frame, "_v_inv",
+                           grs_oracle.node_products(frame.ctx.asarray(frame.points), frame.ctx.p))
     shifted = shifted_frames()
     assert len(shifted) >= 400 and v_inverse_mismatches(frames) == shifted
 
@@ -136,7 +158,7 @@ def test_differential_check_catches_v_inverse_without_its_power():
 def test_differential_check_catches_duals_without_the_shift_power(monkeypatch):
     """Without the x^(2s) column, u = (P'(x) x^N)^-1 gives the unshifted duals:
     v and v^-1 still invert each other, so only the check of v against
-    ``shifted_dual_multipliers`` sees it, on exactly the shifted frames."""
+    the oracle's dual multipliers sees it, on exactly the shifted frames."""
     real = EvalFrame.powers
 
     def no_shift_column(frame, exponents):

@@ -11,6 +11,7 @@ import pytest
 import scipy.stats
 
 import elimination_oracle as oracle
+import grs_oracle
 from pdmm.degree_tables import (
     ExponentPlan,
     NoSolutionError,
@@ -31,7 +32,7 @@ from pdmm.degree_tables import (
 )
 from pdmm.feasibility import longest_run
 from pdmm.gf import DuplicatePointError, FieldContext, SingularMatrixError, ZeroPointError
-from pdmm.grs import ShapeMismatchError, shifted_dual_multipliers
+from pdmm.grs import ShapeMismatchError
 from pdmm import protocol
 from pdmm.nsumbox import apply_box
 from pdmm.protocol import (
@@ -222,7 +223,7 @@ def test_eval_frame_validation():
     pts = (2, 5, 7, 11, 12)
     for s in (0, 1, 3):
         frame = hand_frame(ctx, pts, FIVE_SERVERS, shift=s)
-        want = shifted_dual_multipliers(ctx, pts, [1] * len(pts), s, s)
+        want = grs_oracle.dual_multipliers(ctx, pts, [1] * len(pts), s, s)
         assert frame.v == tuple(want.tolist()) and frame.n == len(pts)
         assert_full_duality(ctx, pts, [1] * len(pts), frame.v, s, s)
     frame = hand_frame(ctx, pts, FIVE_SERVERS)

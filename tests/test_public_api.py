@@ -27,7 +27,27 @@ def test_every_all_entry_is_bound_and_reexported():
     assert not stale
 
 
-# The next change to either pin has to be made on purpose, with a CHANGES.md note.
+# The next change to any of these pins has to be made on purpose, with a CHANGES.md note.
+def test_public_names_are_pinned():
+    assert sorted(name for name, obj in vars(pdmm).items()
+                  if not name.startswith("_") and not inspect.ismodule(obj)) == [
+        "AuditReport", "DecodabilityReport", "DegreeTable", "DuplicatePointError", "EvalFrame",
+        "ExponentPlan", "FeasibilityReport", "FieldContext", "NoSolutionError",
+        "NotFeasibleError", "NotSSOError", "ParamOutOfRangeError", "ProtocolConfig",
+        "RateReport", "ResampleExhaustedError", "ShapeMismatchError",
+        "SideConditionViolatedError", "SingularMatrixError", "Transcript", "TransferMatrix",
+        "ZeroPointError", "apply_box", "best_classical_plan", "build_cat", "build_dog",
+        "build_gasp_r", "build_gasp_rs", "build_low_privacy", "build_qf_additive",
+        "build_qf_klt", "build_qf_kt", "build_qf_kt_shift", "build_qf_power",
+        "build_qf_square", "check_decodable", "check_feasible", "decode_classical",
+        "decode_quantum", "default_field", "element_of_order", "encode_and_multiply",
+        "feasibility_rows", "gap_progression", "gasp_server_formula", "is_prime",
+        "longest_run", "min_feasible_t", "next_prime", "optimal_gasp_r", "outer_sum",
+        "parse_plan_record", "plan_record", "privacy_audit", "quantum_transfer", "rate_ratio",
+        "rate_report", "run_protocol", "sample_frame", "sso_check", "t_hat_estimate",
+        "transcript_dump"]
+
+
 def test_transcript_fields_are_pinned():
     assert [field.name for field in dataclasses.fields(pdmm.Transcript)] == [
         "plan", "modulus", "mode", "seed", "points", "a_inputs", "b_inputs", "noise_f",
