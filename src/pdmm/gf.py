@@ -22,18 +22,15 @@ into k limbs of b = ceil(bitlen(p - 1) / k) bits, so a chunk of depth d
 takes k GEMMs combined Horner style, exact while
 d (p - 1)(2^b - 1) + p 2^b + p <= 2^52: two limbs when one such chunk
 holds the whole inner dimension, else three.  Reduction stays in
-floating point until one cast into the int64 result.  A product also
-takes an (S, r, k) stack times an (S, k, c) stack, staged in groups of
-matrices so that small matrices share one stacked GEMM instead of one
-call each.  Products read int64 operands in place and copy only what is
-not yet reduced mod p.  One tiled kernel serves every product: it also
-reads operands that are already exact floats, as they are on their
-tier, and can hand back its reduced float result instead of casting it,
-so the protocol's float-tier servers multiply the shares their encoder
-just formed, with no int64 round trip.  The protocol's limb-tier encoder
-cuts its blocks into limbs itself and folds the limb weights into the
-powers, so the kernel reads both whole at the Horner depth: one GEMM
-and one reduction a column tile instead of k of each.
+floating point until one cast into the int64 result.  Products read
+int64 operands in place and copy only what is not yet reduced mod p.
+One kernel serves every product and hands back its reduced floats:
+``matmul`` casts them, and the protocol's servers multiply each group's
+stacked shares with it, on a float tier reading the floats their
+encoder just formed, with no int64 round trip.  The protocol's
+limb-tier encoder cuts its blocks into limbs itself and folds the limb
+weights into the powers, so the kernel reads both whole at the Horner
+depth: one GEMM and one reduction a column tile instead of k of each.
 
 ``mat_inverse`` inverts a square matrix by eliminating [A | I], and
 ``batch_rank`` ranks a whole stack of matrices at once, by one
@@ -228,15 +225,9 @@ def _admissible_points(points, p: int) -> list[int]:
 # the integers up to 2^(t - 1); every sum ``matmul`` forms stays there.
 _EXACT = 1 << 52
 _EXACT32 = 1 << 23
-# Entries of 1 MiB of float64: ``FieldContext.matmul`` stages stacks in
-# groups whose operand and output entries together stay within it.
+# Entries of 1 MiB of float64: the protocol's servers multiply their
+# shares in groups whose operand and output entries together stay within it.
 _TILE = 1 << 17
-# Bytes of each of a column tile's floats (accumulator, GEMM, quotient),
-# over all its rows.  gasp_r(2,2,3)'s 13 servers' shares at 128x512x128
-# over p = 2000000011 took op_p50 17.2-17.4 ms at 2^16 bytes, 15.4-17.2
-# ms at 2^17-2^19, and 19.7-19.8 ms with 1.7 MB more peak RSS at 2^20
-# (6 s runs, 2-vCPU host).
-_COLUMN_BYTES = 1 << 18
 # Entries from which ``_remainder`` reduces int64 by floor division.  In
 # place on a 2-vCPU host, ``%`` against floor division took 0.9 against
 # 2.1 us at 35 entries, about the same at 560, 6.0 against 4.4 us at 1260
@@ -245,7 +236,8 @@ _FLOOR_DIVIDE = 1 << 10
 
 
 def _groups(stack: int, rows: int, cols: int, inner: int) -> list:
-    """Where a stack of ``stack`` (rows, inner) x (inner, cols) products is staged, group by group.
+    """Where the protocol's server stage multiplies ``stack`` (rows, inner) x (inner, cols)
+    share pairs, group by group.
 
     Each group's operand and output entries together stay within
     ``_TILE``, so that small matrices share one stacked GEMM.  A group
@@ -270,7 +262,7 @@ def _limb_geometry(p: int, count: int) -> tuple[int, int]:
     Each limb holds b = ceil(bitlen(p - 1) / count) bits, so it is at
     most 2^b - 1.  A Horner step adds one limb's GEMM, ``depth`` products
     of a whole entry below p and a limb, to the reduced carry shifted by
-    b bits, below p 2^b, and ``matmul`` then adds its reduced
+    b bits, below p 2^b, and ``_product`` then adds its reduced
     accumulator, below p; the depth keeps all of it within 2^52.
     """
     bits = -(-(p - 1).bit_length() // count)
@@ -364,20 +356,19 @@ class FieldContext:
         return np.eye(n, dtype=np.int64)
 
     def matmul(self, a, b) -> np.ndarray:
-        """Exact A @ B mod p, for one right operand or a stack of them.
+        """Exact A @ B mod p, as int64 entries in [0, p).
 
-        A left operand of any rank takes a 1-D or 2-D right one; an
-        (S, r, k) stack takes an (S, k, c) stack and gives the (S, r, c)
-        stack of products A[s] @ B[s], as ``np.matmul`` does.  Operands
-        are read in place, never written, and reduced mod p into new
-        arrays only when some entry lies outside [0, p).
+        A left operand of any rank takes a 1-D or 2-D right one, as
+        ``np.matmul`` does; a stack of right operands raises
+        ``ValueError``, as any other shape mismatch does.  Operands are
+        read in place, never written, and reduced mod p into new arrays
+        only when some entry lies outside [0, p).
 
-        The products run as float GEMMs, exact while every sum stays at
+        The product runs as float GEMMs, exact while every sum stays at
         or below 2^(t - 1), t the significand width, whatever order the
         BLAS sums in; within that bound ``x - floor(x / p) * p`` is exact
         too, so reduction stays in floating point.  One tier is picked
-        per call from p and the inner dimension, so it holds for every
-        matrix of a stack:
+        per call from p and the inner dimension:
 
         - float32, when inner * (p - 1)^2 + p <= 2^23: one chunk holds
           the whole inner dimension;
@@ -391,32 +382,16 @@ class FieldContext:
           and ``_limb_product``); k = 2 when such a chunk holds the whole
           inner dimension, else k = 3.  A chunk costs k GEMMs.
 
-        A stack is staged in groups of matrices whose operand and output
-        entries together stay within about 1 MiB of float64, each group
-        one stacked GEMM per inner chunk; a matrix too large to share
-        its group is staged alone (see ``_groups``).  See ``_product``
-        for the column tiles.
+        The reduced floats of ``_product`` are cast into the int64 result once.
         """
         a, b = self._canonical(a), self._canonical(b)
-        if b.ndim == 3:
-            fits = a.ndim == 3 and a.shape[0] == b.shape[0] and a.shape[2] == b.shape[1]
-        else:
-            fits = a.ndim > 0 and 0 < b.ndim < 3 and a.shape[-1] == b.shape[0]
-        if not fits:
+        if not (a.ndim > 0 and 0 < b.ndim < 3 and a.shape[-1] == b.shape[0]):
             raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
-        inner = b.shape[-2] if b.ndim == 3 else b.shape[0]
-        tier = self._tier(inner)
-        if b.ndim < 3:
-            shape = a.shape[:-1] + b.shape[1:]
-            rows, cols = math.prod(a.shape[:-1]), math.prod(b.shape[1:])
-            out = np.empty((rows, cols), dtype=np.int64)
-            self._product(a.reshape(rows, inner), b.reshape(inner, cols), tier, out)
-            # [()] turns the 0-d product of two vectors into a scalar, as np.matmul does
-            return out.reshape(shape)[()]
-        out = np.empty((len(a), a.shape[1], b.shape[2]), dtype=np.int64)
-        for part in _groups(*out.shape, inner):
-            self._product(a[part], b[part], tier, out[part])
-        return out
+        inner = b.shape[0]
+        rows, cols = math.prod(a.shape[:-1]), math.prod(b.shape[1:])
+        out = self._product(a.reshape(rows, inner), b.reshape(inner, cols), self._tier(inner))
+        # [()] turns the 0-d product of two vectors into a scalar, as np.matmul does
+        return out.astype(np.int64).reshape(a.shape[:-1] + b.shape[1:])[()]
 
     def _tier(self, inner: int) -> tuple:
         """(dtype, count, bits, depth) of a product over F_p with this inner dimension.
@@ -435,9 +410,9 @@ class FieldContext:
         count = 2 if _limb_geometry(p, 2)[1] >= inner else 3
         return np.float64, count, *_limb_geometry(p, count)
 
-    def _product(self, a: np.ndarray, b: np.ndarray, tier: tuple,
-                 out: np.ndarray | None = None) -> np.ndarray | None:
-        """A @ B mod p on a ``_tier``, for 2-D operands or equal-length stacks of them.
+    def _product(self, a: np.ndarray, b: np.ndarray, tier: tuple) -> np.ndarray:
+        """A @ B mod p on a ``_tier``, for 2-D operands or equal-length stacks of them,
+        as reduced floats of the tier's dtype.
 
         ``a`` and ``b`` hold canonical entries, as int64 or as floats,
         which are exact.  The left operand is cut into ``count`` limbs of
@@ -446,31 +421,33 @@ class FieldContext:
         that dtype is read as it is, any other is cast once.  Limbs are
         cut from int64 entries, cast first when the operand is float.
         Each inner chunk of ``depth`` indices adds to a float
-        accumulator, reduced in place after every chunk.  Without ``out``
-        the whole product is one tile, returned as reduced floats.  With
-        an int64 ``out`` it is built in column tiles of ``_COLUMN_BYTES``
-        bytes of ``dtype``, each cast into ``out`` once.
+        accumulator, reduced in place after every chunk.
+
+        The whole product is one tile.  Tiling its columns pays only
+        when the operand each tile re-reads stays in cache, as in the
+        blocking of FFLAS-FFPACK and GotoBLAS (Goto and van de Geijn,
+        ACM TOMS 2008), so the one caller that tiles is the limb-tier
+        encoder, whose re-read operand is the small folded powers (see
+        ``protocol._COLUMN_BYTES``).  Tiles of 2^18 bytes over every
+        product ran the two checks of a qf_square(4) ``TransferMatrix``
+        (N = 543) as 29 GEMM calls instead of 2, and quantum qf_square(5)
+        runs took 0.85 s against 0.42 s untiled, at 351 against 378 MB
+        peak RSS (medians over five seeds, 2-vCPU host).
         """
         dtype, count, bits, depth = tier
         if a.size < b.size:
             a, b = _limbs(a, count, bits, dtype), [b.astype(dtype, copy=False)]
         else:
             a, b = [a.astype(dtype, copy=False)], _limbs(b, count, bits, dtype)
-        inner, cols = b[0].shape[-2:]
-        width = max(1, cols if out is None else _COLUMN_BYTES // np.dtype(dtype).itemsize
-                    // max(math.prod(out.shape[:-1]), 1))
-        for c in range(0, max(cols, 1), width):
-            acc = None
-            # an empty inner dimension still takes one chunk, whose product is zero
-            for k in range(0, max(inner, 1), depth):
-                part = self._limb_product([x[..., k:k + depth] for x in a],
-                                          [y[..., k:k + depth, c:c + width] for y in b], bits)
-                if acc is not None:
-                    part += acc
-                acc = self._reduce(part)
-            if out is None:
-                return acc
-            out[..., c:c + width] = acc
+        inner, acc = b[0].shape[-2], None
+        # an empty inner dimension still takes one chunk, whose product is zero
+        for k in range(0, max(inner, 1), depth):
+            part = self._limb_product([x[..., k:k + depth] for x in a],
+                                      [y[..., k:k + depth, :] for y in b], bits)
+            if acc is not None:
+                part += acc
+            acc = self._reduce(part)
+        return acc
 
     def _limb_product(self, a: list[np.ndarray], b: list[np.ndarray], bits: int) -> np.ndarray:
         """Product of two limb lists, one of them a single limb, as floats congruent to A @ B mod p.
@@ -482,7 +459,7 @@ class FieldContext:
         bits and added to the next limb's GEMM.  One limb each gives the
         GEMM itself.  Over a chunk of depth d each step stays within
         2^52: the shifted sum is below p 2^bits, a GEMM at most
-        d (p - 1)(2^bits - 1), and the accumulator ``matmul`` adds to the
+        d (p - 1)(2^bits - 1), and the accumulator ``_product`` adds to the
         result below p.
         """
         acc = None

@@ -15,7 +15,7 @@ server group's shares.  Each side's blocks become one float operand,
 and ``encode_and_multiply`` multiplies a group's shares in one stacked
 GEMM and keeps only the products.  Where that GEMM cuts limbs, from
 int64, the operand holds the blocks' limbs and the powers the limb
-weights, so all N servers' shares of a side are one product, one GEMM a
+weights, so all N servers' shares of a side are formed one GEMM a
 cache-sized column tile, and a side's blocks are read once; where it
 reads whole floats, a group's shares are one GEMM a side whose reduced
 floats it reads.  A run stores no share stacks: ``Transcript.shares_f``
@@ -423,6 +423,14 @@ def sample_frame(cfg: ProtocolConfig,
 # encoding, server work, decoding
 # ---------------------------------------------------------------------------
 
+# Bytes of each of a limb-tier encoder tile's floats (accumulator, GEMM,
+# quotient), over all N rows.  gasp_r(2,2,3)'s 13 servers' shares at
+# 128x512x128 over p = 2000000011 took op_p50 17.2-17.4 ms at 2^16 bytes,
+# 15.4-17.2 ms at 2^17-2^19, and 19.7-19.8 ms with 1.7 MB more peak RSS
+# at 2^20 (6 s runs, 2-vCPU host).
+_COLUMN_BYTES = 1 << 18
+
+
 def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g) -> np.ndarray:
     """The servers' products f_n g_n of one instance, an (N, ra, cb) int64 array.
 
@@ -438,7 +446,7 @@ def encode_and_multiply(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g) 
             (_, ra, inner), cb = f.shape, g.shape[2]
             products, = _one_buffer(((frame.n, ra, cb), np.int64))
             server = ctx._tier(inner)
-        ctx._product(f, g, server, products[part])
+        products[part] = ctx._product(f, g, server)
     return products
 
 
@@ -467,9 +475,9 @@ def _encode(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     table (``EvalFrame.powers``), so every instance of a run encodes
     without computing a power.  Blocks must hold integers (else
     ``TypeError``), taken mod p.  Yields (part, f, g) for each group
-    ``FieldContext.matmul`` would stage a stack of the servers' products
-    in: ``part`` slices the N servers, and f and g are the group's
-    (group, ra, inner) and (group, inner, cb) shares, canonical.
+    ``_groups`` stages the servers' products in: ``part`` slices the N
+    servers, and f and g are the group's (group, ra, inner) and
+    (group, inner, cb) shares, canonical.
 
     A side's blocks and its noise blocks each come as an array whose
     first axis runs over the blocks, read as it is, or as a sequence of
@@ -482,9 +490,11 @@ def _encode(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
     ``inner`` cuts limbs, which it does from int64, the operand holds
     the c limbs of b bits of every block, most significant first, and
     the powers P become [P 2^(b (c - 1)) mod p | ... | P], so all N
-    servers' shares of a side are one ``FieldContext._product`` read on
-    one limb at the c-limb depth: one GEMM and one reduction a column
-    tile, cast into an int64 stack, and the operand, read once, is freed
+    servers' shares of a side are ``FieldContext._product`` calls read
+    on one limb at the c-limb depth, one a column tile of
+    ``_COLUMN_BYTES`` bytes of floats over all N rows, each one GEMM and
+    one reduction, cast into an int64 stack.  The tiles pay because each
+    re-reads only the small folded powers.  The operand, read once, is freed
     before the other side's is made; each group's f and g are rows of
     the two stacks.  Otherwise a group's f and g are one product a side,
     the reduced floats the group's server GEMM reads whole, and no stack
@@ -528,7 +538,10 @@ def _encode(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
             # limb j's weight 2^(bits (count - 1 - j)) folded into the powers: one GEMM a tile
             folded = np.hstack([powers * pow(2, bits * j, ctx.p) % ctx.p
                                 for j in reversed(range(count))])
-            ctx._product(folded, coeffs, (dtype, 1, 0, depth), out.reshape(frame.n, -1))
+            rows, one_limb = out.reshape(frame.n, -1), (dtype, 1, 0, depth)
+            width = max(1, _COLUMN_BYTES // np.dtype(dtype).itemsize // frame.n)
+            for c in range(0, rows.shape[1], width):  # each tile re-reads the folded powers
+                rows[:, c:c + width] = ctx._product(folded, coeffs[:, c:c + width], one_limb)
             del coeffs  # freed before the next side's operand is made
         for part in parts:
             yield part, shares[0][part], shares[1][part]

@@ -2,9 +2,9 @@
 
 ``encode_shares`` stacks each side's data and noise blocks and multiplies
 them by the frame's powers with one ``FieldContext.matmul``, and
-``server_compute`` multiplies the two int64 share stacks with one stacked
-``matmul``.  The library's one encoder, ``protocol._encode``, forms the
-same shares, for all servers in one product or one server group at a
+``server_compute`` multiplies each server's two int64 shares with one
+``matmul`` a server.  The library's one encoder, ``protocol._encode``,
+forms the same shares, for all servers at once or one server group at a
 time; ``protocol.encode_and_multiply`` multiplies them into the same
 products, and ``Transcript.shares_f`` and ``shares_g`` derive the same
 stacks.  This pair is the oracle their differential test compares them
@@ -32,7 +32,7 @@ def encode_shares(frame: EvalFrame, a_blocks, b_blocks, noise_f, noise_g):
 
 
 def server_compute(ctx, shares_f, shares_g) -> np.ndarray:
-    """Each server multiplies its two shares, all N in one stacked ``ctx.matmul``.
+    """Each server multiplies its two shares, one 2-D ``ctx.matmul`` a server.
 
     Stacks of other ranks, or whose counts or inner dimensions differ,
     raise ``ShapeMismatchError``.
@@ -42,4 +42,4 @@ def server_compute(ctx, shares_f, shares_g) -> np.ndarray:
         raise ShapeMismatchError(
             f"expected (N, ra, inner) and (N, inner, cb) share stacks, "
             f"got shapes {f_shape} and {g_shape}")
-    return ctx.matmul(shares_f, shares_g)
+    return np.array([ctx.matmul(f, g) for f, g in zip(shares_f, shares_g)])

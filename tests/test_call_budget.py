@@ -22,6 +22,12 @@ of a run hands ``FieldContext.matmul`` a stack of shares: in a small
 cat(2,2,2) quantum run only the quantum decode and the final A B check
 reach it, with 2-D operands, and nothing calls ``np.stack``.
 
+``matmul`` builds each product as one tile, so a qf_square(4) quantum
+frame's transfer matrix (N = 543) takes two GEMMs, one for its SSO check
+and one for the product m [g h] its laws are read off.  The negative
+control puts back the column tiles every ``matmul`` built, 2^18 bytes
+of floats over all output rows each, which re-read all of m per tile.
+
 A transcript stores no share stacks, and ``transcript_dump`` derives
 them once: one frame rebuilt per dump and one encoding per instance.
 The negative control reads ``shares_f`` and ``shares_g`` per server, as
@@ -38,10 +44,10 @@ import pytest
 
 import share_oracle
 from pdmm import degree_tables, gf, protocol
-from pdmm.degree_tables import build_cat, build_qf_klt
+from pdmm.degree_tables import build_cat, build_qf_klt, build_qf_square
 from pdmm.grs import sso_check
 from pdmm.nsumbox import NotSSOError, TransferMatrix
-from pdmm.protocol import ProtocolConfig, run_protocol
+from pdmm.protocol import ProtocolConfig, run_protocol, sample_frame
 
 BUDGET = {"_powers": 2, "_admissible_points": 2}
 
@@ -262,7 +268,8 @@ def test_no_stage_multiplies_a_share_stack(monkeypatch):
 
 def test_the_pin_catches_the_old_encoder_and_server_pair(monkeypatch):
     """Stacking the blocks, encoding them by ``matmul`` and multiplying the
-    int64 share stacks, as before the fused pass, trips every part of the pin."""
+    int64 shares by ``matmul``, as before the fused pass, trips the pin's
+    stack and stage parts; ``matmul`` takes no stack of right operands."""
     def old_pair(frame, *blocks):
         return share_oracle.server_compute(frame.ctx, *share_oracle.encode_shares(frame, *blocks))
 
@@ -270,7 +277,7 @@ def test_the_pin_catches_the_old_encoder_and_server_pair(monkeypatch):
     calls, stacks = matmul_calls(monkeypatch)
     assert stacks == 4  # one per side and instance
     encoder = [ranks for ranks, stage in calls if "instance" in stage]
-    assert encoder.count((3, 3)) == 2 and len(encoder) == 6
+    assert set(encoder) == {(2, 2)} and len(encoder) == 2 * (2 + 10)  # sides, then servers
 
 
 def small_cat_run():
@@ -314,3 +321,38 @@ def test_the_dump_pin_catches_a_property_read_per_server_and_side(monkeypatch):
     counts, lines = dump_derivations(monkeypatch, share_lines_read_per_server)
     assert lines == want
     assert counts == {"frames": 2 * 2 * 10, "encodings": 2 * 2 * 10 * 2}
+
+
+def transfer_gemms(monkeypatch):
+    """``_limb_product`` calls, one GEMM each on this frame's tier, while
+    ``quantum_transfer`` builds and checks a qf_square(4) frame's transfer matrix."""
+    cfg = ProtocolConfig(plan=build_qf_square(4), mode="quantum", seed=0)
+    frame, _ = sample_frame(cfg, np.random.default_rng(cfg.seed))
+    _, count, _, depth = frame.ctx._tier(2 * frame.n)
+    assert frame.n == 543 and count == 1 and depth >= 2 * frame.n  # one limb in one chunk
+    calls = []
+    real = gf.FieldContext._limb_product
+    monkeypatch.setattr(gf.FieldContext, "_limb_product",
+                        lambda self, *args: calls.append(1) or real(self, *args))
+    protocol.quantum_transfer(frame)
+    return len(calls)
+
+
+def test_a_large_transfer_matrix_takes_two_gemms(monkeypatch):
+    assert transfer_gemms(monkeypatch) == 2  # sso_check, then m [g h]
+
+
+def test_the_transfer_pin_catches_column_tiles_in_matmul(monkeypatch):
+    """Each product built in column tiles of 2^18 bytes of floats over all
+    its rows, cast into int64 one tile at a time, as every ``matmul`` was."""
+    def column_tiled(self, a, b):
+        a, b = self._canonical(a), self._canonical(b)
+        tier = self._tier(len(b))
+        out = np.empty((len(a), b.shape[1]), dtype=np.int64)
+        width = max(1, 2**18 // np.dtype(tier[0]).itemsize // max(len(a), 1))
+        for c in range(0, b.shape[1], width):
+            out[:, c:c + width] = self._product(a, b[:, c:c + width], tier)
+        return out
+
+    monkeypatch.setattr(gf.FieldContext, "matmul", column_tiled)
+    assert transfer_gemms(monkeypatch) == 29

@@ -8,27 +8,28 @@ server stage cuts limbs, the encoder cuts each side's data and noise
 blocks once into the limbs of its encode tier, folds the limb weights
 into the frame's powers, and forms all N servers' shares of the side
 with one ``FieldContext._product`` of the folded powers by the limbs,
-read whole, built in column tiles of ``gf._COLUMN_BYTES`` bytes and cast
+read whole, per column tile of ``protocol._COLUMN_BYTES`` bytes, cast
 into two share stacks; each group of servers' int64 share rows then
 meet in one stacked GEMM.  Where it reads whole floats, a group's
-shares are one product a side whose reduced floats its GEMM reads.
-``share_oracle`` multiplies int64 stacks with ``FieldContext.matmul`` as
-the library did before.  Both must give the same shares and products,
-exactly, on every tier an encode or a server stage can take, with
-folded rows in one chunk and in two, for groups of one server, of
-several and of all servers, and at column tiles of one column, of a
-width that divides neither side's rows and of whole rows, in both
-modes; the derived shares of a transcript must equal the oracle's, and
-a transcript with one noise stack rolled by a block, or its instances'
-noise swapped, must not.  A call-budget pin holds a limb-tier encoder
-to two products a call, one per side, whatever N and the group count,
+shares are one product a side whose reduced floats its GEMM reads, and
+no tile is cut.  ``share_oracle`` multiplies each server's int64 shares
+with ``FieldContext.matmul``, as the library did before.  Both must give
+the same shares and products, exactly, on every tier an encode or a
+server stage can take, with folded rows in one chunk and in two, for
+groups of one server, of several and of all servers, and at column
+tiles of one column, of a width that divides neither side's rows and of
+whole rows, in both modes; the derived shares of a transcript must
+equal the oracle's, and a transcript with one noise stack rolled by a
+block, or its instances' noise swapped, must not.  A call-budget pin
+holds a limb-tier encoder to two products a call, one per side, at
+sizes where each side fits one tile, whatever N and the group count,
 and per-group encoding goes over it; on a float tier each group's
 server GEMM reads its encoder's floats, which the limb tier's path
 would not give it.  Six negative controls break the pass: the encoder's
 accumulator left unreduced, the limb split skipped, the limb rows
 stacked least significant first, the folded powers left unreduced mod
-p, the last column tile dropped and a tile shifted by one column; each
-must make the comparison fail.
+p, and, in the encoder's tile loop, the last column tile dropped and a
+tile shifted by one column; each must make the comparison fail.
 """
 
 import dataclasses
@@ -98,9 +99,16 @@ def runs(name, mode, monkeypatch, tile):
 
 
 def column_bytes(frame, columns):
-    """``_COLUMN_BYTES`` for tiles of ``columns`` columns of a side's shares
-    over all N servers, in the case's encode dtype."""
+    """``protocol._COLUMN_BYTES`` for tiles of ``columns`` columns of a side's
+    shares over all N servers, in the case's encode dtype."""
     return frame.n * columns * np.dtype(frame.ctx._tier(len(frame.plan.alpha))[0]).itemsize
+
+
+def encoder_tiles(columns):
+    """Encoder products of one ``encoded`` call on a limb-tier ``EDGES`` case
+    at tiles of ``columns`` columns: a product a tile of each side's 120
+    and 80 share columns, in each of its two encodings."""
+    return 2 * sum(-(-cols // columns) for cols in (120, 80))
 
 
 def oracle(frame, blocks):
@@ -218,8 +226,11 @@ def test_column_tiles_match_the_oracle_at_their_edges(monkeypatch, name, width, 
         assert [side[0].size for side in blocks[:2]] == [120, 80]
         want = oracle(frame, blocks)
         with monkeypatch.context() as tiles:
-            tiles.setattr(gf, "_COLUMN_BYTES", column_bytes(frame, WIDTHS[width]))
+            tiles.setattr(protocol, "_COLUMN_BYTES", column_bytes(frame, WIDTHS[width]))
+            calls = product_calls(tiles)
             assert same(encoded(frame, blocks), want)
+            if name.startswith("limbs"):  # 400, 60 and 4 encoder products
+                assert [a.ndim for a in calls].count(2) == encoder_tiles(WIDTHS[width])
 
 
 def product_calls(monkeypatch) -> list:
@@ -236,11 +247,10 @@ def per_group_encoding(monkeypatch, groups):
     re-reading the side's blocks."""
     real = FieldContext._product
 
-    def product(self, a, b, tier, out=None):
+    def product(self, a, b, tier):
         if a.ndim == 3:  # a server stage
-            return real(self, a, b, tier, out)
-        for part in groups:
-            real(self, a[part], b, tier, out[part])
+            return real(self, a, b, tier)
+        return np.concatenate([real(self, a[part], b, tier) for part in groups])
 
     monkeypatch.setattr(FieldContext, "_product", product)
 
@@ -379,13 +389,13 @@ def unreduced(monkeypatch):
     """The encoder casts its GEMMs' accumulator into the shares without reducing it."""
     real = FieldContext._product
 
-    def product(self, a, b, tier, out=None):
+    def product(self, a, b, tier):
         if a.ndim == 3:  # a server stage
-            return real(self, a, b, tier, out)
+            return real(self, a, b, tier)
         reduce = FieldContext._reduce
         FieldContext._reduce = lambda self, x: x
         try:
-            return real(self, a, b, tier, out)
+            return real(self, a, b, tier)
         finally:
             FieldContext._reduce = reduce
 
@@ -430,18 +440,6 @@ def test_the_comparison_catches_a_broken_pass(monkeypatch, mutant, names):
                     assert not same(encoded(frame, blocks), arrays), (name, tile)
 
 
-PRODUCT_SOURCE = textwrap.dedent(inspect.getsource(FieldContext._product))
-
-
-def tiled_product(old, new):
-    """``FieldContext._product`` with one source fragment replaced, reading
-    ``gf``'s globals as they are when it is made."""
-    assert PRODUCT_SOURCE.count(old) == 1
-    namespace = dict(vars(gf))
-    exec(PRODUCT_SOURCE.replace(old, new), namespace)
-    return namespace["_product"]
-
-
 def poisoned(monkeypatch) -> list:
     """Every array ``_one_buffer`` carves starts filled with -1, which is no
     field element, so an entry the pass never writes shows.  Returns the
@@ -460,24 +458,31 @@ def poisoned(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("old, new", [
-    pytest.param("range(0, max(cols, 1), width)",
-                 "range(0, max(cols, 1) - width * (out is not None), width)",
+    pytest.param("range(0, rows.shape[1], width)", "range(0, rows.shape[1] - width, width)",
                  id="last_tile_dropped"),
-    pytest.param("out[..., c:c + width] = acc", "out[..., c:c + width] = np.roll(acc, 1, -1)",
+    pytest.param("ctx._product(folded, coeffs[:, c:c + width], one_limb)",
+                 "np.roll(ctx._product(folded, coeffs[:, c:c + width], one_limb), 1, -1)",
                  id="tile_shifted_by_one_column"),
 ])
 def test_the_tile_edges_catch_a_dropped_or_shifted_tile(monkeypatch, old, new):
     for name in EDGES:
+        limbs = name.startswith("limbs")
         for width in ("seven columns", "one tile"):
             for frame, blocks, arrays in runs(name, "classical", monkeypatch, gf._TILE):
                 with monkeypatch.context() as broken:
-                    broken.setattr(gf, "_COLUMN_BYTES", column_bytes(frame, WIDTHS[width]))
+                    # set before ``encoder_with`` copies protocol's globals
+                    broken.setattr(protocol, "_COLUMN_BYTES", column_bytes(frame, WIDTHS[width]))
                     carved = poisoned(broken)
-                    # the unmutated copy passes, so the mutation is what fails
-                    for fragment, caught in ((old, False), (new, True)):
-                        broken.setattr(FieldContext, "_product", tiled_product(old, fragment))
+                    # the unmutated copy passes, so the mutation is what fails; only
+                    # the limb tier's encoder runs the tile loop
+                    for fragment, caught in ((old, False), (new, limbs)):
+                        encoder_with(broken, (old, fragment))
+                        calls = product_calls(broken)
                         got = encoded(frame, blocks)
                         assert same(got, arrays) != caught, (name, width, fragment)
+                        if limbs and not caught:  # 60 tiles at seven columns, 4 at one tile
+                            assert [a.ndim for a in calls].count(2) == encoder_tiles(
+                                WIDTHS[width])
                     # the poison reaches the limb tier's share stacks; a float tier makes none
                     stacks = {(x.shape, x.dtype) for x in arrays[:2]}
-                    assert (stacks <= set(carved)) == name.startswith("limbs"), name
+                    assert (stacks <= set(carved)) == limbs, name

@@ -382,10 +382,9 @@ def test_limb_products_of_stacks_vectors_and_views(p):
         b = rng.integers(0, p, size=(3, inner, 6))
         pair = rng.integers(0, p, size=(2 * inner, 9))
         cases = [
-            (a, b),                                        # stacks
-            (b.transpose(0, 2, 1)[:, :2], a.transpose(0, 2, 1)),
-            (a[:, ::-1], b[:, :, ::3]),
-            (a, b[0]),                                     # a stack times one matrix
+            (b.transpose(0, 2, 1)[:, :2], a[1].T),         # a stack times one matrix
+            (a[:, ::-1], b[0, :, ::3]),
+            (a, b[0]),
             (a[0], b[0, :, 0]),                            # 1-D operands
             (b[1, :, 0], b[1]),
             (a[1, 0], b[1, :, 2]),
@@ -408,9 +407,8 @@ def test_one_limb_products_of_largest_folded_rows_and_limbs(p, count):
     for inner in (depth, 2 * depth):
         a = np.full((2, inner), p - 1)
         b = np.full((inner, 3), 2.0**bits - 1)
-        out = np.empty((2, 3), dtype=np.int64)
-        ctx._product(a, b, (np.float64, 1, 0, depth), out)
-        assert out.tolist() == [[inner * (p - 1) * (2**bits - 1) % p] * 3] * 2
+        got = ctx._product(a, b, (np.float64, 1, 0, depth))
+        assert got.tolist() == [[inner * (p - 1) * (2**bits - 1) % p] * 3] * 2
 
 
 def test_a_one_limb_chunk_past_2_to_the_54_is_wrong():
@@ -432,30 +430,34 @@ def test_a_one_limb_chunk_past_2_to_the_54_is_wrong():
     b = np.full((inner, 3), 2.0**bits - 1)
     want = [[total % p] * 3] * 2
     for chunk, right in ((depth, True), (inner, False)):
-        out = np.empty((2, 3), dtype=np.int64)
-        ctx._product(a, b, (np.float64, 1, 0, chunk), out)
-        assert (out.tolist() == want) == right
+        got = ctx._product(a, b, (np.float64, 1, 0, chunk))
+        assert (got.tolist() == want) == right
 
 
 @pytest.mark.parametrize("p", MATMUL_PRIMES)
-@pytest.mark.parametrize("shape_a, shape_b, tile", [
+@pytest.mark.parametrize("shape_a, shape_b, tile, groups", [
     # 3*4 + 4*2 + 3*2 = 26 entries a matrix: groups of 2, and 35 ends on a group of 1
-    ((3, 4), (4, 2), 60),
-    # 83 entries a matrix: each staged alone, in column tiles of 3, 3 and 1
-    ((5, 4), (4, 7), 16),
+    ((3, 4), (4, 2), 60, {0: 0, 1: 1, 2: 1, 35: 18}),
+    # 83 entries a matrix: each staged alone
+    ((5, 4), (4, 7), 16, {0: 0, 1: 1, 2: 2, 35: 35}),
 ])
-def test_stacked_matmul_matches_the_per_matrix_loop(monkeypatch, p, shape_a, shape_b, tile):
+def test_stacked_matmul_matches_the_per_matrix_loop(monkeypatch, p, shape_a, shape_b, tile,
+                                                    groups):
+    """The server stage's stacked products: one ``_product`` of each
+    ``_groups`` part's stacks, cast into int64."""
     ctx = FieldContext(p)
     rng = np.random.default_rng(p % 991)
     monkeypatch.setattr(gf, "_TILE", tile)
-    # a column tile of ``tile`` entries of the tier's dtype, whatever its size
-    monkeypatch.setattr(gf, "_COLUMN_BYTES", tile * np.dtype(ctx._tier(shape_a[1])[0]).itemsize)
+    tier = ctx._tier(shape_a[1])
     for stack in (0, 1, 2, 35):
         # unreduced and negative entries are taken mod p first
         a = rng.integers(-3 * p, 3 * p, size=(stack, *shape_a))
         b = rng.integers(-3 * p, 3 * p, size=(stack, *shape_b))
-        got = ctx.matmul(a, b)
-        assert got.dtype == np.int64 and got.shape == (stack, shape_a[0], shape_b[1])
+        parts = gf._groups(stack, shape_a[0], shape_b[1], shape_a[1])
+        assert len(parts) == groups[stack]
+        got = np.empty((stack, shape_a[0], shape_b[1]), dtype=np.int64)
+        for part in parts:
+            got[part] = ctx._product(ctx.asarray(a[part]), ctx.asarray(b[part]), tier)
         assert got.tolist() == python_int_matmul(a, b, p).tolist()
         assert got.tolist() == [ctx.matmul(x, y).tolist() for x, y in zip(a, b)]
         if stack > 1:
@@ -466,6 +468,7 @@ def test_stacked_matmul_matches_the_per_matrix_loop(monkeypatch, p, shape_a, sha
 @pytest.mark.parametrize("shape_a, shape_b", [
     ((2, 3, 4), (3, 4, 2)),  # stack lengths differ
     ((2, 3, 4), (2, 5, 2)),  # inner dimensions differ
+    ((2, 3, 4), (2, 4, 2)),  # a stack times a stack
     ((3, 4), (2, 4, 2)),     # a matrix times a stack
     ((2, 3, 4, 1), (2, 4, 2)),
     ((2, 4), (5, 2)),
@@ -484,9 +487,9 @@ def test_matmul_reads_its_operands_without_writing_or_aliasing_them():
     for x in (a, b, row):
         x.setflags(write=False)
     cases = [
-        (a, b),                                   # read-only; a unreduced
-        (a[:, ::2, ::-1], b[:, ::-1]),            # non-contiguous views
-        (np.broadcast_to(row, (4, 3, 5)), b),     # broadcast
+        (a, b[0]),                                # read-only; a unreduced
+        (a[:, ::2, ::-1], b[1, ::-1]),            # non-contiguous views
+        (np.broadcast_to(row, (4, 3, 5)), b[2]),  # broadcast
         (a[1].T[::2], np.broadcast_to(row[:3, None], (3, 7))),
         (np.broadcast_to(row, (6, 5)), row),
     ]
